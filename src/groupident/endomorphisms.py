@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, InvalidEndomorphismError
-from .groups import Element, Group
+from .groups import Element, Group, row_blocks
 
 
 @dataclass(frozen=True)
@@ -132,29 +132,32 @@ class Endo:
 
     def image(self) -> list[Element]:
         g = self.group
-        hit = np.zeros(g.size, dtype=bool)
-        hit[self.index_map] = True
-        return [g.element_at(i) for i in np.flatnonzero(hit)]
+        return [g.element_at(int(i)) for i in np.unique(self.index_map)]
 
     def is_surjective(self) -> bool:
         return len(np.unique(self.index_map)) == self.group.size
 
-    def is_injective(self) -> bool:
-        return self.is_surjective()
+
+def is_adjoint_pair(a: Endo, b: Endo) -> bool:
+    """Whether ``(Ax, y) = (x, By)`` for all pairs, on exact pairing phases."""
+    g = a.group
+    every = np.arange(g.size)
+    return all(np.array_equal(g.phase_idx(a.index_map[rows, None], every),
+                              g.phase_idx(every[rows, None], b.index_map))
+               for rows in row_blocks(g.size, g.size))
 
 
 def is_subgroup(group: Group, subset: Sequence[Element]) -> bool:
     """Exact closure check: contains 0 and is closed under addition."""
-    members = set(subset)
-    if group.zero not in members:
+    try:
+        idx = group.indices(subset)
+    except DomainError:
         return False
-    for x in subset:
-        if not group.contains(x):
-            return False
-        for y in subset:
-            if group.add(x, y) not in members:
-                return False
-    return True
+    member = np.zeros(group.size, dtype=bool)
+    member[idx] = True
+    return bool(member[0]) and all(
+        member[group.add_idx(idx[rows, None], idx)].all()
+        for rows in row_blocks(len(idx), len(idx)))
 
 
 def annihilator(group: Group, subgroup: Sequence[Element]) -> list[Element]:
@@ -165,8 +168,7 @@ def annihilator(group: Group, subgroup: Sequence[Element]) -> list[Element]:
     """
     if not is_subgroup(group, subgroup):
         raise DomainError("annihilator input must be a subgroup")
-    out = []
-    for y in group.elements():
-        if all(group.pair_phase(x, y) == 0 for x in subgroup):
-            out.append(y)
-    return out
+    sub, ys = group.indices(subgroup), np.arange(group.size)
+    hit = np.concatenate([group.phase_idx(sub, ys[rows, None]).any(axis=1)
+                          for rows in row_blocks(group.size, len(sub))])
+    return [group.elements()[i] for i in np.flatnonzero(~hit)]

@@ -11,7 +11,9 @@ equation of the form
 
 Tables live either on a whole finite group or on a finite symmetric window
 of a rational lattice; window operations shrink their domain explicitly and
-raise when the margin runs out rather than truncating silently.
+raise when the margin runs out rather than truncating silently.  The
+character, Bernstein and Hermitian checks are numpy sweeps over all pairs of
+integer point indices, the same code on both kinds of domain.
 """
 
 from __future__ import annotations
@@ -27,37 +29,12 @@ from .errors import (DomainError, PreconditionError, VanishingFactorError,
                      WindowMarginError)
 from .groups import Element, Group
 
-# -- domain shims -------------------------------------------------------------
+# -- domains ------------------------------------------------------------------
 #
-# A table domain is either a Group (points are Elements) or any object with
-# ``points`` (sorted Fractions), ``contains`` and ``zero`` (rational lattice
-# windows).  The few line helpers below keep the rest of the module agnostic.
-
-
-def domain_points(domain) -> tuple:
-    if isinstance(domain, Group):
-        return domain.elements()
-    return tuple(domain.points)
-
-
-def domain_add(domain, p, q):
-    if isinstance(domain, Group):
-        return domain.add(p, q)
-    return p + q
-
-
-def domain_neg(domain, p):
-    if isinstance(domain, Group):
-        return domain.neg(p)
-    return -p
-
-
-def domain_zero(domain):
-    return domain.zero
-
-
-def domain_contains(domain, p) -> bool:
-    return domain.contains(p)
+# A table domain is either a Group (points are Elements) or a rational lattice
+# window (points are sorted Fractions).  Both provide ``points``, ``zero``,
+# ``contains``, ``add`` and ``neg`` on points, and the same operations on
+# integer point indices: ``indices``, ``add_idx`` and ``neg_idx``.
 
 
 def apply_coeff(beta, p):
@@ -114,17 +91,36 @@ class FunctionTable:
 
     @classmethod
     def from_function(cls, domain, fn: Callable, points=None) -> "FunctionTable":
-        pts = tuple(points) if points is not None else domain_points(domain)
+        pts = tuple(points) if points is not None else domain.points
         return cls(domain, pts, np.array([fn(p) for p in pts]))
 
     @classmethod
     def constant(cls, domain, value=1.0, points=None) -> "FunctionTable":
-        pts = tuple(points) if points is not None else domain_points(domain)
+        pts = tuple(points) if points is not None else domain.points
         return cls(domain, pts, np.full(len(pts), value, dtype=np.complex128))
 
     @cached_property
     def _index(self) -> dict:
         return {p: i for i, p in enumerate(self.points)}
+
+    @cached_property
+    def _idx(self) -> np.ndarray:
+        """Domain index of every point."""
+        return self.domain.indices(self.points)
+
+    @cached_property
+    def _slots(self) -> tuple[int, np.ndarray]:
+        # slots[k - lo] is the position of index k; a -1 pads each end.
+        idx = self._idx
+        lo, hi = (idx.min() - 1, idx.max() + 1) if len(idx) else (0, 0)
+        slots = np.full(hi - lo + 1, -1, dtype=np.int64)
+        slots[idx - lo] = np.arange(len(idx))
+        return lo, slots
+
+    def _positions(self, idx: np.ndarray) -> np.ndarray:
+        """Table position of every domain index in ``idx``; -1 where absent."""
+        lo, slots = self._slots
+        return slots.take(idx - lo, mode="clip")
 
     def __contains__(self, p) -> bool:
         return p in self._index
@@ -186,16 +182,15 @@ class FunctionTable:
     # -- structural checks -------------------------------------------------------
 
     def value_at_zero(self) -> complex:
-        return self[domain_zero(self.domain)]
+        return self[self.domain.zero]
 
     def hermitian_defect(self) -> float:
         """Max of ``|f(-y) - conj(f(y))|`` over points whose negation is present."""
-        worst = 0.0
-        for p in self.points:
-            q = domain_neg(self.domain, p)
-            if q in self:
-                worst = max(worst, abs(self[q] - np.conj(self[p])))
-        return worst
+        q = self._positions(self.domain.neg_idx(self._idx))
+        has = q >= 0
+        d = self.values[q[has]] - np.conj(self.values[has])
+        # hypot rounds as CPython's abs(complex); numpy's complex abs may not.
+        return float(np.max(np.hypot(d.real, d.imag), initial=0.0))
 
     def nonvanishing(self, tol: float = 0.0) -> bool:
         return bool(np.min(np.abs(self.values)) > tol)
@@ -204,9 +199,10 @@ class FunctionTable:
 # -- fast paths for contiguous lattice windows -------------------------------------
 #
 # Window tables built from a RationalLattice keep their points as consecutive
-# multiples of 1/D; on that representation difference operators and pair
-# sweeps reduce to array slicing, which matters for the repeated-difference
-# degree checks.  Group tables and irregular supports use the generic path.
+# multiples of 1/D; on that representation difference operators and the
+# product/sum equation sweeps reduce to array slicing, which matters for the
+# repeated-difference degree checks.  Group tables and irregular supports use
+# the generic path there.
 
 
 def _int_grid(f: FunctionTable):
@@ -258,25 +254,25 @@ def diff(f: FunctionTable, h) -> FunctionTable:
     to points with ``y+h`` still inside, and an empty restriction raises.
     """
     dom = f.domain
-    if isinstance(dom, Group) and not domain_contains(dom, h):
+    if isinstance(dom, Group) and not dom.contains(h):
         raise DomainError(f"step {h!r} is not in the domain")
-    pts = [p for p in f.points if domain_add(dom, p, h) in f]
+    pts = [p for p in f.points if dom.add(p, h) in f]
     if not pts:
         raise WindowMarginError(f"window too small for difference step {h!r}")
-    vals = np.array([f[domain_add(dom, p, h)] - f[p] for p in pts])
+    vals = np.array([f[dom.add(p, h)] - f[p] for p in pts])
     return FunctionTable(dom, tuple(pts), vals)
 
 
 def ratio_diff(f: FunctionTable, h) -> FunctionTable:
     """Multiplicative difference ``y -> f(y+h)/f(y)`` on a nonvanishing table."""
     dom = f.domain
-    pts = [p for p in f.points if domain_add(dom, p, h) in f]
+    pts = [p for p in f.points if dom.add(p, h) in f]
     if not pts:
         raise WindowMarginError(f"window too small for ratio step {h!r}")
     den = np.array([f[p] for p in pts])
     if np.any(den == 0):
         raise VanishingFactorError("ratio difference of a vanishing table")
-    num = np.array([f[domain_add(dom, p, h)] for p in pts])
+    num = np.array([f[dom.add(p, h)] for p in pts])
     return FunctionTable(dom, tuple(pts), num / den)
 
 
@@ -341,29 +337,13 @@ def least_degree(f: FunctionTable, max_degree: int, tol: float = 1e-9,
 
 def character_defect(f: FunctionTable) -> float:
     """Sup of ``|f(k+l) - f(k)f(l)|`` over pairs with ``k+l`` in the table."""
-    grid = _int_grid(f)
-    if grid is not None:
-        lo, _ = grid
-        n = len(f.points)
-        i = np.arange(n)
-        s = lo + i[:, None] + i[None, :]
-        mask = (s >= 0) & (s < n)
-        if not mask.any():
-            raise WindowMarginError("no pair (k, l) with k+l inside the window")
-        prod = f.values[i[:, None]] * f.values[i[None, :]]
-        return float(np.max(np.abs(f.values[s[mask]] - prod[mask])))
-    dom = f.domain
-    worst = 0.0
-    checked = 0
-    for k in f.points:
-        for l in f.points:
-            s = domain_add(dom, k, l)
-            if s in f:
-                checked += 1
-                worst = max(worst, abs(f[s] - f[k] * f[l]))
-    if checked == 0:
+    i = f._idx
+    s = f._positions(f.domain.add_idx(i[:, None], i[None, :]))
+    inside = s >= 0
+    if not inside.any():
         raise WindowMarginError("no pair (k, l) with k+l inside the window")
-    return worst
+    prod = f.values[:, None] * f.values[None, :]
+    return float(np.max(np.abs(f.values[s[inside]] - prod[inside])))
 
 
 def is_character(f: FunctionTable, tol: float = 1e-9) -> bool:
@@ -385,9 +365,8 @@ def locate_character(f: FunctionTable, tol: float = 1e-9) -> Element | None:
     dom = f.domain
     if not isinstance(dom, Group):
         return None
-    P = dom.pairing_matrix
-    idx = np.array([dom.index(p) for p in f.points])
-    dev = np.max(np.abs(P[:, idx] - f.values[None, :]), axis=1)
+    P = dom.roots[dom.phase_idx(np.arange(dom.size)[:, None], f._idx[None, :])]
+    dev = np.max(np.abs(P - f.values[None, :]), axis=1)
     best = int(np.argmin(dev))
     if dev[best] < tol:
         return dom.element_at(best)
@@ -419,19 +398,19 @@ def bernstein_check(g: FunctionTable, tol: float = 1e-9) -> bool:
         return False
     if g.hermitian_defect() > tol:
         return False
-    zero = domain_zero(g.domain)
-    if zero not in g or abs(g[zero] - 1.0) > tol:
+    dom, i, vals = g.domain, g._idx, g.values
+    z = int(g._positions(dom.indices([dom.zero]))[0])
+    if z < 0 or abs(complex(vals[z]) - 1.0) > tol:
         return False
-    dom = g.domain
-    for u in g.points:
-        gu2 = g[u] ** 2
-        for v in g.points:
-            s = domain_add(dom, u, v)
-            d = domain_add(dom, u, domain_neg(dom, v))
-            if s in g and d in g:
-                if abs(g[s] * g[d] - gu2) > tol:
-                    return False
-    return True
+    s = g._positions(dom.add_idx(i[:, None], i[None, :]))
+    d = g._positions(dom.add_idx(i[:, None], dom.neg_idx(i)[None, :]))
+    both = (s >= 0) & (d >= 0)
+    a, b = vals[s[both]], vals[d[both]]
+    c = np.broadcast_to(vals[:, None], both.shape)[both]
+    # g(u+v)g(u-v) - g(u)^2 with products rounded as CPython rounds them.
+    re = a.real * b.real - a.imag * b.imag - (c.real * c.real - c.imag * c.imag)
+    im = a.real * b.imag + a.imag * b.real - (c.real * c.imag + c.imag * c.real)
+    return not bool(np.any(np.hypot(re, im) > tol))
 
 
 # -- product equations ----------------------------------------------------------
@@ -464,19 +443,13 @@ class ProductEquation:
     def arity(self) -> int:
         return len(self.factors)
 
-    def _pair_grid(self):
-        dom = self.domain
-        us = self.factors[0][0].points
-        vs = domain_points(dom)
-        return us, vs
-
     def residual_defect(self, max_pairs: int | None = None) -> float:
         """Sup of ``|residual(u, v) - 1|`` over all evaluable pairs."""
         fast = self._residual_defect_grid(max_pairs)
         if fast is not None:
             return fast
         dom = self.domain
-        us, vs = self._pair_grid()
+        us, vs = self.factors[0][0].points, dom.points
         worst = -1.0
         checked = 0
         for v in vs:
@@ -484,7 +457,7 @@ class ProductEquation:
                 continue
             shifts = [apply_coeff(b, v) for _, b in self.factors]
             for u in us:
-                args = [domain_add(dom, u, s) for s in shifts]
+                args = [dom.add(u, s) for s in shifts]
                 if all(a in f for a, (f, _) in zip(args, self.factors)):
                     prod = 1.0 + 0j
                     for a, (f, _) in zip(args, self.factors):
@@ -522,7 +495,7 @@ class ProductEquation:
         u_len = len(self.factors[0][0].points)
         worst = -1.0
         checked = 0
-        for v in domain_points(self.domain):
+        for v in self.domain.points:
             mv = _grid_step(v, D)
             if mv is None:
                 continue
@@ -579,15 +552,15 @@ def eliminate(eq: ProductEquation, index: int, k) -> ProductEquation:
     if not 0 <= index < eq.arity:
         raise DomainError(f"factor index {index} out of range")
     dom = eq.domain
-    if k == domain_zero(dom):
+    if k == dom.zero:
         return eq
     _, beta0 = eq.factors[index]
-    h = domain_neg(dom, apply_coeff(beta0, k))
+    h = dom.neg(apply_coeff(beta0, k))
     new_factors = []
     for j, (f, b) in enumerate(eq.factors):
         if j == index:
             continue
-        delta = domain_add(dom, h, apply_coeff(b, k))
+        delta = dom.add(h, apply_coeff(b, k))
         new_factors.append((ratio_diff(f, delta), b))
     new_rhs = ratio_diff(eq.rhs, k) if eq.rhs is not None else None
     if not new_factors:
@@ -604,7 +577,7 @@ class _ZeroCoeff:
     """Coefficient that sends every dual point to zero (used after full cascades)."""
 
     def __init__(self, domain):
-        self._zero = domain_zero(domain)
+        self._zero = domain.zero
 
     def apply(self, p):
         return self._zero
@@ -624,7 +597,7 @@ def _default_cascade_steps(eq: ProductEquation, limit: int = 12) -> list:
     if isinstance(dom, Group):
         pts = [p for p in dom.elements() if p != dom.zero]
         return pts[:limit]
-    pts = [p for p in domain_points(dom) if p != 0]
+    pts = [p for p in dom.points if p != 0]
     pts.sort(key=abs)
     # Small steps leave margin for the repeated restrictions of the cascade.
     return pts[: 2 * (eq.arity - 1)][:limit]
@@ -655,7 +628,7 @@ def extract_character(eq: ProductEquation,
             if not coeff_difference_covers(eq.factors[a][1], eq.factors[b][1]):
                 raise PreconditionError(
                     f"coefficient difference ({a},{b}) does not cover the dual")
-    zero = domain_zero(eq.domain)
+    zero = eq.domain.zero
     ks = [k for k in (steps if steps is not None
                       else _default_cascade_steps(eq)) if k != zero]
     if not ks:
@@ -715,7 +688,7 @@ def _sum_defect_grid(psis, betas, rhs) -> float | None:
     u_len = len(psis[0].points)
     worst = -1.0
     checked = 0
-    for v in domain_points(psis[0].domain):
+    for v in psis[0].domain.points:
         mv = _grid_step(v, D)
         if mv is None:
             continue
@@ -778,12 +751,12 @@ def shifted_sum_degrees(psis: Sequence[FunctionTable],
     if worst is None:
         worst = -1.0
         checked = 0
-        for v in domain_points(dom):
+        for v in dom.points:
             if rhs is not None and v not in rhs:
                 continue
             shifts = [apply_coeff(b, v) for b in betas]
             for u in psis[0].points:
-                args = [domain_add(dom, u, s) for s in shifts]
+                args = [dom.add(u, s) for s in shifts]
                 if all(a in f for a, f in zip(args, psis)):
                     total = sum(f[a] for a, f in zip(args, psis))
                     target = rhs[v] if rhs is not None else 0.0

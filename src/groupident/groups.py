@@ -109,10 +109,7 @@ class Group:
     def index(self, x: Element) -> int:
         """Position of ``x`` in the lexicographic enumeration."""
         self._check(x)
-        idx = 0
-        for c, n in zip(x.coords, self.orders):
-            idx = idx * n + c
-        return idx
+        return self.compose(x.coords)
 
     def element_at(self, index: int) -> Element:
         if not 0 <= index < self.size:
@@ -126,6 +123,8 @@ class Group:
     def elements(self) -> tuple[Element, ...]:
         """All elements in lexicographic order by coordinates."""
         return self._elements
+
+    points = property(elements)
 
     @cached_property
     def _elements(self) -> tuple[Element, ...]:
@@ -145,21 +144,63 @@ class Group:
 
         ``pair(x, y) = exp(2*pi*i * pair_phase(x, y) / exponent)``.
         """
-        self._check(x, y)
-        L = self.exponent
-        total = 0
-        for a, b, n in zip(x.coords, y.coords, self.orders):
-            total = (total + a * ((b * (L // n)) % L)) % L
-        return total
+        return int(self.phase_idx(self.index(x), self.index(y)))
 
     def pair(self, x: Element, y: Element) -> complex:
         """Value of the character ``y`` at the element ``x``; unit modulus."""
-        return self._roots[self.pair_phase(x, y)]
+        return self.roots[self.pair_phase(x, y)]
 
     @cached_property
-    def _roots(self) -> np.ndarray:
+    def roots(self) -> np.ndarray:
         L = self.exponent
         return np.exp(2j * np.pi * np.arange(L) / L)
+
+    # -- index arithmetic: exact, elementwise on broadcastable int64 arrays ---
+
+    @cached_property
+    def coords_array(self) -> np.ndarray:
+        """``(size, rank)`` int64 array of all coordinates, lexicographic."""
+        out = np.stack(np.meshgrid(*[np.arange(n) for n in self.orders],
+                                   indexing="ij"), axis=-1)
+        return out.reshape(self.size, self.rank).astype(np.int64)
+
+    def compose(self, digits):
+        """Index of the coordinates ``digits``, one per cyclic factor."""
+        total = 0
+        for d, n in zip(digits, self.orders):
+            total = total * n + d
+        return total
+
+    def indices(self, xs: Sequence[Element]) -> np.ndarray:
+        """Lexicographic indices of the elements ``xs`` as an int64 array."""
+        try:
+            C = np.array([x.coords for x in xs], dtype=np.int64)
+            C = C.reshape(len(xs), self.rank)
+            ok = bool(((C >= 0) & (C < self.orders)).all())
+        except (AttributeError, TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise DomainError(f"not every point is an element of {self!r}")
+        return self.compose(C.T)
+
+    def add_idx(self, i, j) -> np.ndarray:
+        """Index of ``element_at(i) + element_at(j)``."""
+        C = self.coords_array
+        return self.compose((C[i, k] + C[j, k]) % n
+                             for k, n in enumerate(self.orders))
+
+    def neg_idx(self, i) -> np.ndarray:
+        """Index of ``-element_at(i)``."""
+        C = self.coords_array
+        return self.compose((-C[i, k]) % n for k, n in enumerate(self.orders))
+
+    def phase_idx(self, i, j) -> np.ndarray:
+        """Exact ``pair_phase(element_at(i), element_at(j))``."""
+        L, C = self.exponent, self.coords_array
+        total = 0
+        for k, n in enumerate(self.orders):
+            total = (total + C[i, k] * ((C[j, k] * (L // n)) % L)) % L
+        return total
 
     # -- dense helper tables (desk scale only) -------------------------------
 
@@ -170,45 +211,35 @@ class Group:
                 f"limit is {TABLE_SIZE_LIMIT}x{TABLE_SIZE_LIMIT}")
 
     @cached_property
-    def coords_array(self) -> np.ndarray:
-        """``(size, rank)`` int64 array of all coordinates, lexicographic."""
-        out = np.stack(np.meshgrid(*[np.arange(n) for n in self.orders],
-                                   indexing="ij"), axis=-1)
-        return out.reshape(self.size, self.rank).astype(np.int64)
-
-    @cached_property
     def phase_matrix(self) -> np.ndarray:
         """``(size, size)`` exact pairing phases mod ``exponent``."""
         self._require_table_capacity("the pairing matrix")
-        L = self.exponent
-        C = self.coords_array
-        phases = np.zeros((self.size, self.size), dtype=np.int64)
-        for i, n in enumerate(self.orders):
-            col = (C[:, i] * (L // n)) % L
-            phases = (phases + C[:, i][:, None] * col[None, :]) % L
-        return phases
+        every = np.arange(self.size)
+        return self.phase_idx(every[:, None], every[None, :])
 
     @cached_property
     def pairing_matrix(self) -> np.ndarray:
         """``P[i, j] = pair(element_at(i), element_at(j))`` as complex doubles."""
-        return self._roots[self.phase_matrix]
+        return self.roots[self.phase_matrix]
 
     @cached_property
     def add_table(self) -> np.ndarray:
         """``add_table[i, j]`` is the index of ``element_at(i) + element_at(j)``."""
         self._require_table_capacity("the addition table")
-        C = self.coords_array
-        total = np.zeros((self.size, self.size), dtype=np.int64)
-        for i, n in enumerate(self.orders):
-            s = (C[:, i][:, None] + C[:, i][None, :]) % n
-            total = total * n + s
-        return total
+        every = np.arange(self.size)
+        return self.add_idx(every[:, None], every[None, :])
 
     @cached_property
     def neg_index(self) -> np.ndarray:
         """``neg_index[i]`` is the index of ``-element_at(i)``."""
-        C = self.coords_array
-        total = np.zeros(self.size, dtype=np.int64)
-        for i, n in enumerate(self.orders):
-            total = total * n + (-C[:, i]) % n
-        return total
+        return self.neg_idx(np.arange(self.size))
+
+
+# Pairs per row block of an index-pair sweep; bounds its temporary memory.
+PAIR_BLOCK = 1 << 18
+
+
+def row_blocks(rows: int, cols: int) -> list[slice]:
+    """Row slices of a ``rows x cols`` pair sweep, about PAIR_BLOCK each."""
+    step = max(1, PAIR_BLOCK // max(cols, 1))
+    return [slice(a, a + step) for a in range(0, rows, step)]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -81,6 +82,17 @@ class RationalLattice:
     def step(self) -> Fraction:
         """The finest generator ``1/(a_0...a_n)`` of the window."""
         return Fraction(1, self.denominator)
+
+    def indices(self, points) -> np.ndarray:
+        """Integer indices ``p * D`` of points on the ``1/D`` grid."""
+        D = self.denominator
+        if any(D % p.denominator for p in points):
+            raise DomainError(f"a point is off the 1/{D} grid")
+        return np.array([p.numerator * (D // p.denominator) for p in points],
+                        dtype=np.int64)
+
+    add, neg = staticmethod(operator.add), staticmethod(operator.neg)
+    add_idx, neg_idx = staticmethod(np.add), staticmethod(np.negative)
 
 
 def make_lattice(base: Sequence[int], depth: int, radius: int) -> RationalLattice:

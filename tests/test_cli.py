@@ -5,6 +5,7 @@ import sys
 import jsonschema
 
 from groupident.cli import main, parse_group_family
+from groupident.groups import TABLE_SIZE_LIMIT, Group
 from groupident.fixtures import read_distribution, read_table
 from groupident.reporting import body_bytes, load_schema
 
@@ -134,6 +135,16 @@ def test_invariants_suite(tmp_path):
     assert code == 0
     assert report["body"]["status"] == "pass"
     jsonschema.validate(report, load_schema())
+
+
+def test_invariants_above_dense_table_gate(tmp_path):
+    # Any dense n x n table on this group raises CapacityError, so the suite
+    # must run its adjoint, annihilator and subgroup sweeps on index
+    # arithmetic.
+    assert Group([41, 41]).size > TABLE_SIZE_LIMIT
+    code, report = run_cli(tmp_path, "invariants", "--groups", "41x41")
+    assert code == 0
+    assert report["body"]["results"] == [{"group": [41, 41], "violations": []}]
 
 
 def test_invariants_empty_family_exits_2(capsys):
