@@ -54,6 +54,11 @@ def parse_rational_coeffs(text: str) -> list[Fraction]:
     return [Fraction(p) for p in text.split(",")]
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise GroupIdentError(f"--trials must be at least 1, got {trials}")
+
+
 def _scalar_endos(group: Group, cs) -> list[Endo]:
     return [Endo.scalar(group, c) for c in cs]
 
@@ -128,6 +133,10 @@ def run_shift_adversarial(group: Group, bs, form: str, seed, trial: int,
 def cmd_verify_shift(args) -> int:
     try:
         group = parse_group(args.group)
+        if group.size < 2:
+            raise GroupIdentError(f"verify-shift needs a nontrivial group, "
+                                  f"got {group!r}")
+        _check_trials(args.trials)
         if args.coeffs is None:
             cs = ([0, 1, 1] if args.form == "II"
                   else find_shift_coeffs(group, args.form))
@@ -213,6 +222,7 @@ def cmd_verify_gaussian(args) -> int:
         cs = parse_rational_coeffs(args.coeffs)
         if len(cs) != 4:
             raise GroupIdentError("verify-gaussian needs four coefficients")
+        _check_trials(args.trials)
     except (GroupIdentError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -11,9 +11,11 @@ equation of the form
 
 Tables live either on a whole finite group or on a finite symmetric window
 of a rational lattice; window operations shrink their domain explicitly and
-raise when the margin runs out rather than truncating silently.  The
-character, Bernstein and Hermitian checks are numpy sweeps over all pairs of
-integer point indices, the same code on both kinds of domain.
+raise when the margin runs out rather than truncating silently.  Every
+operator is one numpy body over the integer point indices that both kinds of
+domain provide: differences and polynomial tests gather along shifted
+indices, and the character, Bernstein and Hermitian checks and the product-
+and sum-equation residuals sweep index pairs in row blocks.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from .errors import (DomainError, PreconditionError, VanishingFactorError,
                      WindowMarginError)
-from .groups import Element, Group
+from .groups import Element, Group, row_blocks
 
 # -- domains ------------------------------------------------------------------
 #
@@ -53,6 +55,19 @@ def _coeff_ratio(beta) -> Fraction | None:
     if isinstance(beta, (int, Fraction)):
         return Fraction(beta)
     return getattr(beta, "ratio", None)
+
+
+def _coeff_idx(beta, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of ``beta`` applied to each point index in ``m``, and where defined.
+
+    A rational ``p/q`` sends ``m`` to ``m*p/q``, a grid point only where that
+    is an integer; an endomorphism maps through its ``index_map``.
+    """
+    r = _coeff_ratio(beta)
+    if r is None:
+        return beta.index_map[m], np.ones(len(m), dtype=bool)
+    num = m * r.numerator
+    return num // r.denominator, num % r.denominator == 0
 
 
 def coeff_difference_covers(beta_i, beta_j) -> bool:
@@ -90,14 +105,14 @@ class FunctionTable:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def from_function(cls, domain, fn: Callable, points=None) -> "FunctionTable":
-        pts = tuple(points) if points is not None else domain.points
-        return cls(domain, pts, np.array([fn(p) for p in pts]))
+    def from_function(cls, domain, fn: Callable) -> "FunctionTable":
+        return cls(domain, domain.points,
+                   np.array([fn(p) for p in domain.points]))
 
     @classmethod
-    def constant(cls, domain, value=1.0, points=None) -> "FunctionTable":
-        pts = tuple(points) if points is not None else domain.points
-        return cls(domain, pts, np.full(len(pts), value, dtype=np.complex128))
+    def constant(cls, domain, value=1.0) -> "FunctionTable":
+        return cls(domain, domain.points,
+                   np.full(len(domain.points), value, dtype=np.complex128))
 
     @cached_property
     def _index(self) -> dict:
@@ -121,6 +136,22 @@ class FunctionTable:
         """Table position of every domain index in ``idx``; -1 where absent."""
         lo, slots = self._slots
         return slots.take(idx - lo, mode="clip")
+
+    def _found(self, idx: np.ndarray, err: str) -> tuple[np.ndarray, np.ndarray]:
+        """Where in ``idx`` the table has points, and their table positions."""
+        q = self._positions(idx)
+        has = np.flatnonzero(q >= 0)
+        if not len(has):
+            raise WindowMarginError(err)
+        return has, q[has]
+
+    def _restrict(self, rows: np.ndarray, values) -> "FunctionTable":
+        """The table with ``values`` on the points at positions ``rows``."""
+        t = FunctionTable(self.domain,
+                          tuple(map(self.points.__getitem__, rows.tolist())),
+                          values)
+        t.__dict__["_idx"] = self._idx[rows]  # known; skip recomputing
+        return t
 
     def __contains__(self, p) -> bool:
         return p in self._index
@@ -157,27 +188,29 @@ class FunctionTable:
             raise VanishingFactorError("phase part of a vanishing table")
         return self.map_values(lambda v: v / np.abs(v))
 
+    def _common(self, other: "FunctionTable") -> tuple[np.ndarray, np.ndarray]:
+        """Positions of the common support in ``self`` and in ``other``."""
+        if self.domain != other.domain:
+            raise DomainError("tables live on different domains")
+        return other._found(self._idx, "tables share no points")
+
     def ratio(self, other: "FunctionTable") -> "FunctionTable":
         """Pointwise ``self/other`` on the common support."""
-        if self.domain != other.domain:
-            raise DomainError("tables live on different domains")
-        common = [p for p in self.points if p in other]
-        if not common:
-            raise WindowMarginError("tables share no points")
-        den = np.array([other[p] for p in common])
+        has, q = self._common(other)
+        den = other.values[q]
         if np.any(den == 0):
             raise VanishingFactorError("division by a vanishing table")
-        num = np.array([self[p] for p in common])
-        return FunctionTable(self.domain, tuple(common), num / den)
+        return self._restrict(has, self.values[has] / den)
 
     def times(self, other: "FunctionTable") -> "FunctionTable":
-        if self.domain != other.domain:
-            raise DomainError("tables live on different domains")
-        common = [p for p in self.points if p in other]
-        if not common:
-            raise WindowMarginError("tables share no points")
-        vals = np.array([self[p] * other[p] for p in common])
-        return FunctionTable(self.domain, tuple(common), vals)
+        """Pointwise ``self*other`` on the common support."""
+        has, q = self._common(other)
+        a, b = self.values[has], other.values[q]
+        # Products rounded as CPython's complex multiply rounds them.
+        vals = np.empty(len(has), dtype=np.complex128)
+        vals.real = a.real * b.real - a.imag * b.imag
+        vals.imag = a.real * b.imag + a.imag * b.real
+        return self._restrict(has, vals)
 
     # -- structural checks -------------------------------------------------------
 
@@ -196,138 +229,86 @@ class FunctionTable:
         return bool(np.min(np.abs(self.values)) > tol)
 
 
-# -- fast paths for contiguous lattice windows -------------------------------------
-#
-# Window tables built from a RationalLattice keep their points as consecutive
-# multiples of 1/D; on that representation difference operators and the
-# product/sum equation sweeps reduce to array slicing, which matters for the
-# repeated-difference degree checks.  Group tables and irregular supports use
-# the generic path there.
-
-
-def _int_grid(f: FunctionTable):
-    """``(lo, D)`` when the points are the consecutive integers ``lo..hi`` over D."""
-    dom = f.domain
-    if isinstance(dom, Group):
-        return None
-    D = getattr(dom, "denominator", None)
-    if D is None or not f.points:
-        return None
-    first = f.points[0] * D
-    if not isinstance(f.points[0], Fraction) or first.denominator != 1:
-        return None
-    lo = int(first)
-    for i, p in enumerate(f.points):
-        m = p * D
-        if m.denominator != 1 or int(m) != lo + i:
-            return None
-    return lo, D
-
-
-def _grid_step(h, D) -> int | None:
-    k = Fraction(h) * D
-    return int(k) if k.denominator == 1 else None
-
-
-def _fold_difference(vals: np.ndarray, k: int, folds: int) -> np.ndarray | None:
-    """``folds``-fold difference with integer step ``k`` on a contiguous grid."""
-    g = vals
-    for _ in range(folds):
-        if k > 0:
-            if len(g) <= k:
-                return None
-            g = g[k:] - g[:-k]
-        else:
-            if len(g) <= -k:
-                return None
-            g = g[: len(g) + k] - g[-k:]
-    return g
-
-
 # -- difference operators --------------------------------------------------------
+
+
+def _step(f: FunctionTable, h, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the points ``y`` of ``f`` with ``y + h`` inside, and of ``y + h``."""
+    dom = f.domain
+    return f._found(dom.add_idx(f._idx, dom.indices([h])[0]),
+                    f"window too small for {what} step {h!r}")
 
 
 def diff(f: FunctionTable, h) -> FunctionTable:
     """Additive finite difference ``y -> f(y+h) - f(y)``.
 
     On a group the domain is unchanged; on a window the result is restricted
-    to points with ``y+h`` still inside, and an empty restriction raises.
+    to points with ``y+h`` still inside, and an empty restriction raises.  A
+    step outside the domain (or off the window's grid) raises DomainError.
     """
-    dom = f.domain
-    if isinstance(dom, Group) and not dom.contains(h):
-        raise DomainError(f"step {h!r} is not in the domain")
-    pts = [p for p in f.points if dom.add(p, h) in f]
-    if not pts:
-        raise WindowMarginError(f"window too small for difference step {h!r}")
-    vals = np.array([f[dom.add(p, h)] - f[p] for p in pts])
-    return FunctionTable(dom, tuple(pts), vals)
+    has, q = _step(f, h, "difference")
+    return f._restrict(has, f.values[q] - f.values[has])
 
 
 def ratio_diff(f: FunctionTable, h) -> FunctionTable:
     """Multiplicative difference ``y -> f(y+h)/f(y)`` on a nonvanishing table."""
-    dom = f.domain
-    pts = [p for p in f.points if dom.add(p, h) in f]
-    if not pts:
-        raise WindowMarginError(f"window too small for ratio step {h!r}")
-    den = np.array([f[p] for p in pts])
+    has, q = _step(f, h, "ratio")
+    den = f.values[has]
     if np.any(den == 0):
         raise VanishingFactorError("ratio difference of a vanishing table")
-    num = np.array([f[dom.add(p, h)] for p in pts])
-    return FunctionTable(dom, tuple(pts), num / den)
+    return f._restrict(has, f.values[q] / den)
 
 
-def _window_steps(f: FunctionTable, folds: int) -> list:
-    """Candidate difference steps that keep ``folds`` iterations inside."""
-    dom = f.domain
-    if isinstance(dom, Group):
-        return [h for h in dom.elements() if h != dom.zero]
-    extent = max(abs(p) for p in f.points)
-    hs = [p for p in f.points if p != 0 and abs(p) * folds <= extent / 2]
-    return hs
+def _window_steps(f: FunctionTable, folds: int) -> np.ndarray:
+    """Indices of the difference steps that keep ``folds`` iterations inside."""
+    if isinstance(f.domain, Group):
+        return np.arange(1, f.domain.size)
+    k = np.abs(f._idx)
+    return f._idx[(k != 0) & (2 * folds * k <= k.max())]
 
 
-def is_polynomial(f: FunctionTable, n: int, tol: float = 1e-9,
-                  steps=None) -> bool:
+def is_polynomial(f: FunctionTable, n: int, tol: float = 1e-9) -> bool:
     """Whether the (n+1)-fold difference of ``f`` vanishes for all tested steps.
 
     On a finite group every step is tested, which makes the check exact up to
     ``tol``; on a window the steps are those leaving enough margin, and the
-    verdict is a statement about the window only.
+    verdict is a statement about the window only.  The first step, in the
+    order of the table's points, whose difference is nonzero (False) or
+    empty (WindowMarginError) decides.
     """
     if n < 0:
         raise DomainError("polynomial degree bound must be >= 0")
-    hs = list(steps) if steps is not None else _window_steps(f, n + 1)
-    if not isinstance(f.domain, Group) and not hs:
+    ks = _window_steps(f, n + 1)
+    dom, idx = f.domain, f._idx
+    if not isinstance(dom, Group) and not len(ks):
         raise WindowMarginError(
             f"no step leaves margin for {n + 1} differences")
-    grid = _int_grid(f)
-    if grid is not None:
-        lo, D = grid
-        for h in hs:
-            k = _grid_step(h, D)
-            if k is None or k == 0:
-                continue
-            g = _fold_difference(f.values, k, n + 1)
-            if g is None:
-                raise WindowMarginError(
-                    f"window too small for {n + 1} differences of step {h}")
-            if float(np.max(np.abs(g))) > tol:
-                return False
-        return True
-    for h in hs:
-        g = f
+    for rows in row_blocks(len(ks), len(idx)):
+        # Row r of g holds the running difference with step ks[r], aligned
+        # with the table's points; live marks where it is defined, and at is
+        # the flat position of y + ks[r] (masked by has where it is absent).
+        q = f._positions(dom.add_idx(idx[None, :], ks[rows, None]))
+        has, at = q >= 0, q + len(idx) * np.arange(len(q))[:, None]
+        g, live = np.tile(f.values, (len(q), 1)), np.ones(q.shape, dtype=bool)
         for _ in range(n + 1):
-            g = diff(g, h)
-        if float(np.max(np.abs(g.values))) > tol:
+            live = has & live & live.take(at)
+            g = g.take(at) - g
+        empty = ~live.any(axis=1)
+        stop = np.flatnonzero(empty | ((np.abs(g) > tol) & live).any(axis=1))
+        if len(stop):
+            if empty[stop[0]]:
+                raise WindowMarginError(
+                    f"window too small for {n + 1} differences of step "
+                    f"index {ks[rows][stop[0]]}")
             return False
     return True
 
 
-def least_degree(f: FunctionTable, max_degree: int, tol: float = 1e-9,
-                 steps=None) -> int | None:
+def least_degree(f: FunctionTable, max_degree: int,
+                 tol: float = 1e-9) -> int | None:
     """Smallest ``d <= max_degree`` with ``is_polynomial(f, d)``, else None."""
     for d in range(max_degree + 1):
-        if is_polynomial(f, d, tol, steps=steps):
+        if is_polynomial(f, d, tol):
             return d
     return None
 
@@ -443,101 +424,65 @@ class ProductEquation:
     def arity(self) -> int:
         return len(self.factors)
 
-    def residual_defect(self, max_pairs: int | None = None) -> float:
+    def residual_defect(self) -> float:
         """Sup of ``|residual(u, v) - 1|`` over all evaluable pairs."""
-        fast = self._residual_defect_grid(max_pairs)
-        if fast is not None:
-            return fast
-        dom = self.domain
-        us, vs = self.factors[0][0].points, dom.points
-        worst = -1.0
-        checked = 0
-        for v in vs:
-            if self.rhs is not None and v not in self.rhs:
-                continue
-            shifts = [apply_coeff(b, v) for _, b in self.factors]
-            for u in us:
-                args = [dom.add(u, s) for s in shifts]
-                if all(a in f for a, (f, _) in zip(args, self.factors)):
-                    prod = 1.0 + 0j
-                    for a, (f, _) in zip(args, self.factors):
-                        prod *= f[a]
-                    if self.rhs is not None:
-                        r = self.rhs[v]
-                        if r == 0:
-                            raise VanishingFactorError(
-                                "equation right-hand side vanishes")
-                        prod /= r
-                    worst = max(worst, abs(prod - 1.0))
-                    checked += 1
-                    if max_pairs is not None and checked >= max_pairs:
-                        return worst
-        if checked == 0:
-            raise WindowMarginError(
-                "no (u, v) pair keeps every argument inside its table")
-        return worst
+        return _sweep_max([f for f, _ in self.factors],
+                          [b for _, b in self.factors], self.rhs,
+                          _product_defect)
 
-    def _residual_defect_grid(self, max_pairs: int | None) -> float | None:
-        """Sliced evaluation on contiguous lattice windows; None when unusable."""
-        grids = [_int_grid(f) for f, _ in self.factors]
-        if any(g is None for g in grids):
-            return None
-        D = grids[0][1]
-        if any(g[1] != D for g in grids):
-            return None
-        rhs_grid = None
-        if self.rhs is not None:
-            rhs_grid = _int_grid(self.rhs)
-            if rhs_grid is None or rhs_grid[1] != D:
-                return None
-        u_grid = grids[0]
-        u_lo = u_grid[0]
-        u_len = len(self.factors[0][0].points)
-        worst = -1.0
-        checked = 0
-        for v in self.domain.points:
-            mv = _grid_step(v, D)
-            if mv is None:
-                continue
-            if rhs_grid is not None:
-                r_pos = mv - rhs_grid[0]
-                if not 0 <= r_pos < len(self.rhs.points):
-                    continue
-            shifts = []
-            usable = True
-            for (_, b) in self.factors:
-                s = apply_coeff(b, v) * D
-                if s.denominator != 1:
-                    usable = False
-                    break
-                shifts.append(int(s))
-            if not usable:
-                continue
-            lo = u_lo
-            hi = u_lo + u_len  # exclusive, in units of m_u
-            for (f, _), g, s in zip(self.factors, grids, shifts):
-                lo = max(lo, g[0] - s)
-                hi = min(hi, g[0] + len(f.points) - s)
-            if lo >= hi:
-                continue
-            prod = np.ones(hi - lo, dtype=np.complex128)
-            for (f, _), g, s in zip(self.factors, grids, shifts):
-                start = lo + s - g[0]
-                prod = prod * f.values[start:start + (hi - lo)]
-            if rhs_grid is not None:
-                r = self.rhs.values[r_pos]
-                if r == 0:
-                    raise VanishingFactorError(
-                        "equation right-hand side vanishes")
-                prod = prod / r
-            worst = max(worst, float(np.max(np.abs(prod - 1.0))))
-            checked += hi - lo
-            if max_pairs is not None and checked >= max_pairs:
-                return worst
-        if checked == 0:
-            raise WindowMarginError(
-                "no (u, v) pair keeps every argument inside its table")
-        return worst
+
+def _sweep_max(tables, betas, rhs, defect) -> float:
+    """Max of ``defect`` over the pairs ``(u, v)`` that keep every argument inside.
+
+    ``u`` runs over the support of ``tables[0]``, ``v`` over the domain
+    points where ``rhs`` is defined.  For each row block of ``v``, ``defect``
+    is called with ``vals``, which yields ``tables[j]`` at ``u + betas[j] v``
+    for each ``j`` in turn, with ``rhs`` at ``v`` (None without a right-hand
+    side) and with the number of pairs; all are flat over the block's pairs.
+    """
+    dom = tables[0].domain
+    us, vs = tables[0]._idx, dom.indices(dom.points)
+    at = np.zeros(len(vs), dtype=np.int64) if rhs is None else rhs._positions(vs)
+    mapped = [_coeff_idx(b, vs) for b in betas]
+    keep = np.logical_and.reduce([at >= 0] + [ok for _, ok in mapped])
+    at, shifts = at[keep], [s[keep] for s, _ in mapped]
+    worst = None
+    for rows in row_blocks(int(keep.sum()), len(us)):
+        pos = [f._positions(dom.add_idx(us[None, :], s[rows, None]))
+               for f, s in zip(tables, shifts)]
+        inside = np.logical_and.reduce([p >= 0 for p in pos])
+        pairs = int(inside.sum())
+        if not pairs:
+            continue
+        vals = (f.values[p[inside]] for f, p in zip(tables, pos))
+        r = None if rhs is None else np.broadcast_to(
+            rhs.values[at[rows], None], inside.shape)[inside]
+        block = float(np.max(defect(vals, r, pairs)))
+        worst = block if worst is None else max(worst, block)
+    if worst is None:
+        raise WindowMarginError(
+            "no (u, v) pair keeps every argument inside its table")
+    return worst
+
+
+def _product_defect(vals, r, pairs) -> np.ndarray:
+    """``|f_1 * ... * f_n / rhs - 1|`` per pair."""
+    prod = np.ones(pairs, dtype=np.complex128)
+    for v in vals:
+        prod = prod * v
+    if r is not None:
+        if np.any(r == 0):
+            raise VanishingFactorError("equation right-hand side vanishes")
+        prod = prod / r
+    return np.abs(prod - 1.0)
+
+
+def _sum_defect(vals, r, pairs) -> np.ndarray:
+    """``|psi_1 + ... + psi_n - rhs|`` per pair; ``rhs`` is 0 when absent."""
+    total = np.zeros(pairs, dtype=np.complex128)
+    for v in vals:
+        total = total + v
+    return np.abs(total - (0.0 if r is None else r))
 
 
 def eliminate(eq: ProductEquation, index: int, k) -> ProductEquation:
@@ -576,6 +521,8 @@ def eliminate(eq: ProductEquation, index: int, k) -> ProductEquation:
 class _ZeroCoeff:
     """Coefficient that sends every dual point to zero (used after full cascades)."""
 
+    ratio = Fraction(0)
+
     def __init__(self, domain):
         self._zero = domain.zero
 
@@ -603,50 +550,37 @@ def _default_cascade_steps(eq: ProductEquation, limit: int = 12) -> list:
     return pts[: 2 * (eq.arity - 1)][:limit]
 
 
-def extract_character(eq: ProductEquation,
-                      order: Sequence[int] | None = None,
-                      *,
-                      steps=None,
-                      tol: float = 1e-9,
-                      max_pairs: int | None = 20000) -> list[CharacterVerdict]:
+def extract_character(eq: ProductEquation, *,
+                      tol: float = 1e-9) -> list[CharacterVerdict]:
     """Run the elimination cascade and certify each factor as a character.
 
-    For every factor in turn the others are eliminated (lowest index first
-    unless ``order`` prescribes a different sequence), checking that the
-    reduced equation keeps residual 1 for the sampled substitution steps;
-    the surviving ratio table is then tested for multiplicativity and, on a
-    finite group, matched against an explicit character.
+    For every factor in turn the others are eliminated, lowest index first,
+    checking that the reduced equation keeps residual 1 on every evaluable
+    pair for each substitution step; the surviving ratio table is then tested
+    for multiplicativity and, on a finite group, matched against an explicit
+    character.
 
     Raises PreconditionError when some pair of coefficients has a difference
     without full range, which is exactly when the conclusion may fail.
     """
-    base_order = list(order) if order is not None else list(range(eq.arity))
-    if sorted(base_order) != list(range(eq.arity)):
-        raise DomainError("order must be a permutation of the factor indices")
     for a in range(eq.arity):
         for b in range(a + 1, eq.arity):
             if not coeff_difference_covers(eq.factors[a][1], eq.factors[b][1]):
                 raise PreconditionError(
                     f"coefficient difference ({a},{b}) does not cover the dual")
-    zero = eq.domain.zero
-    ks = [k for k in (steps if steps is not None
-                      else _default_cascade_steps(eq)) if k != zero]
+    ks = _default_cascade_steps(eq)
     if not ks:
         raise WindowMarginError("no usable substitution steps")
     verdicts = []
     for survivor in range(eq.arity):
-        elim_order = [i for i in base_order if i != survivor]
         cascade_worst = 0.0
         for k in ks:
             reduced = eq
-            remaining = list(range(eq.arity))
-            # Factor positions shift as earlier factors drop out.
-            for i in elim_order:
-                pos = remaining.index(i)
+            # Lowest index first: each factor below the survivor is at
+            # position 0 when it goes, each factor above it at position 1.
+            for pos in [0] * survivor + [1] * (eq.arity - 1 - survivor):
                 reduced = eliminate(reduced, pos, k)
-                remaining.pop(pos)
-            cascade_worst = max(cascade_worst,
-                                reduced.residual_defect(max_pairs=max_pairs))
+            cascade_worst = max(cascade_worst, reduced.residual_defect())
         f = eq.factors[survivor][0]
         defect = character_defect(f)
         located = locate_character(f, tol)
@@ -671,65 +605,10 @@ class DegreeReport:
     within_bound: bool
 
 
-def _sum_defect_grid(psis, betas, rhs) -> float | None:
-    """Sliced sum-equation sweep on contiguous windows; None when unusable."""
-    grids = [_int_grid(f) for f in psis]
-    if any(g is None for g in grids):
-        return None
-    D = grids[0][1]
-    if any(g[1] != D for g in grids):
-        return None
-    rhs_grid = None
-    if rhs is not None:
-        rhs_grid = _int_grid(rhs)
-        if rhs_grid is None or rhs_grid[1] != D:
-            return None
-    u_lo = grids[0][0]
-    u_len = len(psis[0].points)
-    worst = -1.0
-    checked = 0
-    for v in psis[0].domain.points:
-        mv = _grid_step(v, D)
-        if mv is None:
-            continue
-        target = 0.0
-        if rhs_grid is not None:
-            r_pos = mv - rhs_grid[0]
-            if not 0 <= r_pos < len(rhs.points):
-                continue
-            target = rhs.values[r_pos]
-        shifts = []
-        usable = True
-        for b in betas:
-            s = apply_coeff(b, v) * D
-            if s.denominator != 1:
-                usable = False
-                break
-            shifts.append(int(s))
-        if not usable:
-            continue
-        lo, hi = u_lo, u_lo + u_len
-        for f, g, s in zip(psis, grids, shifts):
-            lo = max(lo, g[0] - s)
-            hi = min(hi, g[0] + len(f.points) - s)
-        if lo >= hi:
-            continue
-        total = np.zeros(hi - lo, dtype=np.complex128)
-        for f, g, s in zip(psis, grids, shifts):
-            start = lo + s - g[0]
-            total = total + f.values[start:start + (hi - lo)]
-        worst = max(worst, float(np.max(np.abs(total - target))))
-        checked += hi - lo
-    if checked == 0:
-        raise WindowMarginError("no evaluable (u, v) pair for the sum equation")
-    return worst
-
-
 def shifted_sum_degrees(psis: Sequence[FunctionTable],
                         betas: Sequence[object],
                         rhs: FunctionTable | None = None,
-                        tol: float = 1e-8,
-                        steps=None) -> DegreeReport:
+                        tol: float = 1e-8) -> DegreeReport:
     """Verify ``sum_j psi_j(u + beta_j v) = B(v)`` and bound each degree.
 
     With ``n`` summands and pairwise coefficient differences of full range,
@@ -746,27 +625,9 @@ def shifted_sum_degrees(psis: Sequence[FunctionTable],
             if not coeff_difference_covers(betas[a], betas[b]):
                 raise PreconditionError(
                     f"coefficient difference ({a},{b}) does not cover the dual")
-    dom = psis[0].domain
-    worst = _sum_defect_grid(psis, betas, rhs)
-    if worst is None:
-        worst = -1.0
-        checked = 0
-        for v in dom.points:
-            if rhs is not None and v not in rhs:
-                continue
-            shifts = [apply_coeff(b, v) for b in betas]
-            for u in psis[0].points:
-                args = [dom.add(u, s) for s in shifts]
-                if all(a in f for a, f in zip(args, psis)):
-                    total = sum(f[a] for a, f in zip(args, psis))
-                    target = rhs[v] if rhs is not None else 0.0
-                    worst = max(worst, abs(total - target))
-                    checked += 1
-        if checked == 0:
-            raise WindowMarginError(
-                "no evaluable (u, v) pair for the sum equation")
+    worst = _sweep_max(psis, betas, rhs, _sum_defect)
     rhs_zero = rhs is None or bool(np.max(np.abs(rhs.values)) <= tol)
     bound = n - 2 if rhs_zero else n - 1
-    degrees = tuple(least_degree(psi, bound, tol, steps=steps) for psi in psis)
+    degrees = tuple(least_degree(psi, bound, tol) for psi in psis)
     within = worst <= tol and all(d is not None for d in degrees)
     return DegreeReport(float(worst), degrees, bound, rhs_zero, bool(within))

@@ -133,3 +133,78 @@ def is_subgroup_oracle(orders, subset):
 def annihilator_oracle(orders, subgroup):
     return [y for y in group_elements(orders)
             if all(_phase(orders, x, y) == 0 for x in subgroup)]
+
+
+# -- difference and equation oracles on either kind of domain -----------------
+#
+# The per-point and per-pair loops of the difference operators and of the
+# product- and sum-equation residuals, on dict tables.  ``add`` adds two
+# points: ``group_add(orders)`` on coordinate tuples, or ``operator.add`` on
+# Fraction window points.  A coefficient is a callable on points.
+
+
+def group_add(orders):
+    return lambda x, y: _add(orders, x, y)
+
+
+def endo_coeff(orders, matrix):
+    return lambda x: _apply(orders, matrix, x)
+
+
+def diff_oracle(add, table, h, op=lambda a, b: a - b):
+    """``{y: op(f(y+h), f(y))}`` over points with ``y+h`` in the table."""
+    return {p: op(table[add(p, h)], table[p]) for p in table
+            if add(p, h) in table}
+
+
+def window_steps_oracle(table, folds):
+    extent = max(abs(p) for p in table)
+    return [p for p in table if p != 0 and abs(p) * folds <= extent / 2]
+
+
+def is_polynomial_oracle(add, table, n, tol, steps):
+    """True, False, or None where some step's difference runs out of points."""
+    for h in steps:
+        g = table
+        for _ in range(n + 1):
+            g = diff_oracle(add, g, h)
+            if not g:
+                return None
+        if max(abs(v) for v in g.values()) > tol:
+            return False
+    return True
+
+
+def _equation_oracle(add, tables, coeffs, rhs, vs, combine):
+    worst, checked = -1.0, 0
+    for v in vs:
+        if rhs is not None and v not in rhs:
+            continue
+        shifts = [b(v) for b in coeffs]
+        for u in tables[0]:
+            args = [add(u, s) for s in shifts]
+            if all(a in f for a, f in zip(args, tables)):
+                vals = [f[a] for a, f in zip(args, tables)]
+                worst = max(worst, combine(vals, None if rhs is None else rhs[v]))
+                checked += 1
+    return worst if checked else None
+
+
+def _residual(vals, r):
+    prod = 1.0 + 0j
+    for x in vals:
+        prod *= x
+    if r is not None:
+        prod /= r  # ZeroDivisionError when the right-hand side vanishes
+    return abs(prod - 1.0)
+
+
+def residual_defect_oracle(add, tables, coeffs, rhs, vs):
+    """Sup of |prod_j f_j(u + b_j v) / rhs(v) - 1|; None when no pair fits."""
+    return _equation_oracle(add, tables, coeffs, rhs, vs, _residual)
+
+
+def sum_defect_oracle(add, tables, coeffs, rhs, vs):
+    """Sup of |sum_j f_j(u + b_j v) - rhs(v)|; None when no pair fits."""
+    return _equation_oracle(add, tables, coeffs, rhs, vs,
+                            lambda vals, r: abs(sum(vals) - (r or 0.0)))

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 
@@ -8,6 +10,8 @@ from groupident.cli import main, parse_group_family
 from groupident.groups import TABLE_SIZE_LIMIT, Group
 from groupident.fixtures import read_distribution, read_table
 from groupident.reporting import body_bytes, load_schema
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(tmp_path, *argv):
@@ -49,8 +53,11 @@ def test_verify_shift_expect_negative(tmp_path):
 
 
 def test_verify_shift_bad_group_exits_2(capsys):
-    assert main(["verify-shift", "--group", "bogus"]) == 2
-    assert "config error" in capsys.readouterr().err
+    # a trivial group and a trial count below 1 are configuration errors too
+    for argv in (["--group", "bogus"], ["--group", "1"], ["--trials", "0"],
+                 ["--trials", "-3"]):
+        assert main(["verify-shift", *argv]) == 2, argv
+        assert "config error" in capsys.readouterr().err
 
 
 def test_verify_shift_impossible_coeffs_exits_2(capsys):
@@ -71,6 +78,10 @@ def test_verify_gaussian_campaign(tmp_path):
 def test_verify_gaussian_margin_exits_2(capsys):
     assert main(["verify-gaussian", "--radius", "2", "--trials", "1"]) == 2
     assert "margin" in capsys.readouterr().err
+    # zero trials would be a vacuous pass
+    for trials in ("0", "-1"):
+        assert main(["verify-gaussian", "--trials", trials]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 def test_counterexample_poisson(tmp_path):
@@ -169,10 +180,13 @@ def test_report_body_determinism(tmp_path):
 
 def test_module_entrypoint_subprocess(tmp_path):
     out = tmp_path / "r.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "groupident", "verify-shift", "--group", "5",
          "--trials", "2", "--seed", "0", "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     report = json.loads(out.read_text(encoding="utf-8"))
     assert report["body"]["status"] == "pass"

@@ -8,7 +8,18 @@ SIMD loops this rounds differently from CPython's complex product, so its
 group defects are held to the oracle within ``ulp_tol``, a bound set from the
 float64 epsilon, and its verdicts must agree wherever the oracle's defect is
 farther than that from the tolerance.
+
+The difference operators and the product- and sum-equation residuals are
+checked the same way on group tables (coordinate tuples, endomorphism
+coefficients given by their matrices) and on window tables (Fraction points,
+rational coefficients), on full, partial and irregular supports.
+Differences and sums must agree exactly up to the final ``abs``; products
+and quotients within a few ulps of their magnitude, since numpy may round
+complex products differently from CPython.
 """
+
+import operator
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,15 +27,21 @@ import pytest
 from groupident import Endo, Group, annihilator, is_subgroup
 from groupident.cli import _suite_endos
 from groupident.endomorphisms import is_adjoint_pair
-from groupident.errors import WindowMarginError
-from groupident.funceq import (FunctionTable, bernstein_check,
-                               bernstein_square_table, character_defect,
-                               is_character, locate_character)
+from groupident.errors import (DomainError, VanishingFactorError,
+                               WindowMarginError)
+from groupident.funceq import (FunctionTable, ProductEquation, _sum_defect,
+                               _sweep_max, bernstein_check,
+                               bernstein_square_table, character_defect, diff,
+                               is_character, is_polynomial, locate_character,
+                               ratio_diff)
+from groupident.solenoid import make_lattice
 
 from oracles import (adjoint_pair_oracle, annihilator_oracle,
-                     bernstein_oracle, character_defect_oracle,
-                     hermitian_defect_oracle, is_subgroup_oracle,
-                     locate_character_oracle)
+                     bernstein_oracle, character_defect_oracle, diff_oracle,
+                     endo_coeff, group_add, hermitian_defect_oracle,
+                     is_polynomial_oracle, is_subgroup_oracle,
+                     locate_character_oracle, residual_defect_oracle,
+                     sum_defect_oracle, window_steps_oracle)
 
 GROUPS = [(n,) for n in range(2, 13)] + [(2, 4), (3, 3, 2), (4, 6), (6, 6)]
 TOL = 1e-9
@@ -108,3 +125,206 @@ def test_adjoint_and_annihilator_identities_match_oracles(orders):
         subset = [x for x in g.elements() if rng.random() < 0.5] + [g.zero]
         assert is_subgroup(g, subset) == is_subgroup_oracle(
             orders, [x.coords for x in subset])
+
+
+# -- difference operators and equation sweeps ---------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def as_dict(f: FunctionTable, key=lambda p: p) -> dict:
+    return {key(p): complex(v) for p, v in zip(f.points, f.values)}
+
+
+def random_values(rng, size):
+    """Complex values with moduli in [0.5, 2] and random phases."""
+    return (rng.uniform(0.5, 2.0, size)
+            * np.exp(2j * np.pi * rng.random(size)))
+
+
+def check_differences(f, table, add, steps, key):
+    # times rounds as CPython's complex multiply; ratio divides as numpy does
+    assert list(f.times(f).values) == [v * v for v in table.values()]
+    assert np.allclose(f.ratio(f).values, 1.0, rtol=0, atol=2 * EPS)
+    for h in steps:
+        want = diff_oracle(add, table, key(h))
+        if not want:
+            for op in (diff, ratio_diff):
+                with pytest.raises(WindowMarginError):
+                    op(f, h)
+            continue
+        d = diff(f, h)
+        assert [key(p) for p in d.points] == list(want), h
+        assert list(d.values) == list(want.values()), h
+        r = ratio_diff(f, h)
+        quot = diff_oracle(add, table, key(h), operator.truediv)
+        assert [key(p) for p in r.points] == list(quot), h
+        assert np.allclose(r.values, list(quot.values()), rtol=4 * EPS,
+                           atol=0), h
+
+
+def check_polynomial(f, table, add, steps, n):
+    want = is_polynomial_oracle(add, table, n, TOL, steps)
+    if want is None or not steps:
+        with pytest.raises(WindowMarginError):
+            is_polynomial(f, n, TOL)
+    else:
+        assert is_polynomial(f, n, TOL) == want, n
+
+
+def check_equations(fs, coeffs, rhs, add, oracle_coeffs, vs, key):
+    tables = [as_dict(f, key) for f in fs]
+    rtable = None if rhs is None else as_dict(rhs, key)
+    scale = np.prod([max(1.0, np.abs(f.values).max()) for f in fs])
+    if rhs is not None and np.any(rhs.values != 0):
+        scale /= min(1.0, np.abs(rhs.values[rhs.values != 0]).min())
+    eq = ProductEquation(tuple(zip(fs, coeffs)), rhs)
+    try:
+        want = residual_defect_oracle(add, tables, oracle_coeffs, rtable, vs)
+    except ZeroDivisionError:
+        with pytest.raises(VanishingFactorError):
+            eq.residual_defect()
+    else:
+        if want is None:
+            with pytest.raises(WindowMarginError):
+                eq.residual_defect()
+        else:
+            got = eq.residual_defect()
+            assert abs(got - want) <= 8 * (len(fs) + 1) * EPS * scale
+    want = sum_defect_oracle(add, tables, oracle_coeffs, rtable, vs)
+    if want is None:
+        with pytest.raises(WindowMarginError):
+            _sweep_max(fs, coeffs, rhs, _sum_defect)
+    else:
+        got = _sweep_max(fs, coeffs, rhs, _sum_defect)
+        assert abs(got - want) <= 2 * EPS * max(1.0, want)
+
+
+def coords(x):
+    return x.coords
+
+
+@pytest.mark.parametrize("orders", GROUPS, ids=lambda o: "x".join(map(str, o)))
+def test_difference_operators_match_oracles_on_groups(orders):
+    g = Group(orders)
+    rng = np.random.default_rng([7, *orders])
+    elements, add = g.elements(), group_add(orders)
+    nonzero = [x.coords for x in elements[1:]]
+    steps = [g.zero, *(elements[i] for i in
+                       rng.choice(g.size, size=min(4, g.size), replace=False))]
+    for vals in (g.pairing_matrix[int(rng.integers(g.size))],
+                 np.ones(g.size), random_values(rng, g.size)):
+        keep = rng.random(g.size) < 0.7
+        keep[0] = True
+        for support in (np.ones(g.size, dtype=bool), keep):
+            pts = tuple(x for x, k in zip(elements, support) if k)
+            f = FunctionTable(g, pts, vals[support])
+            table = as_dict(f, coords)
+            check_differences(f, table, add, steps, coords)
+            for n in range(3):
+                check_polynomial(f, table, add, nonzero, n)
+
+
+@pytest.mark.parametrize("orders", GROUPS, ids=lambda o: "x".join(map(str, o)))
+def test_equation_sweeps_match_oracles_on_groups(orders):
+    g = Group(orders)
+    rng = np.random.default_rng([11, *orders])
+    elements, add = g.elements(), group_add(orders)
+    endos = _suite_endos(g, list(orders))
+    for trial in range(6):
+        picks = rng.choice(len(endos), size=3, replace=False)
+        betas = [endos[i] for i in picks]
+        fs = []
+        for j in range(3):
+            keep = rng.random(g.size) < (1.0 if trial < 2 else 0.7)
+            pts = tuple(x for x, k in zip(elements, keep) if k) or elements
+            vals = (g.pairing_matrix[int(rng.integers(g.size))] if j == 0
+                    else random_values(rng, g.size))
+            fs.append(FunctionTable(g, pts, vals[[g.index(x) for x in pts]]))
+        rhs_vals = random_values(rng, g.size)
+        half = tuple(elements[::2])
+        vanishing = rhs_vals.copy()
+        vanishing[int(rng.integers(g.size))] = 0.0
+        for rhs in (None, FunctionTable(g, elements, rhs_vals),
+                    FunctionTable(g, half, rhs_vals[::2]),
+                    FunctionTable(g, elements, vanishing)):
+            check_equations(fs, betas, rhs, add,
+                            [endo_coeff(orders, b.matrix) for b in betas],
+                            [x.coords for x in elements], coords)
+
+
+LATTICES = [make_lattice([2, 3], 1, 12), make_lattice([3], 0, 10)]
+WINDOW_COEFFS = [(1, 2, 3), (1, Fraction(3, 2), Fraction(1, 3)),
+                 (Fraction(1, 3), 2, Fraction(-3, 2))]
+
+
+def window_supports(lat, rng):
+    """Full, sub-window (as after ``ratio_diff``), irregular, every other."""
+    pts = lat.points
+    keep = rng.random(len(pts)) < 0.6
+    return {"full": pts, "sub-window": pts[3:-1],
+            "irregular": tuple(p for p, k in zip(pts, keep) if k),
+            "every other": pts[::2]}
+
+
+@pytest.mark.parametrize("lat", LATTICES, ids=repr)
+def test_difference_operators_match_oracles_on_windows(lat):
+    rng = np.random.default_rng([lat.radius, lat.denominator])
+    step = lat.step()
+    steps = [0, step, -step, 2 * step, -3 * step, 5 * step,
+             lat.radius * step, 2 * lat.radius * step]
+    for label, pts in window_supports(lat, rng).items():
+        ys = np.array([float(p) for p in pts])
+        c = rng.normal(size=3) + 1j * rng.normal(size=3)
+        for vals in (c[0] + 0 * ys, c[0] + c[1] * ys,
+                     c[0] + c[1] * ys + c[2] * ys ** 2,
+                     random_values(rng, len(pts))):
+            f = FunctionTable(lat, pts, vals)
+            table = as_dict(f)
+            check_differences(f, table, operator.add, steps, lambda p: p)
+            for n in range(4):
+                check_polynomial(f, table, operator.add,
+                                 window_steps_oracle(table, n + 1), n)
+    f = FunctionTable.constant(lat)
+    with pytest.raises(DomainError):  # a step off the window's grid
+        diff(f, step / 2)
+    with pytest.raises(DomainError):
+        ratio_diff(f, step / 2)
+
+
+@pytest.mark.parametrize("lat", LATTICES, ids=repr)
+def test_equation_sweeps_match_oracles_on_windows(lat):
+    rng = np.random.default_rng([3, lat.radius, lat.denominator])
+    pts = lat.points
+    supports = list(window_supports(lat, rng).values())
+    for coeffs in WINDOW_COEFFS:
+        for trial in range(4):
+            fs = []
+            for j in range(3):
+                sup = supports[int(rng.integers(len(supports)))] \
+                    if trial else pts
+                fs.append(FunctionTable(lat, sup,
+                                        random_values(rng, len(sup))))
+            rhs_vals = random_values(rng, len(pts))
+            vanishing = rhs_vals.copy()
+            vanishing[len(pts) // 2 + 1] = 0.0
+            for rhs in (None, FunctionTable(lat, pts, rhs_vals),
+                        FunctionTable(lat, pts[::2], rhs_vals[::2]),
+                        FunctionTable(lat, pts, vanishing)):
+                check_equations(fs, coeffs, rhs, operator.add,
+                                [lambda v, c=c: c * v for c in coeffs], pts,
+                                lambda p: p)
+
+
+def test_disjoint_window_supports_raise_margin_errors():
+    lat = LATTICES[0]
+    pts = lat.points
+    low = FunctionTable(lat, pts[:5], np.ones(5))
+    high = FunctionTable(lat, pts[-5:], np.ones(5))
+    for op in (low.ratio, low.times):
+        with pytest.raises(WindowMarginError):
+            op(high)
+    check_equations([low, high], [0, 0], None, operator.add,
+                    [lambda v: 0 * v] * 2, pts, lambda p: p)
+    check_equations([low, high], [0, Fraction(1, 3)], None, operator.add,
+                    [lambda v: 0 * v, lambda v: v / 3], pts, lambda p: p)
