@@ -9,7 +9,9 @@ configuration, margin, or construction errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -19,10 +21,10 @@ from .distributions import Distribution, LinearFormSpec, joint_char_array
 from .endomorphisms import Endo, annihilator, is_adjoint_pair
 from .errors import GroupIdentError
 from .funceq import (FunctionTable, bernstein_check, bernstein_square_table,
-                     is_character)
+                     is_character, kernel_conditions, summed_variables)
 from .groups import Group
 from .identify import consistent_shifts
-from .reporting import Stopwatch, make_report, write_report
+from .reporting import make_report, write_report
 from . import fixtures as fixture_io
 
 DEFAULT_FAMILY = "2..12,2x4,6x6"
@@ -64,24 +66,25 @@ def _scalar_endos(group: Group, cs) -> list[Endo]:
 
 
 def find_shift_coeffs(group: Group, form: str) -> list[int] | None:
-    """First scalar coefficient triple satisfying the kernel conditions."""
-    L = group.exponent
-    span = range(min(L, 12))
-    for c1 in span:
-        for c2 in span:
-            for c3 in span:
-                bs = _scalar_endos(group, (c1, c2, c3))
-                if _shift_preconditions_hold(bs, form):
-                    return [c1, c2, c3]
+    """First scalar coefficient triple, in lexicographic order, satisfying
+    the kernel conditions; ``[0, 1, 1]`` for form II on every nontrivial
+    group."""
+    summed = summed_variables(form, 3)
+    span = range(min(group.exponent, 12))
+    scalars = _scalar_endos(group, span)
+    for cs in itertools.product(span, repeat=3):
+        if all(kernel_conditions(summed, [scalars[c] for c in cs]).values()):
+            return list(cs)
     return None
 
 
-def _shift_preconditions_hold(bs, form: str) -> bool:
-    if form == "I":
-        return all(len((bs[i] - bs[j]).kernel()) == 1
-                   for i in range(3) for j in range(i + 1, 3))
-    return (len((bs[0] - bs[1]).kernel()) == 1
-            and len(bs[2].kernel()) == 1)
+def _finish(command: str, config: dict, body: dict, start: float,
+            out: str | None) -> int:
+    """Write the report with the wall time since ``start``; exit 0 on a
+    passing body, else 1."""
+    timings = {"seconds": time.perf_counter() - start}
+    write_report(make_report(command, config, body, timings), out)
+    return 0 if body["status"] == "pass" else 1
 
 
 # -- shift campaign ----------------------------------------------------------------
@@ -101,8 +104,7 @@ def run_shift_trial(group: Group, bs, form: str, seed, trial: int,
         shifts = consistent_shifts(bs, form, x1)
         nus = [mu.shift(x) for mu, x in zip(mus, shifts)]
         expected = identify.VERDICT_SHIFT
-    verify = identify.verify_form_I if form == "I" else identify.verify_form_II
-    report = verify(bs, mus, nus, tol=tol)
+    report = getattr(identify, "verify_form_" + form)(bs, mus, nus, tol=tol)
     ok = report.verdict == expected
     if ok and shifts is not None:
         ok = report.shifts == tuple(shifts)
@@ -119,8 +121,7 @@ def run_shift_adversarial(group: Group, bs, form: str, seed, trial: int,
     rng = np.random.default_rng([seed, trial, 17])
     x = group.element_at(1 + int(rng.integers(0, group.size - 1)))
     nus = [mus[0].shift(x), mus[1], mus[2]]
-    verify = identify.verify_form_I if form == "I" else identify.verify_form_II
-    report = verify(bs, mus, nus, tol=tol)
+    report = getattr(identify, "verify_form_" + form)(bs, mus, nus, tol=tol)
     expected = (identify.VERDICT_PRECONDITIONS if expect_negative
                 else identify.VERDICT_MISMATCH)
     entry = {"trial": trial, "kind": "adversarial"}
@@ -138,8 +139,7 @@ def cmd_verify_shift(args) -> int:
                                   f"got {group!r}")
         _check_trials(args.trials)
         if args.coeffs is None:
-            cs = ([0, 1, 1] if args.form == "II"
-                  else find_shift_coeffs(group, args.form))
+            cs = find_shift_coeffs(group, args.form)
             if cs is None:
                 raise GroupIdentError(
                     f"no scalar coefficients satisfy the form {args.form} "
@@ -152,7 +152,7 @@ def cmd_verify_shift(args) -> int:
     except (GroupIdentError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    watch = Stopwatch()
+    start = time.perf_counter()
     trials = []
     for t in range(args.trials):
         trials.append(run_shift_trial(group, bs, args.form, args.seed, t,
@@ -165,7 +165,8 @@ def cmd_verify_shift(args) -> int:
         "form": args.form,
         "group": list(group.orders),
         "coeffs": cs,
-        "preconditions_hold": _shift_preconditions_hold(bs, args.form),
+        "preconditions_hold": all(kernel_conditions(
+            summed_variables(args.form, 3), bs).values()),
         "expect_negative": args.expect_negative,
         "trials": trials,
         "counts": {"total": len(trials), "failed": len(failed)},
@@ -174,10 +175,7 @@ def cmd_verify_shift(args) -> int:
     config = {"group": args.group, "form": args.form, "coeffs": cs,
               "trials": args.trials, "seed": args.seed, "tol": args.tol,
               "expect_negative": args.expect_negative}
-    report = make_report("verify-shift", config, body,
-                         {"seconds": watch.seconds()})
-    write_report(report, args.out)
-    return 0 if not failed else 1
+    return _finish("verify-shift", config, body, start, args.out)
 
 
 # -- gaussian campaign -----------------------------------------------------------------
@@ -187,9 +185,8 @@ def run_gaussian_trial(lattice, bs, form: str, seed, trial: int,
                        tol: float) -> dict:
     muhats, nuhats, sigmas, _ = solenoid.synth_gaussian_instance(
         lattice, bs, [seed, trial], form)
-    verify = (solenoid.verify_gaussian_form_I if form == "I"
-              else solenoid.verify_gaussian_form_II)
-    report = verify(bs, muhats, nuhats)
+    report = getattr(solenoid, "verify_gaussian_form_" + form)(bs, muhats,
+                                                              nuhats)
     sigma_err = max(abs(fit.sigma - s)
                     for fit, s in zip(report.fits, sigmas))
     ok = report.verdict == solenoid.VERDICT_GAUSSIAN and sigma_err < tol
@@ -205,9 +202,8 @@ def run_gaussian_adversarial(lattice, bs, form: str, seed, trial: int) -> dict:
     quartic = np.array([np.exp(-0.4 * float(p) ** 4) for p in lattice.points])
     nuhats[0] = FunctionTable(lattice, lattice.points,
                               nuhats[0].values * quartic)
-    verify = (solenoid.verify_gaussian_form_I if form == "I"
-              else solenoid.verify_gaussian_form_II)
-    report = verify(bs, muhats, nuhats)
+    report = getattr(solenoid, "verify_gaussian_form_" + form)(bs, muhats,
+                                                              nuhats)
     ok = report.verdict != solenoid.VERDICT_GAUSSIAN
     entry = {"trial": trial, "kind": "adversarial",
              "expected": "negative-verdict", "ok": bool(ok)}
@@ -226,7 +222,7 @@ def cmd_verify_gaussian(args) -> int:
     except (GroupIdentError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    watch = Stopwatch()
+    start = time.perf_counter()
     trials = []
     try:
         for t in range(args.trials):
@@ -251,10 +247,7 @@ def cmd_verify_gaussian(args) -> int:
     config = {"base": args.base, "depth": args.depth, "radius": args.radius,
               "coeffs": args.coeffs, "form": args.form, "trials": args.trials,
               "seed": args.seed, "tol": args.tol}
-    report = make_report("verify-gaussian", config, body,
-                         {"seconds": watch.seconds()})
-    write_report(report, args.out)
-    return 0 if not failed else 1
+    return _finish("verify-gaussian", config, body, start, args.out)
 
 
 # -- counterexamples -------------------------------------------------------------------
@@ -275,20 +268,20 @@ def _write_fixture_dists(directory, mus, nus) -> list[str]:
 
 
 def cmd_counterexample(args) -> int:
+    start = time.perf_counter()
+    construct = {"poisson-pair": _counterexample_poisson,
+                 "kernel-mass": _counterexample_kernel,
+                 "plane-gaussian": _counterexample_plane,
+                 "bernstein": _counterexample_bernstein}[args.kind]
     try:
-        if args.kind == "poisson-pair":
-            return _counterexample_poisson(args)
-        if args.kind == "kernel-mass":
-            return _counterexample_kernel(args)
-        if args.kind == "plane-gaussian":
-            return _counterexample_plane(args)
-        return _counterexample_bernstein(args)
+        config, body = construct(args)
     except GroupIdentError as exc:
         print(f"cannot construct: {exc}", file=sys.stderr)
         return 2
+    return _finish("counterexample", config, body, start, args.out)
 
 
-def _counterexample_poisson(args) -> int:
+def _counterexample_poisson(args) -> tuple[dict, dict]:
     group = parse_group(args.group or "6")
     cs = parse_int_coeffs(args.coeffs) if args.coeffs else [1, 3, 2]
     bs = _scalar_endos(group, cs)
@@ -318,20 +311,17 @@ def _counterexample_poisson(args) -> int:
         body["fixtures"] = _write_fixture_dists(args.fixtures, mus, nus)
     config = {"kind": args.kind, "group": args.group, "coeffs": cs,
               "rate": args.rate, "seed": args.seed, "tol": args.tol}
-    write_report(make_report("counterexample", config, body), args.out)
-    return 0 if ok else 1
+    return config, body
 
 
-def _counterexample_kernel(args) -> int:
+def _counterexample_kernel(args) -> tuple[dict, dict]:
     group = parse_group(args.group or "6")
     cs = parse_int_coeffs(args.coeffs) if args.coeffs else [1, 2, 2]
     bs = _scalar_endos(group, cs)
     mus, nus = identify.kernel_counterexample(bs)
-    lhs = joint_char_array(LinearFormSpec.form_II(bs), mus)
-    rhs = joint_char_array(LinearFormSpec.form_II(bs), nus)
-    residual = float(np.max(np.abs(lhs - rhs)))
     non_shift = identify.recover_shift(mus[2], nus[2]) is None
     report = identify.verify_form_II(bs, mus, nus)
+    residual = report.joint_residual
     ok = (residual < args.tol and non_shift
           and report.verdict == identify.VERDICT_PRECONDITIONS)
     body = {
@@ -348,27 +338,19 @@ def _counterexample_kernel(args) -> int:
         body["fixtures"] = _write_fixture_dists(args.fixtures, mus, nus)
     config = {"kind": args.kind, "group": args.group, "coeffs": cs,
               "seed": args.seed, "tol": args.tol}
-    write_report(make_report("counterexample", config, body), args.out)
-    return 0 if ok else 1
+    return config, body
 
 
-def _counterexample_plane(args) -> int:
+def _counterexample_plane(args) -> tuple[dict, dict]:
     cert = identify.plane_gaussian_counterexample()
     body = {"status": "pass" if cert.ok else "fail", "kind": "plane-gaussian"}
     body.update(cert.to_json_dict())
-    config = {"kind": args.kind}
-    write_report(make_report("counterexample", config, body), args.out)
-    return 0 if cert.ok else 1
+    return {"kind": args.kind}, body
 
 
-def _counterexample_bernstein(args) -> int:
+def _counterexample_bernstein(args) -> tuple[dict, dict]:
     group = parse_group(args.group or "6x6")
-    try:
-        table = bernstein_square_table(group)
-    except GroupIdentError as exc:
-        print(f"config error: the bernstein table needs two even cyclic "
-              f"factors ({exc})", file=sys.stderr)
-        return 2
+    table = bernstein_square_table(group)
     passes = bernstein_check(table, tol=args.tol)
     char = is_character(table, tol=args.tol)
     involutions = group.order_two_count()
@@ -394,8 +376,7 @@ def _counterexample_bernstein(args) -> int:
         fixture_io.write_table(path, table)
         body["fixtures"] = [str(path)]
     config = {"kind": args.kind, "group": args.group, "tol": args.tol}
-    write_report(make_report("counterexample", config, body), args.out)
-    return 0 if ok else 1
+    return config, body
 
 
 # -- invariant suite ---------------------------------------------------------------------
@@ -457,7 +438,7 @@ def cmd_invariants(args) -> int:
     except (GroupIdentError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    watch = Stopwatch()
+    start = time.perf_counter()
     results = [run_invariant_suite(g, args.seed, args.inject_fault)
                for g in groups]
     violations = [v for r in results for v in r["violations"]]
@@ -469,10 +450,7 @@ def cmd_invariants(args) -> int:
     }
     config = {"groups": args.groups, "seed": args.seed,
               "inject_fault": args.inject_fault}
-    report = make_report("invariants", config, body,
-                         {"seconds": watch.seconds()})
-    write_report(report, args.out)
-    return 0 if not violations else 1
+    return _finish("invariants", config, body, start, args.out)
 
 
 # -- entry point -------------------------------------------------------------------------

@@ -70,16 +70,53 @@ def _coeff_idx(beta, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return num // r.denominator, num % r.denominator == 0
 
 
-def coeff_difference_covers(beta_i, beta_j) -> bool:
-    """Whether ``beta_i - beta_j`` has full range on the dual.
+def summed_variables(form: str, n: int) -> tuple[bool, ...]:
+    """Which of ``n`` variables ``L_1`` sums: all of them in form I, all but
+    the last in form II."""
+    left_out = {"I": 0, "II": 1}.get(form)
+    if left_out is None:
+        raise DomainError(f"unknown form {form!r}")
+    return (True,) * (n - left_out) + (False,) * left_out
 
-    On a finite group this is surjectivity of the difference endomorphism;
-    for rational multipliers it is plain inequality.
+
+def _trivial_kernel(beta, minus=None) -> bool:
+    """Whether ``beta - minus`` (``beta`` alone without ``minus``) has trivial
+    kernel on the dual; for a rational multiplier, whether it is nonzero."""
+    r = _coeff_ratio(beta)
+    s = Fraction(0) if minus is None else _coeff_ratio(minus)
+    if r is None or s is None:
+        return len((beta if minus is None else beta - minus).kernel()) == 1
+    return r != s
+
+
+def kernel_conditions(summed: Sequence[bool],
+                      betas: Sequence[object]) -> dict[str, bool]:
+    """The kernel hypotheses of the identifiability theorems, by label.
+
+    ``summed[j]`` says whether ``L_1`` sums variable ``j``.  Every two summed
+    coefficients must differ by a map with trivial kernel (``ker(bi-bj)=0``)
+    and every coefficient of a variable left out of ``L_1`` must have trivial
+    kernel itself (``ker(bj)=0``): these are the 2x2 minors
+    ``a_i b_j - a_j b_i`` of the coefficient pairs.
     """
-    ri, rj = _coeff_ratio(beta_i), _coeff_ratio(beta_j)
-    if ri is not None and rj is not None:
-        return ri != rj
-    return (beta_i - beta_j).is_surjective()
+    conds = {}
+    for i, b in enumerate(betas):
+        if not summed[i]:
+            conds[f"ker(b{i + 1})=0"] = _trivial_kernel(b)
+            continue
+        for j in range(i + 1, len(betas)):
+            if summed[j]:
+                conds[f"ker(b{i + 1}-b{j + 1})=0"] = _trivial_kernel(
+                    b, betas[j])
+    return conds
+
+
+def require_kernel_conditions(summed: Sequence[bool],
+                              betas: Sequence[object]) -> None:
+    """Raise PreconditionError naming the first kernel condition that fails."""
+    for label, holds in kernel_conditions(summed, betas).items():
+        if not holds:
+            raise PreconditionError(f"kernel condition {label} fails")
 
 
 # -- function tables -----------------------------------------------------------
@@ -168,7 +205,10 @@ class FunctionTable:
     # -- pointwise transforms --------------------------------------------------
 
     def map_values(self, fn: Callable[[np.ndarray], np.ndarray]) -> "FunctionTable":
-        return FunctionTable(self.domain, self.points, fn(self.values))
+        t = FunctionTable(self.domain, self.points, fn(self.values))
+        if "_idx" in self.__dict__:
+            t.__dict__["_idx"] = self._idx  # same points; skip recomputing
+        return t
 
     def conjugate(self) -> "FunctionTable":
         return self.map_values(np.conj)
@@ -561,13 +601,9 @@ def extract_character(eq: ProductEquation, *,
     character.
 
     Raises PreconditionError when some pair of coefficients has a difference
-    without full range, which is exactly when the conclusion may fail.
+    with nontrivial kernel, which is exactly when the conclusion may fail.
     """
-    for a in range(eq.arity):
-        for b in range(a + 1, eq.arity):
-            if not coeff_difference_covers(eq.factors[a][1], eq.factors[b][1]):
-                raise PreconditionError(
-                    f"coefficient difference ({a},{b}) does not cover the dual")
+    require_kernel_conditions((True,) * eq.arity, [b for _, b in eq.factors])
     ks = _default_cascade_steps(eq)
     if not ks:
         raise WindowMarginError("no usable substitution steps")
@@ -620,11 +656,7 @@ def shifted_sum_degrees(psis: Sequence[FunctionTable],
     n = len(psis)
     if n < 2 or len(betas) != n:
         raise DomainError("need n >= 2 summands with matching coefficients")
-    for a in range(n):
-        for b in range(a + 1, n):
-            if not coeff_difference_covers(betas[a], betas[b]):
-                raise PreconditionError(
-                    f"coefficient difference ({a},{b}) does not cover the dual")
+    require_kernel_conditions((True,) * n, betas)
     worst = _sweep_max(psis, betas, rhs, _sum_defect)
     rhs_zero = rhs is None or bool(np.max(np.abs(rhs.values)) <= tol)
     bound = n - 2 if rhs_zero else n - 1

@@ -19,6 +19,7 @@ import numpy as np
 from .distributions import Distribution, LinearFormSpec, joint_char_array
 from .endomorphisms import Endo
 from .errors import ConstructionError, DomainError
+from .funceq import kernel_conditions, summed_variables
 from .groups import Element, Group
 
 JOINT_TOL = 1e-8
@@ -71,88 +72,61 @@ def recover_shift(mu: Distribution, nu: Distribution,
     return None
 
 
-def _check_same_group(bs, mus, nus):
+def _verify(summed: tuple[bool, ...], bs: Sequence[Endo],
+            mus: Sequence[Distribution], nus: Sequence[Distribution],
+            tol: float, *, shifted: bool) -> IdentifiabilityReport:
+    """Hypotheses, joint laws, then each component up to a recovered shift
+    (``shifted``) or outright, with the shift fixed at zero."""
+    n = len(summed)
+    if not len(bs) == len(mus) == len(nus) == n:
+        raise DomainError(f"takes {n} coefficients and {n}+{n} distributions")
+    pre = kernel_conditions(summed, bs)
+    pre["nonvanishing"] = all(d.nonvanishing(NONVANISHING_GUARD)
+                              for d in (*mus, *nus))
     g = bs[0].group
-    for e in bs:
-        if e.group != g:
-            raise DomainError("coefficients act on different groups")
-    for d in (*mus, *nus):
-        if d.group != g:
-            raise DomainError("distributions live on a different group")
-    return g
-
-
-def _joint_residual(spec: LinearFormSpec, mus, nus) -> float:
-    lhs = joint_char_array(spec, mus)
-    rhs = joint_char_array(spec, nus)
-    return float(np.max(np.abs(lhs - rhs)))
-
-
-def _shift_report(preconditions: dict, residual: float, mus, nus, *,
-                  tol: float, shift_tol: float,
-                  tv_tol: float) -> IdentifiabilityReport:
-    if not all(preconditions.values()):
-        return IdentifiabilityReport(preconditions, residual, None, None,
+    ones = tuple(Endo.identity(g) if s else Endo.zero(g) for s in summed)
+    spec = LinearFormSpec(g, ones, tuple(bs))
+    residual = float(np.max(np.abs(joint_char_array(spec, mus)
+                                   - joint_char_array(spec, nus))))
+    if not all(pre.values()):
+        return IdentifiabilityReport(pre, residual, None, None,
                                      VERDICT_PRECONDITIONS)
-    if residual >= tol:
-        return IdentifiabilityReport(preconditions, residual, None, None,
+    mismatch = IdentifiabilityReport(pre, residual, None, None,
                                      VERDICT_MISMATCH)
-    shifts = []
-    tvs = []
+    if residual >= tol:
+        return mismatch
+    shifts, tvs = [], []
     for mu, nu in zip(mus, nus):
-        x = recover_shift(mu, nu, shift_tol)
+        x = recover_shift(mu, nu) if shifted else g.zero
         if x is None:
-            return IdentifiabilityReport(preconditions, residual, None, None,
-                                         VERDICT_MISMATCH)
+            return mismatch
         tv = nu.total_variation(mu.shift(x))
-        if tv >= tv_tol:
-            return IdentifiabilityReport(preconditions, residual, None, None,
-                                         VERDICT_MISMATCH)
+        if tv >= TV_TOL:
+            return mismatch
         shifts.append(x)
         tvs.append(tv)
-    return IdentifiabilityReport(preconditions, residual, tuple(shifts),
-                                 tuple(tvs), VERDICT_SHIFT)
+    if shifted:
+        return IdentifiabilityReport(pre, residual, tuple(shifts),
+                                     tuple(tvs), VERDICT_SHIFT)
+    # uniqueness leaves no shift freedom, so no shifts are reported
+    return IdentifiabilityReport(pre, residual, None, tuple(tvs),
+                                 VERDICT_UNIQUE)
 
 
 def verify_form_I(bs: Sequence[Endo], mus: Sequence[Distribution],
-                  nus: Sequence[Distribution], *, tol: float = JOINT_TOL,
-                  shift_tol: float = SHIFT_TOL,
-                  tv_tol: float = TV_TOL) -> IdentifiabilityReport:
+                  nus: Sequence[Distribution], *,
+                  tol: float = JOINT_TOL) -> IdentifiabilityReport:
     """Three variables, ``L_1 = xi_1+xi_2+xi_3``: shifts are identifiable when
     all pairwise coefficient differences have trivial kernel."""
-    if len(bs) != 3 or len(mus) != 3 or len(nus) != 3:
-        raise DomainError("form I takes three coefficients and 3+3 distributions")
-    _check_same_group(bs, mus, nus)
-    pre = {
-        "ker(b1-b2)=0": len((bs[0] - bs[1]).kernel()) == 1,
-        "ker(b1-b3)=0": len((bs[0] - bs[2]).kernel()) == 1,
-        "ker(b2-b3)=0": len((bs[1] - bs[2]).kernel()) == 1,
-        "nonvanishing": all(d.nonvanishing(NONVANISHING_GUARD)
-                            for d in (*mus, *nus)),
-    }
-    residual = _joint_residual(LinearFormSpec.form_I(bs), mus, nus)
-    return _shift_report(pre, residual, mus, nus, tol=tol,
-                         shift_tol=shift_tol, tv_tol=tv_tol)
+    return _verify(summed_variables("I", 3), bs, mus, nus, tol, shifted=True)
 
 
 def verify_form_II(bs: Sequence[Endo], mus: Sequence[Distribution],
-                   nus: Sequence[Distribution], *, tol: float = JOINT_TOL,
-                   shift_tol: float = SHIFT_TOL,
-                   tv_tol: float = TV_TOL) -> IdentifiabilityReport:
+                   nus: Sequence[Distribution], *,
+                   tol: float = JOINT_TOL) -> IdentifiabilityReport:
     """Three variables, ``L_1 = xi_1+xi_2``: needs ``ker(b1-b2)`` and
     ``ker(b3)`` trivial."""
-    if len(bs) != 3 or len(mus) != 3 or len(nus) != 3:
-        raise DomainError("form II takes three coefficients and 3+3 distributions")
-    _check_same_group(bs, mus, nus)
-    pre = {
-        "ker(b1-b2)=0": len((bs[0] - bs[1]).kernel()) == 1,
-        "ker(b3)=0": len(bs[2].kernel()) == 1,
-        "nonvanishing": all(d.nonvanishing(NONVANISHING_GUARD)
-                            for d in (*mus, *nus)),
-    }
-    residual = _joint_residual(LinearFormSpec.form_II(bs), mus, nus)
-    return _shift_report(pre, residual, mus, nus, tol=tol,
-                         shift_tol=shift_tol, tv_tol=tv_tol)
+    return _verify(summed_variables("II", 3), bs, mus, nus, tol, shifted=True)
 
 
 def kotlarski_coeffs(group: Group) -> tuple[Endo, Endo, Endo]:
@@ -182,7 +156,7 @@ def consistent_shifts(bs: Sequence[Endo], form: str, x1: Element):
     agree exactly.
     """
     g = bs[0].group
-    if form == "I":
+    if summed_variables(form, 3)[2]:
         rhs = g.neg((bs[0] - bs[2]).apply(x1))
         x2 = _preimage(bs[1] - bs[2], rhs)
         x3 = g.neg(g.add(x1, x2))
@@ -195,34 +169,12 @@ def consistent_shifts(bs: Sequence[Endo], form: str, x1: Element):
 
 def verify_pair_uniqueness(b1: Endo, b2: Endo, mus: Sequence[Distribution],
                            nus: Sequence[Distribution], *,
-                           tol: float = JOINT_TOL,
-                           tv_tol: float = TV_TOL) -> IdentifiabilityReport:
+                           tol: float = JOINT_TOL) -> IdentifiabilityReport:
     """Two variables, ``L_1 = xi_1+xi_2``: equality of joints forces equality
     of the components outright (no shift freedom) when ``ker(b1-b2)`` is
     trivial."""
-    if len(mus) != 2 or len(nus) != 2:
-        raise DomainError("pair uniqueness takes 2+2 distributions")
-    _check_same_group((b1, b2), mus, nus)
-    g = b1.group
-    pre = {
-        "ker(b1-b2)=0": len((b1 - b2).kernel()) == 1,
-        "nonvanishing": all(d.nonvanishing(NONVANISHING_GUARD)
-                            for d in (*mus, *nus)),
-    }
-    spec = LinearFormSpec(g, (Endo.identity(g), Endo.identity(g)), (b1, b2))
-    residual = _joint_residual(spec, mus, nus)
-    if not all(pre.values()):
-        return IdentifiabilityReport(pre, residual, None, None,
-                                     VERDICT_PRECONDITIONS)
-    if residual >= tol:
-        return IdentifiabilityReport(pre, residual, None, None,
-                                     VERDICT_MISMATCH)
-    tvs = tuple(nu.total_variation(mu) for mu, nu in zip(mus, nus))
-    if max(tvs) >= tv_tol:
-        return IdentifiabilityReport(pre, residual, None, None,
-                                     VERDICT_MISMATCH)
-    # uniqueness leaves no shift freedom, so no shifts are reported
-    return IdentifiabilityReport(pre, residual, None, tvs, VERDICT_UNIQUE)
+    return _verify(summed_variables("I", 2), (b1, b2), mus, nus, tol,
+                   shifted=False)
 
 
 # -- counterexamples ------------------------------------------------------------

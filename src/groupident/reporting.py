@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import sys
-import time
 from pathlib import Path
 
 SCHEMA_VERSION = "1"
@@ -17,14 +16,14 @@ def load_schema() -> dict:
 
 
 def make_report(command: str, config: dict, body: dict,
-                timings: dict | None = None) -> dict:
+                timings: dict) -> dict:
     """Assemble a report; everything under ``body`` must be seed-deterministic."""
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "config": config,
         "body": body,
-        "timings": timings or {},
+        "timings": timings,
     }
 
 
@@ -40,11 +39,3 @@ def write_report(report: dict, out: str | None) -> None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text, encoding="utf-8")
-
-
-class Stopwatch:
-    def __init__(self) -> None:
-        self._start = time.perf_counter()
-
-    def seconds(self) -> float:
-        return time.perf_counter() - self._start

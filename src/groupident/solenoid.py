@@ -25,7 +25,8 @@ from .errors import (DomainError, InvalidEndomorphismError, PreconditionError,
                      VanishingFactorError, WindowMarginError)
 from .funceq import (DegreeReport, FunctionTable, ProductEquation,
                      character_defect, is_character, least_degree,
-                     shifted_sum_degrees)
+                     require_kernel_conditions, shifted_sum_degrees,
+                     summed_variables)
 
 FIT_TOL = 1e-8
 EQUATION_TOL = 1e-8
@@ -273,26 +274,31 @@ def fit_gaussian_ratio(f: FunctionTable, tol: float = FIT_TOL) -> GaussianFitRes
     ``sigma`` is the least-squares slope of ``log|f|`` against ``-y^2``
     (positive means the second side carries the extra Gaussian, negative the
     first); the verdict fails when the modulus deviates from the fitted
-    Gaussian by more than ``tol`` anywhere on the window, or when the phase
-    part is not multiplicative.  Summation order is fixed, so the fit is
-    bit-deterministic.
+    Gaussian by more than ``tol`` times ``max(1, |f|)`` anywhere on the
+    window, or when the phase part is not multiplicative.  The reported
+    ``modulus_residual`` is the absolute deviation.  Summation order is
+    fixed, so the fit is bit-deterministic.
     """
     if len(f.points) < 7:
         raise WindowMarginError("gaussian fit needs at least 3 points per side")
     if not f.nonvanishing(0.0):
         raise VanishingFactorError("gaussian fit needs a nonvanishing table")
     pts = sorted(f.points)
-    logs = [math.log(abs(f[p])) for p in pts]
+    mods = [abs(f[p]) for p in pts]
+    logs = [math.log(m) for m in mods]
     num = math.fsum(-float(p) ** 2 * lg for p, lg in zip(pts, logs))
     den = math.fsum(float(p) ** 4 for p in pts)
     sigma = num / den if den > 0 else 0.0
-    residual = max(abs(abs(f[p]) - math.exp(-sigma * float(p) ** 2))
-                   for p in pts)
+    devs = [abs(m - math.exp(-sigma * float(p) ** 2))
+            for p, m in zip(pts, mods)]
+    # The bound is relative where the modulus exceeds 1: an exact ratio
+    # with modulus near 5e8 carries rounding of about 1e-7.
+    modulus_ok = all(d <= tol * max(1.0, m) for d, m in zip(devs, mods))
     phase = f.phase_part()
     defect = character_defect(phase)
     phase_ok = is_character(phase, tol=max(tol, 1e-9))
-    ok = residual <= tol and phase_ok
-    return GaussianFitResult(float(sigma), float(residual), bool(phase_ok),
+    ok = modulus_ok and phase_ok
+    return GaussianFitResult(float(sigma), float(max(devs)), bool(phase_ok),
                              float(defect), bool(ok))
 
 
@@ -343,49 +349,54 @@ def _ratio_tables(muhats, nuhats) -> list[FunctionTable]:
             raise PreconditionError("all tables must be nonvanishing")
     fs = [nu.ratio(mu) for mu, nu in zip(muhats, nuhats)]
     for j, f in enumerate(fs):
-        # ratios of characteristic functions are normalized and Hermitian
-        if abs(f.value_at_zero() - 1.0) > 1e-6 or f.hermitian_defect() > 1e-6:
+        # Ratios of characteristic functions are normalized and Hermitian;
+        # symmetry is checked relative to the modulus where it exceeds 1.
+        capped = f.map_values(lambda v: v / np.maximum(1.0, np.abs(v)))
+        if (abs(f.value_at_zero() - 1.0) > 1e-6
+                or capped.hermitian_defect() > 1e-6):
             raise PreconditionError(
                 f"ratio table {j + 1} is not a characteristic-function ratio")
     return fs
 
 
-def _check_pairwise(bs: Sequence[Fraction], count: int) -> None:
-    for i in range(count):
-        for j in range(i + 1, count):
-            if bs[i] == bs[j]:
-                raise PreconditionError(
-                    f"coefficients {i + 1} and {j + 1} coincide; "
-                    "a kernel condition fails")
-
-
-def verify_gaussian_form_I(bs, muhats: Sequence[FunctionTable],
-                           nuhats: Sequence[FunctionTable], *,
-                           tol: float = EQUATION_TOL,
-                           fit_tol: float = FIT_TOL) -> GaussianIdentReport:
-    """Four variables, ``L_1 = xi_1+...+xi_4``: components are pinned down up
-    to a Gaussian convolution when all pairwise coefficient differences are
-    nonzero.
-
-    The verifier checks the product equation of the ratio tables on the
-    window, bounds the degree of each log-modulus by 2 through the additive
-    shifted-sum equation, factors each ratio as character times Gaussian, and
-    cross-validates the power sums of the fitted rates.
-    """
+def _verify_gaussian(form: str, bs, muhats: Sequence[FunctionTable],
+                     nuhats: Sequence[FunctionTable],
+                     tol: float) -> GaussianIdentReport:
+    """Check the product equation of the ratio tables on the window, bound
+    each log-modulus degree through the shifted-sum equation and factor each
+    ratio as character times Gaussian.  Form I also checks the power sums of
+    the fitted rates; in form II the fourth ratio moves to the right-hand
+    side and its log-modulus must be quadratic on its own."""
     if len(bs) != 4:
-        raise PreconditionError("form I takes four coefficients")
+        raise PreconditionError(f"form {form} takes four coefficients")
+    summed = summed_variables(form, 4)
     vals = [_coeff_value(b) for b in bs]
-    _check_pairwise(vals, 4)
+    require_kernel_conditions(summed, vals)
     fs = _ratio_tables(muhats, nuhats)
-    eq = ProductEquation(tuple((f, b) for f, b in zip(fs, vals)))
-    eq_defect = eq.residual_defect()
+    lattice, m = fs[0].domain, sum(summed)
+    rhs = None
+    if m < 4:
+        # Right-hand side 1/f4(b4 v), defined where b4 v stays in the table.
+        pts = tuple(v for v in lattice.points if vals[3] * v in fs[3])
+        if not pts:
+            raise WindowMarginError("fourth coefficient maps the window outside")
+        rhs = FunctionTable(lattice, pts, np.array(
+            [1.0 / fs[3][vals[3] * v] for v in pts]))
+    eq_defect = ProductEquation(tuple(zip(fs[:m], vals[:m])),
+                                rhs).residual_defect()
     psis = [f.log_modulus() for f in fs]
-    deg = shifted_sum_degrees(psis, vals, None, tol=max(tol, 1e-9))
-    fits = tuple(fit_gaussian_ratio(f, fit_tol) for f in fs)
-    sums = tuple(
-        abs(math.fsum(fit.sigma * float(b) ** k
-                      for fit, b in zip(fits, vals)))
-        for k in range(3))
+    neg_psi4 = extra_degree = sums = None
+    if rhs is not None:
+        neg_psi4 = FunctionTable(lattice, rhs.points, np.array(
+            [-psis[3][vals[3] * v] for v in rhs.points]))
+        extra_degree = least_degree(psis[3], 2, tol=max(tol, 1e-9))
+    deg = shifted_sum_degrees(psis[:m], vals[:m], neg_psi4,
+                              tol=max(tol, 1e-9))
+    fits = tuple(fit_gaussian_ratio(f) for f in fs)
+    if rhs is None:
+        sums = tuple(abs(math.fsum(fit.sigma * float(b) ** k
+                                   for fit, b in zip(fits, vals)))
+                     for k in range(3))
     failures = []
     if eq_defect > tol:
         failures.append(f"product equation defect {eq_defect:.3e}")
@@ -394,7 +405,9 @@ def verify_gaussian_form_I(bs, muhats: Sequence[FunctionTable],
             failures.append(f"factor {j + 1} is not character*gaussian")
     if not deg.within_bound:
         failures.append("log-modulus degree bound violated")
-    if any(s > 1e-8 for s in sums):
+    if rhs is not None and extra_degree is None:
+        failures.append("fourth log-modulus is not quadratic on the window")
+    if sums is not None and any(s > 1e-8 for s in sums):
         failures.append("fitted rates violate the power-sum constraints")
     if eq_defect > tol:
         verdict = VERDICT_MISMATCH
@@ -402,128 +415,80 @@ def verify_gaussian_form_I(bs, muhats: Sequence[FunctionTable],
         verdict = VERDICT_NOT_GAUSSIAN
     else:
         verdict = VERDICT_GAUSSIAN
-    return GaussianIdentReport("I", tuple(vals), repr(fs[0].domain),
-                               float(eq_defect), deg, None, fits, sums,
-                               tuple(failures), verdict)
+    return GaussianIdentReport(form, tuple(vals), repr(lattice),
+                               float(eq_defect), deg, extra_degree, fits,
+                               sums, tuple(failures), verdict)
+
+
+def verify_gaussian_form_I(bs, muhats: Sequence[FunctionTable],
+                           nuhats: Sequence[FunctionTable], *,
+                           tol: float = EQUATION_TOL) -> GaussianIdentReport:
+    """Four variables, ``L_1 = xi_1+...+xi_4``: components are pinned down up
+    to a Gaussian convolution when all pairwise coefficient differences are
+    nonzero."""
+    return _verify_gaussian("I", bs, muhats, nuhats, tol)
 
 
 def verify_gaussian_form_II(bs, muhats: Sequence[FunctionTable],
                             nuhats: Sequence[FunctionTable], *,
-                            tol: float = EQUATION_TOL,
-                            fit_tol: float = FIT_TOL) -> GaussianIdentReport:
+                            tol: float = EQUATION_TOL) -> GaussianIdentReport:
     """Four variables, ``L_1 = xi_1+xi_2+xi_3``: the fourth ratio enters the
     equation composed with its coefficient alone, which must be injective."""
-    if len(bs) != 4:
-        raise PreconditionError("form II takes four coefficients")
-    vals = [_coeff_value(b) for b in bs]
-    _check_pairwise(vals, 3)
-    if vals[3] == 0:
-        raise PreconditionError("the fourth coefficient must be nonzero")
-    fs = _ratio_tables(muhats, nuhats)
-    lattice = fs[0].domain
-    # Right-hand side 1/f4(b4 v), defined where b4 v stays in the table.
-    rhs_pts, rhs_vals = [], []
-    for v in lattice.points:
-        arg = vals[3] * v
-        if arg in fs[3]:
-            rhs_pts.append(v)
-            rhs_vals.append(1.0 / fs[3][arg])
-    if not rhs_pts:
-        raise WindowMarginError("fourth coefficient maps the window outside")
-    rhs = FunctionTable(lattice, tuple(rhs_pts), np.array(rhs_vals))
-    eq = ProductEquation(tuple((f, b) for f, b in zip(fs[:3], vals[:3])), rhs)
-    eq_defect = eq.residual_defect()
-    psis = [f.log_modulus() for f in fs]
-    neg_psi4 = FunctionTable(
-        lattice, rhs.points,
-        np.array([-psis[3][vals[3] * v] for v in rhs.points]))
-    deg = shifted_sum_degrees(psis[:3], vals[:3], neg_psi4,
-                              tol=max(tol, 1e-9))
-    extra_degree = least_degree(psis[3], 2, tol=max(tol, 1e-9))
-    fits = tuple(fit_gaussian_ratio(f, fit_tol) for f in fs)
-    failures = []
-    if eq_defect > tol:
-        failures.append(f"product equation defect {eq_defect:.3e}")
-    for j, fit in enumerate(fits):
-        if not fit.ok:
-            failures.append(f"factor {j + 1} is not character*gaussian")
-    if not deg.within_bound:
-        failures.append("log-modulus degree bound violated")
-    if extra_degree is None:
-        failures.append("fourth log-modulus is not quadratic on the window")
-    if eq_defect > tol:
-        verdict = VERDICT_MISMATCH
-    elif failures:
-        verdict = VERDICT_NOT_GAUSSIAN
-    else:
-        verdict = VERDICT_GAUSSIAN
-    return GaussianIdentReport("II", tuple(vals), repr(fs[0].domain),
-                               float(eq_defect), deg, extra_degree, fits,
-                               None, tuple(failures), verdict)
+    return _verify_gaussian("II", bs, muhats, nuhats, tol)
 
 
 # -- synthetic instances for campaigns and round-trip tests -----------------------------
 
 
-def form_I_phase_solution(bs: Sequence[Fraction], r1: Fraction,
-                          r2: Fraction) -> tuple[Fraction, ...]:
-    """Phases with ``sum r_j = 0`` and ``sum r_j b_j = 0`` exactly in the rationals."""
+def phase_solution(summed: Sequence[bool], bs: Sequence[Fraction],
+                   r1: Fraction, r2: Fraction) -> tuple[Fraction, ...]:
+    """Phases ``r_3, r_4`` completing ``r_1, r_2`` to ``sum a_j r_j = 0`` and
+    ``sum b_j r_j = 0`` exactly, with ``a_j = 1`` where ``L_1`` sums variable
+    ``j`` and 0 elsewhere: a 2x2 Cramer solve in the rationals."""
+    a = [Fraction(int(s)) for s in summed]
     b = [Fraction(x) for x in bs]
     r1, r2 = Fraction(r1), Fraction(r2)
-    a = -(r1 + r2)
-    c = -(b[0] * r1 + b[1] * r2)
-    det = b[3] - b[2]
+    p = -(a[0] * r1 + a[1] * r2)
+    q = -(b[0] * r1 + b[1] * r2)
+    det = a[2] * b[3] - a[3] * b[2]
     if det == 0:
-        raise DomainError("last two coefficients must differ")
-    r3 = (b[3] * a - c) / det
-    r4 = (c - b[2] * a) / det
-    return (r1, r2, r3, r4)
-
-
-def form_II_phase_solution(bs: Sequence[Fraction], r1: Fraction,
-                           r2: Fraction) -> tuple[Fraction, ...]:
-    """Phases with ``r_1+r_2+r_3 = 0`` and ``sum_{j<=3} r_j b_j + r_4 b_4 = 0``."""
-    b = [Fraction(x) for x in bs]
-    r1, r2 = Fraction(r1), Fraction(r2)
-    r3 = -(r1 + r2)
-    if b[3] == 0:
-        raise DomainError("the fourth coefficient must be nonzero")
-    r4 = -(b[0] * r1 + b[1] * r2 + b[2] * r3) / b[3]
-    return (r1, r2, r3, r4)
+        raise DomainError("the last two coefficient pairs are dependent")
+    return (r1, r2, (p * b[3] - a[3] * q) / det, (a[2] * q - b[2] * p) / det)
 
 
 def form_sigmas(bs: Sequence[Fraction], scale: float,
                 form: str = "I") -> tuple[float, ...]:
-    """Gaussian rates solving the modulus constraints for the given form."""
+    """Gaussian rates solving the modulus constraints for the given form.
+
+    The summed variables take the scaled Vandermonde nullspace; a variable
+    left out of ``L_1`` then balances the ``v^2`` power sum on its own.
+    """
     b = [Fraction(x) for x in bs]
-    if form == "I":
-        null = vandermonde_nullspace(b)
-        return tuple(scale * float(c) for c in null)
-    null = vandermonde_nullspace(b[:3])
-    sig123 = [scale * float(c) for c in null]
-    s2 = sum(s * float(bj) ** 2 for s, bj in zip(sig123, b[:3]))
-    sig4 = -s2 / float(b[3]) ** 2
-    return (*sig123, sig4)
+    m = sum(summed_variables(form, len(b)))
+    sigmas = [scale * float(c) for c in vandermonde_nullspace(b[:m])]
+    if m < len(b):
+        s2 = sum(s * float(bj) ** 2 for s, bj in zip(sigmas, b))
+        sigmas.append(-s2 / float(b[m]) ** 2)
+    return tuple(sigmas)
 
 
 def synth_gaussian_instance(lattice: RationalLattice, bs, seed,
-                            form: str = "I", *, sigma_scale: float = 0.1,
-                            base_sigma: float = 0.25):
-    """Seeded (muhats, nuhats, sigmas, phases) with an exactly valid ratio system."""
+                            form: str = "I"):
+    """Seeded (muhats, nuhats, sigmas, phases) with an exactly valid ratio system.
+
+    Ratio rates are 0.1 times the nullspace generator; every muhat has rate 0.25.
+    """
     vals = [_coeff_value(b) for b in bs]
     rng = np.random.default_rng(seed)
     D = lattice.denominator
     r1 = Fraction(int(rng.integers(0, D)), D)
     r2 = Fraction(int(rng.integers(0, D)), D)
-    if form == "I":
-        phases = form_I_phase_solution(vals, r1, r2)
-    else:
-        phases = form_II_phase_solution(vals, r1, r2)
-    sigmas = form_sigmas(vals, sigma_scale, form)
+    phases = phase_solution(summed_variables(form, 4), vals, r1, r2)
+    sigmas = form_sigmas(vals, 0.1, form)
     muhats, nuhats = [], []
     for j in range(4):
         t = Fraction(int(rng.integers(0, D)), D)
-        mu = character_gaussian_values(lattice, t, base_sigma)
+        mu = character_gaussian_values(lattice, t, 0.25)
         ratio = character_gaussian_values(lattice, phases[j], sigmas[j])
         muhats.append(mu)
         nuhats.append(mu.times(ratio))

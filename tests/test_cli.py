@@ -5,8 +5,9 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import pytest
 
-from groupident.cli import main, parse_group_family
+from groupident.cli import find_shift_coeffs, main, parse_group_family
 from groupident.groups import TABLE_SIZE_LIMIT, Group
 from groupident.fixtures import read_distribution, read_table
 from groupident.reporting import body_bytes, load_schema
@@ -40,6 +41,11 @@ def test_verify_shift_form_II_default_kotlarski(tmp_path):
                            "--form", "II", "--trials", "3", "--seed", "1")
     assert code == 0
     assert report["body"]["coeffs"] == [0, 1, 1]
+
+
+def test_form_II_default_coeffs_on_every_group():
+    for group in parse_group_family("2..12,4x3,5x5"):
+        assert find_shift_coeffs(group, "II") == [0, 1, 1], group
 
 
 def test_verify_shift_expect_negative(tmp_path):
@@ -82,6 +88,20 @@ def test_verify_gaussian_margin_exits_2(capsys):
     for trials in ("0", "-1"):
         assert main(["verify-gaussian", "--trials", trials]) == 2
         assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("form", ["I", "II"])
+@pytest.mark.parametrize("coeffs", ["1,2,3,1/2", "1,2,4,3/2"])
+def test_verify_gaussian_large_modulus_ratios(tmp_path, coeffs, form):
+    # The ratio moduli reach about 5e8 on this window, where one ulp of an
+    # exact ratio exceeds an absolute 1e-8; adversarial trials must still fail.
+    code, report = run_cli(tmp_path, "verify-gaussian", "--base", "2,3",
+                           "--depth", "1", "--radius", "24", "--coeffs",
+                           coeffs, "--form", form, "--trials", "2")
+    assert code == 0
+    trials = report["body"]["trials"]
+    assert [t["verdict"] for t in trials if t["kind"] == "adversarial"] \
+        == ["mismatch", "mismatch"]
 
 
 def test_counterexample_poisson(tmp_path):
@@ -170,12 +190,29 @@ def test_invariants_injected_fault_exits_1(tmp_path):
     assert any("adjoint identity" in v for v in report["body"]["violations"])
 
 
-def test_report_body_determinism(tmp_path):
-    _, first = run_cli(tmp_path, "verify-shift", "--group", "7",
-                       "--trials", "3", "--seed", "11")
-    _, second = run_cli(tmp_path, "verify-shift", "--group", "7",
-                        "--trials", "3", "--seed", "11")
+DETERMINISM_ARGVS = {
+    "verify-shift-I": ["verify-shift", "--group", "7", "--trials", "3"],
+    "verify-shift-II": ["verify-shift", "--group", "5x5", "--form", "II",
+                        "--trials", "3"],
+    "verify-gaussian-I": ["verify-gaussian", "--radius", "20",
+                          "--trials", "1"],
+    "verify-gaussian-II": ["verify-gaussian", "--radius", "20", "--form",
+                           "II", "--trials", "1"],
+    **{kind: ["counterexample", "--kind", kind]
+       for kind in ("poisson-pair", "kernel-mass", "plane-gaussian",
+                    "bernstein")},
+    "invariants": ["invariants", "--groups", "2..6,2x4"],
+}
+
+
+@pytest.mark.parametrize("name", list(DETERMINISM_ARGVS))
+def test_report_body_determinism(tmp_path, name):
+    argv = [*DETERMINISM_ARGVS[name], "--seed", "11"]
+    _, first = run_cli(tmp_path, *argv)
+    _, second = run_cli(tmp_path, *argv)
     assert body_bytes(first) == body_bytes(second)
+    # every command records its wall time outside the body
+    assert first["timings"]["seconds"] > 0
 
 
 def test_module_entrypoint_subprocess(tmp_path):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -10,9 +11,14 @@ from groupident import (Distribution, Endo, Group, ProductEquation,
                         least_degree, locate_character, ratio_diff,
                         shifted_sum_degrees)
 from groupident import bernstein_square_table, consistent_shifts
+from groupident import (verify_form_I, verify_form_II,
+                        verify_gaussian_form_I, verify_gaussian_form_II,
+                        verify_pair_uniqueness)
 from groupident.errors import (DomainError, PreconditionError,
                                VanishingFactorError, WindowMarginError)
-from groupident.funceq import FunctionTable
+from groupident.funceq import (FunctionTable, kernel_conditions,
+                               summed_variables)
+from groupident.identify import VERDICT_PRECONDITIONS
 from groupident.solenoid import make_lattice
 
 
@@ -246,11 +252,49 @@ def test_extract_character_precondition_error():
         extract_character(eq)
 
 
+PAIRS_OF_4 = ["ker(b1-b2)=0", "ker(b1-b3)=0", "ker(b1-b4)=0",
+              "ker(b2-b3)=0", "ker(b2-b4)=0", "ker(b3-b4)=0"]
+
+
+@pytest.mark.parametrize("verify, form, good, bad, labels, broken", [
+    (verify_form_I, "I", (1, 2, 3), (1, 2, 2),
+     ["ker(b1-b2)=0", "ker(b1-b3)=0", "ker(b2-b3)=0"], "ker(b2-b3)=0"),
+    (verify_form_II, "II", (0, 1, 1), (0, 1, 0),
+     ["ker(b1-b2)=0", "ker(b3)=0"], "ker(b3)=0"),
+    (lambda bs, mus, nus: verify_pair_uniqueness(*bs, mus, nus), "I",
+     (1, 2), (2, 2), ["ker(b1-b2)=0"], "ker(b1-b2)=0"),
+    (verify_gaussian_form_I, "I", (1, 2, 3, 4), (1, 2, 3, 3), PAIRS_OF_4,
+     "ker(b3-b4)=0"),
+    (verify_gaussian_form_II, "II", (1, 2, 3, 4), (1, 2, 3, 0),
+     PAIRS_OF_4[:2] + ["ker(b2-b3)=0", "ker(b4)=0"], "ker(b4)=0"),
+], ids=["form-I", "form-II", "pair", "gaussian-I", "gaussian-II"])
+def test_kernel_conditions(verify, form, good, bad, labels, broken):
+    summed = summed_variables(form, len(good))
+    if len(good) == 4:
+        # rational multipliers on a window: a kernel is trivial iff nonzero
+        assert list(kernel_conditions(summed, good)) == labels
+        assert all(kernel_conditions(summed, good).values())
+        assert not kernel_conditions(summed, bad)[broken]
+        ones = [FunctionTable.constant(make_lattice([2, 3, 5], 2, 30))] * 4
+        verify(good, ones, ones)
+        with pytest.raises(PreconditionError, match=re.escape(broken)):
+            verify(bad, ones, ones)
+        return
+    g = Group([7])
+    mus = [Distribution.random(g, [1, j], 0.2) for j in range(len(good))]
+    ok = verify([Endo.scalar(g, c) for c in good], mus, mus)
+    assert list(ok.preconditions) == labels + ["nonvanishing"]
+    assert all(ok.preconditions.values())
+    report = verify([Endo.scalar(g, c) for c in bad], mus, mus)
+    assert report.verdict == VERDICT_PRECONDITIONS
+    assert [k for k, v in report.preconditions.items() if not v] == [broken]
+
+
 def test_extract_character_on_window_phases():
     lat = make_lattice([2, 3, 5], 2, 60)
-    from groupident.solenoid import form_I_phase_solution, character_gaussian_values
+    from groupident.solenoid import phase_solution, character_gaussian_values
     bs = [Fraction(c) for c in (1, 2, 3, 4)]
-    phases = form_I_phase_solution(bs, Fraction(1, 5), Fraction(2, 15))
+    phases = phase_solution((True,) * 4, bs, Fraction(1, 5), Fraction(2, 15))
     fs = [character_gaussian_values(lat, r, 0.0) for r in phases]
     eq = ProductEquation(tuple(zip(fs, bs)))
     assert eq.residual_defect() < 1e-10

@@ -6,11 +6,11 @@ import pytest
 
 from groupident.errors import (DomainError, InvalidEndomorphismError,
                                PreconditionError, WindowMarginError)
-from groupident.funceq import FunctionTable, bernstein_check
+from groupident.funceq import FunctionTable, bernstein_check, summed_variables
 from groupident.solenoid import (SolenoidCharModel, SolenoidEndo,
                                  character_gaussian_values, fit_gaussian_ratio,
-                                 form_I_phase_solution, form_II_phase_solution,
                                  form_sigmas, gaussian_table, make_lattice,
+                                 phase_solution,
                                  synth_gaussian_instance,
                                  vandermonde_nullspace,
                                  verify_gaussian_form_I,
@@ -179,10 +179,12 @@ def test_fit_gaussian_ratio_margin():
 
 def test_phase_solutions_exact():
     bs = [Fraction(b) for b in (1, 2, 3, 4)]
-    rs = form_I_phase_solution(bs, Fraction(1, 7), Fraction(2, 7))
+    rs = phase_solution(summed_variables("I", 4), bs, Fraction(1, 7),
+                        Fraction(2, 7))
     assert sum(rs) == 0
     assert sum(r * b for r, b in zip(rs, bs)) == 0
-    rs2 = form_II_phase_solution(bs, Fraction(1, 5), Fraction(1, 3))
+    rs2 = phase_solution(summed_variables("II", 4), bs, Fraction(1, 5),
+                         Fraction(1, 3))
     assert sum(rs2[:3]) == 0
     assert sum(r * b for r, b in zip(rs2, bs)) == 0
 
