@@ -3,7 +3,9 @@
 Every command emits a JSON report (stdout or ``--out``) whose ``body`` is a
 pure function of the configuration and seed.  Exit codes: 0 when the campaign
 met its expectation, 1 when some trial or invariant failed, 2 for
-configuration, margin, or construction errors.
+configuration or construction errors, including a window too small for the
+verifier.  An error inside one trial is recorded on that trial, which fails,
+and the campaign goes on.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from . import identify, solenoid
 from .distributions import Distribution, LinearFormSpec, joint_char_array
 from .endomorphisms import Endo, annihilator, is_adjoint_pair
-from .errors import GroupIdentError
+from .errors import GroupIdentError, WindowMarginError
 from .funceq import (FunctionTable, bernstein_check, bernstein_square_table,
                      is_character, kernel_conditions, summed_variables)
 from .groups import Group
@@ -87,31 +89,52 @@ def _finish(command: str, config: dict, body: dict, start: float,
     return 0 if body["status"] == "pass" else 1
 
 
+def _trials_body(count: int, roundtrip, adversarial, fields: dict) -> dict:
+    """Body of ``count`` trials, each a roundtrip and an adversarial entry.
+
+    A GroupIdentError inside one is recorded on its entry as ``error``, with
+    ``ok`` false, and the campaign goes on.  A WindowMarginError ends it: the
+    window's margin is fixed by the configuration, so every trial hits it.
+    """
+    trials = []
+    for t in range(count):
+        for kind, run in (("roundtrip", roundtrip),
+                          ("adversarial", adversarial)):
+            try:
+                entry = run(t)
+            except WindowMarginError:
+                raise
+            except GroupIdentError as exc:
+                entry = {"error": str(exc), "ok": False}
+            trials.append({"trial": t, "kind": kind, **entry})
+    failed = sum(not t["ok"] for t in trials)
+    return {"status": "fail" if failed else "pass", **fields,
+            "trials": trials, "counts": {"total": len(trials),
+                                         "failed": failed}}
+
+
 # -- shift campaign ----------------------------------------------------------------
+
+
+def _shift_entry(bs, form, mus, nus, tol, expected, shifts=None) -> dict:
+    report = getattr(identify, "verify_form_" + form)(bs, mus, nus, tol=tol)
+    ok = report.verdict == expected and (shifts is None
+                                         or report.shifts == tuple(shifts))
+    return {**report.to_json_dict(), "expected": expected, "ok": ok}
 
 
 def run_shift_trial(group: Group, bs, form: str, seed, trial: int,
                     tol: float, expect_negative: bool) -> dict:
     mus = [Distribution.random(group, [seed, trial, j], 0.2) for j in range(3)]
-    entry = {"trial": trial, "kind": "roundtrip"}
     if expect_negative:
-        nus = list(mus)
-        expected = identify.VERDICT_PRECONDITIONS
-        shifts = None
-    else:
-        rng = np.random.default_rng([seed, trial, 7])
-        x1 = group.element_at(int(rng.integers(0, group.size)))
-        shifts = consistent_shifts(bs, form, x1)
-        nus = [mu.shift(x) for mu, x in zip(mus, shifts)]
-        expected = identify.VERDICT_SHIFT
-    report = getattr(identify, "verify_form_" + form)(bs, mus, nus, tol=tol)
-    ok = report.verdict == expected
-    if ok and shifts is not None:
-        ok = report.shifts == tuple(shifts)
-    entry.update(report.to_json_dict())
-    entry["expected"] = expected
-    entry["ok"] = bool(ok)
-    return entry
+        return _shift_entry(bs, form, mus, list(mus), tol,
+                            identify.VERDICT_PRECONDITIONS)
+    rng = np.random.default_rng([seed, trial, 7])
+    x1 = group.element_at(int(rng.integers(0, group.size)))
+    shifts = consistent_shifts(bs, form, x1)
+    nus = [mu.shift(x) for mu, x in zip(mus, shifts)]
+    return _shift_entry(bs, form, mus, nus, tol, identify.VERDICT_SHIFT,
+                        shifts)
 
 
 def run_shift_adversarial(group: Group, bs, form: str, seed, trial: int,
@@ -121,14 +144,9 @@ def run_shift_adversarial(group: Group, bs, form: str, seed, trial: int,
     rng = np.random.default_rng([seed, trial, 17])
     x = group.element_at(1 + int(rng.integers(0, group.size - 1)))
     nus = [mus[0].shift(x), mus[1], mus[2]]
-    report = getattr(identify, "verify_form_" + form)(bs, mus, nus, tol=tol)
-    expected = (identify.VERDICT_PRECONDITIONS if expect_negative
-                else identify.VERDICT_MISMATCH)
-    entry = {"trial": trial, "kind": "adversarial"}
-    entry.update(report.to_json_dict())
-    entry["expected"] = expected
-    entry["ok"] = bool(report.verdict == expected)
-    return entry
+    return _shift_entry(bs, form, mus, nus, tol,
+                        identify.VERDICT_PRECONDITIONS if expect_negative
+                        else identify.VERDICT_MISMATCH)
 
 
 def cmd_verify_shift(args) -> int:
@@ -153,25 +171,19 @@ def cmd_verify_shift(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     start = time.perf_counter()
-    trials = []
-    for t in range(args.trials):
-        trials.append(run_shift_trial(group, bs, args.form, args.seed, t,
-                                      args.tol, args.expect_negative))
-        trials.append(run_shift_adversarial(group, bs, args.form, args.seed,
-                                            t, args.tol, args.expect_negative))
-    failed = [t["trial"] for t in trials if not t["ok"]]
-    body = {
-        "status": "pass" if not failed else "fail",
-        "form": args.form,
-        "group": list(group.orders),
-        "coeffs": cs,
-        "preconditions_hold": all(kernel_conditions(
-            summed_variables(args.form, 3), bs).values()),
-        "expect_negative": args.expect_negative,
-        "trials": trials,
-        "counts": {"total": len(trials), "failed": len(failed)},
-        "max_joint_residual": max(t["joint_residual"] for t in trials),
-    }
+    setup = (group, bs, args.form, args.seed)
+    body = _trials_body(
+        args.trials,
+        lambda t: run_shift_trial(*setup, t, args.tol, args.expect_negative),
+        lambda t: run_shift_adversarial(*setup, t, args.tol,
+                                        args.expect_negative),
+        {"form": args.form, "group": list(group.orders), "coeffs": cs,
+         "preconditions_hold": all(kernel_conditions(
+             summed_variables(args.form, 3), bs).values()),
+         "expect_negative": args.expect_negative})
+    body["max_joint_residual"] = max(
+        (t["joint_residual"] for t in body["trials"] if "error" not in t),
+        default=None)
     config = {"group": args.group, "form": args.form, "coeffs": cs,
               "trials": args.trials, "seed": args.seed, "tol": args.tol,
               "expect_negative": args.expect_negative}
@@ -190,25 +202,20 @@ def run_gaussian_trial(lattice, bs, form: str, seed, trial: int,
     sigma_err = max(abs(fit.sigma - s)
                     for fit, s in zip(report.fits, sigmas))
     ok = report.verdict == solenoid.VERDICT_GAUSSIAN and sigma_err < tol
-    entry = {"trial": trial, "kind": "roundtrip", "sigma_error": sigma_err,
-             "expected": solenoid.VERDICT_GAUSSIAN, "ok": bool(ok)}
-    entry.update(report.to_json_dict())
-    return entry
+    return {**report.to_json_dict(), "sigma_error": sigma_err,
+            "expected": solenoid.VERDICT_GAUSSIAN, "ok": ok}
 
 
 def run_gaussian_adversarial(lattice, bs, form: str, seed, trial: int) -> dict:
     muhats, nuhats, _, _ = solenoid.synth_gaussian_instance(
         lattice, bs, [seed, trial, 1], form)
-    quartic = np.array([np.exp(-0.4 * float(p) ** 4) for p in lattice.points])
-    nuhats[0] = FunctionTable(lattice, lattice.points,
-                              nuhats[0].values * quartic)
+    ys = (nuhats[0]._idx / lattice.denominator).tolist()
+    quartic = np.array([np.exp(-0.4 * y ** 4) for y in ys])
+    nuhats[0] = nuhats[0].map_values(lambda v: v * quartic)
     report = getattr(solenoid, "verify_gaussian_form_" + form)(bs, muhats,
                                                               nuhats)
-    ok = report.verdict != solenoid.VERDICT_GAUSSIAN
-    entry = {"trial": trial, "kind": "adversarial",
-             "expected": "negative-verdict", "ok": bool(ok)}
-    entry.update(report.to_json_dict())
-    return entry
+    return {**report.to_json_dict(), "expected": "negative-verdict",
+            "ok": report.verdict != solenoid.VERDICT_GAUSSIAN}
 
 
 def cmd_verify_gaussian(args) -> int:
@@ -223,27 +230,17 @@ def cmd_verify_gaussian(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     start = time.perf_counter()
-    trials = []
+    setup = (lattice, cs, args.form, args.seed)
     try:
-        for t in range(args.trials):
-            trials.append(run_gaussian_trial(lattice, cs, args.form,
-                                             args.seed, t, args.tol))
-            trials.append(run_gaussian_adversarial(lattice, cs, args.form,
-                                                   args.seed, t))
-    except GroupIdentError as exc:
+        body = _trials_body(
+            args.trials,
+            lambda t: run_gaussian_trial(*setup, t, args.tol),
+            lambda t: run_gaussian_adversarial(*setup, t),
+            {"form": args.form, "base": base, "depth": args.depth,
+             "radius": args.radius, "coeffs": [str(c) for c in cs]})
+    except WindowMarginError as exc:
         print(f"margin error: {exc}", file=sys.stderr)
         return 2
-    failed = [t["trial"] for t in trials if not t["ok"]]
-    body = {
-        "status": "pass" if not failed else "fail",
-        "form": args.form,
-        "base": base,
-        "depth": args.depth,
-        "radius": args.radius,
-        "coeffs": [str(c) for c in cs],
-        "trials": trials,
-        "counts": {"total": len(trials), "failed": len(failed)},
-    }
     config = {"base": args.base, "depth": args.depth, "radius": args.radius,
               "coeffs": args.coeffs, "form": args.form, "trials": args.trials,
               "seed": args.seed, "tol": args.tol}

@@ -60,14 +60,16 @@ def _coeff_ratio(beta) -> Fraction | None:
 def _coeff_idx(beta, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index of ``beta`` applied to each point index in ``m``, and where defined.
 
-    A rational ``p/q`` sends ``m`` to ``m*p/q``, a grid point only where that
-    is an integer; an endomorphism maps through its ``index_map``.
+    A rational ``p/q`` sends ``m`` to ``m*p/q`` (exactly, then clipped to
+    ``+-2**62``), a grid point only where that is an integer; an
+    endomorphism maps through its ``index_map``.
     """
     r = _coeff_ratio(beta)
     if r is None:
         return beta.index_map[m], np.ones(len(m), dtype=bool)
-    num = m * r.numerator
-    return num // r.denominator, num % r.denominator == 0
+    num = m.astype(object) * r.numerator
+    return (np.clip(num // r.denominator, -2 ** 62, 2 ** 62).astype(np.int64),
+            num % r.denominator == 0)
 
 
 def summed_variables(form: str, n: int) -> tuple[bool, ...]:
@@ -126,8 +128,10 @@ def require_kernel_conditions(summed: Sequence[bool],
 class FunctionTable:
     """A complex-valued function on (a subset of) a domain.
 
-    ``points`` is the ordered support; ``values`` is the aligned complex
-    vector.  Tables are immutable.
+    ``points`` is the ordered support (group elements, or exact Fractions
+    on a window); ``values`` is the aligned complex vector.  Tables are
+    immutable.  Every operator computes on the points' integer domain
+    indices ``_idx``, which on a window are the grid indices ``m = y*D``.
     """
 
     domain: object
@@ -150,10 +154,6 @@ class FunctionTable:
     def constant(cls, domain, value=1.0) -> "FunctionTable":
         return cls(domain, domain.points,
                    np.full(len(domain.points), value, dtype=np.complex128))
-
-    @cached_property
-    def _index(self) -> dict:
-        return {p: i for i, p in enumerate(self.points)}
 
     @cached_property
     def _idx(self) -> np.ndarray:
@@ -190,14 +190,21 @@ class FunctionTable:
         t.__dict__["_idx"] = self._idx[rows]  # known; skip recomputing
         return t
 
+    def _position(self, p) -> int:
+        """Table position of the point ``p``; -1 where absent or foreign."""
+        try:
+            return int(self._positions(self.domain.indices([p]))[0])
+        except (DomainError, AttributeError, OverflowError):
+            return -1
+
     def __contains__(self, p) -> bool:
-        return p in self._index
+        return self._position(p) >= 0
 
     def __getitem__(self, p) -> complex:
-        try:
-            return complex(self.values[self._index[p]])
-        except KeyError:
-            raise DomainError(f"{p!r} is not in the table domain") from None
+        i = self._position(p)
+        if i < 0:
+            raise DomainError(f"{p!r} is not in the table domain")
+        return complex(self.values[i])
 
     def __len__(self) -> int:
         return len(self.points)
@@ -209,12 +216,6 @@ class FunctionTable:
         if "_idx" in self.__dict__:
             t.__dict__["_idx"] = self._idx  # same points; skip recomputing
         return t
-
-    def conjugate(self) -> "FunctionTable":
-        return self.map_values(np.conj)
-
-    def modulus(self) -> "FunctionTable":
-        return self.map_values(np.abs)
 
     def log_modulus(self) -> "FunctionTable":
         """Real table ``log|f|``; requires a nonvanishing table."""
@@ -241,6 +242,14 @@ class FunctionTable:
         if np.any(den == 0):
             raise VanishingFactorError("division by a vanishing table")
         return self._restrict(has, self.values[has] / den)
+
+    def pullback(self, beta) -> "FunctionTable":
+        """The table ``v -> f(beta v)`` where ``beta v`` is in the table."""
+        whole = FunctionTable.constant(self.domain)
+        img, ok = _coeff_idx(beta, whole._idx)
+        q = np.where(ok, self._positions(img), -1)
+        rows = np.flatnonzero(q >= 0)
+        return whole._restrict(rows, self.values[q[rows]])
 
     def times(self, other: "FunctionTable") -> "FunctionTable":
         """Pointwise ``self*other`` on the common support."""

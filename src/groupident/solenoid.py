@@ -2,8 +2,10 @@
 
 The character group of an a-adic solenoid is the discrete group of rationals
 ``m/(a_0 a_1 ... a_n)``.  All computations here happen on finite symmetric
-windows of that group, held as exact ``Fraction`` points; the compact group
-itself is never materialized.  Characters on a window are parameterized by a
+windows of that group; the compact group itself is never materialized.
+Points, phases and coefficients are exact ``Fraction`` values at the API,
+while all window arithmetic runs on the integer grid indices ``m = y*D``
+with ``D = a_0...a_n``.  Characters on a window are parameterized by a
 compatible phase sequence, Gaussian characteristic functions by a phase plus
 a quadratic decay rate, and endomorphisms by multiplication with admissible
 rationals, for which all kernel conditions reduce to being nonzero.
@@ -14,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -24,7 +26,7 @@ import numpy as np
 from .errors import (DomainError, InvalidEndomorphismError, PreconditionError,
                      VanishingFactorError, WindowMarginError)
 from .funceq import (DegreeReport, FunctionTable, ProductEquation,
-                     character_defect, is_character, least_degree,
+                     character_defect, least_degree,
                      require_kernel_conditions, shifted_sum_degrees,
                      summed_variables)
 
@@ -163,13 +165,11 @@ def character_gaussian_values(lattice: RationalLattice, phase: Fraction,
     The sign of ``sigma`` is free here; this is the building block for ratio
     tables, where a negative rate means the Gaussian sits on the other side.
     """
-    phase = Fraction(phase)
-    D = lattice.denominator
-    vals = []
-    for p in lattice.points:
-        m = int(p * D)
-        ang = 2.0 * math.pi * float(_frac_mod1(m * phase))
-        vals.append(cmath.exp(1j * ang) * math.exp(-sigma * float(p) ** 2))
+    a, b = Fraction(phase).as_integer_ratio()
+    D, r = lattice.denominator, lattice.radius
+    # Exact turns (m a mod b)/b; each value keeps CPython's exp and product.
+    vals = [cmath.exp(1j * (2.0 * math.pi * (m * a % b / b)))
+            * math.exp(-sigma * (m / D) ** 2) for m in range(-r, r + 1)]
     return FunctionTable(lattice, lattice.points, np.array(vals))
 
 
@@ -259,13 +259,7 @@ class GaussianFitResult:
     ok: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "sigma": self.sigma,
-            "modulus_residual": self.modulus_residual,
-            "phase_is_character": self.phase_is_character,
-            "phase_defect": self.phase_defect,
-            "ok": self.ok,
-        }
+        return asdict(self)
 
 
 def fit_gaussian_ratio(f: FunctionTable, tol: float = FIT_TOL) -> GaussianFitResult:
@@ -283,20 +277,21 @@ def fit_gaussian_ratio(f: FunctionTable, tol: float = FIT_TOL) -> GaussianFitRes
         raise WindowMarginError("gaussian fit needs at least 3 points per side")
     if not f.nonvanishing(0.0):
         raise VanishingFactorError("gaussian fit needs a nonvanishing table")
-    pts = sorted(f.points)
-    mods = [abs(f[p]) for p in pts]
+    order = np.argsort(f._idx)
+    # hypot rounds as CPython's abs(complex); logs and exps stay per element.
+    mods = np.hypot(f.values.real, f.values.imag)[order].tolist()
+    ys = (f._idx[order] / f.domain.denominator).tolist()
     logs = [math.log(m) for m in mods]
-    num = math.fsum(-float(p) ** 2 * lg for p, lg in zip(pts, logs))
-    den = math.fsum(float(p) ** 4 for p in pts)
+    num = math.fsum(-y ** 2 * lg for y, lg in zip(ys, logs))
+    den = math.fsum(y ** 4 for y in ys)
     sigma = num / den if den > 0 else 0.0
-    devs = [abs(m - math.exp(-sigma * float(p) ** 2))
-            for p, m in zip(pts, mods)]
+    devs = [abs(m - math.exp(-sigma * y ** 2)) for y, m in zip(ys, mods)]
     # The bound is relative where the modulus exceeds 1: an exact ratio
     # with modulus near 5e8 carries rounding of about 1e-7.
     modulus_ok = all(d <= tol * max(1.0, m) for d, m in zip(devs, mods))
-    phase = f.phase_part()
-    defect = character_defect(phase)
-    phase_ok = is_character(phase, tol=max(tol, 1e-9))
+    defect = character_defect(f.phase_part())
+    # On a window, is_character is exactly this test of the same defect.
+    phase_ok = not defect > max(tol, 1e-9)
     ok = modulus_ok and phase_ok
     return GaussianFitResult(float(sigma), float(max(devs)), bool(phase_ok),
                              float(defect), bool(ok))
@@ -376,19 +371,18 @@ def _verify_gaussian(form: str, bs, muhats: Sequence[FunctionTable],
     lattice, m = fs[0].domain, sum(summed)
     rhs = None
     if m < 4:
-        # Right-hand side 1/f4(b4 v), defined where b4 v stays in the table.
-        pts = tuple(v for v in lattice.points if vals[3] * v in fs[3])
-        if not pts:
+        # Right-hand side 1/f4(b4 v), defined where b4 v stays in the table;
+        # each quotient keeps CPython's complex division.
+        rhs = fs[3].pullback(vals[3]).map_values(
+            lambda v: np.array([1.0 / z for z in v.tolist()]))
+        if not len(rhs):
             raise WindowMarginError("fourth coefficient maps the window outside")
-        rhs = FunctionTable(lattice, pts, np.array(
-            [1.0 / fs[3][vals[3] * v] for v in pts]))
     eq_defect = ProductEquation(tuple(zip(fs[:m], vals[:m])),
                                 rhs).residual_defect()
     psis = [f.log_modulus() for f in fs]
     neg_psi4 = extra_degree = sums = None
     if rhs is not None:
-        neg_psi4 = FunctionTable(lattice, rhs.points, np.array(
-            [-psis[3][vals[3] * v] for v in rhs.points]))
+        neg_psi4 = psis[3].pullback(vals[3]).map_values(np.negative)
         extra_degree = least_degree(psis[3], 2, tol=max(tol, 1e-9))
     deg = shifted_sum_degrees(psis[:m], vals[:m], neg_psi4,
                               tol=max(tol, 1e-9))

@@ -208,3 +208,36 @@ def sum_defect_oracle(add, tables, coeffs, rhs, vs):
     """Sup of |sum_j f_j(u + b_j v) - rhs(v)|; None when no pair fits."""
     return _equation_oracle(add, tables, coeffs, rhs, vs,
                             lambda vals, r: abs(sum(vals) - (r or 0.0)))
+
+
+# -- Gaussian window oracles --------------------------------------------------
+#
+# The per-point Fraction evaluation of character-Gaussian tables and of the
+# modulus part of the Gaussian fit, with CPython and libm arithmetic on
+# Fraction window points.  A table is a dict mapping points to complex values.
+
+
+def character_gaussian_oracle(points, denominator, phase, sigma):
+    """``exp(2 pi i {m phase}) * exp(-sigma y^2)`` for each ``y = m/D``."""
+    phase = Fraction(phase)
+    vals = []
+    for p in points:
+        turn = p * denominator * phase
+        ang = 2.0 * math.pi * float(turn - math.floor(turn))
+        vals.append(cmath.exp(1j * ang) * math.exp(-sigma * float(p) ** 2))
+    return vals
+
+
+def gaussian_fit_oracle(table, tol):
+    """(sigma, largest modulus deviation, modulus verdict) of the fit of
+    ``log|f|`` against ``-y^2``, summed in point order."""
+    pts = sorted(table)
+    mods = [abs(table[p]) for p in pts]
+    logs = [math.log(m) for m in mods]
+    num = math.fsum(-float(p) ** 2 * lg for p, lg in zip(pts, logs))
+    den = math.fsum(float(p) ** 4 for p in pts)
+    sigma = num / den if den > 0 else 0.0
+    devs = [abs(m - math.exp(-sigma * float(p) ** 2))
+            for p, m in zip(pts, mods)]
+    return (sigma, max(devs),
+            all(d <= tol * max(1.0, m) for d, m in zip(devs, mods)))

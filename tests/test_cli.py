@@ -90,6 +90,47 @@ def test_verify_gaussian_margin_exits_2(capsys):
         assert "config error" in capsys.readouterr().err
 
 
+def test_verify_gaussian_trial_error_is_recorded(tmp_path):
+    # At radius 200 the adversarial quartic underflows to 0, so that trial
+    # raises; the roundtrip still passes and the campaign exits 1, not 2.
+    code, report = run_cli(tmp_path, "verify-gaussian", "--radius", "200",
+                           "--trials", "1")
+    assert code == 1
+    roundtrip, adversarial = report["body"]["trials"]
+    assert roundtrip["kind"] == "roundtrip" and roundtrip["ok"]
+    assert adversarial["kind"] == "adversarial" and not adversarial["ok"]
+    assert "nonvanishing" in adversarial["error"]
+    assert report["body"]["counts"] == {"total": 2, "failed": 1}
+    jsonschema.validate(report, load_schema())
+
+
+def test_verify_shift_trial_error_is_recorded(tmp_path, monkeypatch):
+    from groupident import identify
+    from groupident.errors import PreconditionError
+
+    real, calls = identify.verify_form_I, []
+
+    def flaky(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:  # the roundtrip of trial 1
+            raise PreconditionError("injected")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(identify, "verify_form_I", flaky)
+    code, report = run_cli(tmp_path, "verify-shift", "--trials", "3")
+    assert code == 1
+    trials = report["body"]["trials"]
+    assert [(t["trial"], t["kind"]) for t in trials] == [
+        (t, kind) for t in range(3) for kind in ("roundtrip", "adversarial")]
+    assert trials[2] == {"trial": 1, "kind": "roundtrip",
+                         "error": "injected", "ok": False}
+    assert all(t["ok"] for i, t in enumerate(trials) if i != 2)
+    assert report["body"]["counts"] == {"total": 6, "failed": 1}
+    assert report["body"]["max_joint_residual"] == max(
+        t["joint_residual"] for i, t in enumerate(trials) if i != 2)
+    jsonschema.validate(report, load_schema())
+
+
 @pytest.mark.parametrize("form", ["I", "II"])
 @pytest.mark.parametrize("coeffs", ["1,2,3,1/2", "1,2,4,3/2"])
 def test_verify_gaussian_large_modulus_ratios(tmp_path, coeffs, form):

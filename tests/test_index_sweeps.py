@@ -16,6 +16,10 @@ rational coefficients), on full, partial and irregular supports.
 Differences and sums must agree exactly up to the final ``abs``; products
 and quotients within a few ulps of their magnitude, since numpy may round
 complex products differently from CPython.
+
+Pullbacks, point lookups, character-Gaussian tables and the Gaussian fit
+run on grid indices; they must equal the per-point Fraction evaluation
+exactly.
 """
 
 import operator
@@ -34,11 +38,15 @@ from groupident.funceq import (FunctionTable, ProductEquation, _sum_defect,
                                bernstein_square_table, character_defect, diff,
                                is_character, is_polynomial, locate_character,
                                ratio_diff)
-from groupident.solenoid import make_lattice
+from groupident.groups import Element
+from groupident.solenoid import (FIT_TOL, SolenoidEndo,
+                                 character_gaussian_values,
+                                 fit_gaussian_ratio, make_lattice)
 
 from oracles import (adjoint_pair_oracle, annihilator_oracle,
-                     bernstein_oracle, character_defect_oracle, diff_oracle,
-                     endo_coeff, group_add, hermitian_defect_oracle,
+                     bernstein_oracle, character_defect_oracle,
+                     character_gaussian_oracle, diff_oracle, endo_coeff,
+                     gaussian_fit_oracle, group_add, hermitian_defect_oracle,
                      is_polynomial_oracle, is_subgroup_oracle,
                      locate_character_oracle, residual_defect_oracle,
                      sum_defect_oracle, window_steps_oracle)
@@ -255,7 +263,8 @@ def test_equation_sweeps_match_oracles_on_groups(orders):
 
 LATTICES = [make_lattice([2, 3], 1, 12), make_lattice([3], 0, 10)]
 WINDOW_COEFFS = [(1, 2, 3), (1, Fraction(3, 2), Fraction(1, 3)),
-                 (Fraction(1, 3), 2, Fraction(-3, 2))]
+                 (Fraction(1, 3), 2, Fraction(-3, 2)),
+                 (1, 2 ** 63 - 1, Fraction(2 ** 62 + 1, 3))]
 
 
 def window_supports(lat, rng):
@@ -328,3 +337,181 @@ def test_disjoint_window_supports_raise_margin_errors():
                     [lambda v: 0 * v] * 2, pts, lambda p: p)
     check_equations([low, high], [0, Fraction(1, 3)], None, operator.add,
                     [lambda v: 0 * v, lambda v: v / 3], pts, lambda p: p)
+
+
+# -- pullbacks and point lookups ------------------------------------------------
+
+# The last two overflow int64 products of point indices.
+PULLBACK_COEFFS = [1, 2, Fraction(1, 2), Fraction(3, 2), Fraction(-3, 2),
+                   Fraction(1, 3), 2 ** 63 - 1, Fraction(2 ** 62 + 1, 3)]
+
+
+def check_pullback(f, beta, want, key):
+    g = f.pullback(beta)
+    assert [key(p) for p in g.points] == list(want), beta
+    assert g.values.tolist() == list(want.values()), beta
+    assert g._idx.tolist() == f.domain.indices(g.points).tolist(), beta
+
+
+@pytest.mark.parametrize("lat", LATTICES, ids=repr)
+def test_pullback_matches_pointwise_lookup_on_windows(lat):
+    rng = np.random.default_rng([5, lat.radius, lat.denominator])
+    for label, pts in window_supports(lat, rng).items():
+        f = FunctionTable(lat, pts, random_values(rng, len(pts)))
+        table = as_dict(f)
+        for b in PULLBACK_COEFFS:
+            want = {v: table[b * v] for v in lat.points if b * v in table}
+            check_pullback(f, b, want, lambda p: p)
+    endo = SolenoidEndo(lat, Fraction(-3))
+    check_pullback(f, endo, {v: table[endo.apply(v)] for v in lat.points
+                             if endo.apply(v) in table}, lambda p: p)
+
+
+@pytest.mark.parametrize("orders", GROUPS, ids=lambda o: "x".join(map(str, o)))
+def test_pullback_matches_pointwise_lookup_on_groups(orders):
+    g = Group(orders)
+    rng = np.random.default_rng([13, *orders])
+    elements = [x.coords for x in g.elements()]
+    keep = rng.random(g.size) < 0.6
+    for support in (np.ones(g.size, dtype=bool), keep):
+        pts = tuple(x for x, k in zip(g.elements(), support) if k)
+        f = FunctionTable(g, pts, random_values(rng, len(pts)))
+        table = as_dict(f, coords)
+        for e in _suite_endos(g, list(orders)):
+            apply = endo_coeff(orders, e.matrix)
+            want = {x: table[apply(x)] for x in elements if apply(x) in table}
+            check_pullback(f, e, want, coords)
+
+
+def check_lookups(f, table, keys):
+    for k in keys:
+        assert (k in f) == (k in table), k
+        if k in table:
+            assert f[k] == table[k], k
+        else:
+            with pytest.raises(DomainError):
+                f[k]
+
+
+def test_window_lookups_match_point_dict():
+    lat = LATTICES[0]
+    D, r = lat.denominator, lat.radius
+    rng = np.random.default_rng(17)
+    for pts in (lat.points, lat.points[::2], lat.points[3:-1]):
+        f = FunctionTable(lat, pts, random_values(rng, len(pts)))
+        table = dict(zip(pts, f.values.tolist()))
+        off_grid = [Fraction(1, 2 * D), Fraction(-7, 5 * D)]
+        outside = [Fraction(r + 1, D), Fraction(-r - 1, D),
+                   Fraction(10 ** 30, D), Fraction(-(10 ** 30) - 1, 3)]
+        foreign = [0, 1, -2, True, "0", None, (0,), Element((0,)),
+                   Group([3]).zero]
+        check_lookups(f, table, [*lat.points, *off_grid, *outside, *foreign])
+        # Points are exact: a float equal to a grid point is not a key.
+        for y in (0.0, float(pts[1])):
+            assert y not in f
+            with pytest.raises(DomainError):
+                f[y]
+
+
+def test_group_lookups_match_point_dict():
+    g = Group([4, 6])
+    rng = np.random.default_rng(19)
+    keep = rng.random(g.size) < 0.6
+    pts = tuple(x for x, k in zip(g.elements(), keep) if k)
+    f = FunctionTable(g, pts, random_values(rng, len(pts)))
+    table = dict(zip(pts, f.values.tolist()))
+    foreign = [Element((4, 0)), Element((0, -1)), Element((1,)),
+               Element((0, 0, 0)), Fraction(0), 0, "x", None, (0, 0)]
+    check_lookups(f, table, [*g.elements(), *foreign])
+
+
+# -- character-Gaussian tables and the Gaussian fit ------------------------------
+
+GAUSS_LATTICES = [make_lattice([2, 3, 5], d, r)
+                  for d, r in ((0, 3), (1, 40), (2, 200), (2, 7))]
+GAUSS_LATTICES += [make_lattice([2, 3], 1, r) for r in (3, 24, 111)]
+
+
+def random_phases(rng):
+    """Phases with small, large (above 2^40) and huge (numerator above 2^62)
+    terms, of both signs and outside [0, 1)."""
+    yield Fraction(0)
+    yield Fraction(int(rng.integers(0, 30)), 30)
+    yield Fraction(int(rng.integers(-10 ** 6, 10 ** 6)), 999983)
+    big = 2 ** 40 + int(rng.integers(1, 2 ** 20))
+    yield Fraction(int(rng.integers(0, big)), big)
+    yield Fraction(2 ** 62 + int(rng.integers(1, 2 ** 40)), 2 ** 41 + 3)
+    yield Fraction(-(2 ** 63) - int(rng.integers(1, 2 ** 40)),
+                   2 ** 43 + 2 * int(rng.integers(0, 2 ** 30)) + 1)
+
+
+@pytest.mark.parametrize("lat", GAUSS_LATTICES, ids=repr)
+def test_character_gaussian_values_match_oracle(lat):
+    rng = np.random.default_rng([23, lat.radius, lat.denominator])
+    for phase in random_phases(rng):
+        for sigma in (0.0, 0.25, -0.2, float(rng.normal()), 1e-4):
+            try:
+                want = character_gaussian_oracle(lat.points, lat.denominator,
+                                                 phase, sigma)
+            except OverflowError:  # exp(-sigma y^2) beyond the float range
+                with pytest.raises(OverflowError):
+                    character_gaussian_values(lat, phase, sigma)
+                continue
+            f = character_gaussian_values(lat, phase, sigma)
+            assert f.points == lat.points
+            assert f.values.tolist() == want, (phase, sigma)
+
+
+def fit_cases(lat, rng):
+    """Nonvanishing tables of at least 7 points for the Gaussian fit."""
+    pts, D = lat.points, lat.denominator
+    ys = np.array([float(p) for p in pts])
+    for sigma in (0.3, -0.05, 0.0, float(rng.normal())):
+        phase = Fraction(int(rng.integers(0, D)), D)
+        f = character_gaussian_values(lat, phase, sigma)
+        yield f
+        yield f.times(character_gaussian_values(lat, Fraction(1, D), 0.25))
+        yield f.map_values(lambda v: v * np.exp(-0.4 * ys ** 4))
+        yield f.map_values(lambda v: v * (1 + 1e-8 * rng.normal(size=len(v))))
+        even = slice(lat.radius % 2, None, 2)  # every other point, with 0
+        yield FunctionTable(lat, pts[even], f.values[even])
+    keep = rng.random(len(pts)) < 0.7
+    keep[:7] = True
+    sub = tuple(p for p, k in zip(pts, keep) if k)
+    yield FunctionTable(lat, sub, random_values(rng, len(sub)))
+
+
+@pytest.mark.parametrize("lat", [g for g in GAUSS_LATTICES if g.radius >= 3],
+                         ids=repr)
+def test_fit_gaussian_ratio_matches_oracle(lat):
+    rng = np.random.default_rng([29, lat.radius, lat.denominator])
+    for f in fit_cases(lat, rng):
+        if len(f) < 7 or not f.nonvanishing():
+            with pytest.raises((WindowMarginError, VanishingFactorError)):
+                fit_gaussian_ratio(f)
+            continue
+        sigma, residual, modulus_ok = gaussian_fit_oracle(as_dict(f), FIT_TOL)
+        # The parent's verdict: modulus test and is_character on the phase.
+        ok = modulus_ok and is_character(f.phase_part(),
+                                         tol=max(FIT_TOL, 1e-9))
+        fit = fit_gaussian_ratio(f)
+        assert (fit.sigma, fit.modulus_residual, fit.ok) \
+            == (sigma, residual, ok)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fit_gaussian_ratio_nan_defect_verdict():
+    # An infinite value gives a NaN phase defect, which is_character accepts.
+    lat = LATTICES[1]
+    f = character_gaussian_values(lat, Fraction(1, 3), 0.1)
+    vals = f.values.copy()
+    vals[2] = np.inf
+    f = FunctionTable(lat, f.points, vals)
+    fit = fit_gaussian_ratio(f)
+    assert np.isnan(fit.phase_defect)
+    assert fit.phase_is_character == is_character(f.phase_part(),
+                                                  tol=max(FIT_TOL, 1e-9))
+    sigma, residual, modulus_ok = gaussian_fit_oracle(as_dict(f), FIT_TOL)
+    assert fit.ok == (modulus_ok and fit.phase_is_character)
+    assert (repr(fit.sigma), repr(fit.modulus_residual)) \
+        == (repr(sigma), repr(residual))

@@ -45,6 +45,9 @@ ARGVS = [
     *(_gauss(form, r) for r in (20, 60, 160) for form in ("I", "II")),
     *(_gauss(form, 18, "--base", "2,3", "--depth", "1",
              "--coeffs", "1/2,1,3/2,2") for form in ("I", "II")),
+    # Large ratio moduli; form II evaluates 1/f4(b4 v) on every other point.
+    *(_gauss(form, 24, "--base", "2,3", "--depth", "1", "--coeffs", coeffs)
+      for coeffs in ("1,2,3,1/2", "1,2,4,3/2") for form in ("I", "II")),
     *(["counterexample", "--kind", kind]
       for kind in ("poisson-pair", "kernel-mass", "plane-gaussian",
                    "bernstein")),
