@@ -87,7 +87,8 @@ def _trivial_kernel(beta, minus=None) -> bool:
     r = _coeff_ratio(beta)
     s = Fraction(0) if minus is None else _coeff_ratio(minus)
     if r is None or s is None:
-        return len((beta if minus is None else beta - minus).kernel()) == 1
+        e = beta if minus is None else beta - minus
+        return bool(np.count_nonzero(e.index_map == 0) == 1)
     return r != s
 
 

@@ -194,13 +194,40 @@ class Group:
         C = self.coords_array
         return self.compose((-C[i, k]) % n for k, n in enumerate(self.orders))
 
+    def box_idx(self, i) -> np.ndarray:
+        """Index of ``element_at(i)`` in the doubled coordinate box
+        ``Z_{2n_1} x ... x Z_{2n_k}``, read without reduction.
+
+        Coordinates of a sum of two elements stay below ``2n`` on each axis,
+        so the box index of the unreduced sum is ``box_idx(i) + box_idx(j)``,
+        and ``box_tile(f)`` holds ``f`` of the reduced sum there.
+        """
+        C = self.coords_array
+        total = 0
+        for k, n in enumerate(self.orders):
+            total = total * (2 * n) + C[i, k]
+        return total
+
+    def box_tile(self, values: np.ndarray) -> np.ndarray:
+        """``values`` tiled over the doubled box, so that
+        ``box_tile(f)[box_idx(i) + box_idx(j)] == f[add_idx(i, j)]``."""
+        return values[self._box_source]
+
+    @cached_property
+    def _box_source(self) -> np.ndarray:
+        """Index of the element at each point of the doubled box."""
+        return np.tile(np.arange(self.size).reshape(self.orders),
+                       (2,) * self.rank).reshape(-1)
+
     def phase_idx(self, i, j) -> np.ndarray:
         """Exact ``pair_phase(element_at(i), element_at(j))``."""
         L, C = self.exponent, self.coords_array
+        # Each term is below L^2 and L is at most the group size, so the sum
+        # fits in int64 and one reduction at the end suffices.
         total = 0
         for k, n in enumerate(self.orders):
-            total = (total + C[i, k] * ((C[j, k] * (L // n)) % L)) % L
-        return total
+            total = total + C[i, k] * ((C[j, k] * (L // n)) % L)
+        return total % L
 
     # -- dense helper tables (desk scale only) -------------------------------
 
@@ -219,8 +246,17 @@ class Group:
 
     @cached_property
     def pairing_matrix(self) -> np.ndarray:
-        """``P[i, j] = pair(element_at(i), element_at(j))`` as complex doubles."""
-        return self.roots[self.phase_matrix]
+        """``P[i, j] = pair(element_at(i), element_at(j))`` as complex doubles.
+
+        Filled from ``phase_idx`` one row block at a time, so the phases
+        never exist as a whole ``n x n`` table.
+        """
+        self._require_table_capacity("the pairing matrix")
+        every = np.arange(self.size)
+        out = np.empty((self.size, self.size), dtype=np.complex128)
+        for rows in row_blocks(self.size, self.size):
+            out[rows] = self.roots[self.phase_idx(every[rows, None], every)]
+        return out
 
     @cached_property
     def add_table(self) -> np.ndarray:
@@ -239,7 +275,7 @@ class Group:
 PAIR_BLOCK = 1 << 18
 
 
-def row_blocks(rows: int, cols: int) -> list[slice]:
-    """Row slices of a ``rows x cols`` pair sweep, about PAIR_BLOCK each."""
-    step = max(1, PAIR_BLOCK // max(cols, 1))
+def row_blocks(rows: int, cols: int, block: int = PAIR_BLOCK) -> list[slice]:
+    """Row slices of a ``rows x cols`` pair sweep, about ``block`` pairs each."""
+    step = max(1, block // max(cols, 1))
     return [slice(a, a + step) for a in range(0, rows, step)]

@@ -1,9 +1,17 @@
-"""Independent exact-arithmetic oracles shared by the test modules."""
+"""Independent oracles shared by the test modules: exact-arithmetic loops,
+and the dense-table implementations that faster paths replaced."""
 
 import cmath
 import math
 from fractions import Fraction
 from itertools import product
+
+import numpy as np
+
+from groupident import Endo
+from groupident.distributions import LinearFormSpec
+from groupident.errors import CapacityError, DomainError
+from groupident.funceq import kernel_conditions, summed_variables
 
 
 def rational_rref_nullspace(rows):
@@ -241,3 +249,89 @@ def gaussian_fit_oracle(table, tol):
             for p, m in zip(pts, mods)]
     return (sigma, max(devs),
             all(d <= tol * max(1.0, m) for d, m in zip(devs, mods)))
+
+
+# -- dense-table oracles on finite groups --------------------------------------
+#
+# The dense ``n x n`` joint tables and the exhaustive shift search that the
+# row-blocked sweeps and the screened search replaced, kept as they were.
+# They read the package's ``add_table`` and ``pairing_matrix``, so they check
+# the index arithmetic and the screen, with results compared by ``==``.
+
+
+def joint_char_array_dense(spec, dists):
+    """``(u, v)`` grid of ``prod_j char_j(adj(a_j) u + adj(b_j) v)``."""
+    g = spec.group
+    if len(dists) != spec.arity:
+        raise DomainError("distribution count must match the arity")
+    for d in dists:
+        if d.group != g:
+            raise DomainError("distributions live on a different group")
+    if g.size ** 2 > 4_000_000:
+        raise CapacityError("joint table would exceed the size limit")
+    add = g.add_table
+    out = np.ones((g.size, g.size), dtype=np.complex128)
+    for a, b, d in zip(spec.coeffs1, spec.coeffs2, dists):
+        ua = a.adjoint().index_map
+        vb = b.adjoint().index_map
+        out *= d.char_array[add[ua[:, None], vb[None, :]]]
+    return out
+
+
+def joint_residual_dense(spec, mus, nus):
+    return float(np.max(np.abs(joint_char_array_dense(spec, mus)
+                               - joint_char_array_dense(spec, nus))))
+
+
+def recover_shift_dense(mu, nu, tol=1e-8):
+    """The ``x`` with ``nu_hat = mu_hat * pair(x, .)`` everywhere, if one exists."""
+    g = mu.group
+    P = g.pairing_matrix
+    dev = np.max(np.abs(nu.char_array[None, :] - mu.char_array[None, :] * P),
+                 axis=1)
+    best = int(np.argmin(dev))
+    if dev[best] < tol:
+        return g.element_at(best)
+    return None
+
+
+def poisson_closed_form_dense(bs, a, mu_rest=None):
+    """The closed-form joint value ``e^{-4a} exp(4a (x0,u)(x~,v)) mu_hat(u+b3~v)``."""
+    g = bs[0].group
+    kernel = (bs[0] - bs[1]).kernel()
+    x0 = next(x for x in kernel if x != g.zero)
+    xt = bs[0].apply(x0)
+    P = g.pairing_matrix
+    row_u = P[g.index(x0)]
+    row_v = P[g.index(xt)]
+    out = np.exp(-4 * a) * np.exp(4 * a * row_u[:, None] * row_v[None, :])
+    if len(bs) == 3:
+        add = g.add_table
+        vb = bs[2].adjoint().index_map
+        out = out * mu_rest.char_array[add[np.arange(g.size)[:, None],
+                                           vb[None, :]]]
+    return out
+
+
+def poisson_deviations_dense(bs, a, mu_rest, mus, nus):
+    """(joint residual, closed-form deviation) as the poisson-pair command
+    computed them from whole tables."""
+    lhs = joint_char_array_dense(LinearFormSpec.form_I(bs), mus)
+    rhs = joint_char_array_dense(LinearFormSpec.form_I(bs), nus)
+    closed = poisson_closed_form_dense(bs, a, mu_rest)
+    residual = float(np.max(np.abs(lhs - rhs)))
+    closed_dev = float(max(np.max(np.abs(lhs - closed)),
+                           np.max(np.abs(rhs - closed))))
+    return residual, closed_dev
+
+
+def find_shift_coeffs_search(group, form):
+    """First scalar coefficient triple, in lexicographic order over
+    ``0..min(exponent, 12)-1``, satisfying the kernel conditions."""
+    summed = summed_variables(form, 3)
+    span = range(min(group.exponent, 12))
+    scalars = [Endo.scalar(group, c) for c in span]
+    for cs in product(span, repeat=3):
+        if all(kernel_conditions(summed, [scalars[c] for c in cs]).values()):
+            return list(cs)
+    return None

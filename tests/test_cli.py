@@ -73,6 +73,13 @@ def test_verify_shift_impossible_coeffs_exits_2(capsys):
     assert "kernel conditions" in capsys.readouterr().err
 
 
+def test_verify_shift_even_exponent_form_I_exits_2(capsys):
+    # find_shift_coeffs decides form I from the exponent's parity, with no
+    # search over coefficient triples
+    assert main(["verify-shift", "--group", "100x100", "--trials", "1"]) == 2
+    assert "kernel conditions" in capsys.readouterr().err
+
+
 def test_verify_gaussian_campaign(tmp_path):
     code, report = run_cli(tmp_path, "verify-gaussian", "--trials", "2",
                            "--seed", "5", "--radius", "40")

@@ -20,6 +20,10 @@ complex products differently from CPython.
 Pullbacks, point lookups, character-Gaussian tables and the Gaussian fit
 run on grid indices; they must equal the per-point Fraction evaluation
 exactly.
+
+The row-blocked joint-law sweeps, the Poisson closed form and the screened
+shift search must equal the dense ``n x n`` tables they replaced, kept in
+``oracles.py``, exactly: same doubles, same residuals, same element.
 """
 
 import operator
@@ -28,16 +32,25 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from groupident import Endo, Group, annihilator, is_subgroup
-from groupident.cli import _suite_endos
+from groupident import (Distribution, Endo, Group, LinearFormSpec,
+                        annihilator, consistent_shifts, is_subgroup,
+                        joint_char_array, kernel_counterexample,
+                        poisson_closed_form_array, poisson_counterexample,
+                        recover_shift, verify_form_I, verify_form_II)
+from groupident.cli import _suite_endos, find_shift_coeffs, main
+from groupident.distributions import joint_residual
 from groupident.endomorphisms import is_adjoint_pair
 from groupident.errors import (DomainError, VanishingFactorError,
                                WindowMarginError)
 from groupident.funceq import (FunctionTable, ProductEquation, _sum_defect,
                                _sweep_max, bernstein_check,
                                bernstein_square_table, character_defect, diff,
-                               is_character, is_polynomial, locate_character,
+                               is_character, is_polynomial,
+                               kernel_conditions, locate_character,
                                ratio_diff)
+from groupident import identify
+from groupident.identify import (SCREEN_MIN_SIZE, VERDICT_SHIFT,
+                                 _shift_screen, poisson_pair_deviations)
 from groupident.groups import Element
 from groupident.solenoid import (FIT_TOL, SolenoidEndo,
                                  character_gaussian_values,
@@ -46,9 +59,12 @@ from groupident.solenoid import (FIT_TOL, SolenoidEndo,
 from oracles import (adjoint_pair_oracle, annihilator_oracle,
                      bernstein_oracle, character_defect_oracle,
                      character_gaussian_oracle, diff_oracle, endo_coeff,
-                     gaussian_fit_oracle, group_add, hermitian_defect_oracle,
-                     is_polynomial_oracle, is_subgroup_oracle,
-                     locate_character_oracle, residual_defect_oracle,
+                     find_shift_coeffs_search, gaussian_fit_oracle, group_add,
+                     hermitian_defect_oracle, is_polynomial_oracle,
+                     is_subgroup_oracle, joint_char_array_dense,
+                     joint_residual_dense, locate_character_oracle,
+                     poisson_closed_form_dense, poisson_deviations_dense,
+                     recover_shift_dense, residual_defect_oracle,
                      sum_defect_oracle, window_steps_oracle)
 
 GROUPS = [(n,) for n in range(2, 13)] + [(2, 4), (3, 3, 2), (4, 6), (6, 6)]
@@ -515,3 +531,172 @@ def test_fit_gaussian_ratio_nan_defect_verdict():
     assert fit.ok == (modulus_ok and fit.phase_is_character)
     assert (repr(fit.sigma), repr(fit.modulus_residual)) \
         == (repr(sigma), repr(residual))
+
+
+# -- joint laws and shift recovery against the dense tables --------------------
+
+JOINT_GROUPS = GROUPS + [(9, 8), (1021,), (30, 50)]
+
+
+def group_id(orders):
+    return "x".join(map(str, orders))
+
+
+def smallest_prime(n: int) -> int:
+    return next(p for p in range(2, n + 1) if n % p == 0)
+
+
+def with_char(d: Distribution, values) -> Distribution:
+    """A copy of ``d`` whose characteristic function reads ``values``."""
+    out = Distribution(d.group, d.masses)
+    out.__dict__["char_array"] = values
+    return out
+
+
+@pytest.mark.parametrize("orders", JOINT_GROUPS, ids=group_id)
+def test_joint_sweeps_match_dense_tables(orders):
+    g = Group(orders)
+    endos = _suite_endos(g, list(orders))
+    mus = [Distribution.random(g, [41, g.size, j], 0.2) for j in range(3)]
+    nus = [Distribution.random(g, [43, g.size, j], 0.2) for j in range(3)]
+    coeff_sets = [endos[-3:]] if g.size > 100 else [endos[-3:], endos[:3]]
+    for bs in coeff_sets:
+        for spec in (LinearFormSpec.form_I(bs), LinearFormSpec.form_II(bs),
+                     LinearFormSpec.form_I(bs[:2])):
+            k = spec.arity
+            assert np.array_equal(joint_char_array(spec, mus[:k]),
+                                  joint_char_array_dense(spec, mus[:k]))
+            for other in (nus[:k], mus[:k]):
+                assert (joint_residual(spec, mus[:k], other)
+                        == joint_residual_dense(spec, mus[:k], other))
+
+
+@pytest.mark.parametrize("orders", JOINT_GROUPS, ids=group_id)
+def test_poisson_pair_matches_dense_tables(orders):
+    g = Group(orders)
+    p = smallest_prime(g.exponent)
+    bs = [Endo.scalar(g, c) for c in (1, 1 + p, 2)]
+    mu3 = Distribution.random(g, [47, g.size], 0.2)
+    for k, rest in ((3, mu3), (2, None)):
+        mus, nus = poisson_counterexample(bs[:k], 0.7, rest)
+        assert (poisson_pair_deviations(bs[:k], 0.7, rest, mus, nus)
+                == poisson_deviations_dense(bs[:k], 0.7, rest, mus, nus))
+        assert np.array_equal(poisson_closed_form_array(bs[:k], 0.7, rest),
+                              poisson_closed_form_dense(bs[:k], 0.7, rest))
+        for j in (0, 1):
+            assert recover_shift_dense(mus[j], nus[j]) is None
+            assert recover_shift(mus[j], nus[j]) is None
+
+
+def shift_cases(g: Group):
+    """(label, mu, nu, the element the dense search must return)."""
+    n, tol = g.size, 1e-8
+    rng = np.random.default_rng([53, n])
+    x = g.element_at(int(rng.integers(n)))
+    mu = Distribution.random(g, [59, n], 0.2)
+    uniform = Distribution.uniform(g)
+    yield "uniform", uniform, uniform, g.zero
+    yield "shifted", mu, mu.shift(x), x
+    yield "unrelated", mu, Distribution.random(g, [61, n], 0.2), None
+    # Invariant under shifts by the subgroup killed by p, so every x + h
+    # with h in it ties with x.
+    H = Endo.scalar(g, smallest_prime(g.exponent)).kernel()
+    inv = Distribution(g, np.mean([mu.shift(h).masses for h in H], axis=0))
+    yield "subgroup-invariant", inv, inv.shift(x), "dense"
+    y = int(rng.integers(n))
+    for eps, want in ((tol / 2, x), (2 * tol, None)):
+        vals = mu.shift(x).char_array.copy()
+        vals[y] += eps
+        yield f"perturbed by {eps:g}", mu, with_char(mu.shift(x), vals), want
+    # min |mu_hat| near 1e-9: every x is within tol, the shift is nearest.
+    masses = np.full(n, (1 - 1e-9) / n)
+    masses[int(rng.integers(n))] += 1e-9
+    tiny = Distribution(g, masses)
+    yield "tiny characteristic function", tiny, tiny.shift(x), x
+    p = smallest_prime(g.exponent)
+    mus, nus = kernel_counterexample([Endo.scalar(g, c) for c in (1, 2, p)])
+    yield "kernel-mass", mus[2], nus[2], None
+
+
+@pytest.mark.parametrize("orders", JOINT_GROUPS, ids=group_id)
+def test_recover_shift_matches_dense_search(orders, monkeypatch):
+    g = Group(orders)
+    for label, mu, nu, want in shift_cases(g):
+        for screen_from in (SCREEN_MIN_SIZE, 0):
+            monkeypatch.setattr(identify, "SCREEN_MIN_SIZE", screen_from)
+            got = recover_shift(mu, nu)
+            assert got == recover_shift_dense(mu, nu), label
+            if want != "dense":
+                assert got == want, label
+        # The screen keeps every x within tol of the dense search ...
+        a, b = mu.char_array, nu.char_array
+        dev = np.max(np.abs(b[None, :] - a[None, :] * g.pairing_matrix),
+                     axis=1)
+        kept = _shift_screen(g, a, b, 1e-8)
+        assert kept[dev < 1e-8].all(), label
+        # ... and, for a nonvanishing mu_hat, nothing but the shift.
+        if label == "shifted":
+            assert np.flatnonzero(kept).tolist() == [g.index(want)]
+
+
+@pytest.mark.parametrize("orders", JOINT_GROUPS, ids=group_id)
+def test_shift_screen_rounding_bound_holds(orders):
+    """The computed L2^2 stays within half of the screen's bound E (which is
+    twice the error budget) of the extended-precision sum it replaces."""
+    g = Group(orders)
+    n, u = g.size, np.finfo(float).eps / 2
+    for label, mu, nu, _ in shift_cases(g):
+        a, b = mu.char_array, nu.char_array
+        w = a.conj() * b
+        S, T = float(np.vdot(a, a).real), float(np.vdot(b, b).real)
+        l2 = S + T - 2 * np.fft.fftn(w.reshape(orders)).reshape(-1).real
+        E = 2 * u * ((2 * n + 8) * (S + T)
+                     + 64 * np.log2(4 * n) * np.sqrt(n) * np.linalg.norm(w))
+        P = g.pairing_matrix.astype(np.clongdouble)
+        exact = (np.abs(b.astype(np.clongdouble)[None, :]
+                        - a.astype(np.clongdouble)[None, :] * P) ** 2
+                 ).sum(axis=1)
+        assert np.max(np.abs(l2 - exact.astype(float))) <= E / 2, label
+
+
+@pytest.mark.parametrize("form", ("I", "II"))
+@pytest.mark.parametrize("orders", [(n,) for n in range(2, 17)] + [
+    (3, 9), (4, 3), (5, 5), (11, 13), (25,), (30, 50)], ids=group_id)
+def test_find_shift_coeffs_closed_form_matches_search(orders, form):
+    g = Group(orders)
+    assert find_shift_coeffs(g, form) == find_shift_coeffs_search(g, form)
+
+
+@pytest.mark.parametrize("orders", GROUPS, ids=group_id)
+def test_kernel_conditions_match_kernel_lists(orders):
+    g = Group(orders)
+    endos = _suite_endos(g, list(orders))
+    for e in endos:
+        for f in endos:
+            assert (kernel_conditions((True, True), (e, f))["ker(b1-b2)=0"]
+                    == (len((e - f).kernel()) == 1))
+            assert (kernel_conditions((True, False), (e, f))["ker(b2)=0"]
+                    == (len(f.kernel()) == 1))
+
+
+def test_shift_verifiers_and_poisson_pair_build_no_addition_table(
+        monkeypatch, tmp_path):
+    def refuse(self):
+        raise AssertionError("the dense addition table was built")
+
+    monkeypatch.setattr(Group, "add_table", property(refuse))
+    for form, orders, cs in (("I", [7], (0, 1, 2)), ("II", [4, 3], (0, 1, 1))):
+        g = Group(orders)
+        bs = [Endo.scalar(g, c) for c in cs]
+        mus = [Distribution.random(g, [67, j], 0.2) for j in range(3)]
+        shifts = consistent_shifts(bs, form, g.element_at(5))
+        nus = [mu.shift(x) for mu, x in zip(mus, shifts)]
+        for mu, x, nu in zip(mus, shifts, nus):
+            moved = [g.index(g.add(y, x)) for y in g.elements()]
+            assert np.array_equal(nu.masses[moved], mu.masses)
+        verify = verify_form_I if form == "I" else verify_form_II
+        report = verify(bs, mus, nus)
+        assert (report.verdict, report.shifts) == (VERDICT_SHIFT, shifts)
+    out = tmp_path / "report.json"
+    assert main(["counterexample", "--kind", "poisson-pair",
+                 "--out", str(out)]) == 0

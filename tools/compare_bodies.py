@@ -51,6 +51,12 @@ ARGVS = [
     *(["counterexample", "--kind", kind]
       for kind in ("poisson-pair", "kernel-mass", "plane-gaussian",
                    "bernstein")),
+    # The campaigns of the shift-large benchmark, and odd-exponent form I
+    # coefficients chosen by find_shift_coeffs on a composite group.
+    ["verify-shift", "--group", "1021", "--trials", "1"],
+    *(["counterexample", "--kind", kind, "--group", "30x50"]
+      for kind in ("poisson-pair", "kernel-mass")),
+    ["verify-shift", "--group", "15", "--trials", "5"],
     ["invariants"],
     ["invariants", "--inject-fault", "adjoint"],
 ]
