@@ -1,14 +1,15 @@
 """Probability distributions on finite abelian groups.
 
 Masses are stored as a float vector aligned with the lexicographic element
-enumeration.  Characteristic functions are computed by direct summation
-against the exact pairing, which keeps every identity checkable at full
-precision on desk-scale groups; the package's one FFT is the screen of
-``identify.recover_shift``, which only discards candidates.  Joint
+enumeration.  A characteristic function is the discrete Fourier transform of
+the masses over the group's ``orders`` shape.  From ``SPECTRAL_MIN_SIZE``
+elements up (``Group.spectral``) it is computed by FFT, and no ``n x n``
+table is built; below that it is the product with the exact
+``Group.pairing_matrix``, which costs less there than one FFT call.  Joint
 characteristic functions of two linear forms are swept over the ``(u, v)``
 grid in row blocks, each factor read from its characteristic function tiled
 over the doubled coordinate box (``Group.box_idx``), so comparing two of them
-needs no ``n x n`` table.
+needs no ``n x n`` table either.
 """
 
 from __future__ import annotations
@@ -22,14 +23,18 @@ import numpy as np
 from .endomorphisms import Endo
 from .errors import CapacityError, DomainError, GenerationError
 from .funceq import FunctionTable
-from .groups import Element, Group, row_blocks
+from .groups import Element, Group
 
 MASS_TOL = 1e-12
 
 # Pairs per row block of a joint-law sweep.  Smaller than PAIR_BLOCK so that
-# a block's index and value temporaries stay in cache: on Z30xZ50 and Z1021
-# a joint residual takes 0.7-0.75 of its time at PAIR_BLOCK (2-CPU x86-64
-# host, numpy 2.4).
+# a block's index and value buffers stay in cache: on Z30xZ50 and Z1021 a
+# joint residual takes 0.7-0.75 of its time at PAIR_BLOCK (2-CPU x86-64
+# host, numpy 2.4).  A sweep allocates its buffers once (``pair_index_blocks``)
+# and writes every block into them: a block of complex values is 512 KiB,
+# and glibc serves each allocation of 128 KiB or more with a fresh mmap.
+# With new temporaries per block, ``verify-shift --group 30x50 --form II
+# --trials 1`` took 145 ms instead of 93 ms.
 JOINT_BLOCK = 1 << 15
 
 
@@ -84,10 +89,14 @@ class Distribution:
         """
         if lam < 0:
             raise DomainError("poisson rate must be nonnegative")
-        group._check(x0)
-        hat = np.exp(lam * (group.pairing_matrix[group.index(x0)] - 1.0))
-        masses = (group.pairing_matrix.conj() @ hat).real / group.size
-        masses = np.clip(masses, 0.0, None)
+        row = group.roots[group.phase_idx(group.index(x0),
+                                          np.arange(group.size))]
+        hat = np.exp(lam * (row - 1.0))
+        if group.spectral:
+            masses = np.fft.fftn(hat.reshape(group.orders)).reshape(-1).real
+        else:
+            masses = (group.pairing_matrix.conj() @ hat).real
+        masses = np.clip(masses / group.size, 0.0, None)
         return cls(group, masses / masses.sum())
 
     @classmethod
@@ -117,8 +126,16 @@ class Distribution:
 
     @cached_property
     def char_array(self) -> np.ndarray:
-        """``char_array[j] = sum_x masses[x] * pair(x, y_j)``."""
-        return self.masses @ self.group.pairing_matrix
+        """``char_array[j] = sum_x masses[x] * pair(x, y_j)``.
+
+        numpy's ``ifftn`` carries ``exp(+2 pi i <x, y>)``, the pairing, and
+        divides by ``n``.
+        """
+        g = self.group
+        if g.spectral:
+            return np.fft.ifftn(self.masses.reshape(g.orders)).reshape(-1) \
+                * g.size
+        return self.masses @ g.pairing_matrix
 
     def char_fn(self) -> FunctionTable:
         return FunctionTable(self.group, self.group.elements(), self.char_array)
@@ -203,27 +220,50 @@ class LinearFormSpec:
         return cls(g, tuple(ones), tuple(bs))
 
 
-def pair_index_blocks(pairs: Sequence[tuple[Endo, Endo]]
-                      ) -> Iterator[tuple[slice, list[np.ndarray]]]:
+def pair_index_blocks(pairs: Sequence[tuple[Endo, Endo]],
+                      dtypes: Sequence[type] = ()
+                      ) -> Iterator[tuple[slice, list[np.ndarray],
+                                          list[np.ndarray]]]:
     """Row blocks of the ``(u, v)`` grid of the factors ``(a_j, b_j)``.
 
     Each block of rows ``u`` comes with one box index per factor, that of
     ``adj(a_j) u + adj(b_j) v`` for every ``v``: the sum of the two images'
-    box indices (``Group.box_idx``), with no reduction and no addition table.
+    box indices (``Group.box_idx``), with no reduction and no addition table,
+    and with one block-shaped buffer of each dtype in ``dtypes`` for the
+    caller's values.  All of them are allocated once per sweep and rewritten
+    for every block, so a caller uses a block before it takes the next one.
     """
     g = pairs[0][0].group
     uv = [(g.box_idx(a.adjoint().index_map), g.box_idx(b.adjoint().index_map))
           for a, b in pairs]
-    for rows in row_blocks(g.size, g.size, JOINT_BLOCK):
-        yield rows, [U[rows, None] + V[None, :] for U, V in uv]
+    step = min(g.size, max(1, JOINT_BLOCK // g.size))
+    idx = [np.empty((step, g.size), np.int64) for _ in uv]
+    bufs = [np.empty((step, g.size), d) for d in dtypes]
+    for start in range(0, g.size, step):
+        rows = slice(start, min(start + step, g.size))
+        if rows.stop - start < step:  # only the last block is shorter
+            idx = [b[:rows.stop - start] for b in idx]
+            bufs = [b[:rows.stop - start] for b in bufs]
+        for (U, V), out in zip(uv, idx):
+            np.add(U[rows, None], V[None, :], out=out)
+        yield rows, idx, bufs
 
 
-def joint_block(tiled: Sequence[np.ndarray],
-                idx: Sequence[np.ndarray]) -> np.ndarray:
-    """``prod_j tiled[j][idx[j]]``, multiplied in factor order."""
-    out = tiled[0][idx[0]]
+def joint_block(tiled: Sequence[np.ndarray], idx: Sequence[np.ndarray],
+                out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """``prod_j tiled[j][idx[j]]`` written into ``out``, multiplied in factor
+    order; ``tmp`` holds each later factor.  Both have the block's shape.
+
+    Box indices are in range by construction, so the gathers use
+    ``mode="clip"``: with ``out`` and the default ``mode="raise"`` numpy
+    buffers the output, which made a gather on Z1021 or Z30xZ50 1.6 times
+    as slow.  The ``take`` method skips ``np.take``'s dispatch, which
+    costs more than the gather itself on a small group.
+    """
+    tiled[0].take(idx[0], out=out, mode="clip")
     for t, i in zip(tiled[1:], idx[1:]):
-        out *= t[i]
+        t.take(i, out=tmp, mode="clip")
+        out *= tmp
     return out
 
 
@@ -249,8 +289,8 @@ def joint_char_array(spec: LinearFormSpec,
         raise CapacityError("joint table would exceed the size limit")
     tiled = box_chars(dists)
     out = np.empty((g.size, g.size), dtype=np.complex128)
-    for rows, idx in pair_index_blocks(spec.pairs):
-        out[rows] = joint_block(tiled, idx)
+    for rows, idx, (tmp,) in pair_index_blocks(spec.pairs, [np.complex128]):
+        joint_block(tiled, idx, out[rows], tmp)
     return out
 
 
@@ -261,9 +301,13 @@ def joint_residual(spec: LinearFormSpec, mus: Sequence[Distribution],
     _check_dists(spec, mus)
     _check_dists(spec, nus)
     lhs, rhs = box_chars(mus), box_chars(nus)
-    return float(np.max([
-        np.max(np.abs(joint_block(lhs, idx) - joint_block(rhs, idx)))
-        for _, idx in pair_index_blocks(spec.pairs)]))
+    worst = []
+    for _, idx, (x, y, tmp, mod) in pair_index_blocks(
+            spec.pairs, [np.complex128] * 3 + [np.float64]):
+        diff = joint_block(lhs, idx, x, tmp)
+        diff -= joint_block(rhs, idx, y, tmp)
+        worst.append(np.abs(diff, out=mod).max())
+    return float(np.max(worst))
 
 
 def joint_char(spec: LinearFormSpec,

@@ -28,10 +28,6 @@ JOINT_TOL = 1e-8
 SHIFT_TOL = 1e-8
 TV_TOL = 1e-8
 NONVANISHING_GUARD = 1e-9
-# Below this group size, recover_shift skips its screen: the dense search
-# over all n^2 pairs costs less than the screen's FFT call (they meet near
-# n = 48 on a 2-CPU x86-64 host).
-SCREEN_MIN_SIZE = 64
 
 VERDICT_SHIFT = "determined-up-to-shift"
 VERDICT_UNIQUE = "unique"
@@ -69,25 +65,29 @@ def recover_shift(mu: Distribution, nu: Distribution,
     is below ``tol``, and None otherwise.  Ties cannot occur for nonvanishing
     ``mu_hat``.
 
-    From ``SCREEN_MIN_SIZE`` elements on, ``_shift_screen`` first rules
-    out, in O(n log n), every ``x`` whose ``dev(x)`` provably reaches
-    ``tol``.  ``dev`` is then computed exactly, in row blocks, on the
-    remaining rows of ``pairing_matrix`` only (the table ``char_array`` is
-    built from), so the answer is the one the dense search over every ``x``
-    gives.
+    On a ``spectral`` group (``groups.SPECTRAL_MIN_SIZE`` elements or more)
+    ``_shift_screen`` first rules out, in O(n log n), every ``x`` whose
+    ``dev(x)`` provably reaches ``tol``, and ``dev`` is then computed exactly,
+    in row blocks, on the remaining ``x`` only, with their pairing rows read
+    from ``phase_idx``.  Below that size the search reads every row of the
+    cached ``pairing_matrix``, which costs less than the screen's FFT call.
+    Either way the answer is the one the dense search over every ``x`` gives.
     """
     if mu.group != nu.group:
         raise DomainError("shift recovery needs a common group")
     g = mu.group
     a, b = mu.char_array, nu.char_array
-    keep = (np.arange(g.size) if g.size < SCREEN_MIN_SIZE
-            else np.flatnonzero(_shift_screen(g, a, b, tol)))
+    every = np.arange(g.size)
+    keep = (np.flatnonzero(_shift_screen(g, a, b, tol)) if g.spectral
+            else every)
     if not keep.size:
         return None
     dev = []
     for rows in row_blocks(keep.size, g.size):
+        x = keep[rows]
+        P = (g.roots[g.phase_idx(x[:, None], every)] if g.spectral
+             else g.pairing_matrix[x])
         # mu_hat first: numpy's SIMD loop rounds x * y and y * x apart.
-        P = g.pairing_matrix[keep[rows]]
         dev.append(np.max(np.abs(b[None, :] - a[None, :] * P), axis=1))
     dev = np.concatenate(dev)
     best = int(np.argmin(dev))
@@ -284,16 +284,22 @@ def _poisson_rows(bs: Sequence[Endo]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _poisson_closed_block(a: float, row_u: np.ndarray, row_v: np.ndarray,
-                          rows: slice, rest: np.ndarray | None) -> np.ndarray:
-    """Rows ``rows`` of the closed form; ``rest`` is the block's
-    ``mu_hat(u + b3~ v)`` factor, absent for two variables."""
-    out = np.exp(-4 * a) * np.exp(4 * a * row_u[rows, None] * row_v[None, :])
+                          rows: slice, rest: np.ndarray | None,
+                          out: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` of the closed form, written into ``out``; ``rest`` is the
+    block's ``mu_hat(u + b3~ v)`` factor, absent for two variables."""
+    np.multiply(4 * a * row_u[rows, None], row_v[None, :], out=out)
+    np.exp(out, out=out)
+    out *= np.exp(-4 * a)
     if rest is None:
         return out
     # numpy's SIMD loop rounds x * y and y * x apart.  The whole-table code
     # wrote ``out * rest``, which numpy ran in place as ``rest * out`` once
     # the n x n temporary reached 256 KiB, at n >= 128; keep both orders.
-    return rest * out if row_v.size >= 128 else out * rest
+    if row_v.size >= 128:
+        return np.multiply(rest, out, out=out)
+    out *= rest
+    return out
 
 
 def poisson_closed_form_array(bs: Sequence[Endo], a: float,
@@ -305,12 +311,14 @@ def poisson_closed_form_array(bs: Sequence[Endo], a: float,
     """
     g = bs[0].group
     row_u, row_v = _poisson_rows(bs)
-    if len(bs) == 2:
-        return _poisson_closed_block(a, row_u, row_v, slice(None), None)
-    rest = g.box_tile(mu_rest.char_array)
     out = np.empty((g.size, g.size), dtype=np.complex128)
-    for rows, (idx,) in pair_index_blocks([(Endo.identity(g), bs[2])]):
-        out[rows] = _poisson_closed_block(a, row_u, row_v, rows, rest[idx])
+    if len(bs) == 2:
+        return _poisson_closed_block(a, row_u, row_v, slice(None), None, out)
+    rest = g.box_tile(mu_rest.char_array)
+    for rows, (idx,), (tmp,) in pair_index_blocks(
+            [(Endo.identity(g), bs[2])], [np.complex128]):
+        _poisson_closed_block(a, row_u, row_v, rows,
+                              rest.take(idx, out=tmp, mode="clip"), out[rows])
     return out
 
 
@@ -331,13 +339,19 @@ def poisson_pair_deviations(bs: Sequence[Endo], a: float,
     lhs_t, rhs_t = box_chars(mus), box_chars(nus)
     rest_t = None if len(bs) == 2 else g.box_tile(mu_rest.char_array)
     residual, closed_dev = [], []
-    for rows, idx in pair_index_blocks(spec.pairs):
-        lhs, rhs = joint_block(lhs_t, idx), joint_block(rhs_t, idx)
-        closed = _poisson_closed_block(
-            a, row_u, row_v, rows, None if rest_t is None else rest_t[idx[2]])
-        residual.append(np.max(np.abs(lhs - rhs)))
-        closed_dev.append(max(np.max(np.abs(lhs - closed)),
-                              np.max(np.abs(rhs - closed))))
+    for rows, idx, (x, y, z, tmp, mod) in pair_index_blocks(
+            spec.pairs, [np.complex128] * 4 + [np.float64]):
+        lhs = joint_block(lhs_t, idx, x, tmp)
+        rhs = joint_block(rhs_t, idx, y, tmp)
+        rest = (None if rest_t is None
+                else rest_t.take(idx[2], out=tmp, mode="clip"))
+        closed = _poisson_closed_block(a, row_u, row_v, rows, rest, z)
+        residual.append(np.abs(np.subtract(lhs, rhs, out=tmp),
+                               out=mod).max())
+        lhs -= closed
+        rhs -= closed
+        closed_dev.append(max(np.abs(lhs, out=mod).max(),
+                              np.abs(rhs, out=mod).max()))
     return float(np.max(residual)), float(np.max(closed_dev))
 
 

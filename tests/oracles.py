@@ -8,9 +8,9 @@ from itertools import product
 
 import numpy as np
 
-from groupident import Endo
+from groupident import Distribution, Endo
 from groupident.distributions import LinearFormSpec
-from groupident.errors import CapacityError, DomainError
+from groupident.errors import CapacityError, DomainError, GenerationError
 from groupident.funceq import kernel_conditions, summed_variables
 
 
@@ -257,6 +257,40 @@ def gaussian_fit_oracle(table, tol):
 # row-blocked sweeps and the screened search replaced, kept as they were.
 # They read the package's ``add_table`` and ``pairing_matrix``, so they check
 # the index arithmetic and the screen, with results compared by ``==``.
+# The dense characteristic function, Poisson masses and rejection loop that
+# the FFTs replaced from ``SPECTRAL_MIN_SIZE`` elements up are kept too; the
+# FFTs round differently, so they are compared within a stated bound.
+
+
+def char_array_dense(d):
+    """``char_array[j] = sum_x masses[x] * pair(x, y_j)``."""
+    return d.masses @ d.group.pairing_matrix
+
+
+def poisson_dense(group, lam, x0):
+    """The compound-point-mass law with char. function ``exp(lam*((x0,y)-1))``."""
+    if lam < 0:
+        raise DomainError("poisson rate must be nonnegative")
+    group._check(x0)
+    hat = np.exp(lam * (group.pairing_matrix[group.index(x0)] - 1.0))
+    masses = (group.pairing_matrix.conj() @ hat).real / group.size
+    masses = np.clip(masses, 0.0, None)
+    return Distribution(group, masses / masses.sum())
+
+
+def random_dense(group, seed, floor=0.1, nonvanishing_tol=0.05,
+                 max_tries=1000):
+    """Seeded random distribution, rejected until ``min |char| > tol``."""
+    rng = np.random.default_rng(seed)
+    for _ in range(max_tries):
+        raw = rng.random(group.size)
+        m = (1.0 - floor) * raw / raw.sum()
+        m[0] += floor
+        cand = Distribution(group, m)
+        if np.min(np.abs(char_array_dense(cand))) > nonvanishing_tol:
+            return cand
+    raise GenerationError(
+        f"no nonvanishing distribution within {max_tries} tries")
 
 
 def joint_char_array_dense(spec, dists):

@@ -80,6 +80,18 @@ def test_verify_shift_even_exponent_form_I_exits_2(capsys):
     assert "kernel conditions" in capsys.readouterr().err
 
 
+def test_verify_shift_beyond_dense_table_limit(tmp_path):
+    # From SPECTRAL_MIN_SIZE elements up no n x n table is built, so a group
+    # beyond the dense-table limit gets verdicts on every trial.
+    assert Group([41, 41]).size > TABLE_SIZE_LIMIT
+    code, report = run_cli(tmp_path, "verify-shift", "--group", "41x41",
+                           "--form", "II", "--trials", "1", "--seed", "1")
+    assert code == 0
+    assert [(t["kind"], t["verdict"]) for t in report["body"]["trials"]] \
+        == [("roundtrip", "determined-up-to-shift"),
+            ("adversarial", "mismatch")]
+
+
 def test_verify_gaussian_campaign(tmp_path):
     code, report = run_cli(tmp_path, "verify-gaussian", "--trials", "2",
                            "--seed", "5", "--radius", "40")

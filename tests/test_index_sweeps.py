@@ -24,6 +24,10 @@ exactly.
 The row-blocked joint-law sweeps, the Poisson closed form and the screened
 shift search must equal the dense ``n x n`` tables they replaced, kept in
 ``oracles.py``, exactly: same doubles, same residuals, same element.
+
+The FFT characteristic functions and Poisson masses must stay within a
+stated a-priori rounding bound of the dense products they replaced, and
+``Distribution.random`` must return the masses of the dense rejection loop.
 """
 
 import operator
@@ -48,8 +52,8 @@ from groupident.funceq import (FunctionTable, ProductEquation, _sum_defect,
                                is_character, is_polynomial,
                                kernel_conditions, locate_character,
                                ratio_diff)
-from groupident import identify
-from groupident.identify import (SCREEN_MIN_SIZE, VERDICT_SHIFT,
+from groupident import groups
+from groupident.identify import (VERDICT_PRECONDITIONS, VERDICT_SHIFT,
                                  _shift_screen, poisson_pair_deviations)
 from groupident.groups import Element
 from groupident.solenoid import (FIT_TOL, SolenoidEndo,
@@ -57,13 +61,14 @@ from groupident.solenoid import (FIT_TOL, SolenoidEndo,
                                  fit_gaussian_ratio, make_lattice)
 
 from oracles import (adjoint_pair_oracle, annihilator_oracle,
-                     bernstein_oracle, character_defect_oracle,
-                     character_gaussian_oracle, diff_oracle, endo_coeff,
-                     find_shift_coeffs_search, gaussian_fit_oracle, group_add,
-                     hermitian_defect_oracle, is_polynomial_oracle,
-                     is_subgroup_oracle, joint_char_array_dense,
-                     joint_residual_dense, locate_character_oracle,
-                     poisson_closed_form_dense, poisson_deviations_dense,
+                     bernstein_oracle, char_array_dense,
+                     character_defect_oracle, character_gaussian_oracle,
+                     diff_oracle, endo_coeff, find_shift_coeffs_search,
+                     gaussian_fit_oracle, group_add, hermitian_defect_oracle,
+                     is_polynomial_oracle, is_subgroup_oracle,
+                     joint_char_array_dense, joint_residual_dense,
+                     locate_character_oracle, poisson_closed_form_dense,
+                     poisson_deviations_dense, poisson_dense, random_dense,
                      recover_shift_dense, residual_defect_oracle,
                      sum_defect_oracle, window_steps_oracle)
 
@@ -621,9 +626,11 @@ def shift_cases(g: Group):
 @pytest.mark.parametrize("orders", JOINT_GROUPS, ids=group_id)
 def test_recover_shift_matches_dense_search(orders, monkeypatch):
     g = Group(orders)
-    for label, mu, nu, want in shift_cases(g):
-        for screen_from in (SCREEN_MIN_SIZE, 0):
-            monkeypatch.setattr(identify, "SCREEN_MIN_SIZE", screen_from)
+    # Build every case, and read each characteristic function first, under
+    # the group's own threshold.
+    for label, mu, nu, want in list(shift_cases(g)):
+        for screen_from in (groups.SPECTRAL_MIN_SIZE, 0):
+            monkeypatch.setattr(groups, "SPECTRAL_MIN_SIZE", screen_from)
             got = recover_shift(mu, nu)
             assert got == recover_shift_dense(mu, nu), label
             if want != "dense":
@@ -700,3 +707,115 @@ def test_shift_verifiers_and_poisson_pair_build_no_addition_table(
     out = tmp_path / "report.json"
     assert main(["counterexample", "--kind", "poisson-pair",
                  "--out", str(out)]) == 0
+
+
+# -- spectral characteristic functions against the dense products ----------
+
+SPECTRAL_GROUPS = GROUPS + [(63,), (64,), (7, 9), (8, 8), (1021,), (30, 50)]
+
+
+def transform_bound(v) -> float:
+    """Bound on ``|FFT - dense product|`` at any entry of
+    ``sum_x v[x] pair(x, y)``, ``n = len(v)``, ``u = 2^-53``; each side is
+    held to the exact sum (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., 2002).
+
+    FFT: the §24.1 term of ``identify._shift_screen``, ``c log2(m) u`` times
+    the exact transform's 2-norm, ``sqrt(n) |v|_2`` by Parseval, with
+    ``c = 32`` and ``m = 4n``; it bounds every entry.  The scalings by
+    ``1/n`` and ``n`` add ``2u |v|_1``.  Dense product: each of the ``n``
+    complex products and the sum are off by ``sqrt(2) gamma_{n+2} |v|_1``
+    (§3.1, Lemma 3.5), and each table entry by ``(6 pi + 2) u``: its angle
+    ``2 pi k / L`` carries three roundings of a value below ``2 pi``, and
+    ``exp`` one more in each part.
+    """
+    n, u = len(v), np.finfo(float).eps / 2
+    l1, l2 = float(np.abs(v).sum()), float(np.linalg.norm(v))
+    gamma = (n + 2) * u / (1 - (n + 2) * u)
+    fft = 32 * np.log2(4 * n) * u * np.sqrt(n) * l2 + 2 * u * l1
+    dense = (np.sqrt(2) * gamma + (6 * np.pi + 2) * u) * l1
+    return fft + dense
+
+
+def poisson_bound(hat) -> float:
+    """Bound on ``|FFT masses - dense masses|`` of a Poisson law with
+    characteristic function ``hat``.
+
+    Before clipping, both mass vectors are transforms divided by ``n``, so
+    each entry is within ``e = (transform_bound(hat) + u |hat|_1) / n`` of
+    the other.  Clipping at 0 keeps that, and moves the sums ``s`` and ``t``
+    apart by at most ``n e``; the sums are at least ``1 - n e``, since the
+    unclipped exact masses sum to ``hat(0) = 1``.  So
+    ``|a/s - b/t| <= |a - b|/s + (b/t) |t - s|/s <= (n + 1) e / (1 - n e)``,
+    and the final division adds ``u``.
+    """
+    n, u = len(hat), np.finfo(float).eps / 2
+    e = (transform_bound(hat) + u * float(np.abs(hat).sum())) / n
+    return (n + 1) * e / (1 - n * e) + u
+
+
+def transform_laws(g: Group):
+    """(label, law) for the transform comparisons."""
+    x0 = g.element_at(int(np.random.default_rng([73, g.size]).integers(
+        1, g.size)))
+    yield "random", Distribution.random(g, [79, g.size], 0.2)
+    yield "degenerate at 0", Distribution.degenerate(g, g.zero)
+    yield f"degenerate at {x0}", Distribution.degenerate(g, x0)
+    yield "uniform", Distribution.uniform(g)
+    yield f"poisson at {x0}", Distribution.poisson(g, 0.7, x0)
+
+
+@pytest.mark.parametrize("orders", SPECTRAL_GROUPS, ids=group_id)
+def test_spectral_transforms_match_dense_products(orders, monkeypatch):
+    # Take the FFT path at every size; the oracles read pairing_matrix.
+    monkeypatch.setattr(groups, "SPECTRAL_MIN_SIZE", 0)
+    g = Group(orders)
+    assert g.spectral
+    for label, d in transform_laws(g):
+        err = np.max(np.abs(d.char_array - char_array_dense(d)))
+        assert err <= transform_bound(d.masses), label
+    x0 = g.element_at(g.size // 2)
+    for x in (g.zero, x0):
+        for lam in (0.0, 0.7, 3.0):
+            hat = np.exp(lam * (g.pairing_matrix[g.index(x)] - 1.0))
+            err = np.max(np.abs(Distribution.poisson(g, lam, x).masses
+                                - poisson_dense(g, lam, x).masses))
+            assert err <= poisson_bound(hat), (x, lam)
+    for seed in range(20):
+        assert np.array_equal(Distribution.random(g, [83, seed]).masses,
+                              random_dense(g, [83, seed]).masses), seed
+
+
+@pytest.mark.parametrize("orders", [(1021,), (30, 50)], ids=group_id)
+def test_spectral_paths_build_no_dense_table(orders, monkeypatch, tmp_path):
+    def refuse(self):
+        raise AssertionError("a dense n x n table was built")
+
+    monkeypatch.setattr(Group, "pairing_matrix", property(refuse))
+    monkeypatch.setattr(Group, "phase_matrix", property(refuse))
+    g = Group(orders)
+    mus = [Distribution.random(g, [89, j], 0.2) for j in range(3)]
+    odd = g.exponent % 2 == 1
+    for form, cs in (("I", (0, 1, 2)), ("II", (0, 1, 1))):
+        bs = [Endo.scalar(g, c) for c in cs]
+        shifts = consistent_shifts(bs, form, g.element_at(5))
+        nus = [mu.shift(x) for mu, x in zip(mus, shifts)]
+        verify = verify_form_I if form == "I" else verify_form_II
+        report = verify(bs, mus, nus)
+        if form == "I" and not odd:
+            # ker(0 - 2) holds the elements of order two
+            assert report.verdict == VERDICT_PRECONDITIONS
+        else:
+            assert (report.verdict, report.shifts) == (VERDICT_SHIFT, shifts)
+    x = g.element_at(g.size - 7)
+    assert recover_shift(mus[0], mus[0].shift(x)) == x
+    assert recover_shift(mus[0], mus[1]) is None
+    x0 = g.element_at(1)
+    row = g.roots[g.phase_idx(g.index(x0), np.arange(g.size))]
+    law = Distribution.poisson(g, 0.7, x0)
+    assert np.max(np.abs(law.char_array - np.exp(0.7 * (row - 1.0)))) < 1e-12
+    p = smallest_prime(g.exponent)
+    out = tmp_path / "report.json"
+    assert main(["counterexample", "--kind", "poisson-pair",
+                 "--group", "x".join(map(str, orders)),
+                 "--coeffs", f"1,{1 + p},2", "--out", str(out)]) == 0

@@ -9,8 +9,12 @@ Usage, from the root of a checkout::
 ``groupident.cli.main``, first with the package imported from the first
 tree's ``src/``, then from the second's.  For every argv the script prints
 whether the exit codes and ``reporting.body_bytes`` of the two reports match,
-and it exits 1 when any of them differ.  A refactor that claims unchanged
-behaviour should print ``same`` on every line.
+and it exits 1 when any of them differ.  Under each DIFFERENT line it prints
+every JSON path whose value differs, with both values, for example
+``.trials[1].joint_residual 0.09152442122103922 -> 0.09152442122103924``,
+so that a deliberate change of bodies can be reviewed field by field.  A
+refactor that claims unchanged behaviour should print ``same`` on every
+line.
 """
 
 from __future__ import annotations
@@ -57,6 +61,10 @@ ARGVS = [
     *(["counterexample", "--kind", kind, "--group", "30x50"]
       for kind in ("poisson-pair", "kernel-mass")),
     ["verify-shift", "--group", "15", "--trials", "5"],
+    # Either side of groups.SPECTRAL_MIN_SIZE (63 and 64 elements), and a
+    # group above the dense-table limit.
+    *(_shift(g, "II", t) for g, t in (("7x9", "5"), ("8x8", "5"),
+                                      ("41x41", "1"))),
     ["invariants"],
     ["invariants", "--inject-fault", "adjoint"],
 ]
@@ -87,6 +95,29 @@ def run_tree(tree: Path, argvs) -> list[tuple[int, bytes | None]]:
         sys.path.remove(src)
 
 
+_ABSENT = object()
+
+
+def changed_fields(old, new, path: str = ""):
+    """``(path, old, new)`` for every leaf of two JSON values that differs;
+    a key or list item present on one side only reads as absent."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            yield from changed_fields(old.get(key, _ABSENT),
+                                      new.get(key, _ABSENT), f"{path}.{key}")
+    elif isinstance(old, list) and isinstance(new, list):
+        for i in range(max(len(old), len(new))):
+            yield from changed_fields(old[i] if i < len(old) else _ABSENT,
+                                      new[i] if i < len(new) else _ABSENT,
+                                      f"{path}[{i}]")
+    elif type(old) is not type(new) or old != new:
+        yield path, old, new
+
+
+def _show(value) -> str:
+    return "(absent)" if value is _ABSENT else json.dumps(value)
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) not in (1, 2):
@@ -101,6 +132,11 @@ def main(argv=None) -> int:
         differ += not same
         detail = "" if same else f"  (exit {a[0]} -> {b[0]})"
         print(f"{'same' if same else 'DIFFERENT':9} {' '.join(argv)}{detail}")
+        if not same:
+            old, new = (None if body is None else json.loads(body)
+                        for _, body in (a, b))
+            for path, x, y in changed_fields(old, new):
+                print(f"    {path or '.'} {_show(x)} -> {_show(y)}")
     print(f"{len(ARGVS) - differ} of {len(ARGVS)} bodies identical")
     return 1 if differ else 0
 
