@@ -85,6 +85,10 @@ def recover_shift(mu: Distribution, nu: Distribution,
     dev = []
     for rows in row_blocks(keep.size, g.size):
         x = keep[rows]
+        # The same doubles either way.  Below SPECTRAL_MIN_SIZE the cached
+        # rows are cheaper: phase_idx rows at every size cost perfbench's
+        # shift-small 3-5% of its ops/s (it lost 6 of 6 alternated 25 s
+        # pairs; 2-CPU x86-64 host, numpy 2.4).
         P = (g.roots[g.phase_idx(x[:, None], every)] if g.spectral
              else g.pairing_matrix[x])
         # mu_hat first: numpy's SIMD loop rounds x * y and y * x apart.

@@ -626,10 +626,15 @@ def shift_cases(g: Group):
 @pytest.mark.parametrize("orders", JOINT_GROUPS, ids=group_id)
 def test_recover_shift_matches_dense_search(orders, monkeypatch):
     g = Group(orders)
-    # Build every case, and read each characteristic function first, under
-    # the group's own threshold.
-    for label, mu, nu, want in list(shift_cases(g)):
-        for screen_from in (groups.SPECTRAL_MIN_SIZE, 0):
+    threshold = groups.SPECTRAL_MIN_SIZE
+    # Build every case and compute each characteristic function under the
+    # group's own threshold, before any patching: each law is then the one
+    # its group's production path gives, and both search paths see it.
+    cases = list(shift_cases(g))
+    for _, mu, nu, _ in cases:
+        mu.char_array, nu.char_array
+    for label, mu, nu, want in cases:
+        for screen_from in (threshold, 0):
             monkeypatch.setattr(groups, "SPECTRAL_MIN_SIZE", screen_from)
             got = recover_shift(mu, nu)
             assert got == recover_shift_dense(mu, nu), label
