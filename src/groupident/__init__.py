@@ -5,7 +5,7 @@ forms in independent group-valued random variables, whether the component
 distributions are pinned down up to a shift (three variables) or up to a
 Gaussian convolution (four variables on a solenoid character window), and it
 reproduces the classical counterexamples that appear when the kernel
-hypotheses on the coefficients fail.
+conditions on the coefficients fail.
 """
 
 from .groups import DEFAULT_ENUMERATION_BOUND, Element, Group

@@ -14,6 +14,7 @@ import argparse
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .funceq import (FunctionTable, bernstein_check, bernstein_square_table,
                      is_character, kernel_conditions, summed_variables)
 from .groups import Group
 from .identify import consistent_shifts
-from .reporting import make_report, write_report
+from .reporting import FLOORS, Measured, make_report, write_report
 from . import fixtures as fixture_io
 
 DEFAULT_FAMILY = "2..12,2x4,6x6"
@@ -51,10 +52,6 @@ def parse_group_family(text: str) -> list[Group]:
 
 def parse_int_coeffs(text: str) -> list[int]:
     return [int(p) for p in text.split(",")]
-
-
-def parse_rational_coeffs(text: str) -> list[Fraction]:
-    return [Fraction(p) for p in text.split(",")]
 
 
 def _check_trials(trials: int) -> None:
@@ -201,8 +198,10 @@ def run_gaussian_trial(lattice, bs, form: str, seed, trial: int,
         lattice, bs, [seed, trial], form)
     report = getattr(solenoid, "verify_gaussian_form_" + form)(bs, muhats,
                                                               nuhats)
-    sigma_err = max(abs(fit.sigma - s)
-                    for fit, s in zip(report.fits, sigmas))
+    # The difference of two nearby floats is exact.
+    sigma_err = Measured(max(abs(fit.sigma - s)
+                             for fit, s in zip(report.fits, sigmas)),
+                         max(fit.sigma.floor for fit in report.fits))
     ok = report.verdict == solenoid.VERDICT_GAUSSIAN and sigma_err < tol
     return {**report.to_json_dict(), "sigma_error": sigma_err,
             "expected": solenoid.VERDICT_GAUSSIAN, "ok": ok}
@@ -211,8 +210,7 @@ def run_gaussian_trial(lattice, bs, form: str, seed, trial: int,
 def run_gaussian_adversarial(lattice, bs, form: str, seed, trial: int) -> dict:
     muhats, nuhats, _, _ = solenoid.synth_gaussian_instance(
         lattice, bs, [seed, trial, 1], form)
-    ys = (nuhats[0]._idx / lattice.denominator).tolist()
-    quartic = np.array([np.exp(-0.4 * y ** 4) for y in ys])
+    quartic = np.exp(-0.4 * (nuhats[0]._idx / lattice.denominator) ** 4)
     nuhats[0] = nuhats[0].map_values(lambda v: v * quartic)
     report = getattr(solenoid, "verify_gaussian_form_" + form)(bs, muhats,
                                                               nuhats)
@@ -224,7 +222,7 @@ def cmd_verify_gaussian(args) -> int:
     try:
         base = [int(a) for a in args.base.split(",")]
         lattice = solenoid.make_lattice(base, args.depth, args.radius)
-        cs = parse_rational_coeffs(args.coeffs)
+        cs = [Fraction(p) for p in args.coeffs.split(",")]
         if len(cs) != 4:
             raise GroupIdentError("verify-gaussian needs four coefficients")
         _check_trials(args.trials)
@@ -253,17 +251,13 @@ def cmd_verify_gaussian(args) -> int:
 
 
 def _write_fixture_dists(directory, mus, nus) -> list[str]:
-    from pathlib import Path
-
-    d = Path(directory)
-    d.mkdir(parents=True, exist_ok=True)
-    written = []
-    for side, dists in (("mu", mus), ("nu", nus)):
-        for j, dist in enumerate(dists, start=1):
-            path = d / f"{side}{j}.dist"
-            fixture_io.write_distribution(path, dist)
-            written.append(str(path))
-    return written
+    Path(directory).mkdir(parents=True, exist_ok=True)
+    files = {Path(directory) / f"{side}{j}.dist": dist
+             for side, dists in (("mu", mus), ("nu", nus))
+             for j, dist in enumerate(dists, start=1)}
+    for path, dist in files.items():
+        fixture_io.write_distribution(path, dist)
+    return [str(path) for path in files]
 
 
 def cmd_counterexample(args) -> int:
@@ -297,8 +291,9 @@ def _counterexample_poisson(args) -> tuple[dict, dict]:
         "group": list(group.orders),
         "coeffs": cs,
         "rate": args.rate,
-        "joint_residual": residual,
-        "closed_form_deviation": closed_dev,
+        "joint_residual": Measured(residual, FLOORS["joint_residual"](group)),
+        "closed_form_deviation": Measured(
+            closed_dev, FLOORS["closed_form_deviation"](group, args.rate)),
         "non_shift_indices": [1, 2],
         "non_shift_certified": non_shift,
     }
@@ -338,9 +333,9 @@ def _counterexample_kernel(args) -> tuple[dict, dict]:
 
 def _counterexample_plane(args) -> tuple[dict, dict]:
     cert = identify.plane_gaussian_counterexample()
-    body = {"status": "pass" if cert.ok else "fail", "kind": "plane-gaussian"}
-    body.update(cert.to_json_dict())
-    return {"kind": args.kind}, body
+    return {"kind": args.kind}, {"status": "pass" if cert.ok else "fail",
+                                 "kind": "plane-gaussian",
+                                 **cert.to_json_dict()}
 
 
 def _counterexample_bernstein(args) -> tuple[dict, dict]:
@@ -363,11 +358,8 @@ def _counterexample_bernstein(args) -> tuple[dict, dict]:
         "all_characters_pass_both": chars_ok,
     }
     if args.fixtures:
-        from pathlib import Path
-
-        d = Path(args.fixtures)
-        d.mkdir(parents=True, exist_ok=True)
-        path = d / "bernstein.table"
+        path = Path(args.fixtures) / "bernstein.table"
+        path.parent.mkdir(parents=True, exist_ok=True)
         fixture_io.write_table(path, table)
         body["fixtures"] = [str(path)]
     config = {"kind": args.kind, "group": args.group, "tol": args.tol}

@@ -1,15 +1,12 @@
 """Probability distributions on finite abelian groups.
 
-Masses are stored as a float vector aligned with the lexicographic element
-enumeration.  A characteristic function is the discrete Fourier transform of
-the masses over the group's ``orders`` shape.  From ``SPECTRAL_MIN_SIZE``
-elements up (``Group.spectral``) it is computed by FFT, and no ``n x n``
-table is built; below that it is the product with the exact
-``Group.pairing_matrix``, which costs less there than one FFT call.  Joint
-characteristic functions of two linear forms are swept over the ``(u, v)``
-grid in row blocks, each factor read from its characteristic function tiled
-over the doubled coordinate box (``Group.box_idx``), so comparing two of them
-needs no ``n x n`` table either.
+Masses are a float vector in the lexicographic element order.  Their
+characteristic function is an FFT over the ``orders`` shape on a
+``Group.spectral`` group, with no ``n x n`` table, and the cheaper product
+with the exact ``Group.pairing_matrix`` below that size.  Joint laws of two
+linear forms are swept over the ``(u, v)`` grid in row blocks, each factor
+read from its characteristic function tiled over the doubled coordinate box
+(``Group.box_idx``), so comparing two needs no ``n x n`` table either.
 """
 
 from __future__ import annotations
@@ -136,9 +133,6 @@ class Distribution:
             return np.fft.ifftn(self.masses.reshape(g.orders)).reshape(-1) \
                 * g.size
         return self.masses @ g.pairing_matrix
-
-    def char_fn(self) -> FunctionTable:
-        return FunctionTable(self.group, self.group.elements(), self.char_array)
 
     def nonvanishing(self, tol: float) -> bool:
         return bool(np.min(np.abs(self.char_array)) > tol)

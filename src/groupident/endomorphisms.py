@@ -66,15 +66,6 @@ class Endo:
         return cls(group, [[c if i == j else 0 for j in range(k)]
                            for i in range(k)])
 
-    @classmethod
-    def diagonal(cls, group: Group, cs: Sequence[int]) -> "Endo":
-        k = group.rank
-        if len(cs) != k:
-            raise InvalidEndomorphismError(
-                f"need {k} diagonal entries, got {len(cs)}")
-        return cls(group, [[cs[i] if i == j else 0 for j in range(k)]
-                           for i in range(k)])
-
     # -- action ----------------------------------------------------------------
 
     def apply(self, x: Element) -> Element:
@@ -111,24 +102,22 @@ class Endo:
         """The endomorphism ``A~`` of the dual with ``(Ax, y) = (x, A~y)``.
 
         With the fixed pairing this is ``A~[j][i] = A[i][j]*n_j/n_i mod n_j``,
-        an integer because of the well-definedness constraint.
+        an integer because of the well-definedness constraint.  It is
+        computed once per instance.
         """
-        g = self.group
-        k = g.rank
-        adj = [[0] * k for _ in range(k)]
-        for i, n_i in enumerate(g.orders):
-            for j, n_j in enumerate(g.orders):
-                adj[j][i] = (self.matrix[i][j] * n_j) // n_i
-        return Endo(g, adj)
+        if "_adjoint" not in self.__dict__:
+            ns = self.group.orders
+            adj = [[self.matrix[i][j] * n_j // n_i for i, n_i in enumerate(ns)]
+                   for j, n_j in enumerate(ns)]
+            object.__setattr__(self, "_adjoint", Endo(self.group, adj))
+        return self.__dict__["_adjoint"]
 
     # -- kernel / image machinery ------------------------------------------------
 
     def kernel(self) -> list[Element]:
         """All ``x`` with ``apply(x) = 0``; always a subgroup containing 0."""
-        g = self.group
-        zero_idx = 0
-        return [g.element_at(i) for i, t in enumerate(self.index_map)
-                if t == zero_idx]
+        return [self.group.element_at(int(i))
+                for i in np.flatnonzero(self.index_map == 0)]
 
     def image(self) -> list[Element]:
         g = self.group

@@ -34,4 +34,4 @@ class ConstructionError(GroupIdentError):
 
 
 class PreconditionError(GroupIdentError):
-    """A hypothesis required by a verification procedure does not hold."""
+    """A condition required by a verification procedure does not hold."""

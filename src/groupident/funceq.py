@@ -1,21 +1,14 @@
 """Difference-operator machinery for product-form functional equations.
 
-This module executes, numerically and on finite carriers, the manipulations
-that drive the identifiability arguments: finite differences ``f(y+h)-f(y)``
-and their multiplicative counterparts ``f(y+h)/f(y)``, polynomial and
+Finite differences ``f(y+h)-f(y)`` and ``f(y+h)/f(y)``, polynomial and
 character tests, the Bernstein equation ``g(u+v)g(u-v)=g(u)^2``, and the
-substitute-and-divide elimination step that removes one factor from an
-equation of the form
-
-    f_1(u + b_1 v) * f_2(u + b_2 v) * ... * f_n(u + b_n v) = R(v).
-
-Tables live either on a whole finite group or on a finite symmetric window
-of a rational lattice; window operations shrink their domain explicitly and
-raise when the margin runs out rather than truncating silently.  Every
-operator is one numpy body over the integer point indices that both kinds of
-domain provide: differences and polynomial tests gather along shifted
-indices, and the character, Bernstein and Hermitian checks and the product-
-and sum-equation residuals sweep index pairs in row blocks.
+substitute-and-divide step that removes one factor from an equation
+``f_1(u + b_1 v) * ... * f_n(u + b_n v) = R(v)``, run numerically on tables
+over a whole finite group or a finite symmetric window of a rational
+lattice.  Window operations shrink their domain explicitly and raise when
+the margin runs out.  Every operator is one numpy body over the integer
+point indices that both kinds of domain provide: gathers along shifted
+indices, or sweeps of index pairs in row blocks.
 """
 
 from __future__ import annotations
@@ -27,9 +20,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .endomorphisms import Endo
 from .errors import (DomainError, PreconditionError, VanishingFactorError,
                      WindowMarginError)
-from .groups import Element, Group, row_blocks
+from .groups import Element, Group, character_search, row_blocks
 
 # -- domains ------------------------------------------------------------------
 #
@@ -94,7 +88,7 @@ def _trivial_kernel(beta, minus=None) -> bool:
 
 def kernel_conditions(summed: Sequence[bool],
                       betas: Sequence[object]) -> dict[str, bool]:
-    """The kernel hypotheses of the identifiability theorems, by label.
+    """The kernel conditions of the identifiability theorems, by label.
 
     ``summed[j]`` says whether ``L_1`` sums variable ``j``.  Every two summed
     coefficients must differ by a map with trivial kernel (``ker(bi-bj)=0``)
@@ -255,12 +249,7 @@ class FunctionTable:
     def times(self, other: "FunctionTable") -> "FunctionTable":
         """Pointwise ``self*other`` on the common support."""
         has, q = self._common(other)
-        a, b = self.values[has], other.values[q]
-        # Products rounded as CPython's complex multiply rounds them.
-        vals = np.empty(len(has), dtype=np.complex128)
-        vals.real = a.real * b.real - a.imag * b.imag
-        vals.imag = a.real * b.imag + a.imag * b.real
-        return self._restrict(has, vals)
+        return self._restrict(has, self.values[has] * other.values[q])
 
     # -- structural checks -------------------------------------------------------
 
@@ -272,8 +261,7 @@ class FunctionTable:
         q = self._positions(self.domain.neg_idx(self._idx))
         has = q >= 0
         d = self.values[q[has]] - np.conj(self.values[has])
-        # hypot rounds as CPython's abs(complex); numpy's complex abs may not.
-        return float(np.max(np.hypot(d.real, d.imag), initial=0.0))
+        return float(np.max(np.abs(d), initial=0.0))
 
     def nonvanishing(self, tol: float = 0.0) -> bool:
         return bool(np.min(np.abs(self.values)) > tol)
@@ -396,12 +384,9 @@ def locate_character(f: FunctionTable, tol: float = 1e-9) -> Element | None:
     dom = f.domain
     if not isinstance(dom, Group):
         return None
-    P = dom.roots[dom.phase_idx(np.arange(dom.size)[:, None], f._idx[None, :])]
-    dev = np.max(np.abs(P - f.values[None, :]), axis=1)
-    best = int(np.argmin(dev))
-    if dev[best] < tol:
-        return dom.element_at(best)
-    return None
+    # The shift search with a = 1, which leaves P exact.
+    x = character_search(dom, np.ones(len(f)), f.values, tol, f._idx)
+    return None if x is None else dom.element_at(x)
 
 
 def bernstein_square_table(group: Group) -> FunctionTable:
@@ -436,12 +421,9 @@ def bernstein_check(g: FunctionTable, tol: float = 1e-9) -> bool:
     s = g._positions(dom.add_idx(i[:, None], i[None, :]))
     d = g._positions(dom.add_idx(i[:, None], dom.neg_idx(i)[None, :]))
     both = (s >= 0) & (d >= 0)
-    a, b = vals[s[both]], vals[d[both]]
     c = np.broadcast_to(vals[:, None], both.shape)[both]
-    # g(u+v)g(u-v) - g(u)^2 with products rounded as CPython rounds them.
-    re = a.real * b.real - a.imag * b.imag - (c.real * c.real - c.imag * c.imag)
-    im = a.real * b.imag + a.imag * b.real - (c.real * c.imag + c.imag * c.real)
-    return not bool(np.any(np.hypot(re, im) > tol))
+    defect = np.abs(vals[s[both]] * vals[d[both]] - c * c)
+    return not bool(np.any(defect > tol))
 
 
 # -- product equations ----------------------------------------------------------
@@ -564,20 +546,9 @@ def eliminate(eq: ProductEquation, index: int, k) -> ProductEquation:
         if new_rhs is None:
             raise DomainError("cannot eliminate the only factor of rhs-free equation")
         inv = new_rhs.map_values(lambda v: 1.0 / v)
-        return ProductEquation(((inv, _ZeroCoeff(dom)),), None)
+        zero = Endo.zero(dom) if isinstance(dom, Group) else 0
+        return ProductEquation(((inv, zero),), None)
     return ProductEquation(tuple(new_factors), new_rhs)
-
-
-class _ZeroCoeff:
-    """Coefficient that sends every dual point to zero (used after full cascades)."""
-
-    ratio = Fraction(0)
-
-    def __init__(self, domain):
-        self._zero = domain.zero
-
-    def apply(self, p):
-        return self._zero
 
 
 @dataclass(frozen=True)
@@ -592,11 +563,9 @@ class CharacterVerdict:
 def _default_cascade_steps(eq: ProductEquation, limit: int = 12) -> list:
     dom = eq.domain
     if isinstance(dom, Group):
-        pts = [p for p in dom.elements() if p != dom.zero]
-        return pts[:limit]
-    pts = [p for p in dom.points if p != 0]
-    pts.sort(key=abs)
+        return list(dom.elements()[1:limit + 1])  # all but the zero
     # Small steps leave margin for the repeated restrictions of the cascade.
+    pts = sorted((p for p in dom.points if p != 0), key=abs)
     return pts[: 2 * (eq.arity - 1)][:limit]
 
 
@@ -608,10 +577,8 @@ def extract_character(eq: ProductEquation, *,
     checking that the reduced equation keeps residual 1 on every evaluable
     pair for each substitution step; the surviving ratio table is then tested
     for multiplicativity and, on a finite group, matched against an explicit
-    character.
-
-    Raises PreconditionError when some pair of coefficients has a difference
-    with nontrivial kernel, which is exactly when the conclusion may fail.
+    character.  Raises PreconditionError when some pair of coefficients has
+    a difference with nontrivial kernel, exactly when the conclusion may fail.
     """
     require_kernel_conditions((True,) * eq.arity, [b for _, b in eq.factors])
     ks = _default_cascade_steps(eq)
@@ -630,10 +597,8 @@ def extract_character(eq: ProductEquation, *,
         f = eq.factors[survivor][0]
         defect = character_defect(f)
         located = locate_character(f, tol)
-        if isinstance(eq.domain, Group) and len(f.points) == eq.domain.size:
-            ok = defect <= tol and located is not None
-        else:
-            ok = defect <= tol
+        full = isinstance(eq.domain, Group) and len(f) == eq.domain.size
+        ok = defect <= tol and (located is not None or not full)
         verdicts.append(CharacterVerdict(survivor, bool(ok), float(defect),
                                          located, float(cascade_worst)))
     return verdicts

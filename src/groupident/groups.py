@@ -150,10 +150,7 @@ class Group:
 
     def order_two_count(self) -> int:
         """Number of nonzero elements ``x`` with ``x + x = 0``."""
-        count = 1
-        for n in self.orders:
-            count *= 2 if n % 2 == 0 else 1
-        return count - 1
+        return 2 ** sum(n % 2 == 0 for n in self.orders) - 1
 
     # -- the character pairing ----------------------------------------------
 
@@ -297,3 +294,75 @@ def row_blocks(rows: int, cols: int, block: int = PAIR_BLOCK) -> list[slice]:
     """Row slices of a ``rows x cols`` pair sweep, about ``block`` pairs each."""
     step = max(1, block // max(cols, 1))
     return [slice(a, a + step) for a in range(0, rows, step)]
+
+
+# -- the exhaustive character search ------------------------------------------
+
+
+def character_search(g: Group, a: np.ndarray, b: np.ndarray, tol: float,
+                     cols: np.ndarray | None = None) -> int | None:
+    """Index of the lowest-index minimiser ``x`` of
+    ``dev(x) = max_j |b[j] - a[j] pair(x, y_j)|``, ``y_j`` the element of
+    index ``cols[j]`` (every element in order by default), if that minimum
+    is below ``tol``; else None, as the dense search over every ``x``.
+    ``dev`` is exact, in row blocks, on pairing rows from ``phase_idx``
+    on a ``spectral`` group, where ``_shift_screen`` first drops every ``x``
+    whose ``dev(x)`` provably reaches ``tol`` if every column is there in
+    order; below that size the cached ``pairing_matrix`` rows, the same
+    doubles, spare shift-small 3-5% of its time."""
+    every = np.arange(g.size)
+    cols = every if cols is None else cols
+    keep = (np.flatnonzero(_shift_screen(g, a, b, tol))
+            if g.spectral and np.array_equal(cols, every) else every)
+    if not keep.size:
+        return None
+    dev = []
+    for rows in row_blocks(keep.size, len(cols)):
+        x = keep[rows]
+        P = (g.roots[g.phase_idx(x[:, None], cols)] if g.spectral
+             else g.pairing_matrix[x][:, cols])
+        dev.append(np.max(np.abs(b - a * P), axis=1))
+    dev = np.concatenate(dev)
+    best = int(np.argmin(dev))
+    return int(keep[best]) if dev[best] < tol else None
+
+
+def _shift_screen(g: Group, a: np.ndarray, b: np.ndarray,
+                  tol: float) -> np.ndarray:
+    """Mask of the ``x`` that may have a computed ``dev(x) < tol`` in
+    ``character_search`` over every character ``y``.
+
+    Over all ``n`` characters ``y``,
+    ``L2^2(x) = sum_y |b(y) - a(y) pair(x, y)|^2 = S + T - 2 Re F(x)`` with
+    ``S = sum |a|^2``, ``T = sum |b|^2`` and ``F = fftn(conj(a) b)`` over the
+    ``orders`` shape (numpy's ``fftn`` carries ``exp(-2 pi i <x, y>)``).
+    A maximum is at least the root mean square, so ``dev(x)^2 >= L2^2(x)/n``.
+
+    Rounding bound, with ``u = 2^-53`` (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., 2002): the sums ``S`` and ``T`` of ``2n``
+    real products are off by at most ``gamma_2n (S+T)`` (§3.1, in any
+    summation order); each product ``conj(a) b`` by ``sqrt(2) gamma_2 |a||b|``
+    (Lemma 3.5), which moves ``F(x)`` by at most ``sqrt(2) gamma_2 (S+T)/2``;
+    an FFT by ``c log2(m) u`` relative to the 2-norm (§24.1, Thm 24.2, where
+    ``c`` is about 7 for radix 2), which by Parseval is at most
+    ``c log2(m) u sqrt(n) |w|_2`` in any one ``F(x)``, ``w = conj(a) b``.
+    We take ``c = 32`` and ``m = 4n``, to cover pocketfft's mixed radices and
+    the padded Bluestein transform it uses for prime lengths, and the final
+    sum adds ``4u (S+T)``.  ``E`` below is twice the total; the errors seen
+    on the test groups stay under 1% of it.  A computed ``dev(x)`` is off by
+    at most ``4u (max|a| + tol)`` (one complex product, a subtraction and a
+    modulus), and ``max|a| <= sqrt(S)``, so a computed ``dev(x) < tol``
+    means ``dev(x) < t`` for the ``t`` below.  An ``x`` is dropped only when the
+    computed ``L2^2(x) - E >= n t^2``, which forces ``dev(x) >= t``; a NaN
+    keeps it.
+    """
+    n, u = g.size, 2.0 ** -53
+    S, T = float(np.vdot(a, a).real), float(np.vdot(b, b).real)
+    w = a.conj() * b
+    F = np.fft.fftn(w.reshape(g.orders)).reshape(-1)
+    l2 = (S + T) - 2 * F.real
+    W = math.sqrt(np.vdot(w, w).real)
+    E = 2 * u * ((2 * n + 8) * (S + T)
+                 + 64 * math.log2(4 * n) * math.sqrt(n) * W)
+    t = tol + 4 * u * (math.sqrt(S) + tol)
+    return ~(l2 - E >= n * t * t)

@@ -3,15 +3,14 @@
 Given the coefficients of two linear forms in independent group-valued
 variables and two candidate tuples of component distributions, these
 procedures decide whether the joint characteristic functions coincide and,
-when the kernel hypotheses hold, certify that the components agree up to
+when the kernel conditions hold, certify that the components agree up to
 explicit shifts.  The counterexample constructors reproduce the situations
-where the hypotheses fail and the conclusion genuinely breaks.
+where the conditions fail and the conclusion genuinely breaks.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -22,7 +21,8 @@ from .distributions import (Distribution, LinearFormSpec, box_chars,
 from .endomorphisms import Endo
 from .errors import ConstructionError, DomainError
 from .funceq import kernel_conditions, summed_variables
-from .groups import Element, Group, row_blocks
+from .groups import Element, Group, character_search
+from .reporting import FLOORS, Measured
 
 JOINT_TOL = 1e-8
 SHIFT_TOL = 1e-8
@@ -57,88 +57,15 @@ class IdentifiabilityReport:
 
 def recover_shift(mu: Distribution, nu: Distribution,
                   tol: float = SHIFT_TOL) -> Element | None:
-    """The ``x`` with ``nu_hat = mu_hat * pair(x, .)`` everywhere, if one exists.
-
-    The search is exhaustive over the group, so no logarithm branch is ever
-    taken: the answer is the lowest-index minimiser of
-    ``dev(x) = max_y |nu_hat(y) - mu_hat(y) pair(x, y)|`` when that minimum
-    is below ``tol``, and None otherwise.  Ties cannot occur for nonvanishing
-    ``mu_hat``.
-
-    On a ``spectral`` group (``groups.SPECTRAL_MIN_SIZE`` elements or more)
-    ``_shift_screen`` first rules out, in O(n log n), every ``x`` whose
-    ``dev(x)`` provably reaches ``tol``, and ``dev`` is then computed exactly,
-    in row blocks, on the remaining ``x`` only, with their pairing rows read
-    from ``phase_idx``.  Below that size the search reads every row of the
-    cached ``pairing_matrix``, which costs less than the screen's FFT call.
-    Either way the answer is the one the dense search over every ``x`` gives.
-    """
+    """The ``x`` with ``nu_hat = mu_hat * pair(x, .)`` everywhere, if one
+    exists: ``groups.character_search`` over the whole group, so no
+    logarithm branch is taken.  Ties cannot occur for nonvanishing
+    ``mu_hat``."""
     if mu.group != nu.group:
         raise DomainError("shift recovery needs a common group")
     g = mu.group
-    a, b = mu.char_array, nu.char_array
-    every = np.arange(g.size)
-    keep = (np.flatnonzero(_shift_screen(g, a, b, tol)) if g.spectral
-            else every)
-    if not keep.size:
-        return None
-    dev = []
-    for rows in row_blocks(keep.size, g.size):
-        x = keep[rows]
-        # The same doubles either way.  Below SPECTRAL_MIN_SIZE the cached
-        # rows are cheaper: phase_idx rows at every size cost perfbench's
-        # shift-small 3-5% of its ops/s (it lost 6 of 6 alternated 25 s
-        # pairs; 2-CPU x86-64 host, numpy 2.4).
-        P = (g.roots[g.phase_idx(x[:, None], every)] if g.spectral
-             else g.pairing_matrix[x])
-        # mu_hat first: numpy's SIMD loop rounds x * y and y * x apart.
-        dev.append(np.max(np.abs(b[None, :] - a[None, :] * P), axis=1))
-    dev = np.concatenate(dev)
-    best = int(np.argmin(dev))
-    if dev[best] < tol:
-        return g.element_at(int(keep[best]))
-    return None
-
-
-def _shift_screen(g: Group, a: np.ndarray, b: np.ndarray,
-                  tol: float) -> np.ndarray:
-    """Mask of the ``x`` that may have a computed ``dev(x) < tol``, where
-    ``a`` and ``b`` are ``mu_hat`` and ``nu_hat``.
-
-    Over all ``n`` characters ``y``,
-    ``L2^2(x) = sum_y |b(y) - a(y) pair(x, y)|^2 = S + T - 2 Re F(x)`` with
-    ``S = sum |a|^2``, ``T = sum |b|^2`` and ``F = fftn(conj(a) b)`` over the
-    ``orders`` shape (numpy's ``fftn`` carries ``exp(-2 pi i <x, y>)``).
-    A maximum is at least the root mean square, so ``dev(x)^2 >= L2^2(x)/n``.
-
-    Rounding bound, with ``u = 2^-53`` (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, 2nd ed., 2002): the sums ``S`` and ``T`` of ``2n``
-    real products are off by at most ``gamma_2n (S+T)`` (§3.1, in any
-    summation order); each product ``conj(a) b`` by ``sqrt(2) gamma_2 |a||b|``
-    (Lemma 3.5), which moves ``F(x)`` by at most ``sqrt(2) gamma_2 (S+T)/2``;
-    an FFT by ``c log2(m) u`` relative to the 2-norm (§24.1, Thm 24.2, where
-    ``c`` is about 7 for radix 2), which by Parseval is at most
-    ``c log2(m) u sqrt(n) |w|_2`` in any one ``F(x)``, ``w = conj(a) b``.
-    We take ``c = 32`` and ``m = 4n``, to cover pocketfft's mixed radices and
-    the padded Bluestein transform it uses for prime lengths, and the final
-    sum adds ``4u (S+T)``.  ``E`` below is twice the total; the errors seen
-    on the test groups stay under 1% of it.  A computed ``dev(x)`` is off by
-    at most ``4u (max|a| + tol)`` (one complex product, a subtraction and a
-    modulus), and ``max|a| <= sqrt(S)``, so a computed ``dev(x) < tol``
-    means ``dev(x) < t`` for the ``t`` below.  An ``x`` is dropped only when the
-    computed ``L2^2(x) - E >= n t^2``, which forces ``dev(x) >= t``; a NaN
-    keeps it.
-    """
-    n, u = g.size, 2.0 ** -53
-    S, T = float(np.vdot(a, a).real), float(np.vdot(b, b).real)
-    w = a.conj() * b
-    F = np.fft.fftn(w.reshape(g.orders)).reshape(-1)
-    l2 = (S + T) - 2 * F.real
-    W = math.sqrt(np.vdot(w, w).real)
-    E = 2 * u * ((2 * n + 8) * (S + T)
-                 + 64 * math.log2(4 * n) * math.sqrt(n) * W)
-    t = tol + 4 * u * (math.sqrt(S) + tol)
-    return ~(l2 - E >= n * t * t)
+    x = character_search(g, mu.char_array, nu.char_array, tol)
+    return None if x is None else g.element_at(x)
 
 
 def _verify(summed: tuple[bool, ...], bs: Sequence[Endo],
@@ -155,7 +82,8 @@ def _verify(summed: tuple[bool, ...], bs: Sequence[Endo],
     g = bs[0].group
     ones = tuple(Endo.identity(g) if s else Endo.zero(g) for s in summed)
     spec = LinearFormSpec(g, ones, tuple(bs))
-    residual = joint_residual(spec, mus, nus)
+    residual = Measured(joint_residual(spec, mus, nus),
+                        FLOORS["joint_residual"](g))
     if not all(pre.values()):
         return IdentifiabilityReport(pre, residual, None, None,
                                      VERDICT_PRECONDITIONS)
@@ -168,7 +96,8 @@ def _verify(summed: tuple[bool, ...], bs: Sequence[Endo],
         x = recover_shift(mu, nu) if shifted else g.zero
         if x is None:
             return mismatch
-        tv = nu.total_variation(mu.shift(x))
+        tv = Measured(nu.total_variation(mu.shift(x)),
+                      FLOORS["reconstruction_tv"](g))
         if tv >= TV_TOL:
             return mismatch
         shifts.append(x)
@@ -208,10 +137,8 @@ def kotlarski_coeffs(group: Group) -> tuple[Endo, Endo, Endo]:
 
 def _preimage(e: Endo, target: Element) -> Element:
     """Unique preimage under a bijective endomorphism."""
-    im = e.index_map
-    inv = np.empty_like(im)
-    inv[im] = np.arange(len(im))
-    return e.group.element_at(int(inv[e.group.index(target)]))
+    i = np.flatnonzero(e.index_map == e.group.index(target))[0]
+    return e.group.element_at(int(i))
 
 
 def consistent_shifts(bs: Sequence[Endo], form: str, x1: Element):
@@ -295,14 +222,8 @@ def _poisson_closed_block(a: float, row_u: np.ndarray, row_v: np.ndarray,
     np.multiply(4 * a * row_u[rows, None], row_v[None, :], out=out)
     np.exp(out, out=out)
     out *= np.exp(-4 * a)
-    if rest is None:
-        return out
-    # numpy's SIMD loop rounds x * y and y * x apart.  The whole-table code
-    # wrote ``out * rest``, which numpy ran in place as ``rest * out`` once
-    # the n x n temporary reached 256 KiB, at n >= 128; keep both orders.
-    if row_v.size >= 128:
-        return np.multiply(rest, out, out=out)
-    out *= rest
+    if rest is not None:
+        out *= rest
     return out
 
 
@@ -400,12 +321,9 @@ def _form_matrix(q: Sequence[Sequence[Fraction]],
     # T maps (u, v) -> u + b v, a 2x4 block [I | b].
     T = [[Fraction(1), Fraction(0), b[0][0], b[0][1]],
          [Fraction(0), Fraction(1), b[1][0], b[1][1]]]
-    out = [[Fraction(0)] * 4 for _ in range(4)]
-    for r in range(4):
-        for c in range(4):
-            out[r][c] = sum(T[i][r] * q[i][j] * T[j][c]
-                            for i in range(2) for j in range(2))
-    return out
+    return [[sum(T[i][r] * q[i][j] * T[j][c]
+                 for i in range(2) for j in range(2)) for c in range(4)]
+            for r in range(4)]
 
 
 def _is_indefinite(d: Sequence[Sequence[Fraction]]) -> bool:
@@ -429,18 +347,11 @@ class PlaneGaussianReport:
     ok: bool
 
     def to_json_dict(self) -> dict:
-        frac = lambda m: [[str(x) for x in row] for row in m]
-        return {
-            "mu_exponents": [frac(m) for m in self.mu_exponents],
-            "nu_exponents": [frac(m) for m in self.nu_exponents],
-            "coefficients": [frac(m) for m in self.coefficients],
-            "lhs_total": frac(self.lhs_total),
-            "rhs_total": frac(self.rhs_total),
-            "identity_holds": self.identity_holds,
-            "difference_forms": [frac(m) for m in self.difference_forms],
-            "all_indefinite": self.all_indefinite,
-            "ok": self.ok,
-        }
+        """Matrices as nested lists of fraction strings."""
+        def strs(v):
+            return ([strs(x) for x in v] if isinstance(v, tuple)
+                    else str(v) if isinstance(v, Fraction) else v)
+        return {k: strs(v) for k, v in asdict(self).items()}
 
 
 def plane_gaussian_counterexample() -> PlaneGaussianReport:
@@ -459,13 +370,9 @@ def plane_gaussian_counterexample() -> PlaneGaussianReport:
     b_mats = tuple(diag(j, -j) for j in (1, 2, 3, 4))
 
     def total(forms):
-        acc = [[F(0)] * 4 for _ in range(4)]
-        for q, b in zip(forms, b_mats):
-            m = _form_matrix(q, b)
-            for r in range(4):
-                for c in range(4):
-                    acc[r][c] += m[r][c]
-        return tuple(tuple(row) for row in acc)
+        ms = [_form_matrix(q, b) for q, b in zip(forms, b_mats)]
+        return tuple(tuple(sum(m[r][c] for m in ms) for c in range(4))
+                     for r in range(4))
 
     lhs = total(mu_q)
     rhs = total(nu_q)

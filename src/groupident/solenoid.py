@@ -1,22 +1,20 @@
 """Desk-scale model of the solenoid character group and Gaussian fitting.
 
 The character group of an a-adic solenoid is the discrete group of rationals
-``m/(a_0 a_1 ... a_n)``.  All computations here happen on finite symmetric
-windows of that group; the compact group itself is never materialized.
-Points, phases and coefficients are exact ``Fraction`` values at the API,
-while all window arithmetic runs on the integer grid indices ``m = y*D``
-with ``D = a_0...a_n``.  Characters on a window are parameterized by a
-compatible phase sequence, Gaussian characteristic functions by a phase plus
-a quadratic decay rate, and endomorphisms by multiplication with admissible
-rationals, for which all kernel conditions reduce to being nonzero.
+``m/(a_0 a_1 ... a_n)``; everything here runs on finite symmetric windows of
+it.  Points, phases and coefficients are exact ``Fraction`` values at the
+API, and window arithmetic runs on the grid indices ``m = y*D``,
+``D = a_0...a_n``.  Characters are compatible phase sequences, Gaussian
+characteristic functions a phase plus a quadratic decay rate, and
+endomorphisms admissible rational multipliers, whose kernel conditions
+reduce to being nonzero.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -29,6 +27,7 @@ from .funceq import (DegreeReport, FunctionTable, ProductEquation,
                      character_defect, least_degree,
                      require_kernel_conditions, shifted_sum_degrees,
                      summed_variables)
+from .reporting import FLOORS, Measured, evidence_float
 
 FIT_TOL = 1e-8
 EQUATION_TOL = 1e-8
@@ -37,34 +36,27 @@ EQUATION_TOL = 1e-8
 # -- the lattice window ------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class RationalLattice:
     """Symmetric window ``{m/(a_0...a_n) : |m| <= radius}`` in exact rationals."""
 
-    def __init__(self, base: Sequence[int], depth: int, radius: int) -> None:
-        base = tuple(int(a) for a in base)
+    base: tuple[int, ...]
+    depth: int
+    radius: int
+
+    def __post_init__(self) -> None:
+        base = tuple(int(a) for a in self.base)
         if not base or any(a < 2 for a in base):
             raise DomainError(f"base entries must be >= 2, got {base}")
-        if not 0 <= depth < len(base):
-            raise DomainError(f"depth {depth} out of range for base {base}")
-        if radius < 1:
+        if not 0 <= self.depth < len(base):
+            raise DomainError(f"depth {self.depth} out of range for base {base}")
+        if self.radius < 1:
             raise WindowMarginError("radius must be >= 1 (margin precondition)")
-        self.base = base
-        self.depth = int(depth)
-        self.radius = int(radius)
-        self.denominator = math.prod(base[: depth + 1])
-        self.full_denominator = math.prod(base)
-
-    def __repr__(self) -> str:
-        return (f"RationalLattice(base={self.base}, depth={self.depth}, "
-                f"radius={self.radius})")
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, RationalLattice)
-                and (self.base, self.depth, self.radius)
-                == (other.base, other.depth, other.radius))
-
-    def __hash__(self) -> int:
-        return hash((self.base, self.depth, self.radius))
+        for name, value in (("base", base), ("depth", int(self.depth)),
+                            ("radius", int(self.radius)),
+                            ("denominator", math.prod(base[: self.depth + 1])),
+                            ("full_denominator", math.prod(base))):
+            object.__setattr__(self, name, value)
 
     @cached_property
     def points(self) -> tuple[Fraction, ...]:
@@ -167,10 +159,16 @@ def character_gaussian_values(lattice: RationalLattice, phase: Fraction,
     """
     a, b = Fraction(phase).as_integer_ratio()
     D, r = lattice.denominator, lattice.radius
-    # Exact turns (m a mod b)/b; each value keeps CPython's exp and product.
-    vals = [cmath.exp(1j * (2.0 * math.pi * (m * a % b / b)))
-            * math.exp(-sigma * (m / D) ** 2) for m in range(-r, r + 1)]
-    return FunctionTable(lattice, lattice.points, np.array(vals))
+    # Exact turns (m a mod b)/b: |m (a mod b)| < r b, so int64 holds the
+    # products while r b < 2^63; beyond that they are Python integers.
+    m = np.arange(-r, r + 1).astype(np.int64 if r * b < 2 ** 63 else object)
+    turns = (m * (a % b) % b / b).astype(float)
+    with np.errstate(over="ignore"):
+        gauss = np.exp(-sigma * (m / D).astype(float) ** 2)
+    if np.isinf(gauss).any():
+        raise OverflowError("exp(-sigma y^2) exceeds the float range")
+    return FunctionTable(lattice, lattice.points,
+                         np.exp(2j * np.pi * turns) * gauss)
 
 
 def gaussian_table(lattice: RationalLattice,
@@ -270,31 +268,36 @@ def fit_gaussian_ratio(f: FunctionTable, tol: float = FIT_TOL) -> GaussianFitRes
     first); the verdict fails when the modulus deviates from the fitted
     Gaussian by more than ``tol`` times ``max(1, |f|)`` anywhere on the
     window, or when the phase part is not multiplicative.  The reported
-    ``modulus_residual`` is the absolute deviation.  Summation order is
-    fixed, so the fit is bit-deterministic.
+    ``modulus_residual`` is the absolute deviation.
     """
     if len(f.points) < 7:
         raise WindowMarginError("gaussian fit needs at least 3 points per side")
     if not f.nonvanishing(0.0):
         raise VanishingFactorError("gaussian fit needs a nonvanishing table")
-    order = np.argsort(f._idx)
-    # hypot rounds as CPython's abs(complex); logs and exps stay per element.
-    mods = np.hypot(f.values.real, f.values.imag)[order].tolist()
-    ys = (f._idx[order] / f.domain.denominator).tolist()
-    logs = [math.log(m) for m in mods]
-    num = math.fsum(-y ** 2 * lg for y, lg in zip(ys, logs))
-    den = math.fsum(y ** 4 for y in ys)
+    order, D = np.argsort(f._idx), f.domain.denominator
+    mods = np.abs(f.values)[order]
+    ys = f._idx[order] / D
+    logs = np.log(mods)
+    num = math.fsum(-ys ** 2 * logs)
+    den = math.fsum(ys ** 4)
     sigma = num / den if den > 0 else 0.0
-    devs = [abs(m - math.exp(-sigma * y ** 2)) for y, m in zip(ys, mods)]
+    devs = np.abs(mods - np.exp(-sigma * ys ** 2))
     # The bound is relative where the modulus exceeds 1: an exact ratio
     # with modulus near 5e8 carries rounding of about 1e-7.
-    modulus_ok = all(d <= tol * max(1.0, m) for d, m in zip(devs, mods))
+    modulus_ok = bool(np.all(devs <= tol * np.maximum(1.0, mods)))
     defect = character_defect(f.phase_part())
     # On a window, is_character is exactly this test of the same defect.
     phase_ok = not defect > max(tol, 1e-9)
     ok = modulus_ok and phase_ok
-    return GaussianFitResult(float(sigma), float(max(devs)), bool(phase_ok),
-                             float(defect), bool(ok))
+    psi, scale = float(np.max(np.abs(logs))), max(1.0, float(np.max(mods)))
+    m2 = [m * m for m in f._idx.tolist()]  # exact, so the floors are too
+    spread, y2 = max(m2) * sum(m2) / sum(m * m for m in m2), max(m2) / D ** 2
+    # fmax: a NaN deviation, from an infinite value, hides no finite one.
+    return GaussianFitResult(
+        Measured(sigma, FLOORS["sigma"](psi, spread, y2), signed=True),
+        Measured(np.fmax.reduce(devs),
+                 FLOORS["modulus_residual"](scale, psi, spread)),
+        bool(phase_ok), Measured(defect, FLOORS["phase_defect"]), bool(ok))
 
 
 # -- the four-variable verifiers ------------------------------------------------------------
@@ -371,29 +374,33 @@ def _verify_gaussian(form: str, bs, muhats: Sequence[FunctionTable],
     lattice, m = fs[0].domain, sum(summed)
     rhs = None
     if m < 4:
-        # Right-hand side 1/f4(b4 v), defined where b4 v stays in the table;
-        # each quotient keeps CPython's complex division.
-        rhs = fs[3].pullback(vals[3]).map_values(
-            lambda v: np.array([1.0 / z for z in v.tolist()]))
+        # Right-hand side 1/f4(b4 v), defined where b4 v stays in the table.
+        rhs = fs[3].pullback(vals[3]).map_values(lambda v: 1.0 / v)
         if not len(rhs):
             raise WindowMarginError("fourth coefficient maps the window outside")
-    eq_defect = ProductEquation(tuple(zip(fs[:m], vals[:m])),
-                                rhs).residual_defect()
     psis = [f.log_modulus() for f in fs]
+    psi = max(float(np.max(np.abs(p.values))) for p in psis)
+    eq_defect = Measured(ProductEquation(tuple(zip(fs[:m], vals[:m])),
+                                         rhs).residual_defect(),
+                         FLOORS["equation_defect"](psi))
     neg_psi4 = extra_degree = sums = None
     if rhs is not None:
         neg_psi4 = psis[3].pullback(vals[3]).map_values(np.negative)
         extra_degree = least_degree(psis[3], 2, tol=max(tol, 1e-9))
     deg = shifted_sum_degrees(psis[:m], vals[:m], neg_psi4,
                               tol=max(tol, 1e-9))
+    deg = replace(deg, equation_defect=Measured(
+        deg.equation_defect, FLOORS["sum_equation_defect"](psi)))
     fits = tuple(fit_gaussian_ratio(f) for f in fs)
     if rhs is None:
-        sums = tuple(abs(math.fsum(fit.sigma * float(b) ** k
-                                   for fit, b in zip(fits, vals)))
+        sums = tuple(Measured(abs(math.fsum(fit.sigma * float(b) ** k
+                                            for fit, b in zip(fits, vals))),
+                              FLOORS["sigma_sum"](k, fits, vals))
                      for k in range(3))
     failures = []
     if eq_defect > tol:
-        failures.append(f"product equation defect {eq_defect:.3e}")
+        shown = evidence_float(eq_defect, eq_defect.floor)
+        failures.append(f"product equation defect {shown:.2e}")
     for j, fit in enumerate(fits):
         if not fit.ok:
             failures.append(f"factor {j + 1} is not character*gaussian")
@@ -409,9 +416,9 @@ def _verify_gaussian(form: str, bs, muhats: Sequence[FunctionTable],
         verdict = VERDICT_NOT_GAUSSIAN
     else:
         verdict = VERDICT_GAUSSIAN
-    return GaussianIdentReport(form, tuple(vals), repr(lattice),
-                               float(eq_defect), deg, extra_degree, fits,
-                               sums, tuple(failures), verdict)
+    return GaussianIdentReport(form, tuple(vals), repr(lattice), eq_defect,
+                               deg, extra_degree, fits, sums,
+                               tuple(failures), verdict)
 
 
 def verify_gaussian_form_I(bs, muhats: Sequence[FunctionTable],

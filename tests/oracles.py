@@ -105,22 +105,20 @@ def locate_character_oracle(orders, table, tol):
 
 
 def bernstein_oracle(orders, table, tol):
-    if max(abs(abs(v) - 1.0) for v in table.values()) > tol:
-        return False
-    if hermitian_defect_oracle(orders, table) > tol:
-        return False
+    """(verdict, distance from ``tol`` of the closest quantity it compares)."""
     zero = (0,) * len(orders)
-    if zero not in table or abs(table[zero] - 1.0) > tol:
-        return False
+    if zero not in table:
+        return False, math.inf
+    qs = [abs(abs(v) - 1.0) for v in table.values()]
+    qs += [hermitian_defect_oracle(orders, table), abs(table[zero] - 1.0)]
     for u in table:
         gu2 = table[u] ** 2
         for v in table:
             s = _add(orders, u, v)
             d = _add(orders, u, _neg(orders, v))
             if s in table and d in table:
-                if abs(table[s] * table[d] - gu2) > tol:
-                    return False
-    return True
+                qs.append(abs(table[s] * table[d] - gu2))
+    return all(q <= tol for q in qs), min(abs(q - tol) for q in qs)
 
 
 def adjoint_pair_oracle(orders, a, b):
@@ -237,8 +235,9 @@ def character_gaussian_oracle(points, denominator, phase, sigma):
 
 
 def gaussian_fit_oracle(table, tol):
-    """(sigma, largest modulus deviation, modulus verdict) of the fit of
-    ``log|f|`` against ``-y^2``, summed in point order."""
+    """(sigma, largest modulus deviation, modulus verdict, distance of the
+    closest deviation from its bound) of the fit of ``log|f|`` against
+    ``-y^2``, summed in point order."""
     pts = sorted(table)
     mods = [abs(table[p]) for p in pts]
     logs = [math.log(m) for m in mods]
@@ -247,8 +246,9 @@ def gaussian_fit_oracle(table, tol):
     sigma = num / den if den > 0 else 0.0
     devs = [abs(m - math.exp(-sigma * float(p) ** 2))
             for p, m in zip(pts, mods)]
-    return (sigma, max(devs),
-            all(d <= tol * max(1.0, m) for d, m in zip(devs, mods)))
+    bounds = [tol * max(1.0, m) for m in mods]
+    return (sigma, max(devs), all(d <= b for d, b in zip(devs, bounds)),
+            min(abs(d - b) for d, b in zip(devs, bounds)))
 
 
 # -- dense-table oracles on finite groups --------------------------------------

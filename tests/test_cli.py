@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ from groupident.fixtures import read_distribution, read_table
 from groupident.reporting import body_bytes, load_schema
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+TOOL = SRC.parent / "tools" / "compare_bodies.py"
 
 
 def run_cli(tmp_path, *argv):
@@ -294,3 +296,26 @@ def test_stdout_report(capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["command"] == "counterexample"
+
+
+def load_compare_bodies():
+    spec = importlib.util.spec_from_file_location("compare_bodies", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_bodies_are_the_same_under_x86_64_v2_dispatch():
+    # numpy's x86-64-v2 loops round complex products, abs, exp and log
+    # apart from its AVX2 and AVX-512 loops; the bodies must not show it.
+    tool = load_compare_bodies()
+    argvs = [["verify-shift", "--group", "5x5", "--form", "II",
+              "--trials", "20", "--seed", "3"],
+             ["verify-gaussian", "--radius", "20", "--trials", "2",
+              "--seed", "5"],
+             ["counterexample", "--kind", "poisson-pair"]]
+    v2 = dict(tool.env_settings())["x86-64-v2 dispatch"]
+    native = tool.run_child(SRC.parent, argvs, {})
+    assert [code for code, _ in native] == [0, 0, 0]
+    assert tool.run_child(SRC.parent, argvs, v2) == native
+

@@ -1,9 +1,11 @@
-"""Compare report bodies of a fixed list of campaigns between two source trees.
+"""Compare report bodies of a fixed list of campaigns between two source
+trees, or between environments.
 
 Usage, from the root of a checkout::
 
     git clone -q . /tmp/parent && git -C /tmp/parent checkout -q HEAD~1
     python3 tools/compare_bodies.py /tmp/parent [TREE]
+    python3 tools/compare_bodies.py --env [TREE]
 
 ``TREE`` defaults to this checkout.  Each campaign runs in-process through
 ``groupident.cli.main``, first with the package imported from the first
@@ -15,6 +17,15 @@ every JSON path whose value differs, with both values, for example
 so that a deliberate change of bodies can be reviewed field by field.  A
 refactor that claims unchanged behaviour should print ``same`` on every
 line.
+
+With ``--env`` the campaigns run against one tree (this checkout by
+default) in child processes, once natively and once under each setting of
+``env_settings``: numpy's AVX-512 dispatch targets disabled, every dispatch
+target disabled (x86-64-v2 on an x86-64 build), OpenBLAS's Sandybridge
+kernels, and one OpenBLAS thread.  For each setting the script prints how
+many bodies are identical to the native run, with the same DIFFERENT lines,
+and it exits 1 when any body differs.  Report bodies are meant to be a
+function of configuration and seed alone, so every count should be full.
 """
 
 from __future__ import annotations
@@ -23,11 +34,14 @@ import contextlib
 import importlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
 
 
 def _shift(group: str, form: str, trials: str) -> list[str]:
@@ -95,6 +109,42 @@ def run_tree(tree: Path, argvs) -> list[tuple[int, bytes | None]]:
         sys.path.remove(src)
 
 
+def env_settings() -> list[tuple[str, dict[str, str]]]:
+    """(label, environment overrides) of each ``--env`` setting, native
+    first."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__ as dispatch
+
+    avx512 = [f for f in dispatch if f.startswith("AVX512") or f == "X86_V4"]
+    return [("native", {}),
+            ("AVX-512 disabled",
+             {"NPY_DISABLE_CPU_FEATURES": " ".join(avx512)}),
+            ("x86-64-v2 dispatch",
+             {"NPY_DISABLE_CPU_FEATURES": " ".join(dispatch)}),
+            ("OPENBLAS_CORETYPE=Sandybridge",
+             {"OPENBLAS_CORETYPE": "Sandybridge"}),
+            ("OPENBLAS_NUM_THREADS=1", {"OPENBLAS_NUM_THREADS": "1"})]
+
+
+_CHILD = """\
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import compare_bodies as tool
+results = tool.run_tree(tool.Path(sys.argv[2]), json.loads(sys.argv[3]))
+print(json.dumps([[code, body and body.decode()] for code, body in results]))
+"""
+
+
+def run_child(tree: Path, argvs, env: dict[str, str]):
+    """``run_tree(tree, argvs)`` in a child process whose environment is this
+    one's with ``env`` added."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, str(HERE), str(tree.resolve()),
+         json.dumps(argvs)],
+        env={**os.environ, **env}, capture_output=True, text=True, check=True)
+    return [(code, body and body.encode())
+            for code, body in json.loads(proc.stdout)]
+
+
 _ABSENT = object()
 
 
@@ -118,14 +168,9 @@ def _show(value) -> str:
     return "(absent)" if value is _ABSENT else json.dumps(value)
 
 
-def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    if len(args) not in (1, 2):
-        print(__doc__, file=sys.stderr)
-        return 2
-    first = Path(args[0])
-    second = Path(args[1]) if len(args) == 2 else ROOT
-    before, after = run_tree(first, ARGVS), run_tree(second, ARGVS)
+def report(before, after, label: str = "") -> int:
+    """Print one line per argv, and the fields of each body that differs;
+    return the number of argvs whose exit code or body differs."""
     differ = 0
     for argv, a, b in zip(ARGVS, before, after):
         same = a == b
@@ -137,8 +182,31 @@ def main(argv=None) -> int:
                         for _, body in (a, b))
             for path, x, y in changed_fields(old, new):
                 print(f"    {path or '.'} {_show(x)} -> {_show(y)}")
-    print(f"{len(ARGVS) - differ} of {len(ARGVS)} bodies identical")
-    return 1 if differ else 0
+    print(f"{label}{len(ARGVS) - differ} of {len(ARGVS)} bodies identical")
+    return differ
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    env = args[:1] == ["--env"]
+    if env:
+        args = args[1:]
+    if len(args) not in ((0, 1) if env else (1, 2)):
+        print(__doc__, file=sys.stderr)
+        return 2
+    if env:
+        tree = Path(args[0]) if args else ROOT
+        (_, native), *others = [(label, run_child(tree, ARGVS, overrides))
+                                for label, overrides in env_settings()]
+        differ = [report(native, results, f"{label}: ")
+                  for label, results in others]
+        print("summary, bodies identical to the native run:")
+        for (label, _), d in zip(others, differ):
+            print(f"  {label}: {len(ARGVS) - d} of {len(ARGVS)}")
+        return 1 if any(differ) else 0
+    first = Path(args[0])
+    second = Path(args[1]) if len(args) == 2 else ROOT
+    return 1 if report(run_tree(first, ARGVS), run_tree(second, ARGVS)) else 0
 
 
 if __name__ == "__main__":
