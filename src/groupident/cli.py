@@ -210,7 +210,7 @@ def run_gaussian_trial(lattice, bs, form: str, seed, trial: int,
 def run_gaussian_adversarial(lattice, bs, form: str, seed, trial: int) -> dict:
     muhats, nuhats, _, _ = solenoid.synth_gaussian_instance(
         lattice, bs, [seed, trial, 1], form)
-    quartic = np.exp(-0.4 * (nuhats[0]._idx / lattice.denominator) ** 4)
+    quartic = np.exp(-0.4 * (nuhats[0].idx / lattice.denominator) ** 4)
     nuhats[0] = nuhats[0].map_values(lambda v: v * quartic)
     report = getattr(solenoid, "verify_gaussian_form_" + form)(bs, muhats,
                                                               nuhats)
@@ -344,7 +344,7 @@ def _counterexample_bernstein(args) -> tuple[dict, dict]:
     passes = bernstein_check(table, tol=args.tol)
     char = is_character(table, tol=args.tol)
     involutions = group.order_two_count()
-    chars = [FunctionTable(group, group.elements(), row)
+    chars = [FunctionTable._at(group, group.every, row)
              for row in group.pairing_matrix]
     chars_ok = all(bernstein_check(c) and is_character(c) for c in chars)
     ok = passes and not char and involutions >= 2 and chars_ok
@@ -409,7 +409,7 @@ def run_invariant_suite(group: Group, seed, inject_fault: str | None = None) -> 
             violations.append(f"kernel-image size product on {group!r}")
     if group.size <= 36:
         for row in group.pairing_matrix:
-            char = FunctionTable(group, group.elements(), row)
+            char = FunctionTable._at(group, group.every, row)
             if not is_character(char):
                 violations.append(f"character multiplicativity on {group!r}")
             if not bernstein_check(char):

@@ -315,4 +315,4 @@ def joint_char(spec: LinearFormSpec,
     values = joint_char_array(spec, dists).reshape(-1)
     product = Group(g.orders + g.orders,
                     enumeration_bound=max(g.enumeration_bound, g.size ** 2))
-    return FunctionTable(product, product.elements(), values)
+    return FunctionTable._at(product, product.every, values)

@@ -116,8 +116,7 @@ class Endo:
 
     def kernel(self) -> list[Element]:
         """All ``x`` with ``apply(x) = 0``; always a subgroup containing 0."""
-        return [self.group.element_at(int(i))
-                for i in np.flatnonzero(self.index_map == 0)]
+        return list(self.group.points_at(np.flatnonzero(self.index_map == 0)))
 
     def image(self) -> list[Element]:
         g = self.group

@@ -28,21 +28,11 @@ from .groups import Element, Group, character_search, row_blocks
 # -- domains ------------------------------------------------------------------
 #
 # A table domain is either a Group (points are Elements) or a rational lattice
-# window (points are sorted Fractions).  Both provide ``points``, ``zero``,
-# ``contains``, ``add`` and ``neg`` on points, and the same operations on
-# integer point indices: ``indices``, ``add_idx`` and ``neg_idx``.
-
-
-def apply_coeff(beta, p):
-    """Apply a linear-form coefficient to a dual point.
-
-    ``beta`` is an endomorphism acting on the dual (finite case) or a
-    rational multiplier (lattice case); plain ints and Fractions are accepted
-    for the latter.
-    """
-    if hasattr(beta, "apply"):
-        return beta.apply(p)
-    return p * beta
+# window (points are sorted Fractions).  Tables compute on integer point
+# indices, and both domains provide: ``every``, the read-only index array of
+# the whole domain in the order of ``points``; ``add_idx`` and ``neg_idx`` on
+# indices; and, at the API only, ``points``, ``zero``, ``contains``,
+# ``indices`` (points to indices) and ``points_at`` (indices to points).
 
 
 def _coeff_ratio(beta) -> Fraction | None:
@@ -75,15 +65,20 @@ def summed_variables(form: str, n: int) -> tuple[bool, ...]:
     return (True,) * (n - left_out) + (False,) * left_out
 
 
-def _trivial_kernel(beta, minus=None) -> bool:
-    """Whether ``beta - minus`` (``beta`` alone without ``minus``) has trivial
-    kernel on the dual; for a rational multiplier, whether it is nonzero."""
+def _coeff_diff(beta, minus):
+    """The coefficient ``beta - minus``: a Fraction when both are rational,
+    else an endomorphism difference."""
+    r, s = _coeff_ratio(beta), _coeff_ratio(minus)
+    return beta - minus if r is None or s is None else r - s
+
+
+def _trivial_kernel(beta) -> bool:
+    """Whether ``beta`` has trivial kernel on the dual; for a rational
+    multiplier, whether it is nonzero."""
     r = _coeff_ratio(beta)
-    s = Fraction(0) if minus is None else _coeff_ratio(minus)
-    if r is None or s is None:
-        e = beta if minus is None else beta - minus
-        return bool(np.count_nonzero(e.index_map == 0) == 1)
-    return r != s
+    if r is None:
+        return bool(np.count_nonzero(beta.index_map == 0) == 1)
+    return r != 0
 
 
 def kernel_conditions(summed: Sequence[bool],
@@ -104,7 +99,7 @@ def kernel_conditions(summed: Sequence[bool],
         for j in range(i + 1, len(betas)):
             if summed[j]:
                 conds[f"ker(b{i + 1}-b{j + 1})=0"] = _trivial_kernel(
-                    b, betas[j])
+                    _coeff_diff(b, betas[j]))
     return conds
 
 
@@ -119,46 +114,59 @@ def require_kernel_conditions(summed: Sequence[bool],
 # -- function tables -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FunctionTable:
     """A complex-valued function on (a subset of) a domain.
 
-    ``points`` is the ordered support (group elements, or exact Fractions
-    on a window); ``values`` is the aligned complex vector.  Tables are
-    immutable.  Every operator computes on the points' integer domain
-    indices ``_idx``, which on a window are the grid indices ``m = y*D``.
+    A table is its domain, the int64 domain indices ``idx`` of its support
+    (on a window the grid indices ``m = y*D``) and the aligned complex
+    ``values``; every operator computes on ``idx``.  ``points``, the support
+    as group elements or exact Fractions, is built from ``idx`` when first
+    read.  The constructor takes points, converts them once and rejects a
+    repeated one.  Tables are immutable.
     """
 
     domain: object
-    points: tuple
+    idx: np.ndarray
     values: np.ndarray
 
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.complex128)
-        if len(self.points) != len(vals):
+    def __init__(self, domain, points, values) -> None:
+        idx = domain.indices(points)
+        if np.unique(idx).size < idx.size:
+            raise DomainError("a point repeats in the table")
+        vars(self).update(vars(self._at(domain, idx, values)))
+
+    @classmethod
+    def _at(cls, domain, idx: np.ndarray, values) -> "FunctionTable":
+        """The table with ``values`` at the domain indices ``idx``."""
+        vals = np.asarray(values, dtype=np.complex128)
+        if len(idx) != len(vals):
             raise DomainError("points and values length mismatch")
+        idx.setflags(write=False)
         vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        t = cls.__new__(cls)
+        vars(t).update(domain=domain, idx=idx, values=vals)
+        return t
 
     @classmethod
     def from_function(cls, domain, fn: Callable) -> "FunctionTable":
-        return cls(domain, domain.points,
-                   np.array([fn(p) for p in domain.points]))
+        return cls._at(domain, domain.every,
+                       np.array([fn(p) for p in domain.points]))
 
     @classmethod
     def constant(cls, domain, value=1.0) -> "FunctionTable":
-        return cls(domain, domain.points,
-                   np.full(len(domain.points), value, dtype=np.complex128))
+        return cls._at(domain, domain.every, np.full(
+            domain.every.size, value, dtype=np.complex128))
 
     @cached_property
-    def _idx(self) -> np.ndarray:
-        """Domain index of every point."""
-        return self.domain.indices(self.points)
+    def points(self) -> tuple:
+        """The support as points, in table order."""
+        return self.domain.points_at(self.idx)
 
     @cached_property
     def _slots(self) -> tuple[int, np.ndarray]:
         # slots[k - lo] is the position of index k; a -1 pads each end.
-        idx = self._idx
+        idx = self.idx
         lo, hi = (idx.min() - 1, idx.max() + 1) if len(idx) else (0, 0)
         slots = np.full(hi - lo + 1, -1, dtype=np.int64)
         slots[idx - lo] = np.arange(len(idx))
@@ -177,14 +185,6 @@ class FunctionTable:
             raise WindowMarginError(err)
         return has, q[has]
 
-    def _restrict(self, rows: np.ndarray, values) -> "FunctionTable":
-        """The table with ``values`` on the points at positions ``rows``."""
-        t = FunctionTable(self.domain,
-                          tuple(map(self.points.__getitem__, rows.tolist())),
-                          values)
-        t.__dict__["_idx"] = self._idx[rows]  # known; skip recomputing
-        return t
-
     def _position(self, p) -> int:
         """Table position of the point ``p``; -1 where absent or foreign."""
         try:
@@ -202,15 +202,12 @@ class FunctionTable:
         return complex(self.values[i])
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.idx)
 
     # -- pointwise transforms --------------------------------------------------
 
     def map_values(self, fn: Callable[[np.ndarray], np.ndarray]) -> "FunctionTable":
-        t = FunctionTable(self.domain, self.points, fn(self.values))
-        if "_idx" in self.__dict__:
-            t.__dict__["_idx"] = self._idx  # same points; skip recomputing
-        return t
+        return self._at(self.domain, self.idx, fn(self.values))
 
     def log_modulus(self) -> "FunctionTable":
         """Real table ``log|f|``; requires a nonvanishing table."""
@@ -228,7 +225,7 @@ class FunctionTable:
         """Positions of the common support in ``self`` and in ``other``."""
         if self.domain != other.domain:
             raise DomainError("tables live on different domains")
-        return other._found(self._idx, "tables share no points")
+        return other._found(self.idx, "tables share no points")
 
     def ratio(self, other: "FunctionTable") -> "FunctionTable":
         """Pointwise ``self/other`` on the common support."""
@@ -236,20 +233,21 @@ class FunctionTable:
         den = other.values[q]
         if np.any(den == 0):
             raise VanishingFactorError("division by a vanishing table")
-        return self._restrict(has, self.values[has] / den)
+        return self._at(self.domain, self.idx[has], self.values[has] / den)
 
     def pullback(self, beta) -> "FunctionTable":
         """The table ``v -> f(beta v)`` where ``beta v`` is in the table."""
-        whole = FunctionTable.constant(self.domain)
-        img, ok = _coeff_idx(beta, whole._idx)
+        every = self.domain.every
+        img, ok = _coeff_idx(beta, every)
         q = np.where(ok, self._positions(img), -1)
         rows = np.flatnonzero(q >= 0)
-        return whole._restrict(rows, self.values[q[rows]])
+        return self._at(self.domain, every[rows], self.values[q[rows]])
 
     def times(self, other: "FunctionTable") -> "FunctionTable":
         """Pointwise ``self*other`` on the common support."""
         has, q = self._common(other)
-        return self._restrict(has, self.values[has] * other.values[q])
+        return self._at(self.domain, self.idx[has],
+                        self.values[has] * other.values[q])
 
     # -- structural checks -------------------------------------------------------
 
@@ -258,7 +256,7 @@ class FunctionTable:
 
     def hermitian_defect(self) -> float:
         """Max of ``|f(-y) - conj(f(y))|`` over points whose negation is present."""
-        q = self._positions(self.domain.neg_idx(self._idx))
+        q = self._positions(self.domain.neg_idx(self.idx))
         has = q >= 0
         d = self.values[q[has]] - np.conj(self.values[has])
         return float(np.max(np.abs(d), initial=0.0))
@@ -270,11 +268,11 @@ class FunctionTable:
 # -- difference operators --------------------------------------------------------
 
 
-def _step(f: FunctionTable, h, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of the points ``y`` of ``f`` with ``y + h`` inside, and of ``y + h``."""
-    dom = f.domain
-    return f._found(dom.add_idx(f._idx, dom.indices([h])[0]),
-                    f"window too small for {what} step {h!r}")
+def _step(f: FunctionTable, k, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the points ``y`` of ``f`` with ``y + k`` inside, and of
+    ``y + k``, for the domain index ``k``."""
+    return f._found(f.domain.add_idx(f.idx, k), f"window too small for "
+                    f"{what} step {f.domain.points_at([k])[0]!r}")
 
 
 def diff(f: FunctionTable, h) -> FunctionTable:
@@ -284,25 +282,30 @@ def diff(f: FunctionTable, h) -> FunctionTable:
     to points with ``y+h`` still inside, and an empty restriction raises.  A
     step outside the domain (or off the window's grid) raises DomainError.
     """
-    has, q = _step(f, h, "difference")
-    return f._restrict(has, f.values[q] - f.values[has])
+    has, q = _step(f, f.domain.indices([h])[0], "difference")
+    return f._at(f.domain, f.idx[has], f.values[q] - f.values[has])
 
 
 def ratio_diff(f: FunctionTable, h) -> FunctionTable:
     """Multiplicative difference ``y -> f(y+h)/f(y)`` on a nonvanishing table."""
-    has, q = _step(f, h, "ratio")
+    return _ratio_step(f, f.domain.indices([h])[0])
+
+
+def _ratio_step(f: FunctionTable, k) -> FunctionTable:
+    """``ratio_diff`` by the domain index ``k``."""
+    has, q = _step(f, k, "ratio")
     den = f.values[has]
     if np.any(den == 0):
         raise VanishingFactorError("ratio difference of a vanishing table")
-    return f._restrict(has, f.values[q] / den)
+    return f._at(f.domain, f.idx[has], f.values[q] / den)
 
 
 def _window_steps(f: FunctionTable, folds: int) -> np.ndarray:
     """Indices of the difference steps that keep ``folds`` iterations inside."""
     if isinstance(f.domain, Group):
         return np.arange(1, f.domain.size)
-    k = np.abs(f._idx)
-    return f._idx[(k != 0) & (2 * folds * k <= k.max())]
+    k = np.abs(f.idx)
+    return f.idx[(k != 0) & (2 * folds * k <= k.max())]
 
 
 def is_polynomial(f: FunctionTable, n: int, tol: float = 1e-9) -> bool:
@@ -317,7 +320,7 @@ def is_polynomial(f: FunctionTable, n: int, tol: float = 1e-9) -> bool:
     if n < 0:
         raise DomainError("polynomial degree bound must be >= 0")
     ks = _window_steps(f, n + 1)
-    dom, idx = f.domain, f._idx
+    dom, idx = f.domain, f.idx
     if not isinstance(dom, Group) and not len(ks):
         raise WindowMarginError(
             f"no step leaves margin for {n + 1} differences")
@@ -356,7 +359,7 @@ def least_degree(f: FunctionTable, max_degree: int,
 
 def character_defect(f: FunctionTable) -> float:
     """Sup of ``|f(k+l) - f(k)f(l)|`` over pairs with ``k+l`` in the table."""
-    i = f._idx
+    i = f.idx
     s = f._positions(f.domain.add_idx(i[:, None], i[None, :]))
     inside = s >= 0
     if not inside.any():
@@ -374,7 +377,7 @@ def is_character(f: FunctionTable, tol: float = 1e-9) -> bool:
     """
     if character_defect(f) > tol:
         return False
-    if isinstance(f.domain, Group) and len(f.points) == f.domain.size:
+    if isinstance(f.domain, Group) and len(f) == f.domain.size:
         return locate_character(f, tol) is not None
     return True
 
@@ -385,7 +388,7 @@ def locate_character(f: FunctionTable, tol: float = 1e-9) -> Element | None:
     if not isinstance(dom, Group):
         return None
     # The shift search with a = 1, which leaves P exact.
-    x = character_search(dom, np.ones(len(f)), f.values, tol, f._idx)
+    x = character_search(dom, np.ones(len(f)), f.values, tol, f.idx)
     return None if x is None else dom.element_at(x)
 
 
@@ -398,9 +401,8 @@ def bernstein_square_table(group: Group) -> FunctionTable:
     """
     if group.rank != 2 or any(n % 2 for n in group.orders):
         raise DomainError("the square-phase table needs two even cyclic factors")
-    vals = np.array([(-1.0) ** (x.coords[0] * x.coords[1])
-                     for x in group.elements()], dtype=np.complex128)
-    return FunctionTable(group, group.elements(), vals)
+    C = group.coords_array
+    return FunctionTable._at(group, group.every, (-1.0) ** (C[:, 0] * C[:, 1]))
 
 
 def bernstein_check(g: FunctionTable, tol: float = 1e-9) -> bool:
@@ -414,7 +416,7 @@ def bernstein_check(g: FunctionTable, tol: float = 1e-9) -> bool:
         return False
     if g.hermitian_defect() > tol:
         return False
-    dom, i, vals = g.domain, g._idx, g.values
+    dom, i, vals = g.domain, g.idx, g.values
     z = int(g._positions(dom.indices([dom.zero]))[0])
     if z < 0 or abs(complex(vals[z]) - 1.0) > tol:
         return False
@@ -473,7 +475,7 @@ def _sweep_max(tables, betas, rhs, defect) -> float:
     side) and with the number of pairs; all are flat over the block's pairs.
     """
     dom = tables[0].domain
-    us, vs = tables[0]._idx, dom.indices(dom.points)
+    us, vs = tables[0].idx, dom.every
     at = np.zeros(len(vs), dtype=np.int64) if rhs is None else rhs._positions(vs)
     mapped = [_coeff_idx(b, vs) for b in betas]
     keep = np.logical_and.reduce([at >= 0] + [ok for _, ok in mapped])
@@ -531,15 +533,18 @@ def eliminate(eq: ProductEquation, index: int, k) -> ProductEquation:
     dom = eq.domain
     if k == dom.zero:
         return eq
+    k = dom.indices([k])
     _, beta0 = eq.factors[index]
-    h = dom.neg(apply_coeff(beta0, k))
     new_factors = []
     for j, (f, b) in enumerate(eq.factors):
         if j == index:
             continue
-        delta = dom.add(h, apply_coeff(b, k))
-        new_factors.append((ratio_diff(f, delta), b))
-    new_rhs = ratio_diff(eq.rhs, k) if eq.rhs is not None else None
+        # The step (b - beta0) k, which may be on the grid when b k is not.
+        step, ok = _coeff_idx(_coeff_diff(b, beta0), k)
+        if not ok[0]:
+            raise DomainError(f"a point is off the 1/{dom.denominator} grid")
+        new_factors.append((_ratio_step(f, step[0]), b))
+    new_rhs = _ratio_step(eq.rhs, k[0]) if eq.rhs is not None else None
     if not new_factors:
         # Everything moved to the right-hand side; keep the equation shape by
         # carrying the residual as a single constant-coefficient factor.

@@ -132,21 +132,21 @@ class Group:
     def element_at(self, index: int) -> Element:
         if not 0 <= index < self.size:
             raise DomainError(f"element index {index} out of range")
-        coords = []
-        for n in reversed(self.orders):
-            coords.append(index % n)
-            index //= n
-        return Element(tuple(reversed(coords)))
-
-    def elements(self) -> tuple[Element, ...]:
-        """All elements in lexicographic order by coordinates."""
-        return self._elements
-
-    points = property(elements)
+        return Element(tuple(self.coords_array[index].tolist()))
 
     @cached_property
-    def _elements(self) -> tuple[Element, ...]:
-        return tuple(Element(tuple(c)) for c in np.ndindex(*self.orders))
+    def points(self) -> tuple[Element, ...]:
+        """All elements in lexicographic order by coordinates."""
+        return self.points_at(self.every)
+
+    def elements(self) -> tuple[Element, ...]:
+        """The tuple ``points``."""
+        return self.points
+
+    def points_at(self, idx) -> tuple[Element, ...]:
+        """The elements of the lexicographic indices ``idx``."""
+        C = self.coords_array
+        return tuple(Element(tuple(c)) for c in C[idx].tolist())
 
     def order_two_count(self) -> int:
         """Number of nonzero elements ``x`` with ``x + x = 0``."""
@@ -171,6 +171,13 @@ class Group:
         return np.exp(2j * np.pi * np.arange(L) / L)
 
     # -- index arithmetic: exact, elementwise on broadcastable int64 arrays ---
+
+    @cached_property
+    def every(self) -> np.ndarray:
+        """Index of every element, in order; read-only."""
+        out = np.arange(self.size)
+        out.setflags(write=False)
+        return out
 
     @cached_property
     def coords_array(self) -> np.ndarray:
@@ -256,8 +263,7 @@ class Group:
     def phase_matrix(self) -> np.ndarray:
         """``(size, size)`` exact pairing phases mod ``exponent``."""
         self._require_table_capacity("the pairing matrix")
-        every = np.arange(self.size)
-        return self.phase_idx(every[:, None], every[None, :])
+        return self.phase_idx(self.every[:, None], self.every[None, :])
 
     @cached_property
     def pairing_matrix(self) -> np.ndarray:
@@ -267,7 +273,7 @@ class Group:
         never exist as a whole ``n x n`` table.
         """
         self._require_table_capacity("the pairing matrix")
-        every = np.arange(self.size)
+        every = self.every
         out = np.empty((self.size, self.size), dtype=np.complex128)
         for rows in row_blocks(self.size, self.size):
             out[rows] = self.roots[self.phase_idx(every[rows, None], every)]
@@ -277,13 +283,12 @@ class Group:
     def add_table(self) -> np.ndarray:
         """``add_table[i, j]`` is the index of ``element_at(i) + element_at(j)``."""
         self._require_table_capacity("the addition table")
-        every = np.arange(self.size)
-        return self.add_idx(every[:, None], every[None, :])
+        return self.add_idx(self.every[:, None], self.every[None, :])
 
     @cached_property
     def neg_index(self) -> np.ndarray:
         """``neg_index[i]`` is the index of ``-element_at(i)``."""
-        return self.neg_idx(np.arange(self.size))
+        return self.neg_idx(self.every)
 
 
 # Pairs per row block of an index-pair sweep; bounds its temporary memory.
@@ -310,7 +315,7 @@ def character_search(g: Group, a: np.ndarray, b: np.ndarray, tol: float,
     whose ``dev(x)`` provably reaches ``tol`` if every column is there in
     order; below that size the cached ``pairing_matrix`` rows, the same
     doubles, spare shift-small 3-5% of its time."""
-    every = np.arange(g.size)
+    every = g.every
     cols = every if cols is None else cols
     keep = (np.flatnonzero(_shift_screen(g, a, b, tol))
             if g.spectral and np.array_equal(cols, every) else every)

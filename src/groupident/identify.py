@@ -209,8 +209,7 @@ def _poisson_rows(bs: Sequence[Endo]) -> tuple[np.ndarray, np.ndarray]:
     and of ``x~ = b1 x0``."""
     g = bs[0].group
     x0 = next(x for x in (bs[0] - bs[1]).kernel() if x != g.zero)
-    every = np.arange(g.size)
-    return tuple(g.roots[g.phase_idx(g.index(x), every)]
+    return tuple(g.roots[g.phase_idx(g.index(x), g.every)]
                  for x in (x0, bs[0].apply(x0)))
 
 

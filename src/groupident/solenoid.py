@@ -13,7 +13,6 @@ reduce to being nonzero.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -60,9 +59,18 @@ class RationalLattice:
 
     @cached_property
     def points(self) -> tuple[Fraction, ...]:
-        D = self.denominator
-        return tuple(Fraction(m, D) for m in range(-self.radius,
-                                                   self.radius + 1))
+        return self.points_at(self.every)
+
+    @cached_property
+    def every(self) -> np.ndarray:
+        """Grid index ``m`` of every point, in order; read-only."""
+        out = np.arange(-self.radius, self.radius + 1)
+        out.setflags(write=False)
+        return out
+
+    def points_at(self, idx) -> tuple[Fraction, ...]:
+        """The points ``m/D`` of the grid indices ``idx``."""
+        return tuple(Fraction(int(m), self.denominator) for m in idx)
 
     @property
     def zero(self) -> Fraction:
@@ -86,7 +94,6 @@ class RationalLattice:
         return np.array([p.numerator * (D // p.denominator) for p in points],
                         dtype=np.int64)
 
-    add, neg = staticmethod(operator.add), staticmethod(operator.neg)
     add_idx, neg_idx = staticmethod(np.add), staticmethod(np.negative)
 
 
@@ -161,14 +168,14 @@ def character_gaussian_values(lattice: RationalLattice, phase: Fraction,
     D, r = lattice.denominator, lattice.radius
     # Exact turns (m a mod b)/b: |m (a mod b)| < r b, so int64 holds the
     # products while r b < 2^63; beyond that they are Python integers.
-    m = np.arange(-r, r + 1).astype(np.int64 if r * b < 2 ** 63 else object)
+    m = lattice.every.astype(np.int64 if r * b < 2 ** 63 else object)
     turns = (m * (a % b) % b / b).astype(float)
     with np.errstate(over="ignore"):
         gauss = np.exp(-sigma * (m / D).astype(float) ** 2)
     if np.isinf(gauss).any():
         raise OverflowError("exp(-sigma y^2) exceeds the float range")
-    return FunctionTable(lattice, lattice.points,
-                         np.exp(2j * np.pi * turns) * gauss)
+    return FunctionTable._at(lattice, lattice.every,
+                             np.exp(2j * np.pi * turns) * gauss)
 
 
 def gaussian_table(lattice: RationalLattice,
@@ -270,13 +277,13 @@ def fit_gaussian_ratio(f: FunctionTable, tol: float = FIT_TOL) -> GaussianFitRes
     window, or when the phase part is not multiplicative.  The reported
     ``modulus_residual`` is the absolute deviation.
     """
-    if len(f.points) < 7:
+    if len(f) < 7:
         raise WindowMarginError("gaussian fit needs at least 3 points per side")
     if not f.nonvanishing(0.0):
         raise VanishingFactorError("gaussian fit needs a nonvanishing table")
-    order, D = np.argsort(f._idx), f.domain.denominator
+    order, D = np.argsort(f.idx), f.domain.denominator
     mods = np.abs(f.values)[order]
-    ys = f._idx[order] / D
+    ys = f.idx[order] / D
     logs = np.log(mods)
     num = math.fsum(-ys ** 2 * logs)
     den = math.fsum(ys ** 4)
@@ -290,7 +297,7 @@ def fit_gaussian_ratio(f: FunctionTable, tol: float = FIT_TOL) -> GaussianFitRes
     phase_ok = not defect > max(tol, 1e-9)
     ok = modulus_ok and phase_ok
     psi, scale = float(np.max(np.abs(logs))), max(1.0, float(np.max(mods)))
-    m2 = [m * m for m in f._idx.tolist()]  # exact, so the floors are too
+    m2 = [m * m for m in f.idx.tolist()]  # exact, so the floors are too
     spread, y2 = max(m2) * sum(m2) / sum(m * m for m in m2), max(m2) / D ** 2
     # fmax: a NaN deviation, from an infinite value, hides no finite one.
     return GaussianFitResult(

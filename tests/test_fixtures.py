@@ -68,3 +68,15 @@ def test_lattice_points_written_as_fractions():
     text = dumps_table(table)
     assert "-1/2 " in text
     assert "lattice 2,3 1 3" in text
+
+
+def test_repeated_points_are_rejected():
+    g = Group([4])
+    e0, e1, e2, e3 = g.elements()
+    with pytest.raises(DomainError):
+        FunctionTable(g, (e0, e1, e1, e2, e3), np.ones(5))
+    for table in (FunctionTable.constant(g),
+                  FunctionTable.constant(make_lattice([2, 3], 1, 3))):
+        lines = dumps_table(table).splitlines()
+        with pytest.raises(DomainError):
+            loads_table("\n".join(lines[:3] + lines[2:]) + "\n")

@@ -1,7 +1,7 @@
 """The index-arithmetic pair sweeps against the per-pair oracles.
 
 Equality conventions.  Everything discrete is compared with ``==``:
-booleans, located elements, recovered shifts, points and ``_idx``.  A float
+booleans, located elements, recovered shifts, points and ``idx``.  A float
 is compared with ``==`` only where both sides run the same IEEE operations
 (differences, sums, gathers, pullbacks, the joint-law sweeps against the
 dense tables they replaced).  Where the package runs numpy's complex
@@ -56,7 +56,7 @@ from groupident import groups
 from groupident.identify import (VERDICT_PRECONDITIONS, VERDICT_SHIFT,
                                  poisson_pair_deviations)
 from groupident.groups import Element, _shift_screen
-from groupident.solenoid import (FIT_TOL, SolenoidEndo,
+from groupident.solenoid import (FIT_TOL, RationalLattice, SolenoidEndo,
                                  character_gaussian_values,
                                  fit_gaussian_ratio, make_lattice)
 
@@ -173,10 +173,19 @@ def random_values(rng, size):
             * np.exp(2j * np.pi * rng.random(size)))
 
 
+def check_points(t):
+    """``t``, after checking that its points convert back to its indices."""
+    assert t.idx.tolist() == t.domain.indices(t.points).tolist()
+    return t
+
+
 def check_differences(f, table, add, steps, key):
     squares = np.array([v * v for v in table.values()])
-    assert np.all(np.abs(f.times(f).values - squares) <= ulp_tol(f.values))
-    assert np.allclose(f.ratio(f).values, 1.0, rtol=0, atol=2 * EPS)
+    assert np.all(np.abs(check_points(f.times(f)).values - squares)
+                  <= ulp_tol(f.values))
+    assert np.allclose(check_points(f.ratio(f)).values, 1.0, rtol=0,
+                       atol=2 * EPS)
+    assert check_points(f.map_values(np.conj)).points == f.points
     for h in steps:
         want = diff_oracle(add, table, key(h))
         if not want:
@@ -184,10 +193,10 @@ def check_differences(f, table, add, steps, key):
                 with pytest.raises(WindowMarginError):
                     op(f, h)
             continue
-        d = diff(f, h)
+        d = check_points(diff(f, h))
         assert [key(p) for p in d.points] == list(want), h
         assert list(d.values) == list(want.values()), h
-        r = ratio_diff(f, h)
+        r = check_points(ratio_diff(f, h))
         quot = diff_oracle(add, table, key(h), operator.truediv)
         assert [key(p) for p in r.points] == list(quot), h
         assert np.allclose(r.values, list(quot.values()), rtol=4 * EPS,
@@ -373,7 +382,7 @@ def check_pullback(f, beta, want, key):
     g = f.pullback(beta)
     assert [key(p) for p in g.points] == list(want), beta
     assert g.values.tolist() == list(want.values()), beta
-    assert g._idx.tolist() == f.domain.indices(g.points).tolist(), beta
+    assert g.idx.tolist() == f.domain.indices(g.points).tolist(), beta
 
 
 @pytest.mark.parametrize("lat", LATTICES, ids=repr)
@@ -456,8 +465,10 @@ GAUSS_LATTICES += [make_lattice([2, 3], 1, r) for r in (3, 24, 111)]
 
 
 def random_phases(rng):
-    """Phases with small, large (above 2^40) and huge (numerator above 2^62)
-    terms, of both signs and outside [0, 1)."""
+    """Phases with small, large (above 2^40) and huge (numerator above 2^62,
+    or the prime denominator 3 * 2^61 + 47, whose turns on a window of
+    radius 2 or more need Python integers; it is far from a power of two, so
+    an int64 wrap would show) terms, of both signs and outside [0, 1)."""
     yield Fraction(0)
     yield Fraction(int(rng.integers(0, 30)), 30)
     yield Fraction(int(rng.integers(-10 ** 6, 10 ** 6)), 999983)
@@ -466,6 +477,7 @@ def random_phases(rng):
     yield Fraction(2 ** 62 + int(rng.integers(1, 2 ** 40)), 2 ** 41 + 3)
     yield Fraction(-(2 ** 63) - int(rng.integers(1, 2 ** 40)),
                    2 ** 43 + 2 * int(rng.integers(0, 2 ** 30)) + 1)
+    yield Fraction(int(rng.integers(-2 ** 62, 2 ** 62)), 3 * 2 ** 61 + 47)
 
 
 def gaussian_tol(want, exponent):
@@ -739,6 +751,23 @@ def test_shift_verifiers_and_poisson_pair_build_no_addition_table(
     out = tmp_path / "report.json"
     assert main(["counterexample", "--kind", "poisson-pair",
                  "--out", str(out)]) == 0
+
+
+def test_campaigns_convert_at_most_one_point_per_call(monkeypatch, tmp_path):
+    """Tables are built on indices: points are converted only at the API,
+    one step or zero at a time."""
+    converted = []
+    for cls in (Group, RationalLattice):
+        def counting(self, points, original=cls.indices):
+            converted.append(len(points))
+            return original(self, points)
+        monkeypatch.setattr(cls, "indices", counting)
+    out = tmp_path / "report.json"
+    assert main(["verify-gaussian", "--radius", "60", "--trials", "1",
+                 "--out", str(out)]) == 0
+    assert main(["counterexample", "--kind", "bernstein", "--group", "6x6",
+                 "--out", str(out)]) == 0
+    assert converted and max(converted) <= 1
 
 
 # -- spectral characteristic functions against the dense products ----------

@@ -81,6 +81,11 @@ ARGVS = [
                                       ("41x41", "1"))),
     ["invariants"],
     ["invariants", "--inject-fault", "adjoint"],
+    # The rest of the invariants-sweep benchmark, and the gaussian-window
+    # radius-200 probe, which exits 1 with an error string in its body.
+    ["invariants", "--groups", "30,4x8,5x7,6x6"],
+    ["counterexample", "--kind", "bernstein", "--group", "4x6"],
+    _gauss("I", 200),
 ]
 
 
