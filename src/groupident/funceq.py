@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -114,7 +114,17 @@ def require_kernel_conditions(summed: Sequence[bool],
 # -- function tables -----------------------------------------------------------
 
 
-@dataclass(frozen=True, init=False)
+def _locator(idx: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The map from domain indices to their positions in ``idx``; -1 where
+    absent."""
+    # slots[k - lo] is the position of index k; a -1 pads each end.
+    lo, hi = (idx.min() - 1, idx.max() + 1) if len(idx) else (0, 0)
+    slots = np.full(hi - lo + 1, -1, dtype=np.int64)
+    slots[idx - lo] = np.arange(len(idx))
+    return lambda k: slots.take(k - lo, mode="clip")
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class FunctionTable:
     """A complex-valued function on (a subset of) a domain.
 
@@ -123,7 +133,7 @@ class FunctionTable:
     ``values``; every operator computes on ``idx``.  ``points``, the support
     as group elements or exact Fractions, is built from ``idx`` when first
     read.  The constructor takes points, converts them once and rejects a
-    repeated one.  Tables are immutable.
+    repeated one.  Tables are immutable, and compare and hash by identity.
     """
 
     domain: object
@@ -164,18 +174,9 @@ class FunctionTable:
         return self.domain.points_at(self.idx)
 
     @cached_property
-    def _slots(self) -> tuple[int, np.ndarray]:
-        # slots[k - lo] is the position of index k; a -1 pads each end.
-        idx = self.idx
-        lo, hi = (idx.min() - 1, idx.max() + 1) if len(idx) else (0, 0)
-        slots = np.full(hi - lo + 1, -1, dtype=np.int64)
-        slots[idx - lo] = np.arange(len(idx))
-        return lo, slots
-
-    def _positions(self, idx: np.ndarray) -> np.ndarray:
-        """Table position of every domain index in ``idx``; -1 where absent."""
-        lo, slots = self._slots
-        return slots.take(idx - lo, mode="clip")
+    def _positions(self) -> Callable[[np.ndarray], np.ndarray]:
+        """Table position of every domain index in an array; -1 where absent."""
+        return _locator(self.idx)
 
     def _found(self, idx: np.ndarray, err: str) -> tuple[np.ndarray, np.ndarray]:
         """Where in ``idx`` the table has points, and their table positions."""
@@ -265,6 +266,45 @@ class FunctionTable:
         return bool(np.min(np.abs(self.values)) > tol)
 
 
+# -- pair plans ---------------------------------------------------------------
+#
+# Which index pairs a pair check visits, and at which table positions, depends
+# on the domain, the supports, the coefficients and the fold count, never on
+# the values.  Each check splits into a plan of those positions, built once
+# per key and cached, and an evaluation that gathers values along it.  Plan
+# arrays are read-only.  Positions are int64: a gather with int32 positions
+# converts them on every call, and costs twice as long.
+
+# Plans kept.  A verify-gaussian campaign uses six per window (about 3 MB at
+# radius 160), the invariant suite two per group; 32 hold sixteen groups, or
+# windows of radius 60, 160 and 200 at once.
+PLAN_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _cached_plan(build, domain, supports: tuple, *params):
+    return build(domain, tuple(None if s is None else np.frombuffer(s, np.int64)
+                               for s in supports), *params)
+
+
+def _plan(build, tables, *params):
+    """``build(domain, supports, *params)``, cached by value: ``supports``
+    holds the ``idx`` of each table, and None for a table given as None."""
+    return _cached_plan(build, tables[0].domain, tuple(
+        None if t is None else t.idx.astype(np.int64, copy=False).tobytes()
+        for t in tables), *params)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _joined(parts) -> np.ndarray:
+    """The read-only int64 concatenation of ``parts``."""
+    return _frozen(np.concatenate([np.zeros(0, np.int64), *parts]))
+
+
 # -- difference operators --------------------------------------------------------
 
 
@@ -300,12 +340,45 @@ def _ratio_step(f: FunctionTable, k) -> FunctionTable:
     return f._at(f.domain, f.idx[has], f.values[q] / den)
 
 
-def _window_steps(f: FunctionTable, folds: int) -> np.ndarray:
+def _window_steps(dom, idx: np.ndarray, folds: int) -> np.ndarray:
     """Indices of the difference steps that keep ``folds`` iterations inside."""
-    if isinstance(f.domain, Group):
-        return np.arange(1, f.domain.size)
-    k = np.abs(f.idx)
-    return f.idx[(k != 0) & (2 * folds * k <= k.max())]
+    if isinstance(dom, Group):
+        return np.arange(1, dom.size)
+    k = np.abs(idx)
+    return idx[(k != 0) & (2 * folds * k <= k.max())]
+
+
+def _polynomial_plan(dom, supports: tuple, folds: int) -> tuple:
+    """Row blocks of steps up to the first whose ``folds``-fold difference
+    is empty, and that step's index or None.
+
+    Row ``r`` of a block is a step ``k``; its row of ``at`` holds the flat
+    position of ``y + k`` in the block's tile of values, for each point
+    ``y`` of the table, and its row of ``live`` marks where the difference
+    is defined.  The first block is the first step alone.
+    """
+    (idx,) = supports
+    ks = _window_steps(dom, idx, folds)
+    if not isinstance(dom, Group) and not len(ks):
+        raise WindowMarginError(
+            f"no step leaves margin for {folds} differences")
+    find, n = _locator(idx), len(idx)
+    blocks = []
+    for rows in [slice(0, 1), *(slice(r.start + 1, r.stop + 1)
+                                for r in row_blocks(len(ks) - 1, n))]:
+        # Where y + k is absent, at points into the tile anywhere; live
+        # masks it, and every live position reads only live positions.
+        q = find(dom.add_idx(idx[None, :], ks[rows, None]))
+        has, at = q >= 0, q + n * np.arange(len(q))[:, None]
+        live = np.ones(q.shape, dtype=bool)
+        for _ in range(folds):
+            live = has & live & live.take(at)
+        empty = np.flatnonzero(~live.any(axis=1))
+        stop = empty[0] if len(empty) else len(q)
+        blocks.append((_frozen(at[:stop]), _frozen(live[:stop])))
+        if len(empty):
+            return tuple(blocks), int(ks[rows][stop])
+    return tuple(blocks), None
 
 
 def is_polynomial(f: FunctionTable, n: int, tol: float = 1e-9) -> bool:
@@ -315,33 +388,23 @@ def is_polynomial(f: FunctionTable, n: int, tol: float = 1e-9) -> bool:
     ``tol``; on a window the steps are those leaving enough margin, and the
     verdict is a statement about the window only.  The first step, in the
     order of the table's points, whose difference is nonzero (False) or
-    empty (WindowMarginError) decides.
+    empty (WindowMarginError) decides.  Which steps are tested, and where
+    each difference is defined, depends on the support only: that plan is
+    cached, and a call gathers and subtracts values along it, one row block
+    of steps at a time, the first block being the first step alone.
     """
     if n < 0:
         raise DomainError("polynomial degree bound must be >= 0")
-    ks = _window_steps(f, n + 1)
-    dom, idx = f.domain, f.idx
-    if not isinstance(dom, Group) and not len(ks):
-        raise WindowMarginError(
-            f"no step leaves margin for {n + 1} differences")
-    for rows in row_blocks(len(ks), len(idx)):
-        # Row r of g holds the running difference with step ks[r], aligned
-        # with the table's points; live marks where it is defined, and at is
-        # the flat position of y + ks[r] (masked by has where it is absent).
-        q = f._positions(dom.add_idx(idx[None, :], ks[rows, None]))
-        has, at = q >= 0, q + len(idx) * np.arange(len(q))[:, None]
-        g, live = np.tile(f.values, (len(q), 1)), np.ones(q.shape, dtype=bool)
+    blocks, empty = _plan(_polynomial_plan, [f], n + 1)
+    for at, live in blocks:
+        g = np.tile(f.values, (len(at), 1))
         for _ in range(n + 1):
-            live = has & live & live.take(at)
             g = g.take(at) - g
-        empty = ~live.any(axis=1)
-        stop = np.flatnonzero(empty | ((np.abs(g) > tol) & live).any(axis=1))
-        if len(stop):
-            if empty[stop[0]]:
-                raise WindowMarginError(
-                    f"window too small for {n + 1} differences of step "
-                    f"index {ks[rows][stop[0]]}")
+        if ((np.abs(g) > tol) & live).any():
             return False
+    if empty is not None:
+        raise WindowMarginError(f"window too small for {n + 1} differences "
+                                f"of step index {empty}")
     return True
 
 
@@ -357,15 +420,33 @@ def least_degree(f: FunctionTable, max_degree: int,
 # -- character and Bernstein tests ----------------------------------------------
 
 
+def _character_plan(dom, supports: tuple) -> tuple:
+    """For each row ``k`` the number of pairs ``(k, l)``, ``k <= l`` in
+    table order, with ``k + l`` in the table; then, pair by pair, the
+    positions of ``l`` and of ``k + l``."""
+    (i,) = supports
+    find, cols = _locator(i), np.arange(len(i))
+    counts, ls, ss = [], [], []
+    for rows in row_blocks(len(i), len(i)):
+        s = find(dom.add_idx(i[rows, None], i))
+        inside = (s >= 0) & (cols >= cols[rows, None])
+        counts.append(inside.sum(axis=1))
+        ls.append(np.nonzero(inside)[1])
+        ss.append(s[inside])
+    return _joined(counts), _joined(ls), _joined(ss)
+
+
 def character_defect(f: FunctionTable) -> float:
-    """Sup of ``|f(k+l) - f(k)f(l)|`` over pairs with ``k+l`` in the table."""
-    i = f.idx
-    s = f._positions(f.domain.add_idx(i[:, None], i[None, :]))
-    inside = s >= 0
-    if not inside.any():
+    """Sup of ``|f(k+l) - f(k)f(l)|`` over pairs with ``k+l`` in the table.
+
+    The pair ``(l, k)`` has the defect of ``(k, l)`` up to the rounding of
+    the product, so only ``k <= l`` is swept, along a cached plan.
+    """
+    counts, ls, ss = _plan(_character_plan, [f])
+    if not len(ls):
         raise WindowMarginError("no pair (k, l) with k+l inside the window")
-    prod = f.values[:, None] * f.values[None, :]
-    return float(np.max(np.abs(f.values[s[inside]] - prod[inside])))
+    v = f.values
+    return float(np.max(np.abs(v[ss] - np.repeat(v, counts) * v[ls])))
 
 
 def is_character(f: FunctionTable, tol: float = 1e-9) -> bool:
@@ -416,16 +497,29 @@ def bernstein_check(g: FunctionTable, tol: float = 1e-9) -> bool:
         return False
     if g.hermitian_defect() > tol:
         return False
-    dom, i, vals = g.domain, g.idx, g.values
+    dom, vals = g.domain, g.values
     z = int(g._positions(dom.indices([dom.zero]))[0])
     if z < 0 or abs(complex(vals[z]) - 1.0) > tol:
         return False
-    s = g._positions(dom.add_idx(i[:, None], i[None, :]))
-    d = g._positions(dom.add_idx(i[:, None], dom.neg_idx(i)[None, :]))
-    both = (s >= 0) & (d >= 0)
-    c = np.broadcast_to(vals[:, None], both.shape)[both]
-    defect = np.abs(vals[s[both]] * vals[d[both]] - c * c)
+    counts, s, d = _plan(_bernstein_plan, [g])
+    defect = np.abs(vals[s] * vals[d] - np.repeat(vals * vals, counts))
     return not bool(np.any(defect > tol))
+
+
+def _bernstein_plan(dom, supports: tuple) -> tuple:
+    """For each row ``u`` the number of pairs ``(u, v)`` with ``u + v`` and
+    ``u - v`` in the table; then, pair by pair, the positions of both."""
+    (i,) = supports
+    find, neg = _locator(i), dom.neg_idx(i)
+    counts, ss, ds = [], [], []
+    for rows in row_blocks(len(i), len(i)):
+        s = find(dom.add_idx(i[rows, None], i))
+        d = find(dom.add_idx(i[rows, None], neg))
+        both = (s >= 0) & (d >= 0)
+        counts.append(both.sum(axis=1))
+        ss.append(s[both])
+        ds.append(d[both])
+    return _joined(counts), _joined(ss), _joined(ds)
 
 
 # -- product equations ----------------------------------------------------------
@@ -465,6 +559,33 @@ class ProductEquation:
                           _product_defect)
 
 
+def _sweep_plan(dom, supports: tuple, *betas) -> tuple:
+    """Row blocks of the pairs ``(u, v)`` that keep every argument inside.
+
+    ``supports`` holds those of the tables and then that of the right-hand
+    side (None without one), ``betas`` the coefficient of each table.  For
+    each row block of ``v`` with pairs: the positions of ``u + beta_j v`` in
+    table ``j``, pair by pair; the position of each ``v`` of the block in
+    the right-hand side (0 without one); and the number of pairs of each.
+    """
+    *idxs, rhs = supports
+    us, vs = idxs[0], dom.every
+    at = np.zeros(len(vs), dtype=np.int64) if rhs is None else _locator(rhs)(vs)
+    mapped = [_coeff_idx(b, vs) for b in betas]
+    keep = np.logical_and.reduce([at >= 0] + [ok for _, ok in mapped])
+    at, shifts = at[keep], [s[keep] for s, _ in mapped]
+    finds = [_locator(i) for i in idxs]
+    blocks = []
+    for rows in row_blocks(len(at), len(us)):
+        pos = [find(dom.add_idx(us[None, :], s[rows, None]))
+               for find, s in zip(finds, shifts)]
+        inside = np.logical_and.reduce([p >= 0 for p in pos])
+        if inside.any():
+            blocks.append((tuple(_frozen(p[inside]) for p in pos),
+                           _frozen(at[rows]), _frozen(inside.sum(axis=1))))
+    return tuple(blocks)
+
+
 def _sweep_max(tables, betas, rhs, defect) -> float:
     """Max of ``defect`` over the pairs ``(u, v)`` that keep every argument inside.
 
@@ -473,25 +594,14 @@ def _sweep_max(tables, betas, rhs, defect) -> float:
     is called with ``vals``, which yields ``tables[j]`` at ``u + betas[j] v``
     for each ``j`` in turn, with ``rhs`` at ``v`` (None without a right-hand
     side) and with the number of pairs; all are flat over the block's pairs.
+    The pairs and their positions depend on the supports and coefficients
+    only; that plan is cached, and a call only gathers values along it.
     """
-    dom = tables[0].domain
-    us, vs = tables[0].idx, dom.every
-    at = np.zeros(len(vs), dtype=np.int64) if rhs is None else rhs._positions(vs)
-    mapped = [_coeff_idx(b, vs) for b in betas]
-    keep = np.logical_and.reduce([at >= 0] + [ok for _, ok in mapped])
-    at, shifts = at[keep], [s[keep] for s, _ in mapped]
     worst = None
-    for rows in row_blocks(int(keep.sum()), len(us)):
-        pos = [f._positions(dom.add_idx(us[None, :], s[rows, None]))
-               for f, s in zip(tables, shifts)]
-        inside = np.logical_and.reduce([p >= 0 for p in pos])
-        pairs = int(inside.sum())
-        if not pairs:
-            continue
-        vals = (f.values[p[inside]] for f, p in zip(tables, pos))
-        r = None if rhs is None else np.broadcast_to(
-            rhs.values[at[rows], None], inside.shape)[inside]
-        block = float(np.max(defect(vals, r, pairs)))
+    for pos, at, counts in _plan(_sweep_plan, [*tables, rhs], *betas):
+        vals = (f.values[p] for f, p in zip(tables, pos))
+        r = None if rhs is None else np.repeat(rhs.values[at], counts)
+        block = float(np.max(defect(vals, r, len(pos[0]))))
         worst = block if worst is None else max(worst, block)
     if worst is None:
         raise WindowMarginError(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -68,6 +69,14 @@ def recover_shift(mu: Distribution, nu: Distribution,
     return None if x is None else g.element_at(x)
 
 
+@lru_cache(maxsize=16)
+def _first_form_coeffs(g: Group, summed: tuple[bool, ...]) -> tuple[Endo, ...]:
+    """The coefficients of ``L_1``: the identity on each variable it sums,
+    zero on the others; built once per group, so that their adjoints and
+    index maps are too."""
+    return tuple(Endo.identity(g) if s else Endo.zero(g) for s in summed)
+
+
 def _verify(summed: tuple[bool, ...], bs: Sequence[Endo],
             mus: Sequence[Distribution], nus: Sequence[Distribution],
             tol: float, *, shifted: bool) -> IdentifiabilityReport:
@@ -80,8 +89,7 @@ def _verify(summed: tuple[bool, ...], bs: Sequence[Endo],
     pre["nonvanishing"] = all(d.nonvanishing(NONVANISHING_GUARD)
                               for d in (*mus, *nus))
     g = bs[0].group
-    ones = tuple(Endo.identity(g) if s else Endo.zero(g) for s in summed)
-    spec = LinearFormSpec(g, ones, tuple(bs))
+    spec = LinearFormSpec(g, _first_form_coeffs(g, summed), tuple(bs))
     residual = Measured(joint_residual(spec, mus, nus),
                         FLOORS["joint_residual"](g))
     if not all(pre.values()):

@@ -87,12 +87,14 @@ class RationalLattice:
         return Fraction(1, self.denominator)
 
     def indices(self, points) -> np.ndarray:
-        """Integer indices ``p * D`` of points on the ``1/D`` grid."""
+        """Integer indices ``p * D`` of points of the window."""
         D = self.denominator
         if any(D % p.denominator for p in points):
             raise DomainError(f"a point is off the 1/{D} grid")
-        return np.array([p.numerator * (D // p.denominator) for p in points],
-                        dtype=np.int64)
+        ms = [p.numerator * (D // p.denominator) for p in points]
+        if any(abs(m) > self.radius for m in ms):
+            raise DomainError(f"a point lies outside the window {self!r}")
+        return np.array(ms, dtype=np.int64)
 
     add_idx, neg_idx = staticmethod(np.add), staticmethod(np.negative)
 

@@ -1,5 +1,6 @@
 """Independent oracles shared by the test modules: exact-arithmetic loops,
-and the dense-table implementations that faster paths replaced."""
+and the dense-table and per-call implementations that faster paths
+replaced."""
 
 import cmath
 import math
@@ -8,10 +9,12 @@ from itertools import product
 
 import numpy as np
 
-from groupident import Distribution, Endo
+from groupident import Distribution, Endo, Group
 from groupident.distributions import LinearFormSpec
-from groupident.errors import CapacityError, DomainError, GenerationError
-from groupident.funceq import kernel_conditions, summed_variables
+from groupident.errors import (CapacityError, DomainError, GenerationError,
+                               WindowMarginError)
+from groupident.funceq import _coeff_idx, kernel_conditions, summed_variables
+from groupident.groups import row_blocks
 
 
 def rational_rref_nullspace(rows):
@@ -369,3 +372,100 @@ def find_shift_coeffs_search(group, form):
         if all(kernel_conditions(summed, [scalars[c] for c in cs]).values()):
             return list(cs)
     return None
+
+
+# -- per-call pair sweeps ----------------------------------------------------
+#
+# The pair checks as they were before their index positions were planned
+# once per support: every call forms its index pairs and table positions
+# again, in row blocks, or as one n x n table.  They read package tables,
+# their ``_positions`` and ``row_blocks``, so the planned operators must
+# return what they return: verdicts and sweep maxima equal, and the
+# character defect, which the plan sweeps over ``k <= l`` only, within the
+# rounding of a product.
+
+
+def _window_steps_percall(f, folds):
+    if isinstance(f.domain, Group):
+        return np.arange(1, f.domain.size)
+    k = np.abs(f.idx)
+    return f.idx[(k != 0) & (2 * folds * k <= k.max())]
+
+
+def is_polynomial_percall(f, n, tol=1e-9):
+    if n < 0:
+        raise DomainError("polynomial degree bound must be >= 0")
+    ks = _window_steps_percall(f, n + 1)
+    dom, idx = f.domain, f.idx
+    if not isinstance(dom, Group) and not len(ks):
+        raise WindowMarginError(
+            f"no step leaves margin for {n + 1} differences")
+    for rows in row_blocks(len(ks), len(idx)):
+        q = f._positions(dom.add_idx(idx[None, :], ks[rows, None]))
+        has, at = q >= 0, q + len(idx) * np.arange(len(q))[:, None]
+        g, live = np.tile(f.values, (len(q), 1)), np.ones(q.shape, dtype=bool)
+        for _ in range(n + 1):
+            live = has & live & live.take(at)
+            g = g.take(at) - g
+        empty = ~live.any(axis=1)
+        stop = np.flatnonzero(empty | ((np.abs(g) > tol) & live).any(axis=1))
+        if len(stop):
+            if empty[stop[0]]:
+                raise WindowMarginError(
+                    f"window too small for {n + 1} differences of step "
+                    f"index {ks[rows][stop[0]]}")
+            return False
+    return True
+
+
+def character_defect_percall(f):
+    i = f.idx
+    s = f._positions(f.domain.add_idx(i[:, None], i[None, :]))
+    inside = s >= 0
+    if not inside.any():
+        raise WindowMarginError("no pair (k, l) with k+l inside the window")
+    prod = f.values[:, None] * f.values[None, :]
+    return float(np.max(np.abs(f.values[s[inside]] - prod[inside])))
+
+
+def bernstein_check_percall(g, tol=1e-9):
+    if float(np.max(np.abs(np.abs(g.values) - 1.0))) > tol:
+        return False
+    if g.hermitian_defect() > tol:
+        return False
+    dom, i, vals = g.domain, g.idx, g.values
+    z = int(g._positions(dom.indices([dom.zero]))[0])
+    if z < 0 or abs(complex(vals[z]) - 1.0) > tol:
+        return False
+    s = g._positions(dom.add_idx(i[:, None], i[None, :]))
+    d = g._positions(dom.add_idx(i[:, None], dom.neg_idx(i)[None, :]))
+    both = (s >= 0) & (d >= 0)
+    c = np.broadcast_to(vals[:, None], both.shape)[both]
+    defect = np.abs(vals[s[both]] * vals[d[both]] - c * c)
+    return not bool(np.any(defect > tol))
+
+
+def sweep_max_percall(tables, betas, rhs, defect):
+    dom = tables[0].domain
+    us, vs = tables[0].idx, dom.every
+    at = np.zeros(len(vs), dtype=np.int64) if rhs is None else rhs._positions(vs)
+    mapped = [_coeff_idx(b, vs) for b in betas]
+    keep = np.logical_and.reduce([at >= 0] + [ok for _, ok in mapped])
+    at, shifts = at[keep], [s[keep] for s, _ in mapped]
+    worst = None
+    for rows in row_blocks(int(keep.sum()), len(us)):
+        pos = [f._positions(dom.add_idx(us[None, :], s[rows, None]))
+               for f, s in zip(tables, shifts)]
+        inside = np.logical_and.reduce([p >= 0 for p in pos])
+        pairs = int(inside.sum())
+        if not pairs:
+            continue
+        vals = (f.values[p[inside]] for f, p in zip(tables, pos))
+        r = None if rhs is None else np.broadcast_to(
+            rhs.values[at[rows], None], inside.shape)[inside]
+        block = float(np.max(defect(vals, r, pairs)))
+        worst = block if worst is None else max(worst, block)
+    if worst is None:
+        raise WindowMarginError(
+            "no (u, v) pair keeps every argument inside its table")
+    return worst

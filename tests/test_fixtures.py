@@ -80,3 +80,14 @@ def test_repeated_points_are_rejected():
         lines = dumps_table(table).splitlines()
         with pytest.raises(DomainError):
             loads_table("\n".join(lines[:3] + lines[2:]) + "\n")
+
+
+def test_off_window_points_are_rejected():
+    lat = make_lattice([2, 3], 1, 3)
+    outside = Fraction(100, 6)
+    with pytest.raises(DomainError):
+        FunctionTable(lat, (outside, Fraction(0)), [1, 2])
+    lines = dumps_table(FunctionTable.constant(lat)).splitlines()
+    with pytest.raises(DomainError):
+        loads_table("\n".join(lines + ["50/3 1.0 0.0"]) + "\n")
+    assert outside not in FunctionTable.constant(lat)

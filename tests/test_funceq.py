@@ -57,8 +57,11 @@ def test_diff_square_on_lattice():
 def test_diff_window_margin_error():
     lat = make_lattice([2], 0, 2)
     f = lattice_table(lat, lambda y: 1.0)
-    with pytest.raises(WindowMarginError):
+    with pytest.raises(DomainError):  # a step outside the window
         diff(f, Fraction(5, 2))
+    ends = FunctionTable(lat, (Fraction(-1), Fraction(1)), [1.0, 1.0])
+    with pytest.raises(WindowMarginError):
+        diff(ends, Fraction(1, 2))
 
 
 def test_diff_rejects_foreign_step_on_group():
@@ -388,3 +391,12 @@ def test_hermitian_defect_and_table_lookup():
     assert f.hermitian_defect() < 1e-12
     with pytest.raises(DomainError):
         f[Group([7]).element([6])]
+
+
+def test_tables_compare_and_hash_by_identity():
+    g = Group([3])
+    f, h = FunctionTable.constant(g), FunctionTable.constant(g)
+    assert f == f and f != h
+    assert len({f, h, f}) == 2
+    eq = ProductEquation(((f, Endo.identity(g)),))
+    assert eq == eq and hash(eq) == hash(eq)

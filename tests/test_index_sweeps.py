@@ -46,8 +46,11 @@ from groupident.distributions import joint_residual
 from groupident.endomorphisms import is_adjoint_pair
 from groupident.errors import (DomainError, VanishingFactorError,
                                WindowMarginError)
-from groupident.funceq import (FunctionTable, ProductEquation, _sum_defect,
-                               _sweep_max, bernstein_check,
+from groupident.funceq import (FunctionTable, ProductEquation,
+                               _bernstein_plan, _cached_plan,
+                               _character_plan, _plan, _polynomial_plan,
+                               _product_defect, _sum_defect, _sweep_max,
+                               _sweep_plan, bernstein_check,
                                bernstein_square_table, character_defect, diff,
                                is_character, is_polynomial,
                                kernel_conditions, locate_character,
@@ -61,16 +64,18 @@ from groupident.solenoid import (FIT_TOL, RationalLattice, SolenoidEndo,
                                  fit_gaussian_ratio, make_lattice)
 
 from oracles import (adjoint_pair_oracle, annihilator_oracle,
-                     bernstein_oracle, char_array_dense,
-                     character_defect_oracle, character_gaussian_oracle,
+                     bernstein_check_percall, bernstein_oracle,
+                     char_array_dense, character_defect_oracle,
+                     character_defect_percall, character_gaussian_oracle,
                      diff_oracle, endo_coeff, find_shift_coeffs_search,
                      gaussian_fit_oracle, group_add, hermitian_defect_oracle,
-                     is_polynomial_oracle, is_subgroup_oracle,
-                     joint_char_array_dense, joint_residual_dense,
-                     locate_character_oracle, poisson_closed_form_dense,
-                     poisson_deviations_dense, poisson_dense, random_dense,
-                     recover_shift_dense, residual_defect_oracle,
-                     sum_defect_oracle, window_steps_oracle)
+                     is_polynomial_oracle, is_polynomial_percall,
+                     is_subgroup_oracle, joint_char_array_dense,
+                     joint_residual_dense, locate_character_oracle,
+                     poisson_closed_form_dense, poisson_deviations_dense,
+                     poisson_dense, random_dense, recover_shift_dense,
+                     residual_defect_oracle, sum_defect_oracle,
+                     sweep_max_percall, window_steps_oracle)
 
 GROUPS = [(n,) for n in range(2, 13)] + [(2, 4), (3, 3, 2), (4, 6), (6, 6)]
 TOL = 1e-9
@@ -313,7 +318,7 @@ def test_difference_operators_match_oracles_on_windows(lat):
     rng = np.random.default_rng([lat.radius, lat.denominator])
     step = lat.step()
     steps = [0, step, -step, 2 * step, -3 * step, 5 * step,
-             lat.radius * step, 2 * lat.radius * step]
+             lat.radius * step]
     for label, pts in window_supports(lat, rng).items():
         ys = np.array([float(p) for p in pts])
         c = rng.normal(size=3) + 1j * rng.normal(size=3)
@@ -327,10 +332,11 @@ def test_difference_operators_match_oracles_on_windows(lat):
                 check_polynomial(f, table, operator.add,
                                  window_steps_oracle(table, n + 1), n)
     f = FunctionTable.constant(lat)
-    with pytest.raises(DomainError):  # a step off the window's grid
-        diff(f, step / 2)
-    with pytest.raises(DomainError):
-        ratio_diff(f, step / 2)
+    # Steps off the window's grid, and outside the window.
+    for h in (step / 2, (lat.radius + 1) * step, -2 * lat.radius * step):
+        for op in (diff, ratio_diff):
+            with pytest.raises(DomainError):
+                op(f, h)
 
 
 @pytest.mark.parametrize("lat", LATTICES, ids=repr)
@@ -369,6 +375,154 @@ def test_disjoint_window_supports_raise_margin_errors():
                     [lambda v: 0 * v] * 2, pts, lambda p: p)
     check_equations([low, high], [0, Fraction(1, 3)], None, operator.add,
                     [lambda v: 0 * v, lambda v: v / 3], pts, lambda p: p)
+
+
+# -- planned pair sweeps against the per-call code ----------------------------
+#
+# The pair checks sweep along plans cached per support; the per-call code they
+# replaced is in oracles.py.  Verdicts, errors and sweep maxima must be equal,
+# the character defect within ``ulp_tol``.
+
+PLAN_DOMAINS = [Group([6]), Group([2, 3]), Group([12]), Group([4, 6]),
+                Group([3, 3, 2]), *LATTICES, make_lattice([2], 0, 9)]
+
+
+def plan_supports(dom, rng):
+    """Full, sub-window (a range of indices), every other and irregular."""
+    every = dom.every
+    keep = rng.random(len(every)) < 0.6
+    keep[len(every) // 2] = True
+    return {"full": every, "sub-window": every[2:-1],
+            "every other": every[::2], "irregular": every[keep]}
+
+
+def plan_values(dom, rng):
+    """(label, values on the whole domain) of the tables to sweep."""
+    if isinstance(dom, Group):
+        x = int(rng.integers(dom.size))
+        char = dom.roots[dom.phase_idx(x, dom.every)]
+        poly = np.full(dom.size, complex(*rng.normal(size=2)))
+    else:
+        phase = Fraction(int(rng.integers(dom.denominator)), dom.denominator)
+        char = character_gaussian_values(dom, phase, 0.0).values
+        y = dom.every / dom.denominator
+        c = rng.normal(size=3) + 1j * rng.normal(size=3)
+        poly = c[0] + c[1] * y + c[2] * y ** 2
+    near = char.copy()
+    near[int(rng.integers(len(near)))] *= 1 + 2 * TOL
+    return [("character", char), ("character moved by 2 tol", near),
+            ("polynomial", poly), ("random", random_values(rng, len(char)))]
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the type of the margin or vanishing error it raises."""
+    try:
+        return fn(*args)
+    except (WindowMarginError, VanishingFactorError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("dom", PLAN_DOMAINS, ids=repr)
+def test_planned_sweeps_match_per_call_code(dom):
+    rng = np.random.default_rng([31, len(dom.every)])
+    if isinstance(dom, Group):
+        betas = _suite_endos(dom, list(dom.orders))[-3:]
+    else:
+        betas = WINDOW_COEFFS[1]
+    supports = plan_supports(dom, rng)
+    for label, vals in plan_values(dom, rng):
+        tables = {name: FunctionTable(dom, dom.points_at(idx),
+                                      vals[idx - dom.every[0]])
+                  for name, idx in supports.items()}
+        for name, f in tables.items():
+            case = f"{label} on the {name} support"
+            for n in range(4):
+                assert (outcome(is_polynomial, f, n, TOL)
+                        == outcome(is_polynomial_percall, f, n, TOL)), case
+            assert bernstein_check(f, TOL) == bernstein_check_percall(f, TOL)
+            got = outcome(character_defect, f)
+            want = outcome(character_defect_percall, f)
+            if isinstance(want, type):
+                assert got is want, case
+            else:
+                assert abs(got - want) <= ulp_tol(f.values), case
+        fs = [tables[name] for name in ("full", "irregular", "every other")]
+        for rhs in (None, tables["full"], tables["every other"]):
+            for defect in (_sum_defect, _product_defect):
+                assert (outcome(_sweep_max, fs, betas, rhs, defect)
+                        == outcome(sweep_max_percall, fs, betas, rhs,
+                                   defect)), label
+
+
+def test_plan_cache_keys_by_value():
+    rng = np.random.default_rng(37)
+    vals = random_values(rng, 6)
+    # The same index bytes on two domains whose addition differs.
+    a, b = (FunctionTable(g, g.elements(), vals)
+            for g in (Group([6]), Group([2, 3])))
+    assert a.idx.tobytes() == b.idx.tobytes()
+    assert _plan(_character_plan, [a]) is not _plan(_character_plan, [b])
+    for f in (a, b):
+        assert (abs(character_defect(f) - character_defect_percall(f))
+                <= ulp_tol(f.values))
+    # Two windows of equal radius and different base.
+    wa, wb = (FunctionTable.constant(make_lattice([base], 0, 5))
+              for base in (2, 3))
+    for build, params in ((_character_plan, ()), (_bernstein_plan, ()),
+                          (_polynomial_plan, (1,))):
+        assert _plan(build, [wa], *params) is not _plan(build, [wb], *params)
+    # Tables sharing a support: one plan, and each its own result.
+    pts = make_lattice([2, 3], 1, 12).points[::2]
+    f, g = (FunctionTable(make_lattice([2, 3], 1, 12), pts,
+                          random_values(rng, len(pts))) for _ in range(2))
+    _cached_plan.cache_clear()
+    for t in (f, g, f):
+        assert (abs(character_defect(t) - character_defect_percall(t))
+                <= ulp_tol(t.values))
+        for n in range(3):
+            assert (outcome(is_polynomial, t, n, TOL)
+                    == outcome(is_polynomial_percall, t, n, TOL))
+        assert (_sweep_max([t, t], [1, 2], None, _sum_defect)
+                == sweep_max_percall([t, t], [1, 2], None, _sum_defect))
+    info = _cached_plan.cache_info()
+    assert (info.misses, info.hits) == (5, 10)
+
+
+def plan_arrays(plan):
+    if isinstance(plan, np.ndarray):
+        yield plan
+    elif isinstance(plan, tuple):
+        for part in plan:
+            yield from plan_arrays(part)
+
+
+def test_cached_plan_arrays_refuse_writes():
+    lat = LATTICES[0]
+    f = FunctionTable(lat, lat.points[1:], np.ones(len(lat.points) - 1))
+    rhs = FunctionTable.constant(lat)
+    plans = [_plan(_character_plan, [f]), _plan(_bernstein_plan, [f]),
+             _plan(_polynomial_plan, [f], 2),
+             _plan(_sweep_plan, [f, f, rhs], 1, Fraction(3, 2))]
+    for plan in plans:
+        arrays = list(plan_arrays(plan))
+        assert arrays
+        for a in arrays:
+            assert not a.flags.writeable
+            if a.size:
+                with pytest.raises(ValueError):
+                    a[0] = 0
+
+
+def test_repeated_campaign_builds_no_plan(tmp_path):
+    argv = ["verify-gaussian", "--radius", "60", "--trials", "1",
+            "--out", str(tmp_path / "report.json")]
+    _cached_plan.cache_clear()
+    assert main(argv) == 0
+    first = _cached_plan.cache_info()
+    assert main(argv) == 0
+    second = _cached_plan.cache_info()
+    assert first.misses > 0 and second.misses == first.misses
+    assert second.hits > first.hits
 
 
 # -- pullbacks and point lookups ------------------------------------------------

@@ -86,6 +86,8 @@ ARGVS = [
     ["invariants", "--groups", "30,4x8,5x7,6x6"],
     ["counterexample", "--kind", "bernstein", "--group", "4x6"],
     _gauss("I", 200),
+    # The invariant suite above the dense-table limit.
+    ["invariants", "--groups", "41x41"],
 ]
 
 
