@@ -31,6 +31,11 @@ from . import fixtures as fixture_io
 
 DEFAULT_FAMILY = "2..12,2x4,6x6"
 
+# Default tolerance of the counterexample residuals; a residual is compared
+# with the larger of this and its noise floor, which exceeds it from
+# groups.SPECTRAL_MIN_SIZE elements up.
+COUNTEREXAMPLE_TOL = 1e-12
+
 
 # -- argument parsing helpers ---------------------------------------------------
 
@@ -274,6 +279,12 @@ def cmd_counterexample(args) -> int:
     return _finish("counterexample", config, body, start, args.out)
 
 
+def _counterexample_tol(args, floor: float) -> float:
+    """``--tol`` as given, else the larger of COUNTEREXAMPLE_TOL and the
+    noise ``floor`` of the residuals it is compared with."""
+    return max(COUNTEREXAMPLE_TOL, floor) if args.tol is None else args.tol
+
+
 def _counterexample_poisson(args) -> tuple[dict, dict]:
     group = parse_group(args.group or "6")
     cs = parse_int_coeffs(args.coeffs) if args.coeffs else [1, 3, 2]
@@ -284,7 +295,9 @@ def _counterexample_poisson(args) -> tuple[dict, dict]:
         bs, args.rate, mu3, mus, nus)
     non_shift = [identify.recover_shift(mus[j], nus[j]) is None
                  for j in (0, 1)]
-    ok = residual < args.tol and closed_dev < args.tol and all(non_shift)
+    tol = _counterexample_tol(
+        args, FLOORS["closed_form_deviation"](group, args.rate))
+    ok = residual < tol and closed_dev < tol and all(non_shift)
     body = {
         "status": "pass" if ok else "fail",
         "kind": "poisson-pair",
@@ -300,7 +313,7 @@ def _counterexample_poisson(args) -> tuple[dict, dict]:
     if args.fixtures:
         body["fixtures"] = _write_fixture_dists(args.fixtures, mus, nus)
     config = {"kind": args.kind, "group": args.group, "coeffs": cs,
-              "rate": args.rate, "seed": args.seed, "tol": args.tol}
+              "rate": args.rate, "seed": args.seed, "tol": tol}
     return config, body
 
 
@@ -312,7 +325,8 @@ def _counterexample_kernel(args) -> tuple[dict, dict]:
     non_shift = identify.recover_shift(mus[2], nus[2]) is None
     report = identify.verify_form_II(bs, mus, nus)
     residual = report.joint_residual
-    ok = (residual < args.tol and non_shift
+    tol = _counterexample_tol(args, FLOORS["joint_residual"](group))
+    ok = (residual < tol and non_shift
           and report.verdict == identify.VERDICT_PRECONDITIONS)
     body = {
         "status": "pass" if ok else "fail",
@@ -327,7 +341,7 @@ def _counterexample_kernel(args) -> tuple[dict, dict]:
     if args.fixtures:
         body["fixtures"] = _write_fixture_dists(args.fixtures, mus, nus)
     config = {"kind": args.kind, "group": args.group, "coeffs": cs,
-              "seed": args.seed, "tol": args.tol}
+              "seed": args.seed, "tol": tol}
     return config, body
 
 
@@ -341,8 +355,9 @@ def _counterexample_plane(args) -> tuple[dict, dict]:
 def _counterexample_bernstein(args) -> tuple[dict, dict]:
     group = parse_group(args.group or "6x6")
     table = bernstein_square_table(group)
-    passes = bernstein_check(table, tol=args.tol)
-    char = is_character(table, tol=args.tol)
+    tol = COUNTEREXAMPLE_TOL if args.tol is None else args.tol
+    passes = bernstein_check(table, tol=tol)
+    char = is_character(table, tol=tol)
     involutions = group.order_two_count()
     chars = [FunctionTable._at(group, group.every, row)
              for row in group.pairing_matrix]
@@ -362,7 +377,7 @@ def _counterexample_bernstein(args) -> tuple[dict, dict]:
         path.parent.mkdir(parents=True, exist_ok=True)
         fixture_io.write_table(path, table)
         body["fixtures"] = [str(path)]
-    config = {"kind": args.kind, "group": args.group, "tol": args.tol}
+    config = {"kind": args.kind, "group": args.group, "tol": tol}
     return config, body
 
 
@@ -489,7 +504,9 @@ def build_parser() -> argparse.ArgumentParser:
     ce.add_argument("--rate", type=float, default=0.7,
                     help="poisson rate parameter")
     ce.add_argument("--seed", type=int, default=0)
-    ce.add_argument("--tol", type=float, default=1e-12)
+    ce.add_argument("--tol", type=float, default=None,
+                    help="residual tolerance (default: the larger of 1e-12 "
+                         "and the residual's noise floor)")
     ce.add_argument("--out", default=None)
     ce.add_argument("--fixtures", default=None,
                     help="directory for distribution/table fixtures")

@@ -5,14 +5,17 @@ characteristic function is an FFT over the ``orders`` shape on a
 ``Group.spectral`` group, with no ``n x n`` table, and the cheaper product
 with the exact ``Group.pairing_matrix`` below that size.  Joint laws of two
 linear forms are swept over the ``(u, v)`` grid in row blocks, each factor
-read from its characteristic function tiled over the doubled coordinate box
-(``Group.box_idx``), so comparing two needs no ``n x n`` table either.
+read at the rank it depends on (``factor_plan``): a factor with ``b_j = 0``
+is a column over ``u`` and one with ``a_j = 0`` a row over ``v``, each read
+once per sweep, and every other factor is gathered from its characteristic
+function tiled over the doubled coordinate box (``Group.box_idx``).  So
+comparing two needs no ``n x n`` table either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -20,7 +23,7 @@ import numpy as np
 from .endomorphisms import Endo
 from .errors import CapacityError, DomainError, GenerationError
 from .funceq import FunctionTable
-from .groups import Element, Group
+from .groups import Element, Group, row_blocks
 
 MASS_TOL = 1e-12
 
@@ -143,9 +146,12 @@ class Distribution:
         if self.group != other.group:
             raise DomainError("convolution needs a common group")
         g = self.group
-        # (mu*nu)(z) = sum_x mu(x) nu(z - x); z - x indexed via the add table.
-        sub = g.add_table[:, g.neg_index]
-        masses = (self.masses[None, :] * other.masses[sub]).sum(axis=1)
+        # (mu*nu)(z) = sum_x mu(x) nu(z - x), one row block of z at a time,
+        # with z - x by index arithmetic.
+        masses = np.concatenate([
+            (self.masses * other.masses[g.add_idx(g.every[rows, None],
+                                                   g.neg_index)]).sum(axis=1)
+            for rows in row_blocks(g.size, g.size)])
         return Distribution(g, masses)
 
     def shift(self, x: Element) -> "Distribution":
@@ -214,50 +220,120 @@ class LinearFormSpec:
         return cls(g, tuple(ones), tuple(bs))
 
 
-def pair_index_blocks(pairs: Sequence[tuple[Endo, Endo]],
+# Factor plans held at once.  A plan is a few index vectors of the group's
+# size per factor, and one campaign sweeps one or two coefficient tuples.
+FACTOR_PLAN_CACHE_SIZE = 16
+
+# Per factor, the index arrays ``(U, V)`` of its reads at ``u`` and at ``v``;
+# None where the factor does not depend on that variable.
+FactorPlan = tuple[tuple[np.ndarray | None, np.ndarray | None], ...]
+
+
+def _is_zero(e: Endo) -> bool:
+    return not any(map(any, e.matrix))
+
+
+@lru_cache(maxsize=FACTOR_PLAN_CACHE_SIZE)
+def factor_plan(pairs: tuple[tuple[Endo, Endo], ...]) -> FactorPlan:
+    """How each factor ``mu_j^(adj(a_j) u + adj(b_j) v)`` of a joint sweep
+    is read, as a pair ``(U, V)``: ``(adj(a_j), None)`` index maps when
+    ``b_j = 0``, a column read at ``u`` alone; ``(None, adj(b_j))`` when
+    ``a_j = 0``, a row read at ``v`` alone; else the two images' box
+    indices (``Group.box_idx``), whose sums index the doubled box.  Keyed
+    by the coefficients' values; the arrays are read-only."""
+    plan = []
+    for a, b in pairs:
+        g = a.group
+        U, V = a.adjoint().index_map, b.adjoint().index_map
+        if _is_zero(b):
+            U, V = U.copy(), None
+        elif _is_zero(a):
+            U, V = None, V.copy()
+        else:
+            U, V = g.box_idx(U), g.box_idx(V)
+        for x in (U, V):
+            if x is not None:
+                x.setflags(write=False)
+        plan.append((U, V))
+    return tuple(plan)
+
+
+def factor_tables(plan: FactorPlan,
+                  dists: Sequence[Distribution]) -> list[np.ndarray]:
+    """Each characteristic function as ``plan`` reads it: the column
+    ``mu^[U]`` as ``(n, 1)``, the row ``mu^[V]`` as ``(1, n)``, or tiled
+    over the doubled box."""
+    out = []
+    for (U, V), d in zip(plan, dists):
+        c = d.char_array
+        if V is None:
+            out.append(c[U][:, None])
+        elif U is None:
+            out.append(c[V][None, :])
+        else:
+            out.append(d.group.box_tile(c))
+    return out
+
+
+def pair_index_blocks(plan: FactorPlan, size: int,
                       dtypes: Sequence[type] = ()
-                      ) -> Iterator[tuple[slice, list[np.ndarray],
-                                          list[np.ndarray]]]:
-    """Row blocks of the ``(u, v)`` grid of the factors ``(a_j, b_j)``.
+                      ) -> Iterator[tuple[slice, list, list[np.ndarray]]]:
+    """Row blocks of the ``(u, v)`` grid of ``size x size`` pairs, read as
+    ``plan`` says (``factor_plan``).
 
-    Each block of rows ``u`` comes with one box index per factor, that of
-    ``adj(a_j) u + adj(b_j) v`` for every ``v``: the sum of the two images'
-    box indices (``Group.box_idx``), with no reduction and no addition table,
-    and with one block-shaped buffer of each dtype in ``dtypes`` for the
-    caller's values.  All of them are allocated once per sweep and rewritten
-    for every block, so a caller uses a block before it takes the next one.
+    Each block of rows ``u`` comes with one read per factor, for
+    ``read_factor``: the slice ``rows`` of a column factor, the whole of a
+    row factor, and for every other factor the table indices
+    ``U[u] + V[v]``, box indices for a characteristic function, with no
+    reduction and no addition table; and with one block-shaped buffer of
+    each dtype in ``dtypes`` for the caller's values.  Index and value
+    buffers are allocated once per sweep and rewritten for every block, so
+    a caller uses a block before it takes the next one.
     """
-    g = pairs[0][0].group
-    uv = [(g.box_idx(a.adjoint().index_map), g.box_idx(b.adjoint().index_map))
-          for a, b in pairs]
-    step = min(g.size, max(1, JOINT_BLOCK // g.size))
-    idx = [np.empty((step, g.size), np.int64) for _ in uv]
-    bufs = [np.empty((step, g.size), d) for d in dtypes]
-    for start in range(0, g.size, step):
-        rows = slice(start, min(start + step, g.size))
+    step = min(size, max(1, JOINT_BLOCK // size))
+    idx = [None if U is None or V is None else np.empty((step, size), np.int64)
+           for U, V in plan]
+    bufs = [np.empty((step, size), d) for d in dtypes]
+    for start in range(0, size, step):
+        rows = slice(start, min(start + step, size))
         if rows.stop - start < step:  # only the last block is shorter
-            idx = [b[:rows.stop - start] for b in idx]
+            idx = [b if b is None else b[:rows.stop - start] for b in idx]
             bufs = [b[:rows.stop - start] for b in bufs]
-        for (U, V), out in zip(uv, idx):
-            np.add(U[rows, None], V[None, :], out=out)
-        yield rows, idx, bufs
+        reads = []
+        for (U, V), out in zip(plan, idx):
+            if out is None:
+                reads.append(rows if V is None else slice(None))
+            else:
+                reads.append(np.add(U[rows, None], V[None, :], out=out))
+        yield rows, reads, bufs
 
 
-def joint_block(tiled: Sequence[np.ndarray], idx: Sequence[np.ndarray],
-                out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """``prod_j tiled[j][idx[j]]`` written into ``out``, multiplied in factor
-    order; ``tmp`` holds each later factor.  Both have the block's shape.
+def read_factor(table: np.ndarray, read, tmp: np.ndarray) -> np.ndarray:
+    """One factor's block: a broadcastable view of a column or row factor,
+    or the gather of any other factor written into ``tmp``.
 
-    Box indices are in range by construction, so the gathers use
+    Table indices are in range by construction, so the gathers use
     ``mode="clip"``: with ``out`` and the default ``mode="raise"`` numpy
     buffers the output, which made a gather on Z1021 or Z30xZ50 1.6 times
     as slow.  The ``take`` method skips ``np.take``'s dispatch, which
     costs more than the gather itself on a small group.
     """
-    tiled[0].take(idx[0], out=out, mode="clip")
-    for t, i in zip(tiled[1:], idx[1:]):
-        t.take(i, out=tmp, mode="clip")
-        out *= tmp
+    if isinstance(read, slice):
+        return table[read]
+    return table.take(read, out=tmp, mode="clip")
+
+
+def joint_block(tables: Sequence[np.ndarray], reads: Sequence,
+                out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """``prod_j`` of the factors' blocks (``read_factor``) written into
+    ``out``, multiplied in factor order, so every value is the product the
+    dense ``n x n`` tables give and a NaN reaches it; ``tmp`` holds each
+    later gathered factor.  Both have the block's shape."""
+    acc = read_factor(tables[0], reads[0], out)
+    for t, r in zip(tables[1:], reads[1:]):
+        acc = np.multiply(acc, read_factor(t, r, tmp), out=out)
+    if acc is not out:
+        np.copyto(out, acc)
     return out
 
 
@@ -269,11 +345,6 @@ def _check_dists(spec: LinearFormSpec, dists: Sequence[Distribution]) -> None:
             raise DomainError("distributions live on a different group")
 
 
-def box_chars(dists: Sequence[Distribution]) -> list[np.ndarray]:
-    """Each characteristic function tiled over the doubled box."""
-    return [d.group.box_tile(d.char_array) for d in dists]
-
-
 def joint_char_array(spec: LinearFormSpec,
                      dists: Sequence[Distribution]) -> np.ndarray:
     """``(u, v)`` grid of ``prod_j char_j(adj(a_j) u + adj(b_j) v)``."""
@@ -281,10 +352,12 @@ def joint_char_array(spec: LinearFormSpec,
     _check_dists(spec, dists)
     if g.size ** 2 > 4_000_000:
         raise CapacityError("joint table would exceed the size limit")
-    tiled = box_chars(dists)
+    plan = factor_plan(spec.pairs)
+    tables = factor_tables(plan, dists)
     out = np.empty((g.size, g.size), dtype=np.complex128)
-    for rows, idx, (tmp,) in pair_index_blocks(spec.pairs, [np.complex128]):
-        joint_block(tiled, idx, out[rows], tmp)
+    for rows, reads, (tmp,) in pair_index_blocks(plan, g.size,
+                                                 [np.complex128]):
+        joint_block(tables, reads, out[rows], tmp)
     return out
 
 
@@ -294,12 +367,13 @@ def joint_residual(spec: LinearFormSpec, mus: Sequence[Distribution],
     one row block at a time; both sides share each block's indices."""
     _check_dists(spec, mus)
     _check_dists(spec, nus)
-    lhs, rhs = box_chars(mus), box_chars(nus)
+    plan = factor_plan(spec.pairs)
+    lhs, rhs = factor_tables(plan, mus), factor_tables(plan, nus)
     worst = []
-    for _, idx, (x, y, tmp, mod) in pair_index_blocks(
-            spec.pairs, [np.complex128] * 3 + [np.float64]):
-        diff = joint_block(lhs, idx, x, tmp)
-        diff -= joint_block(rhs, idx, y, tmp)
+    for _, reads, (x, y, tmp, mod) in pair_index_blocks(
+            plan, spec.group.size, [np.complex128] * 3 + [np.float64]):
+        diff = joint_block(lhs, reads, x, tmp)
+        diff -= joint_block(rhs, reads, y, tmp)
         worst.append(np.abs(diff, out=mod).max())
     return float(np.max(worst))
 

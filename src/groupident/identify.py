@@ -17,8 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import (Distribution, LinearFormSpec, box_chars,
-                            joint_block, joint_residual, pair_index_blocks)
+from .distributions import (Distribution, FactorPlan, LinearFormSpec,
+                            factor_plan, factor_tables, joint_block,
+                            joint_residual, pair_index_blocks)
 from .endomorphisms import Endo
 from .errors import ConstructionError, DomainError
 from .funceq import kernel_conditions, summed_variables
@@ -77,6 +78,14 @@ def _first_form_coeffs(g: Group, summed: tuple[bool, ...]) -> tuple[Endo, ...]:
     return tuple(Endo.identity(g) if s else Endo.zero(g) for s in summed)
 
 
+@lru_cache(maxsize=16)
+def _kernel_conditions(summed: tuple[bool, ...], bs: tuple[Endo, ...]
+                       ) -> tuple[tuple[str, bool], ...]:
+    """The items of ``kernel_conditions``, computed once per coefficient
+    tuple, as a tuple, so that no caller can change the cached value."""
+    return tuple(kernel_conditions(summed, bs).items())
+
+
 def _verify(summed: tuple[bool, ...], bs: Sequence[Endo],
             mus: Sequence[Distribution], nus: Sequence[Distribution],
             tol: float, *, shifted: bool) -> IdentifiabilityReport:
@@ -85,7 +94,7 @@ def _verify(summed: tuple[bool, ...], bs: Sequence[Endo],
     n = len(summed)
     if not len(bs) == len(mus) == len(nus) == n:
         raise DomainError(f"takes {n} coefficients and {n}+{n} distributions")
-    pre = kernel_conditions(summed, bs)
+    pre = dict(_kernel_conditions(summed, tuple(bs)))
     pre["nonvanishing"] = all(d.nonvanishing(NONVANISHING_GUARD)
                               for d in (*mus, *nus))
     g = bs[0].group
@@ -212,26 +221,25 @@ def poisson_counterexample(bs: Sequence[Endo], a: float,
     return tuple(mus), tuple(nus)
 
 
-def _poisson_rows(bs: Sequence[Endo]) -> tuple[np.ndarray, np.ndarray]:
-    """Pairing rows of ``x0``, the first nonzero element of ``ker(b1-b2)``,
-    and of ``x~ = b1 x0``."""
+def _poisson_plan(bs: Sequence[Endo], pairs) -> FactorPlan:
+    """The closed form's phase factor, then ``factor_plan(pairs)``.
+
+    The phase factor reads the exact pairing phases of ``x0``, the first
+    nonzero element of ``ker(b1-b2)``, at ``u`` and of ``x~ = b1 x0`` at
+    ``v``; their sum, below twice the exponent, indexes ``_phase_table``.
+    """
     g = bs[0].group
     x0 = next(x for x in (bs[0] - bs[1]).kernel() if x != g.zero)
-    return tuple(g.roots[g.phase_idx(g.index(x), g.every)]
-                 for x in (x0, bs[0].apply(x0)))
+    phases = tuple(g.phase_idx(g.index(x), g.every)
+                   for x in (x0, bs[0].apply(x0)))
+    return (phases, *factor_plan(tuple(pairs)))
 
 
-def _poisson_closed_block(a: float, row_u: np.ndarray, row_v: np.ndarray,
-                          rows: slice, rest: np.ndarray | None,
-                          out: np.ndarray) -> np.ndarray:
-    """Rows ``rows`` of the closed form, written into ``out``; ``rest`` is the
-    block's ``mu_hat(u + b3~ v)`` factor, absent for two variables."""
-    np.multiply(4 * a * row_u[rows, None], row_v[None, :], out=out)
-    np.exp(out, out=out)
-    out *= np.exp(-4 * a)
-    if rest is not None:
-        out *= rest
-    return out
+def _phase_table(g: Group, a: float) -> np.ndarray:
+    """``E[k] = e^{-4a} exp(4a roots[k mod L])`` for ``k < 2L``, ``L`` the
+    exponent: the closed form's first factor ``e^{-4a} exp(4a (x0,u)(x~,v))``
+    at the phase sum ``k``, one ``exp`` of an exact root per phase."""
+    return np.tile(np.exp(4 * a * g.roots) * np.exp(-4 * a), 2)
 
 
 def poisson_closed_form_array(bs: Sequence[Endo], a: float,
@@ -242,15 +250,12 @@ def poisson_closed_form_array(bs: Sequence[Endo], a: float,
     factor is absent.
     """
     g = bs[0].group
-    row_u, row_v = _poisson_rows(bs)
+    plan = _poisson_plan(bs, [(Endo.identity(g), b) for b in bs[2:]])
+    tables = [_phase_table(g, a), *factor_tables(plan[1:], [mu_rest])]
     out = np.empty((g.size, g.size), dtype=np.complex128)
-    if len(bs) == 2:
-        return _poisson_closed_block(a, row_u, row_v, slice(None), None, out)
-    rest = g.box_tile(mu_rest.char_array)
-    for rows, (idx,), (tmp,) in pair_index_blocks(
-            [(Endo.identity(g), bs[2])], [np.complex128]):
-        _poisson_closed_block(a, row_u, row_v, rows,
-                              rest.take(idx, out=tmp, mode="clip"), out[rows])
+    for rows, reads, (tmp,) in pair_index_blocks(plan, g.size,
+                                                 [np.complex128]):
+        joint_block(tables, reads, out[rows], tmp)
     return out
 
 
@@ -261,23 +266,20 @@ def poisson_pair_deviations(bs: Sequence[Endo], a: float,
     """``(joint residual, closed-form deviation)`` of a Poisson pair from
     ``poisson_counterexample(bs, a, mu_rest)`` under form I.
 
-    One row-blocked sweep: each block's indices serve both joint laws, and
-    the third factor's index, that of ``u + b3~ v``, serves the closed form's
+    One row-blocked sweep: each block's reads serve both joint laws, and
+    the third factor's read, that of ``u + b3~ v``, serves the closed form's
     ``mu_rest`` factor too.  The deviation is the larger of the two sides'.
     """
     g = bs[0].group
-    spec = LinearFormSpec.form_I(bs)
-    row_u, row_v = _poisson_rows(bs)
-    lhs_t, rhs_t = box_chars(mus), box_chars(nus)
-    rest_t = None if len(bs) == 2 else g.box_tile(mu_rest.char_array)
+    plan = _poisson_plan(bs, LinearFormSpec.form_I(bs).pairs)
+    lhs_t, rhs_t = factor_tables(plan[1:], mus), factor_tables(plan[1:], nus)
+    closed_t = [_phase_table(g, a), *factor_tables(plan[3:], [mu_rest])]
     residual, closed_dev = [], []
-    for rows, idx, (x, y, z, tmp, mod) in pair_index_blocks(
-            spec.pairs, [np.complex128] * 4 + [np.float64]):
-        lhs = joint_block(lhs_t, idx, x, tmp)
-        rhs = joint_block(rhs_t, idx, y, tmp)
-        rest = (None if rest_t is None
-                else rest_t.take(idx[2], out=tmp, mode="clip"))
-        closed = _poisson_closed_block(a, row_u, row_v, rows, rest, z)
+    for _, reads, (x, y, z, tmp, mod) in pair_index_blocks(
+            plan, g.size, [np.complex128] * 4 + [np.float64]):
+        lhs = joint_block(lhs_t, reads[1:], x, tmp)
+        rhs = joint_block(rhs_t, reads[1:], y, tmp)
+        closed = joint_block(closed_t, [reads[0], *reads[3:]], z, tmp)
         residual.append(np.abs(np.subtract(lhs, rhs, out=tmp),
                                out=mod).max())
         lhs -= closed

@@ -262,7 +262,8 @@ def gaussian_fit_oracle(table, tol):
 # the index arithmetic and the screen, with results compared by ``==``.
 # The dense characteristic function, Poisson masses and rejection loop that
 # the FFTs replaced from ``SPECTRAL_MIN_SIZE`` elements up are kept too; the
-# FFTs round differently, so they are compared within a stated bound.
+# FFTs round differently, so they are compared within a stated bound.  So is
+# the convolution over the addition table that index arithmetic replaced.
 
 
 def char_array_dense(d):
@@ -294,6 +295,13 @@ def random_dense(group, seed, floor=0.1, nonvanishing_tol=0.05,
             return cand
     raise GenerationError(
         f"no nonvanishing distribution within {max_tries} tries")
+
+
+def convolve_dense(mu, nu):
+    """``mu * nu`` from the dense addition table."""
+    g = mu.group
+    sub = g.add_table[:, g.neg_index]
+    return (mu.masses[None, :] * nu.masses[sub]).sum(axis=1)
 
 
 def joint_char_array_dense(spec, dists):

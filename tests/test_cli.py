@@ -11,7 +11,7 @@ import pytest
 from groupident.cli import find_shift_coeffs, main, parse_group_family
 from groupident.groups import TABLE_SIZE_LIMIT, Group
 from groupident.fixtures import read_distribution, read_table
-from groupident.reporting import body_bytes, load_schema
+from groupident.reporting import FLOORS, body_bytes, load_schema
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 TOOL = SRC.parent / "tools" / "compare_bodies.py"
@@ -186,6 +186,28 @@ def test_counterexample_kernel(tmp_path):
     assert code == 0
     assert report["body"]["joint_residual"] < 1e-12
     assert report["body"]["verifier_verdict"] == "preconditions-violated"
+
+
+def test_counterexample_default_tol_is_the_residual_floor(tmp_path):
+    """On Z30xZ50 the noise floors exceed 1e-12, so the default tolerance
+    is the floor of the residuals compared; an explicit --tol is used as
+    given, and the bernstein kind keeps 1e-12."""
+    g = Group([30, 50])
+    floors = {"poisson-pair": FLOORS["closed_form_deviation"](g, 0.7),
+              "kernel-mass": FLOORS["joint_residual"](g)}
+    for kind, floor in floors.items():
+        assert floor > 1e-12
+        code, report = run_cli(tmp_path, "counterexample", "--kind", kind,
+                               "--group", "30x50")
+        assert code == 0
+        assert report["config"]["tol"] == floor
+        # No residual is below 0, not even an exact 0.
+        code, given = run_cli(tmp_path, "counterexample", "--kind", kind,
+                              "--group", "30x50", "--tol", "0")
+        assert (code, given["config"]["tol"]) == (1, 0.0)
+    code, report = run_cli(tmp_path, "counterexample", "--kind", "bernstein",
+                           "--group", "4x6")
+    assert code == 0 and report["config"]["tol"] == 1e-12
 
 
 def test_counterexample_plane(tmp_path):

@@ -13,7 +13,8 @@ from groupident import consistent_shifts
 from groupident.errors import ConstructionError
 from groupident.funceq import FunctionTable, ProductEquation, extract_character
 from groupident.identify import (VERDICT_MISMATCH, VERDICT_PRECONDITIONS,
-                                 VERDICT_SHIFT, VERDICT_UNIQUE)
+                                 VERDICT_SHIFT, VERDICT_UNIQUE,
+                                 _kernel_conditions)
 
 
 def scalar_endos(g, cs):
@@ -218,3 +219,19 @@ def test_report_serialization():
     assert d["shifts"] == [[0]] * 3
     assert set(d["preconditions"]) == {
         "ker(b1-b2)=0", "ker(b1-b3)=0", "ker(b2-b3)=0", "nonvanishing"}
+
+
+def test_kernel_conditions_are_computed_once_per_coefficient_tuple():
+    g = Group([7])
+    mus = [Distribution.random(g, [3, j], 0.2) for j in range(3)]
+    _kernel_conditions.cache_clear()
+    first = verify_form_I(scalar_endos(g, (0, 1, 2)), mus, mus)
+    first.preconditions["ker(b1-b2)=0"] = False
+    second = verify_form_I(scalar_endos(g, (0, 1, 2)), mus, mus)
+    info = _kernel_conditions.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    assert second.preconditions == {"ker(b1-b2)=0": True,
+                                    "ker(b1-b3)=0": True,
+                                    "ker(b2-b3)=0": True,
+                                    "nonvanishing": True}
+    assert second.verdict == VERDICT_SHIFT

@@ -12,7 +12,10 @@ wherever the oracle's value is farther than that bound from the tolerance:
 
 - ``ulp_tol`` (4 eps times the squared scale of the values) for the
   Hermitian and character defects, the Bernstein products, ``times`` and the
-  Poisson closed form;
+  convolution;
+- ``closed_form_tol``, the rounding of each side, for the Poisson closed
+  form and its deviation: the package takes ``exp`` of one exact root per
+  phase, the oracle of a product of two pairing values;
 - ``gaussian_tol``, the phase and modulus rounding of each side, for the
   character-Gaussian tables;
 - twice each field's a-priori noise floor (``reporting.FLOORS``) for the
@@ -26,7 +29,8 @@ full, partial and irregular supports.  Quotients are held within a few ulps
 of their magnitude.  The screened shift search must return the element of
 the dense search.  The FFT characteristic functions and Poisson masses must
 stay within a stated a-priori rounding bound of the dense products they
-replaced, and ``Distribution.random`` must return the masses of the dense
+replaced, a convolution's transform within one of the product of the
+transforms, and ``Distribution.random`` must return the masses of the dense
 rejection loop.
 """
 
@@ -39,10 +43,11 @@ import pytest
 from groupident import (Distribution, Endo, Group, LinearFormSpec,
                         annihilator, consistent_shifts, is_subgroup,
                         joint_char_array, kernel_counterexample,
-                        poisson_closed_form_array, poisson_counterexample,
-                        recover_shift, verify_form_I, verify_form_II)
+                        kotlarski_coeffs, poisson_closed_form_array,
+                        poisson_counterexample, recover_shift, verify_form_I,
+                        verify_form_II)
 from groupident.cli import _suite_endos, find_shift_coeffs, main
-from groupident.distributions import joint_residual
+from groupident.distributions import factor_plan, joint_residual
 from groupident.endomorphisms import is_adjoint_pair
 from groupident.errors import (DomainError, VanishingFactorError,
                                WindowMarginError)
@@ -67,6 +72,7 @@ from oracles import (adjoint_pair_oracle, annihilator_oracle,
                      bernstein_check_percall, bernstein_oracle,
                      char_array_dense, character_defect_oracle,
                      character_defect_percall, character_gaussian_oracle,
+                     convolve_dense,
                      diff_oracle, endo_coeff, find_shift_coeffs_search,
                      gaussian_fit_oracle, group_add, hermitian_defect_oracle,
                      is_polynomial_oracle, is_polynomial_percall,
@@ -745,22 +751,112 @@ def with_char(d: Distribution, values) -> Distribution:
     return out
 
 
+def plan_specs(g: Group, endos):
+    """Specs whose factors ``factor_plan`` reads in each of its ways: box
+    factors, columns (``b_j = 0``), rows (``a_j = 0``) and a constant
+    factor (``a_j = b_j = 0``)."""
+    one, zero = Endo.identity(g), Endo.zero(g)
+    b = endos[-3:]
+    return [LinearFormSpec.form_II(kotlarski_coeffs(g)),
+            LinearFormSpec.form_I([Endo.scalar(g, c) for c in (0, 1, 2)]),
+            LinearFormSpec(g, (one, zero, one), (b[0], zero, b[2])),
+            LinearFormSpec(g, (one, zero, one, b[1]),
+                           (zero, b[0], b[2], b[1])),
+            LinearFormSpec(g, (one, zero), (zero, one))]
+
+
 @pytest.mark.parametrize("orders", JOINT_GROUPS, ids=group_id)
 def test_joint_sweeps_match_dense_tables(orders):
     g = Group(orders)
     endos = _suite_endos(g, list(orders))
+    mus = [Distribution.random(g, [41, g.size, j], 0.2) for j in range(4)]
+    nus = [Distribution.random(g, [43, g.size, j], 0.2) for j in range(4)]
+    coeff_sets = [endos[-3:]] if g.size > 100 else [endos[-3:], endos[:3]]
+    specs = [spec for bs in coeff_sets
+             for spec in (LinearFormSpec.form_I(bs),
+                          LinearFormSpec.form_II(bs),
+                          LinearFormSpec.form_I(bs[:2]))]
+    for spec in specs + plan_specs(g, endos):
+        k = spec.arity
+        assert np.array_equal(joint_char_array(spec, mus[:k]),
+                              joint_char_array_dense(spec, mus[:k]))
+        for other in (nus[:k], mus[:k]):
+            assert (joint_residual(spec, mus[:k], other)
+                    == joint_residual_dense(spec, mus[:k], other))
+
+
+@pytest.mark.parametrize("orders", JOINT_GROUPS, ids=group_id)
+def test_joint_sweeps_carry_nan_and_inf_of_vector_factors(orders):
+    """A NaN or an infinity in a column or row factor reaches the joint
+    table and the residual as in the dense tables.  An infinity sits in a
+    later factor only: the dense oracle starts from a table of ones, and
+    ``1 * inf`` is ``inf + nan j`` in complex arithmetic."""
+    g = Group(orders)
     mus = [Distribution.random(g, [41, g.size, j], 0.2) for j in range(3)]
     nus = [Distribution.random(g, [43, g.size, j], 0.2) for j in range(3)]
-    coeff_sets = [endos[-3:]] if g.size > 100 else [endos[-3:], endos[:3]]
-    for bs in coeff_sets:
-        for spec in (LinearFormSpec.form_I(bs), LinearFormSpec.form_II(bs),
-                     LinearFormSpec.form_I(bs[:2])):
-            k = spec.arity
-            assert np.array_equal(joint_char_array(spec, mus[:k]),
-                                  joint_char_array_dense(spec, mus[:k]))
-            for other in (nus[:k], mus[:k]):
-                assert (joint_residual(spec, mus[:k], other)
-                        == joint_residual_dense(spec, mus[:k], other))
+    spec = LinearFormSpec.form_II(kotlarski_coeffs(g))  # column, box, row
+    at = int(np.random.default_rng([97, g.size]).integers(g.size))
+    for j, value in ((0, np.nan), (2, np.nan), (2, np.inf)):
+        vals = mus[j].char_array.copy()
+        vals[at] = value
+        bad = list(mus)
+        bad[j] = with_char(mus[j], vals)
+        with np.errstate(invalid="ignore"):
+            assert np.array_equal(joint_char_array(spec, bad),
+                                  joint_char_array_dense(spec, bad),
+                                  equal_nan=True)
+            for other in (nus, bad):
+                got = joint_residual(spec, bad, other)
+                want = joint_residual_dense(spec, bad, other)
+                assert not np.isfinite(got)
+                assert got == want or np.isnan(got) and np.isnan(want)
+
+
+def test_repeated_shift_campaign_builds_no_factor_plan(tmp_path):
+    out = str(tmp_path / "report.json")
+    argvs = [["verify-shift", "--group", "30x50", "--form", "II",
+              "--trials", "1", "--out", out],
+             ["counterexample", "--kind", "poisson-pair", "--group", "30x50",
+              "--out", out]]
+    factor_plan.cache_clear()
+    for argv in argvs:
+        assert main(argv) == 0
+    first = factor_plan.cache_info()
+    for argv in argvs:
+        assert main(argv) == 0
+    second = factor_plan.cache_info()
+    assert first.misses > 0 and second.misses == first.misses
+    assert second.hits > first.hits
+
+
+def closed_form_tol(a: float) -> float:
+    """Bound on ``|package - oracle|`` at any entry of the Poisson closed
+    form ``e^{-4a} exp(4a (x0,u)(x~,v)) mu_hat(u + b3~ v)``, ``u = 2^-53``
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    2002, §3.1 and Lemma 3.5), to first order in ``u``.
+
+    Both sides read the root table ``Group.roots``, whose entries are within
+    ``e = (6 pi + 2) u`` of the exact roots (``transform_bound``).  The
+    oracle takes ``exp`` of ``w = 4a r_u r_v``, two table entries times
+    ``4a`` with one rounding and a complex product (``2 sqrt(2) u``):
+    within ``4a (2e + 4u)`` of ``4a zeta``, ``zeta`` the exact root of the
+    phase sum.  The package takes it of ``4a r_k``, one entry and one
+    rounding: within ``4a (e + u)``.  ``e^{-4a} exp`` moves a difference
+    ``dw`` by at most ``|dw|``, as ``Re w <= 4a`` to first order.  After
+    that each side rounds ``exp`` (libm's ``exp``, ``cos`` and ``sin`` within
+    an ulp, and their product: ``5u`` per part), the scaling by ``e^{-4a}``
+    (``2u``) and the product with ``mu_hat`` (``2 sqrt(2) u``), each relative
+    to values of modulus at most 1: ``10u`` per side.  In all
+    ``4a (3e + 5u) + 20u``, about ``(270a + 20) u``; the package's own part,
+    ``4a (e + u) + 10u``, stays inside the ``200 rate u`` that
+    ``FLOORS["closed_form_deviation"]`` adds to the joint-law floor.  A
+    deviation is a maximum of moduli of differences with identical joint
+    values on both sides, so it moves by no more, plus relative ``u``
+    roundings of values far below the bound.
+    """
+    u = np.finfo(float).eps / 2
+    e = (6 * np.pi + 2) * u
+    return 4 * a * (3 * e + 5 * u) + 20 * u
 
 
 @pytest.mark.parametrize("orders", JOINT_GROUPS, ids=group_id)
@@ -771,9 +867,7 @@ def test_poisson_pair_matches_dense_tables(orders):
     mu3 = Distribution.random(g, [47, g.size], 0.2)
     for k, rest in ((3, mu3), (2, None)):
         mus, nus = poisson_counterexample(bs[:k], 0.7, rest)
-        # The closed form's factors are multiplied in another order than
-        # the dense table's; its values have modulus at most 1.
-        bound = ulp_tol(1.0)
+        bound = closed_form_tol(0.7)
         got = poisson_pair_deviations(bs[:k], 0.7, rest, mus, nus)
         want = poisson_deviations_dense(bs[:k], 0.7, rest, mus, nus)
         assert got[0] == want[0]
@@ -999,6 +1093,37 @@ def test_spectral_transforms_match_dense_products(orders, monkeypatch):
     for seed in range(20):
         assert np.array_equal(Distribution.random(g, [83, seed]).masses,
                               random_dense(g, [83, seed]).masses), seed
+
+
+def char_floor(g: Group) -> float:
+    """The README's bound on a characteristic-function entry of a law:
+    ``(2n + 24) u`` as a dense product, ``(32 log2(4n) sqrt(n) + 2) u`` as
+    an FFT, ``log2(4n)`` taken as the bit length of ``4n``."""
+    n, u = g.size, np.finfo(float).eps / 2
+    if g.spectral:
+        return (32 * (4 * n).bit_length() * np.sqrt(n) + 2) * u
+    return (2 * n + 24) * u
+
+
+@pytest.mark.parametrize("orders", SPECTRAL_GROUPS + [(41, 41)],
+                         ids=group_id)
+def test_convolution_matches_transform_and_dense_table(orders):
+    """``(mu * nu)^ = mu^ nu^`` within ``3e + (n + 4) u``, ``e`` the
+    ``char_floor``: each convolved mass sums ``n`` nonnegative products, so
+    the masses are off by ``(n + 1) u`` in total, which the transform adds
+    to its own ``e``; each side's factor is within ``e`` and their product
+    rounds by ``2 sqrt(2) u``.  Below the dense-table limit the masses also
+    match the sums over the addition table."""
+    g = Group(orders)
+    n, u = g.size, np.finfo(float).eps / 2
+    laws = [d for _, d in transform_laws(g)]
+    for mu, nu in zip(laws, laws[1:] + laws[:1]):
+        got = mu.convolve(nu)
+        err = np.max(np.abs(got.char_array - mu.char_array * nu.char_array))
+        assert err <= 3 * char_floor(g) + (n + 4) * u
+        if n <= groups.TABLE_SIZE_LIMIT:
+            assert np.max(np.abs(got.masses - convolve_dense(mu, nu))) \
+                <= ulp_tol(got.masses)
 
 
 @pytest.mark.parametrize("orders", [(1021,), (30, 50)], ids=group_id)

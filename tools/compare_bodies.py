@@ -88,6 +88,13 @@ ARGVS = [
     _gauss("I", 200),
     # The invariant suite above the dense-table limit.
     ["invariants", "--groups", "41x41"],
+    # Joint-law factors read as columns and rows on a cyclic group, and the
+    # Poisson pair without a third factor and with b3 = 0.
+    ["verify-shift", "--group", "1021", "--form", "II", "--trials", "1"],
+    ["counterexample", "--kind", "poisson-pair", "--group", "30x50",
+     "--coeffs", "1,3"],
+    ["counterexample", "--kind", "poisson-pair", "--group", "4",
+     "--coeffs", "1,3,4"],
 ]
 
 
