@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, InvalidEndomorphismError
-from .groups import Element, Group, row_blocks
+from .groups import Element, Group
 
 
 @dataclass(frozen=True)
@@ -127,36 +127,54 @@ class Endo:
 
 
 def is_adjoint_pair(a: Endo, b: Endo) -> bool:
-    """Whether ``(Ax, y) = (x, By)`` for all pairs, on exact pairing phases."""
-    g = a.group
-    every = np.arange(g.size)
-    return all(np.array_equal(g.phase_idx(a.index_map[rows, None], every),
-                              g.phase_idx(every[rows, None], b.index_map))
-               for rows in row_blocks(g.size, g.size))
+    """Whether ``(Ax, y) = (x, By)`` for all pairs, on exact pairing phases.
+
+    Both sides are bi-additive, so they agree everywhere when they agree on
+    the ``rank**2`` generator pairs, once each index map is checked to be a
+    homomorphism: ``m[x + t] = m[x] + m[t]`` at every ``x`` and generator
+    ``t``.
+    """
+    g, t = a.group, a.group.generators
+    m = np.array([a.index_map, b.index_map])
+    return bool((m[:, g.add_idx(g.every, t[:, None])]
+                 == g.add_idx(m[:, None], m[:, t, None])).all()
+                and (g.phase_idx(m[0, t, None], t)
+                     == g.phase_idx(t[:, None], m[1, t])).all())
 
 
-def is_subgroup(group: Group, subset: Sequence[Element]) -> bool:
-    """Exact closure check: contains 0 and is closed under addition."""
+def _subgroup_generators(group: Group, subset) -> np.ndarray | None:
+    """Generators picked from ``subset`` if it is a subgroup, else None: the
+    first element outside the span of those so far joins them (at most
+    ``log2(size)`` join), and a set containing 0 and closed under adding
+    each of them contains their span, hence is a subgroup."""
     try:
         idx = group.indices(subset)
     except DomainError:
-        return False
-    member = np.zeros(group.size, dtype=bool)
-    member[idx] = True
-    return bool(member[0]) and all(
-        member[group.add_idx(idx[rows, None], idx)].all()
-        for rows in row_blocks(len(idx), len(idx)))
+        return None
+    span, member = np.zeros((2, group.size), dtype=bool)
+    span[0], member[idx], picked = True, True, []
+    while not span[idx].all():
+        picked.append(x := idx[np.argmin(span[idx])])
+        # <x> is {j x : 0 <= j < exponent}.
+        ray = group.compose((group.coords_array[x] * np.arange(
+            group.exponent)[:, None] % group.orders).T)
+        span[group.add_idx(np.flatnonzero(span)[:, None], ray)] = True
+    gens = np.array(picked, dtype=np.int64)
+    closed = member[0] and member[group.add_idx(idx, gens[:, None])].all()
+    return gens if closed else None
+
+
+def is_subgroup(group: Group, subset: Sequence[Element]) -> bool:
+    """Exact closure check, under generators picked from the subset."""
+    return _subgroup_generators(group, subset) is not None
 
 
 def annihilator(group: Group, subgroup: Sequence[Element]) -> list[Element]:
-    """Characters that equal 1 on every element of ``subgroup``.
-
-    The membership test is exact: ``y`` annihilates ``x`` iff the pairing
-    phase numerator vanishes mod the group exponent.
-    """
-    if not is_subgroup(group, subgroup):
+    """Characters that equal 1 on every element of ``subgroup``: exactly,
+    by pairing phase numerators that vanish mod the group exponent, on the
+    generators that ``is_subgroup`` picks."""
+    gens = _subgroup_generators(group, subgroup)
+    if gens is None:
         raise DomainError("annihilator input must be a subgroup")
-    sub, ys = group.indices(subgroup), np.arange(group.size)
-    hit = np.concatenate([group.phase_idx(sub, ys[rows, None]).any(axis=1)
-                          for rows in row_blocks(group.size, len(sub))])
-    return [group.elements()[i] for i in np.flatnonzero(~hit)]
+    hit = (group.phase_idx(gens[:, None], group.every) != 0).any(axis=0)
+    return list(group.points_at(np.flatnonzero(~hit)))

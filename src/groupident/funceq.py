@@ -7,8 +7,9 @@ substitute-and-divide step that removes one factor from an equation
 over a whole finite group or a finite symmetric window of a rational
 lattice.  Window operations shrink their domain explicitly and raise when
 the margin runs out.  Every operator is one numpy body over the integer
-point indices that both kinds of domain provide: gathers along shifted
-indices, or sweeps of index pairs in row blocks.
+point indices that both kinds of domain provide.  The character and
+polynomial tests are homomorphism identities and gather along generators
+only; the Bernstein and product equations sweep index pairs in row blocks.
 """
 
 from __future__ import annotations
@@ -269,15 +270,15 @@ class FunctionTable:
 # -- pair plans ---------------------------------------------------------------
 #
 # Which index pairs a pair check visits, and at which table positions, depends
-# on the domain, the supports, the coefficients and the fold count, never on
-# the values.  Each check splits into a plan of those positions, built once
-# per key and cached, and an evaluation that gathers values along it.  Plan
-# arrays are read-only.  Positions are int64: a gather with int32 positions
-# converts them on every call, and costs twice as long.
+# on the domain, the supports and the coefficients, never on the values.
+# Each check splits into a plan of those positions, built once per key and
+# cached, and an evaluation that gathers values along it.  Plan arrays are
+# read-only.  Positions are int64: a gather with int32 positions converts
+# them on every call, and costs twice as long.
 
-# Plans kept.  A verify-gaussian campaign uses six per window (about 3 MB at
-# radius 160), the invariant suite two per group; 32 hold sixteen groups, or
-# windows of radius 60, 160 and 200 at once.
+# Plans kept.  A verify-gaussian campaign uses two (a sweep and a generator
+# plan), the invariant suite two per group of at most 36 elements and one per
+# larger group; 32 hold a gaussian-window run or the default invariants.
 PLAN_CACHE_SIZE = 32
 
 
@@ -298,11 +299,6 @@ def _plan(build, tables, *params):
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
-
-
-def _joined(parts) -> np.ndarray:
-    """The read-only int64 concatenation of ``parts``."""
-    return _frozen(np.concatenate([np.zeros(0, np.int64), *parts]))
 
 
 # -- difference operators --------------------------------------------------------
@@ -340,72 +336,72 @@ def _ratio_step(f: FunctionTable, k) -> FunctionTable:
     return f._at(f.domain, f.idx[has], f.values[q] / den)
 
 
-def _window_steps(dom, idx: np.ndarray, folds: int) -> np.ndarray:
-    """Indices of the difference steps that keep ``folds`` iterations inside."""
-    if isinstance(dom, Group):
-        return np.arange(1, dom.size)
-    k = np.abs(idx)
-    return idx[(k != 0) & (2 * folds * k <= k.max())]
+# -- generator certificates ---------------------------------------------------
+#
+# The character and polynomial equations are homomorphism identities: on a
+# finitely generated abelian group each holds everywhere exactly when it holds
+# along generators (Djokovic, Ann. Polon. Math. 22, 1969; Szekelyhidi, 1991,
+# ch. 1).  So both checks gather along ``rank`` shifts of a table: a whole
+# group table along the unit vectors, a window support that is an arithmetic
+# progression through 0 (a whole window, a ``diff`` restriction, a pullback
+# by ``p/q``) along its step ``s``.  Any other support raises DomainError.
 
 
-def _polynomial_plan(dom, supports: tuple, folds: int) -> tuple:
-    """Row blocks of steps up to the first whose ``folds``-fold difference
-    is empty, and that step's index or None.
-
-    Row ``r`` of a block is a step ``k``; its row of ``at`` holds the flat
-    position of ``y + k`` in the block's tile of values, for each point
-    ``y`` of the table, and its row of ``live`` marks where the difference
-    is defined.  The first block is the first step alone.
-    """
+def _generator_plan(dom, supports: tuple) -> tuple:
+    """The position of point 0; the margin ``(s, max |k|)`` on a window,
+    else None; per generator ``e``, the position of ``x + e`` for each point
+    ``x`` (-1 where absent) and the mask of where it is present."""
     (idx,) = supports
-    ks = _window_steps(dom, idx, folds)
-    if not isinstance(dom, Group) and not len(ks):
-        raise WindowMarginError(
-            f"no step leaves margin for {folds} differences")
-    find, n = _locator(idx), len(idx)
-    blocks = []
-    for rows in [slice(0, 1), *(slice(r.start + 1, r.stop + 1)
-                                for r in row_blocks(len(ks) - 1, n))]:
-        # Where y + k is absent, at points into the tile anywhere; live
-        # masks it, and every live position reads only live positions.
-        q = find(dom.add_idx(idx[None, :], ks[rows, None]))
-        has, at = q >= 0, q + n * np.arange(len(q))[:, None]
-        live = np.ones(q.shape, dtype=bool)
-        for _ in range(folds):
-            live = has & live & live.take(at)
-        empty = np.flatnonzero(~live.any(axis=1))
-        stop = empty[0] if len(empty) else len(q)
-        blocks.append((_frozen(at[:stop]), _frozen(live[:stop])))
-        if len(empty):
-            return tuple(blocks), int(ks[rows][stop])
-    return tuple(blocks), None
+    if isinstance(dom, Group):
+        if len(idx) != dom.size:
+            raise DomainError("a generator check needs a whole group table")
+        steps, margin = dom.generators, None
+    else:
+        s = int(np.gcd.reduce(idx))
+        if not s:
+            raise WindowMarginError("a window table needs a point besides 0")
+        lo, hi = int(idx.min()), int(idx.max())
+        if not lo <= 0 <= hi or (hi - lo) // s + 1 != len(idx):
+            raise DomainError("a generator check needs a window support that "
+                              "is an arithmetic progression through 0")
+        steps, margin = [s if hi > 0 else -s], (s, max(-lo, hi))
+    find = _locator(idx)
+    shifts = tuple((_frozen(q), _frozen(q >= 0))
+                   for q in (find(dom.add_idx(idx, e)) for e in steps))
+    # Point 0 has index 0 on both kinds of domain.
+    return int(find(np.zeros(1, dtype=np.int64))[0]), margin, shifts
+
+
+def _differences(values, live, shifts, folds: int):
+    """Each ``folds``-fold difference of ``values`` along a nondecreasing
+    sequence of generators, lazily, with the mask ``live`` of where it is
+    defined; a read where ``x + e`` is absent lands anywhere, masked."""
+    if not folds:
+        yield values, live
+        return
+    for i, (q, has) in enumerate(shifts):
+        yield from _differences(values[q] - values, has & live & live[q],
+                                shifts[i:], folds - 1)
 
 
 def is_polynomial(f: FunctionTable, n: int, tol: float = 1e-9) -> bool:
-    """Whether the (n+1)-fold difference of ``f`` vanishes for all tested steps.
+    """Whether every (n+1)-fold difference of ``f`` vanishes, up to ``tol``.
 
-    On a finite group every step is tested, which makes the check exact up to
-    ``tol``; on a window the steps are those leaving enough margin, and the
-    verdict is a statement about the window only.  The first step, in the
-    order of the table's points, whose difference is nonzero (False) or
-    empty (WindowMarginError) decides.  Which steps are tested, and where
-    each difference is defined, depends on the support only: that plan is
-    cached, and a call gathers and subtracts values along it, one row block
-    of steps at a time, the first block being the first step alone.
+    On a whole group: every mixed difference along ``n + 1`` unit vectors.
+    On a window: ``Delta_s^{n+1} f``, a statement about the window only;
+    WindowMarginError when ``2 (n+1) s`` exceeds the largest ``|k|``.  In
+    floating point a generator difference of at most ``e`` bounds a
+    step-``k s`` difference by about ``k^(n+1) e`` only.
     """
     if n < 0:
         raise DomainError("polynomial degree bound must be >= 0")
-    blocks, empty = _plan(_polynomial_plan, [f], n + 1)
-    for at, live in blocks:
-        g = np.tile(f.values, (len(at), 1))
-        for _ in range(n + 1):
-            g = g.take(at) - g
-        if ((np.abs(g) > tol) & live).any():
-            return False
-    if empty is not None:
-        raise WindowMarginError(f"window too small for {n + 1} differences "
-                                f"of step index {empty}")
-    return True
+    _, margin, shifts = _plan(_generator_plan, [f])
+    if margin is not None and 2 * (n + 1) * margin[0] > margin[1]:
+        raise WindowMarginError(
+            f"no step leaves margin for {n + 1} differences")
+    return not any(((np.abs(d) > tol) & live).any() for d, live in
+                   _differences(f.values, np.ones(len(f), dtype=bool),
+                                shifts, n + 1))
 
 
 def least_degree(f: FunctionTable, max_degree: int,
@@ -420,45 +416,28 @@ def least_degree(f: FunctionTable, max_degree: int,
 # -- character and Bernstein tests ----------------------------------------------
 
 
-def _character_plan(dom, supports: tuple) -> tuple:
-    """For each row ``k`` the number of pairs ``(k, l)``, ``k <= l`` in
-    table order, with ``k + l`` in the table; then, pair by pair, the
-    positions of ``l`` and of ``k + l``."""
-    (i,) = supports
-    find, cols = _locator(i), np.arange(len(i))
-    counts, ls, ss = [], [], []
-    for rows in row_blocks(len(i), len(i)):
-        s = find(dom.add_idx(i[rows, None], i))
-        inside = (s >= 0) & (cols >= cols[rows, None])
-        counts.append(inside.sum(axis=1))
-        ls.append(np.nonzero(inside)[1])
-        ss.append(s[inside])
-    return _joined(counts), _joined(ls), _joined(ss)
-
-
 def character_defect(f: FunctionTable) -> float:
-    """Sup of ``|f(k+l) - f(k)f(l)|`` over pairs with ``k+l`` in the table.
-
-    The pair ``(l, k)`` has the defect of ``(k, l)`` up to the rounding of
-    the product, so only ``k <= l`` is swept, along a cached plan.
+    """Sup of ``|f(0) - 1|`` and of ``|f(x + e) - f(x) f(e)|`` over the
+    generators ``e`` and the points ``x`` with ``x + e`` in the table; 0
+    exactly on characters, and a NaN reaches it.  In floating point, on
+    unit-modulus values, a generator defect ``e`` bounds that of a pair of
+    words of length at most ``w`` in the generators by about ``w e`` only.
     """
-    counts, ls, ss = _plan(_character_plan, [f])
-    if not len(ls):
-        raise WindowMarginError("no pair (k, l) with k+l inside the window")
+    z, _, shifts = _plan(_generator_plan, [f])
     v = f.values
-    return float(np.max(np.abs(v[ss] - np.repeat(v, counts) * v[ls])))
+    parts = [abs(v[z] - 1.0)]
+    for q, has in shifts:  # f(e) is v[q[z]], the value at 0 + e
+        parts.append(np.max(np.abs(v[q] - v * v[q[z]]), where=has,
+                            initial=0.0))
+    return float(np.max(parts))
 
 
 def is_character(f: FunctionTable, tol: float = 1e-9) -> bool:
-    """Multiplicativity test; on a full group also requires a matching element.
-
-    A character table satisfies ``f(k+l) = f(k)f(l)`` everywhere; on a finite
-    group the test additionally locates an ``x`` with ``f = pair(x, .)``,
-    which exists exactly when the table is a character of the whole group.
-    """
+    """Whether ``character_defect`` is at most ``tol`` and, on a group,
+    ``locate_character`` finds an ``x`` with ``f = pair(x, .)``."""
     if character_defect(f) > tol:
         return False
-    if isinstance(f.domain, Group) and len(f) == f.domain.size:
+    if isinstance(f.domain, Group):
         return locate_character(f, tol) is not None
     return True
 
@@ -519,7 +498,8 @@ def _bernstein_plan(dom, supports: tuple) -> tuple:
         counts.append(both.sum(axis=1))
         ss.append(s[both])
         ds.append(d[both])
-    return _joined(counts), _joined(ss), _joined(ds)
+    return tuple(_frozen(np.concatenate([np.zeros(0, np.int64), *parts]))
+                 for parts in (counts, ss, ds))
 
 
 # -- product equations ----------------------------------------------------------
@@ -712,8 +692,8 @@ def extract_character(eq: ProductEquation, *,
         f = eq.factors[survivor][0]
         defect = character_defect(f)
         located = locate_character(f, tol)
-        full = isinstance(eq.domain, Group) and len(f) == eq.domain.size
-        ok = defect <= tol and (located is not None or not full)
+        ok = defect <= tol and (located is not None
+                                or not isinstance(eq.domain, Group))
         verdicts.append(CharacterVerdict(survivor, bool(ok), float(defect),
                                          located, float(cascade_worst)))
     return verdicts

@@ -180,6 +180,12 @@ class Group:
         return out
 
     @cached_property
+    def generators(self) -> np.ndarray:
+        """Index of each unit coordinate vector, the generators."""
+        return self.compose(np.eye(self.rank, dtype=np.int64)
+                            % np.array(self.orders)[:, None])
+
+    @cached_property
     def coords_array(self) -> np.ndarray:
         """``(size, rank)`` int64 array of all coordinates, lexicographic."""
         out = np.stack(np.meshgrid(*[np.arange(n) for n in self.orders],

@@ -19,7 +19,7 @@ import numpy as np
 
 from .distributions import (Distribution, FactorPlan, LinearFormSpec,
                             factor_plan, factor_tables, joint_block,
-                            joint_residual, pair_index_blocks)
+                            joint_residual, pair_index_blocks, read_factor)
 from .endomorphisms import Endo
 from .errors import ConstructionError, DomainError
 from .funceq import kernel_conditions, summed_variables
@@ -266,20 +266,27 @@ def poisson_pair_deviations(bs: Sequence[Endo], a: float,
     """``(joint residual, closed-form deviation)`` of a Poisson pair from
     ``poisson_counterexample(bs, a, mu_rest)`` under form I.
 
-    One row-blocked sweep: each block's reads serve both joint laws, and
-    the third factor's read, that of ``u + b3~ v``, serves the closed form's
-    ``mu_rest`` factor too.  The deviation is the larger of the two sides'.
+    One row-blocked sweep; each block's reads serve both joint laws, and
+    the third factor, ``mu_rest`` on both sides and in the closed form, is
+    read once and multiplied into all three last, as the dense tables do.
+    The deviation is the larger of the two sides'.
     """
     g = bs[0].group
+    if any(d is not mu_rest for d in (*mus[2:], *nus[2:])):
+        raise DomainError("the third factor must be mu_rest on both sides")
     plan = _poisson_plan(bs, LinearFormSpec.form_I(bs).pairs)
-    lhs_t, rhs_t = factor_tables(plan[1:], mus), factor_tables(plan[1:], nus)
-    closed_t = [_phase_table(g, a), *factor_tables(plan[3:], [mu_rest])]
+    lhs_t, rhs_t = (factor_tables(plan[1:3], d) for d in (mus, nus))
+    phase_t, rest_t = _phase_table(g, a), factor_tables(plan[3:], [mu_rest])
     residual, closed_dev = [], []
     for _, reads, (x, y, z, tmp, mod) in pair_index_blocks(
             plan, g.size, [np.complex128] * 4 + [np.float64]):
-        lhs = joint_block(lhs_t, reads[1:], x, tmp)
-        rhs = joint_block(rhs_t, reads[1:], y, tmp)
-        closed = joint_block(closed_t, [reads[0], *reads[3:]], z, tmp)
+        lhs = joint_block(lhs_t, reads[1:3], x, tmp)
+        rhs = joint_block(rhs_t, reads[1:3], y, tmp)
+        closed = read_factor(phase_t, reads[0], z)
+        for t, r in zip(rest_t, reads[3:]):
+            rest = read_factor(t, r, tmp)
+            for v in (lhs, rhs, closed):
+                v *= rest
         residual.append(np.abs(np.subtract(lhs, rhs, out=tmp),
                                out=mod).max())
         lhs -= closed

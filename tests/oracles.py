@@ -382,28 +382,31 @@ def find_shift_coeffs_search(group, form):
     return None
 
 
-# -- per-call pair sweeps ----------------------------------------------------
+# -- all-pairs sweeps --------------------------------------------------------
 #
-# The pair checks as they were before their index positions were planned
-# once per support: every call forms its index pairs and table positions
-# again, in row blocks, or as one n x n table.  They read package tables,
-# their ``_positions`` and ``row_blocks``, so the planned operators must
-# return what they return: verdicts and sweep maxima equal, and the
-# character defect, which the plan sweeps over ``k <= l`` only, within the
-# rounding of a product.
+# The pair checks as they were before the generator checks replaced the
+# character, polynomial and adjoint sweeps, and before the Bernstein and
+# equation sweeps were planned once per support: every call forms its index
+# pairs and table positions again, in row blocks, or as one n x n table.
+# They read package tables, their ``_positions`` and ``row_blocks``.  The
+# planned Bernstein and equation sweeps must return what they return; the
+# generator checks must agree with them as the tests state.
 
 
-def _window_steps_percall(f, folds):
+def _window_steps_sweep(f, folds):
     if isinstance(f.domain, Group):
         return np.arange(1, f.domain.size)
     k = np.abs(f.idx)
     return f.idx[(k != 0) & (2 * folds * k <= k.max())]
 
 
-def is_polynomial_percall(f, n, tol=1e-9):
+def is_polynomial_sweep(f, n, tol=1e-9):
+    """Whether the (n+1)-fold difference of every step leaving margin
+    vanishes; the first step whose difference is nonzero (False) or empty
+    (WindowMarginError) decides."""
     if n < 0:
         raise DomainError("polynomial degree bound must be >= 0")
-    ks = _window_steps_percall(f, n + 1)
+    ks = _window_steps_sweep(f, n + 1)
     dom, idx = f.domain, f.idx
     if not isinstance(dom, Group) and not len(ks):
         raise WindowMarginError(
@@ -426,7 +429,9 @@ def is_polynomial_percall(f, n, tol=1e-9):
     return True
 
 
-def character_defect_percall(f):
+def character_defect_sweep(f):
+    """Sup of ``|f(k+l) - f(k)f(l)|`` over every pair with ``k+l`` in the
+    table."""
     i = f.idx
     s = f._positions(f.domain.add_idx(i[:, None], i[None, :]))
     inside = s >= 0
@@ -434,6 +439,16 @@ def character_defect_percall(f):
         raise WindowMarginError("no pair (k, l) with k+l inside the window")
     prod = f.values[:, None] * f.values[None, :]
     return float(np.max(np.abs(f.values[s[inside]] - prod[inside])))
+
+
+def is_adjoint_pair_sweep(a, b):
+    """Whether ``(Ax, y) = (x, By)`` on every pair, on exact phases of the
+    index maps, one row block at a time."""
+    g = a.group
+    every = np.arange(g.size)
+    return all(np.array_equal(g.phase_idx(a.index_map[rows, None], every),
+                              g.phase_idx(every[rows, None], b.index_map))
+               for rows in row_blocks(g.size, g.size))
 
 
 def bernstein_check_percall(g, tol=1e-9):

@@ -8,7 +8,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from groupident.cli import find_shift_coeffs, main, parse_group_family
+from groupident import cli
+from groupident.cli import (build_parser, find_shift_coeffs, main,
+                            parse_group_family)
 from groupident.groups import TABLE_SIZE_LIMIT, Group
 from groupident.fixtures import read_distribution, read_table
 from groupident.reporting import FLOORS, body_bytes, load_schema
@@ -22,6 +24,32 @@ def run_cli(tmp_path, *argv):
     code = main([*argv, "--out", str(out)])
     report = json.loads(out.read_text(encoding="utf-8"))
     return code, report
+
+
+def test_parser_is_built_once_and_carries_no_option_values(tmp_path):
+    build_parser.cache_clear()
+    argvs = [["invariants", "--groups", "2..3", "--seed", "4",
+              "--inject-fault", "adjoint"],
+             ["verify-shift", "--group", "5", "--trials", "1", "--seed", "9"],
+             ["invariants", "--groups", "5"]]
+    configs = []
+    for argv in argvs:
+        main([*argv, "--out", str(tmp_path / "report.json")])
+        configs.append(json.loads(
+            (tmp_path / "report.json").read_text(encoding="utf-8"))["config"])
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert configs[0] == {"groups": "2..3", "seed": 4,
+                          "inject_fault": "adjoint"}
+    assert configs[1] == {"group": "5", "form": "I", "coeffs": [0, 1, 2],
+                          "trials": 1, "seed": 9, "tol": 1e-8,
+                          "expect_negative": False}
+    assert configs[2] == {"groups": "5", "seed": 0, "inject_fault": None}
+    # Each parse makes a fresh namespace with its own subcommand's options.
+    parser = build_parser()
+    parser.parse_args(["verify-gaussian", "--radius", "7"])
+    assert sorted(vars(parser.parse_args(["invariants"]))) == [
+        "command", "func", "groups", "inject_fault", "out", "seed"]
 
 
 def test_parse_group_family():
@@ -252,14 +280,24 @@ def test_invariants_suite(tmp_path):
     jsonschema.validate(report, load_schema())
 
 
-def test_invariants_above_dense_table_gate(tmp_path):
+def test_invariants_above_dense_table_gate(tmp_path, monkeypatch):
     # Any dense n x n table on this group raises CapacityError, so the suite
-    # must run its adjoint, annihilator and subgroup sweeps on index
-    # arithmetic.
+    # must run its adjoint, annihilator and subgroup checks on index
+    # arithmetic, and build its character rows from exact phases, in
+    # several row blocks here; every character must reach is_character.
     assert Group([41, 41]).size > TABLE_SIZE_LIMIT
+    checked, original = set(), cli.is_character
+
+    def is_character(f, *args):
+        checked.add(f.values.tobytes())
+        return original(f, *args)
+
+    monkeypatch.setattr(cli, "is_character", is_character)
     code, report = run_cli(tmp_path, "invariants", "--groups", "41x41")
     assert code == 0
-    assert report["body"]["results"] == [{"group": [41, 41], "violations": []}]
+    assert report["body"]["results"] == [
+        {"group": [41, 41], "characters_checked": 1681, "violations": []}]
+    assert len(checked) == 1681
 
 
 def test_invariants_empty_family_exits_2(capsys):

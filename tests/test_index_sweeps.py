@@ -11,8 +11,7 @@ the oracle within a bound, and a verdict must agree with the oracle's
 wherever the oracle's value is farther than that bound from the tolerance:
 
 - ``ulp_tol`` (4 eps times the squared scale of the values) for the
-  Hermitian and character defects, the Bernstein products, ``times`` and the
-  convolution;
+  Hermitian defect, the Bernstein products, ``times`` and the convolution;
 - ``closed_form_tol``, the rounding of each side, for the Poisson closed
   form and its deviation: the package takes ``exp`` of one exact root per
   phase, the oracle of a product of two pairing values;
@@ -32,13 +31,28 @@ stay within a stated a-priori rounding bound of the dense products they
 replaced, a convolution's transform within one of the product of the
 transforms, and ``Distribution.random`` must return the masses of the dense
 rejection loop.
+
+The character and polynomial checks are generator certificates, and the
+all-pairs sweeps they replaced are the oracles.  On a whole group table, or
+a window support that is an arithmetic progression through 0, they must
+accept exact characters and polynomials, reject a table with one value moved
+far above the tolerance, never report a larger character defect than the
+all-pairs sup (their pairs are among it), and give the all-pairs verdict
+except where the stated weakness of a generator check allows otherwise
+(``check_character``, ``check_generator_polynomial``).  On any other support
+they raise DomainError.  The adjoint check must give the all-pairs verdict
+with a fault at every admissible matrix entry, and reject index maps that are
+not homomorphisms.
 """
 
 import operator
+import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from groupident import (Distribution, Endo, Group, LinearFormSpec,
                         annihilator, consistent_shifts, is_subgroup,
@@ -52,14 +66,13 @@ from groupident.endomorphisms import is_adjoint_pair
 from groupident.errors import (DomainError, VanishingFactorError,
                                WindowMarginError)
 from groupident.funceq import (FunctionTable, ProductEquation,
-                               _bernstein_plan, _cached_plan,
-                               _character_plan, _plan, _polynomial_plan,
+                               _bernstein_plan, _cached_plan, _plan,
                                _product_defect, _sum_defect, _sweep_max,
                                _sweep_plan, bernstein_check,
                                bernstein_square_table, character_defect, diff,
                                is_character, is_polynomial,
-                               kernel_conditions, locate_character,
-                               ratio_diff)
+                               kernel_conditions, least_degree,
+                               locate_character, ratio_diff)
 from groupident import groups
 from groupident.identify import (VERDICT_PRECONDITIONS, VERDICT_SHIFT,
                                  poisson_pair_deviations)
@@ -71,12 +84,13 @@ from groupident.solenoid import (FIT_TOL, RationalLattice, SolenoidEndo,
 from oracles import (adjoint_pair_oracle, annihilator_oracle,
                      bernstein_check_percall, bernstein_oracle,
                      char_array_dense, character_defect_oracle,
-                     character_defect_percall, character_gaussian_oracle,
+                     character_defect_sweep, character_gaussian_oracle,
                      convolve_dense,
                      diff_oracle, endo_coeff, find_shift_coeffs_search,
                      gaussian_fit_oracle, group_add, hermitian_defect_oracle,
-                     is_polynomial_oracle, is_polynomial_percall,
-                     is_subgroup_oracle, joint_char_array_dense,
+                     is_adjoint_pair_sweep, is_polynomial_oracle,
+                     is_polynomial_sweep, is_subgroup_oracle,
+                     joint_char_array_dense,
                      joint_residual_dense, locate_character_oracle,
                      poisson_closed_form_dense, poisson_deviations_dense,
                      poisson_dense, random_dense, recover_shift_dense,
@@ -110,6 +124,25 @@ def tables(g: Group, rng):
     return out
 
 
+def check_character(f, want, located=True):
+    """The generator character check against the all-pairs sup ``want``.
+
+    Its pairs are among all pairs, so its defect is at most the larger of
+    ``want`` and ``|f(0) - 1|`` (up to the rounding of a product).  It is
+    weaker: a table may pass it whose all-pairs defect exceeds the
+    tolerance.  So the verdict must be the all-pairs one, ``want <= TOL``
+    and a located character, where the all-pairs sup and ``|f(0) - 1|`` are
+    below ``TOL``, or where the generator defect is above it.
+    """
+    got, bound = character_defect(f), ulp_tol(f.values)
+    want = max(want, abs(f[f.domain.zero] - 1))
+    assert got <= want + bound
+    if want < TOL - bound:
+        assert is_character(f, TOL) == located
+    if got > TOL + bound:
+        assert not is_character(f, TOL)
+
+
 @pytest.mark.parametrize("orders", GROUPS, ids=lambda o: "x".join(map(str, o)))
 def test_pair_sweeps_match_oracles(orders):
     g = Group(orders)
@@ -130,43 +163,106 @@ def test_pair_sweeps_match_oracles(orders):
             verdict, margin = bernstein_oracle(orders, table, TOL)
             if margin > bound:
                 assert bernstein_check(f, TOL) == verdict, case
-
-            want = character_defect_oracle(orders, table)
-            if want is None:
-                with pytest.raises(WindowMarginError):
-                    character_defect(f)
-                continue
-            got = character_defect(f)
-            assert abs(got - want) <= ulp_tol(f.values), case
-
             located = locate_character_oracle(orders, table, TOL)
             assert locate_character(f, TOL) == (
                 None if located is None else g.element(located)), case
-            if abs(want - TOL) > ulp_tol(f.values):
-                full = len(pts) == g.size
-                expected = want <= TOL and (not full or located is not None)
-                assert is_character(f, TOL) == expected, case
+
+            if len(pts) < g.size:
+                # The generator checks read whole group tables only.
+                for check in (character_defect, is_character):
+                    with pytest.raises(DomainError):
+                        check(f)
+                continue
+            check_character(f, character_defect_oracle(orders, table),
+                            located is not None)
+
+
+def broken_adjoints(b: Endo):
+    """``b`` with the smallest admissible change at each matrix entry that
+    admits one."""
+    ns = b.group.orders
+    for i, n_i in enumerate(ns):
+        for j, n_j in enumerate(ns):
+            step = n_i // np.gcd(n_i, n_j)
+            if step < n_i:
+                broken = [list(row) for row in b.matrix]
+                broken[i][j] += step
+                yield Endo(b.group, broken)
+
+
+def broken_index_maps(e: Endo, rng):
+    """Objects that read like ``e`` but whose index map moves one point:
+    0, and a random one."""
+    g = e.group
+    for x in (0, int(rng.integers(g.size))):
+        m = e.index_map.copy()
+        m[x] = (m[x] + 1) % g.size
+        yield SimpleNamespace(group=g, index_map=m)
 
 
 @pytest.mark.parametrize("orders", GROUPS, ids=lambda o: "x".join(map(str, o)))
 def test_adjoint_and_annihilator_identities_match_oracles(orders):
     g = Group(orders)
+    rng = np.random.default_rng([len(orders), *orders])
     for e in _suite_endos(g, list(orders)):
         adj = e.adjoint()
-        broken = [list(row) for row in adj.matrix]
-        broken[0][0] += 1
-        for b in (adj, Endo(g, broken)):
+        assert is_adjoint_pair(e, adj)
+        for b in broken_adjoints(adj):
             assert is_adjoint_pair(e, b) == adjoint_pair_oracle(
                 orders, e.matrix, b.matrix)
+        for a, b in ((e, adj), (adj, e)):
+            for fake in broken_index_maps(b, rng):
+                assert not is_adjoint_pair_sweep(a, fake)
+                assert not is_adjoint_pair(a, fake)
+                assert not is_adjoint_pair(fake, a)
         kernel = e.kernel()
         assert is_subgroup(g, kernel)
         assert ([y.coords for y in annihilator(g, kernel)]
                 == annihilator_oracle(orders, [x.coords for x in kernel]))
-    rng = np.random.default_rng([len(orders), *orders])
     for _ in range(10):
         subset = [x for x in g.elements() if rng.random() < 0.5] + [g.zero]
         assert is_subgroup(g, subset) == is_subgroup_oracle(
             orders, [x.coords for x in subset])
+    # Every subgroup generated by one or two elements, and a coset of one.
+    for _ in range(10):
+        x, y = (g.element_at(int(i)) for i in rng.integers(g.size, size=2))
+        sub = {g.zero}
+        while True:
+            grown = sub | {g.add(z, t) for z in sub for t in (x, y)}
+            if grown == sub:
+                break
+            sub = grown
+        sub = sorted(sub, key=g.index)
+        assert is_subgroup(g, sub)
+        assert ([y.coords for y in annihilator(g, sub)]
+                == annihilator_oracle(orders, [z.coords for z in sub]))
+        # A coset, and unions of two cosets, which are closed under the
+        # subgroup's generators but are subgroups only when 2 z is in it.
+        z = g.element_at(int(rng.integers(g.size)))
+        unions = [sorted(set(sub) | {g.add(t, w) for t in sub}, key=g.index)
+                  for w in (y, z)]
+        for subset in ([g.add(t, x) for t in sub], *unions):
+            assert is_subgroup(g, subset) == is_subgroup_oracle(
+                orders, [t.coords for t in subset])
+    # Two cosets of {0} x Z3 x {0}: closed under (0, 1, 0), not (1, 0, 0).
+    if orders == (3, 3, 2):
+        rows = [g.element([a, b, 0]) for a in (0, 1) for b in range(3)]
+        assert not is_subgroup(g, rows)
+
+
+@pytest.mark.parametrize("orders", [(8, 8), (9, 8), (30, 50), (2, 2, 3, 5)],
+                         ids=lambda o: "x".join(map(str, o)))
+def test_adjoint_generator_check_matches_sweep_at_scale(orders):
+    """On groups from SPECTRAL_MIN_SIZE elements up, against the all-pairs
+    sweep over index maps."""
+    g = Group(orders)
+    rng = np.random.default_rng([3, *orders])
+    for e in _suite_endos(g, list(orders)):
+        adj = e.adjoint()
+        cases = [(e, adj), (adj, e), *((e, b) for b in broken_adjoints(adj)),
+                 *((e, b) for b in broken_index_maps(adj, rng))]
+        for a, b in cases:
+            assert is_adjoint_pair(a, b) == is_adjoint_pair_sweep(a, b)
 
 
 # -- difference operators and equation sweeps ---------------------------------
@@ -214,7 +310,21 @@ def check_differences(f, table, add, steps, key):
                            atol=0), h
 
 
+def generator_support(f) -> bool:
+    """Whether the generator checks read ``f``: a whole group, or a window
+    support ``{k s : lo <= k <= hi}``, ``lo <= 0 <= hi`` and ``hi > lo``."""
+    if isinstance(f.domain, Group):
+        return len(f) == f.domain.size
+    ms = sorted(f.idx.tolist())
+    steps = {b - a for a, b in zip(ms, ms[1:])}
+    return len(steps) == 1 and 0 in ms
+
+
 def check_polynomial(f, table, add, steps, n):
+    if not generator_support(f):
+        with pytest.raises(DomainError):
+            is_polynomial(f, n, TOL)
+        return
     want = is_polynomial_oracle(add, table, n, TOL, steps)
     if want is None or not steps:
         with pytest.raises(WindowMarginError):
@@ -383,11 +493,14 @@ def test_disjoint_window_supports_raise_margin_errors():
                     [lambda v: 0 * v, lambda v: v / 3], pts, lambda p: p)
 
 
-# -- planned pair sweeps against the per-call code ----------------------------
+# -- planned and generator checks against the all-pairs code -----------------
 #
-# The pair checks sweep along plans cached per support; the per-call code they
-# replaced is in oracles.py.  Verdicts, errors and sweep maxima must be equal,
-# the character defect within ``ulp_tol``.
+# The Bernstein and equation sweeps gather along plans cached per support, and
+# the character and polynomial checks read generators only; the all-pairs
+# code they replaced is in oracles.py.  Bernstein verdicts and sweep maxima
+# must be equal; the generator checks must raise DomainError off their
+# supports and agree with the all-pairs code as ``check_character`` and
+# ``check_generator_polynomial`` state.
 
 PLAN_DOMAINS = [Group([6]), Group([2, 3]), Group([12]), Group([4, 6]),
                 Group([3, 3, 2]), *LATTICES, make_lattice([2], 0, 9)]
@@ -428,6 +541,182 @@ def outcome(fn, *args):
         return type(exc)
 
 
+def check_generator_polynomial(f, n):
+    """``is_polynomial`` against the all-steps sweep.
+
+    Both raise WindowMarginError on the same supports, and a difference
+    above ``TOL`` along the generator fails both.  The generator check is
+    weaker: on a window ``Delta_{ks}^F = Delta_s^F (1 + T + ... + T^(k-1))^F``
+    with ``T`` the shift by ``s``, so a generator difference of at most
+    ``TOL`` bounds a step-``ks`` one by ``k^F TOL`` only.  Where the verdicts
+    differ, the sweep must pass at that tolerance (plus the rounding of
+    ``F`` subtractions of values of the table's scale).
+    """
+    got = outcome(is_polynomial, f, n, TOL)
+    want = outcome(is_polynomial_sweep, f, n, TOL)
+    if got is True and want is False and not isinstance(f.domain, Group):
+        folds, k = n + 1, np.abs(f.idx)
+        reach = k.max() // (2 * folds * np.gcd.reduce(k))
+        noise = 2 ** folds * ulp_tol(f.values)
+        assert is_polynomial_sweep(f, n, reach ** folds * (TOL + noise)), n
+    else:
+        assert got == want, n
+
+
+# Groups on both sides of SPECTRAL_MIN_SIZE, and windows whose step is 1/D.
+CERT_GROUPS = [(7,), (12,), (4, 6), (3, 3, 2), (2, 2, 2, 2), (8, 8), (9, 8),
+               (5, 13), (2, 4, 8)]
+CERT_LATTICES = [make_lattice([2, 3], 1, 12), make_lattice([3], 0, 10),
+                 make_lattice([2, 3, 5], 2, 40)]
+PULLBACKS = [2, Fraction(1, 2), Fraction(3, 2), Fraction(-1, 3), -3]
+moduli = st.floats(0.5, 2.0)
+
+
+def check_caught(f, n):
+    """``f`` is not a character, nor a polynomial of degree ``n`` unless
+    no step leaves margin, by either check."""
+    assert character_defect_sweep(f) > TOL
+    assert not is_character(f, TOL)
+    assert (outcome(is_polynomial, f, n, TOL)
+            == outcome(is_polynomial_sweep, f, n, TOL)
+            in (False, WindowMarginError))
+
+
+@settings(max_examples=40, deadline=None)
+@given(orders=st.sampled_from(CERT_GROUPS), data=st.data())
+def test_generator_checks_match_all_pairs_on_groups(orders, data):
+    g = Group(orders)
+    x = data.draw(st.integers(0, g.size - 1), label="character")
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="table order")
+    order = np.random.default_rng(seed).permutation(g.size)
+    rel = data.draw(st.sampled_from([1e-6, 1e-3, 0.5]), label="perturbation")
+    c = data.draw(moduli) * np.exp(2j * np.pi * data.draw(st.floats(0, 1)))
+
+    def table(vals):
+        return FunctionTable(g, g.points_at(order), vals[order])
+
+    char = g.roots[g.phase_idx(x, g.every)]
+    const = np.full(g.size, c)
+    f = table(char)
+    check_character(f, character_defect_sweep(f))
+    assert is_character(f) and locate_character(f) == g.element_at(x)
+    for vals in (char, const):
+        for n in range(3):
+            check_generator_polynomial(table(vals), n)
+    assert is_polynomial(table(const), 0)
+    # One value moved at an element of largest word length.
+    far = g.compose([n // 2 for n in orders])
+    for vals in (char, const):
+        moved = vals.copy()
+        moved[far] += rel
+        for n in range(3):
+            check_caught(table(moved), n)
+
+
+def cert_supports(lat, data):
+    """The whole window, a sub-window through 0 and the even points: each
+    an arithmetic progression through 0."""
+    every, r = lat.every, lat.radius
+    lo = data.draw(st.integers(-r, 0), label="sub-window start")
+    hi = data.draw(st.integers(1, r), label="sub-window end")
+    return [every, every[(every >= lo) & (every <= hi)], every[every % 2 == 0]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(lat=st.sampled_from(CERT_LATTICES), data=st.data())
+def test_generator_checks_match_all_pairs_on_windows(lat, data):
+    D = lat.denominator
+    phase = Fraction(data.draw(st.integers(0, 10 ** 6)), 999983)
+    degree = data.draw(st.integers(0, 2), label="degree")
+    cs = [data.draw(moduli) * (-1) ** data.draw(st.integers(0, 1))
+          for _ in range(degree + 1)]
+    rel = data.draw(st.sampled_from([1e-6, 1e-3, 0.5]), label="perturbation")
+    y = lat.every / D
+    whole = {"character": character_gaussian_values(lat, phase, 0.0),
+             "polynomial": FunctionTable._at(
+                 lat, lat.every, sum(c * y ** k for k, c in enumerate(cs)))}
+    for label, f in whole.items():
+        tables = [FunctionTable._at(lat, idx, f.values[idx + lat.radius])
+                  for idx in cert_supports(lat, data)]
+        tables += [f.pullback(b) for b in PULLBACKS]
+        for t in tables:
+            if len(t) < 2:
+                continue
+            assert generator_support(t)
+            for n in range(4):
+                check_generator_polynomial(t, n)
+            if label == "character":
+                check_character(t, character_defect_sweep(t))
+                assert is_character(t)
+            else:
+                assert outcome(is_polynomial, t, degree, TOL) in (
+                    True, WindowMarginError)
+            if len(t) < 3:
+                continue  # no pair (k, l) with k + l inside reads f(s)
+            # One value moved at a point of largest |y|.
+            far = int(np.argmax(np.abs(t.idx)))
+            moved = t.values.copy()
+            moved[far] += rel
+            check_caught(FunctionTable._at(lat, t.idx, moved), degree)
+
+
+@pytest.mark.parametrize("dom", [Group([4, 6]), Group([9, 8]), *LATTICES],
+                         ids=repr)
+def test_generator_checks_refuse_other_supports(dom):
+    """Irregular supports, partial group tables and odd window points: the
+    generator checks raise DomainError, and the all-pairs code still runs."""
+    rng = np.random.default_rng([41, len(dom.every)])
+    every = dom.every
+    supports = []
+    for _ in range(5):
+        keep = rng.random(len(every)) < 0.5
+        keep[[0, -1]] = True
+        supports.append(every[keep])
+    if not isinstance(dom, Group):
+        # Odd points, and progressions of multiples of the step that miss 0.
+        supports += [every[every % 2 == 1], every[every > 0],
+                     every[(every < 0) & (every % 3 == 0)]]
+    for idx in supports:
+        f = FunctionTable._at(dom, idx, random_values(rng, len(idx)))
+        if generator_support(f):
+            continue
+        for check in (character_defect, is_character,
+                      lambda f: is_polynomial(f, 0),
+                      lambda f: least_degree(f, 2)):
+            with pytest.raises(DomainError):
+                check(f)
+        assert outcome(character_defect_sweep, f) is not None
+        assert outcome(is_polynomial_sweep, f, 1) is not None
+
+
+@pytest.mark.parametrize("dom", [Group([6]), Group([4, 6]), *LATTICES],
+                         ids=repr)
+def test_character_defect_reads_the_value_at_zero(dom):
+    """A vanishing table satisfies every product identity, so only the
+    term ``|f(0) - 1|`` tells it from a character: the all-pairs sup reads
+    0, the generator defect 1."""
+    f = FunctionTable.constant(dom, 0.0)
+    assert character_defect_sweep(f) == 0.0
+    assert character_defect(f) == 1.0
+    assert not is_character(f)
+
+
+def test_generator_checks_on_a_wide_window_allocate_linear_memory():
+    # The all-pairs character and polynomial plans of one radius-2000
+    # window would hold over 200 MB of int64 positions.
+    lat = make_lattice([2, 3, 5], 2, 2000)
+    f = character_gaussian_values(lat, Fraction(7, 30), 0.001)
+    tracemalloc.start()
+    try:
+        fit = fit_gaussian_ratio(f)
+        degree = least_degree(f.log_modulus(), 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fit.ok and degree == 2
+    assert peak < 8 * 2 ** 20
+
+
 @pytest.mark.parametrize("dom", PLAN_DOMAINS, ids=repr)
 def test_planned_sweeps_match_per_call_code(dom):
     rng = np.random.default_rng([31, len(dom.every)])
@@ -442,16 +731,17 @@ def test_planned_sweeps_match_per_call_code(dom):
                   for name, idx in supports.items()}
         for name, f in tables.items():
             case = f"{label} on the {name} support"
-            for n in range(4):
-                assert (outcome(is_polynomial, f, n, TOL)
-                        == outcome(is_polynomial_percall, f, n, TOL)), case
             assert bernstein_check(f, TOL) == bernstein_check_percall(f, TOL)
-            got = outcome(character_defect, f)
-            want = outcome(character_defect_percall, f)
-            if isinstance(want, type):
-                assert got is want, case
-            else:
-                assert abs(got - want) <= ulp_tol(f.values), case
+            if not generator_support(f):
+                for check in (character_defect, lambda f: is_polynomial(f, 1)):
+                    with pytest.raises(DomainError):
+                        check(f)
+                continue
+            for n in range(4):
+                check_generator_polynomial(f, n)
+            want = outcome(character_defect_sweep, f)
+            assert not isinstance(want, type), case
+            check_character(f, want)
         fs = [tables[name] for name in ("full", "irregular", "every other")]
         for rhs in (None, tables["full"], tables["every other"]):
             for defect in (_sum_defect, _product_defect):
@@ -462,36 +752,30 @@ def test_planned_sweeps_match_per_call_code(dom):
 
 def test_plan_cache_keys_by_value():
     rng = np.random.default_rng(37)
-    vals = random_values(rng, 6)
+    vals = np.exp(2j * np.pi * rng.random(6))
     # The same index bytes on two domains whose addition differs.
     a, b = (FunctionTable(g, g.elements(), vals)
             for g in (Group([6]), Group([2, 3])))
     assert a.idx.tobytes() == b.idx.tobytes()
-    assert _plan(_character_plan, [a]) is not _plan(_character_plan, [b])
+    assert _plan(_bernstein_plan, [a]) is not _plan(_bernstein_plan, [b])
     for f in (a, b):
-        assert (abs(character_defect(f) - character_defect_percall(f))
-                <= ulp_tol(f.values))
+        assert bernstein_check(f, TOL) == bernstein_check_percall(f, TOL)
     # Two windows of equal radius and different base.
     wa, wb = (FunctionTable.constant(make_lattice([base], 0, 5))
               for base in (2, 3))
-    for build, params in ((_character_plan, ()), (_bernstein_plan, ()),
-                          (_polynomial_plan, (1,))):
-        assert _plan(build, [wa], *params) is not _plan(build, [wb], *params)
+    assert _plan(_bernstein_plan, [wa]) is not _plan(_bernstein_plan, [wb])
     # Tables sharing a support: one plan, and each its own result.
     pts = make_lattice([2, 3], 1, 12).points[::2]
     f, g = (FunctionTable(make_lattice([2, 3], 1, 12), pts,
-                          random_values(rng, len(pts))) for _ in range(2))
+                          np.exp(2j * np.pi * rng.random(len(pts))))
+            for _ in range(2))
     _cached_plan.cache_clear()
     for t in (f, g, f):
-        assert (abs(character_defect(t) - character_defect_percall(t))
-                <= ulp_tol(t.values))
-        for n in range(3):
-            assert (outcome(is_polynomial, t, n, TOL)
-                    == outcome(is_polynomial_percall, t, n, TOL))
+        assert bernstein_check(t, 3.0) == bernstein_check_percall(t, 3.0)
         assert (_sweep_max([t, t], [1, 2], None, _sum_defect)
                 == sweep_max_percall([t, t], [1, 2], None, _sum_defect))
     info = _cached_plan.cache_info()
-    assert (info.misses, info.hits) == (5, 10)
+    assert (info.misses, info.hits) == (2, 4)
 
 
 def plan_arrays(plan):
@@ -506,8 +790,7 @@ def test_cached_plan_arrays_refuse_writes():
     lat = LATTICES[0]
     f = FunctionTable(lat, lat.points[1:], np.ones(len(lat.points) - 1))
     rhs = FunctionTable.constant(lat)
-    plans = [_plan(_character_plan, [f]), _plan(_bernstein_plan, [f]),
-             _plan(_polynomial_plan, [f], 2),
+    plans = [_plan(_bernstein_plan, [f]),
              _plan(_sweep_plan, [f, f, rhs], 1, Fraction(3, 2))]
     for plan in plans:
         arrays = list(plan_arrays(plan))
@@ -698,6 +981,11 @@ def test_fit_gaussian_ratio_matches_oracle(lat):
             with pytest.raises((WindowMarginError, VanishingFactorError)):
                 fit_gaussian_ratio(f)
             continue
+        if not generator_support(f):
+            # The phase test reads supports that generator checks cover.
+            with pytest.raises(DomainError):
+                fit_gaussian_ratio(f)
+            continue
         sigma, residual, modulus_ok, margin = gaussian_fit_oracle(
             as_dict(f), FIT_TOL)
         # The parent's verdict: modulus test and is_character on the phase.
@@ -878,6 +1166,19 @@ def test_poisson_pair_matches_dense_tables(orders):
         for j in (0, 1):
             assert recover_shift_dense(mus[j], nus[j]) is None
             assert recover_shift(mus[j], nus[j]) is None
+
+
+def test_poisson_pair_deviations_read_one_shared_third_factor():
+    g = Group([6])
+    bs = [Endo.scalar(g, c) for c in (1, 3, 2)]
+    mu3 = Distribution.random(g, [43, 6], 0.2)
+    mus, nus = poisson_counterexample(bs, 0.7, mu3)
+    assert (poisson_pair_deviations(bs, 0.7, mu3, mus, nus)[0]
+            == poisson_deviations_dense(bs, 0.7, mu3, mus, nus)[0])
+    other = Distribution(g, mu3.masses)
+    for lhs, rhs in (((*mus[:2], other), nus), (mus, (*nus[:2], other))):
+        with pytest.raises(DomainError):
+            poisson_pair_deviations(bs, 0.7, mu3, lhs, rhs)
 
 
 def shift_cases(g: Group):

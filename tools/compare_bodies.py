@@ -95,6 +95,9 @@ ARGVS = [
      "--coeffs", "1,3"],
     ["counterexample", "--kind", "poisson-pair", "--group", "4",
      "--coeffs", "1,3,4"],
+    # The adjoint, subgroup and annihilator checks and every character of a
+    # group of 10,000 elements.
+    ["invariants", "--groups", "100x100"],
 ]
 
 
