@@ -127,13 +127,10 @@ class Endo:
 
 
 def is_adjoint_pair(a: Endo, b: Endo) -> bool:
-    """Whether ``(Ax, y) = (x, By)`` for all pairs, on exact pairing phases.
-
-    Both sides are bi-additive, so they agree everywhere when they agree on
-    the ``rank**2`` generator pairs, once each index map is checked to be a
-    homomorphism: ``m[x + t] = m[x] + m[t]`` at every ``x`` and generator
-    ``t``.
-    """
+    """Whether ``(Ax, y) = (x, By)`` for all pairs, on exact pairing phases:
+    both sides are bi-additive once both index maps are homomorphisms,
+    ``m[x + t] = m[x] + m[t]`` at each ``x`` and generator ``t``, and then
+    they agree everywhere when they agree on the ``rank**2`` generators."""
     g, t = a.group, a.group.generators
     m = np.array([a.index_map, b.index_map])
     return bool((m[:, g.add_idx(g.every, t[:, None])]
@@ -155,10 +152,10 @@ def _subgroup_generators(group: Group, subset) -> np.ndarray | None:
     span[0], member[idx], picked = True, True, []
     while not span[idx].all():
         picked.append(x := idx[np.argmin(span[idx])])
-        # <x> is {j x : 0 <= j < exponent}.
-        ray = group.compose((group.coords_array[x] * np.arange(
-            group.exponent)[:, None] % group.orders).T)
-        span[group.add_idx(np.flatnonzero(span)[:, None], ray)] = True
+        # S + {0, ..., 2^i - 1} x is closed under adding 2^i x exactly when
+        # it is S + <x>; each doubling reads the span once.
+        while not span[new := group.add_idx(np.flatnonzero(span), x)].all():
+            span[new], x = True, group.add_idx(x, x)
     gens = np.array(picked, dtype=np.int64)
     closed = member[0] and member[group.add_idx(idx, gens[:, None])].all()
     return gens if closed else None

@@ -276,9 +276,10 @@ class FunctionTable:
 # read-only.  Positions are int64: a gather with int32 positions converts
 # them on every call, and costs twice as long.
 
-# Plans kept.  A verify-gaussian campaign uses two (a sweep and a generator
-# plan), the invariant suite two per group of at most 36 elements and one per
-# larger group; 32 hold a gaussian-window run or the default invariants.
+# Plans kept.  A verify-gaussian campaign uses five (a sweep, a character
+# plan and a polynomial plan per fold count), the invariant suite two per
+# group of at most 36 elements and one per larger group; 32 hold a
+# gaussian-window run or the default invariants.
 PLAN_CACHE_SIZE = 32
 
 
@@ -341,67 +342,89 @@ def _ratio_step(f: FunctionTable, k) -> FunctionTable:
 # The character and polynomial equations are homomorphism identities: on a
 # finitely generated abelian group each holds everywhere exactly when it holds
 # along generators (Djokovic, Ann. Polon. Math. 22, 1969; Szekelyhidi, 1991,
-# ch. 1).  So both checks gather along ``rank`` shifts of a table: a whole
-# group table along the unit vectors, a window support that is an arithmetic
-# progression through 0 (a whole window, a ``diff`` restriction, a pullback
-# by ``p/q``) along its step ``s``.  Any other support raises DomainError.
+# ch. 1).  So both checks gather along a few shifts of a whole group table, or
+# of a window support that is an arithmetic progression through 0 (a whole
+# window, a ``diff`` restriction, a pullback by ``p/q``); any other support
+# raises DomainError.  Against an absolute tolerance a smooth table's defect
+# grows with the shift, so a doubling ladder of multiples of the generators
+# runs up to the longest shift the all-pairs sweeps read.
 
 
-def _generator_plan(dom, supports: tuple) -> tuple:
-    """The position of point 0; the margin ``(s, max |k|)`` on a window,
-    else None; per generator ``e``, the position of ``x + e`` for each point
-    ``x`` (-1 where absent) and the mask of where it is present."""
+def _ladder(top: int) -> set:
+    """``1, 2, 4, ...`` up to ``top``, and ``top``."""
+    return {top, *(1 << i for i in range(top.bit_length()))} - {0}
+
+
+def _generator_plan(dom, supports: tuple, folds: int | None) -> tuple:
+    """The position of point 0, and the shifts ``e`` in blocks (for
+    differences two, the first alone): per ``e`` a row of positions of
+    ``x + e`` for the points ``x`` (-1 where absent), the same in a tile of
+    the values with a row per shift, and where ``folds`` differences (one
+    for None) are defined.
+
+    The character check (``folds`` None) shifts a group table by its unit
+    vectors, a window ``{j s : lo <= j <= hi}`` by ``j s`` for ``j`` in
+    ``_ladder(hi)`` and ``-_ladder(-lo)``.  ``folds`` differences step by
+    ``j e`` for each unit vector ``e`` of order ``n`` and ``j`` in
+    ``_ladder(n // 2)``, or by ``j s`` for ``j`` in ``_ladder(K)``, ``K``
+    the largest with ``2 folds K s <= max |k|`` (WindowMarginError at 0).
+    """
     (idx,) = supports
     if isinstance(dom, Group):
         if len(idx) != dom.size:
             raise DomainError("a generator check needs a whole group table")
-        steps, margin = dom.generators, None
+        shifts = dom.generators if folds is None else np.concatenate([
+            e * np.array(sorted(_ladder(n // 2)), dtype=np.int64)
+            for e, n in zip(dom.generators, dom.orders)])
     else:
         s = int(np.gcd.reduce(idx))
         if not s:
             raise WindowMarginError("a window table needs a point besides 0")
-        lo, hi = int(idx.min()), int(idx.max())
-        if not lo <= 0 <= hi or (hi - lo) // s + 1 != len(idx):
+        lo, hi = int(idx.min()) // s, int(idx.max()) // s
+        if not lo <= 0 <= hi or hi - lo + 1 != len(idx):
             raise DomainError("a generator check needs a window support that "
                               "is an arithmetic progression through 0")
-        steps, margin = [s if hi > 0 else -s], (s, max(-lo, hi))
-    find = _locator(idx)
-    shifts = tuple((_frozen(q), _frozen(q >= 0))
-                   for q in (find(dom.add_idx(idx, e)) for e in steps))
+        if folds is None:
+            js = _ladder(hi) | {-j for j in _ladder(-lo)}
+        elif not (js := _ladder(max(-lo, hi) // (2 * folds))):
+            raise WindowMarginError(
+                f"no step leaves margin for {folds} differences")
+        shifts = s * np.array(sorted(js), dtype=np.int64)
+    find, blocks = _locator(idx), []
+    for block in (shifts[:1], shifts[1:]) if folds else (shifts,):
+        q = find(dom.add_idx(idx, block[:, None]))
+        at = q + len(idx) * np.arange(len(q))[:, None]
+        live = np.ones(q.shape, dtype=bool)
+        for _ in range(folds or 1):
+            live = (q >= 0) & live & live.take(at)
+        blocks.append((_frozen(q), _frozen(at), _frozen(live)))
     # Point 0 has index 0 on both kinds of domain.
-    return int(find(np.zeros(1, dtype=np.int64))[0]), margin, shifts
-
-
-def _differences(values, live, shifts, folds: int):
-    """Each ``folds``-fold difference of ``values`` along a nondecreasing
-    sequence of generators, lazily, with the mask ``live`` of where it is
-    defined; a read where ``x + e`` is absent lands anywhere, masked."""
-    if not folds:
-        yield values, live
-        return
-    for i, (q, has) in enumerate(shifts):
-        yield from _differences(values[q] - values, has & live & live[q],
-                                shifts[i:], folds - 1)
+    return int(find(np.zeros(1, dtype=np.int64))[0]), tuple(blocks)
 
 
 def is_polynomial(f: FunctionTable, n: int, tol: float = 1e-9) -> bool:
-    """Whether every (n+1)-fold difference of ``f`` vanishes, up to ``tol``.
+    """Whether ``Delta_e^{n+1} f`` is at most ``tol`` for each step ``e``
+    of ``_generator_plan``; on a window a statement about the window only.
 
-    On a whole group: every mixed difference along ``n + 1`` unit vectors.
-    On a window: ``Delta_s^{n+1} f``, a statement about the window only;
-    WindowMarginError when ``2 (n+1) s`` exceeds the largest ``|k|``.  In
-    floating point a generator difference of at most ``e`` bounds a
-    step-``k s`` difference by about ``k^(n+1) e`` only.
+    On a finite group, whose polynomials are the constants, pure differences
+    along each unit vector suffice.  Each difference runs the floating-point
+    operations of the all-steps sweep, which tests every group element, or
+    every ``k s``, ``k <= K``.
+    A smooth table's difference grows like ``k^(n+1)``, so its largest is
+    at the longest step read here, and one wrong value shows at step ``s``
+    at least as much as at any other; a table may still pass here and fail
+    a step not read.  The first step, which a higher degree fails, goes first.
     """
     if n < 0:
         raise DomainError("polynomial degree bound must be >= 0")
-    _, margin, shifts = _plan(_generator_plan, [f])
-    if margin is not None and 2 * (n + 1) * margin[0] > margin[1]:
-        raise WindowMarginError(
-            f"no step leaves margin for {n + 1} differences")
-    return not any(((np.abs(d) > tol) & live).any() for d, live in
-                   _differences(f.values, np.ones(len(f), dtype=bool),
-                                shifts, n + 1))
+    v = f.values
+    for q, at, live in _plan(_generator_plan, [f], n + 1)[1]:
+        d = v[q] - v
+        for _ in range(n):
+            d = d.take(at) - d
+        if ((np.abs(d) > tol) & live).any():
+            return False
+    return True
 
 
 def least_degree(f: FunctionTable, max_degree: int,
@@ -418,17 +441,18 @@ def least_degree(f: FunctionTable, max_degree: int,
 
 def character_defect(f: FunctionTable) -> float:
     """Sup of ``|f(0) - 1|`` and of ``|f(x + e) - f(x) f(e)|`` over the
-    generators ``e`` and the points ``x`` with ``x + e`` in the table; 0
-    exactly on characters, and a NaN reaches it.  In floating point, on
-    unit-modulus values, a generator defect ``e`` bounds that of a pair of
-    words of length at most ``w`` in the generators by about ``w e`` only.
-    """
-    z, _, shifts = _plan(_generator_plan, [f])
+    shifts ``e`` of ``_generator_plan`` and the points ``x`` with ``x + e``
+    in the table; 0 exactly on characters, and a NaN reaches it.  On
+    unit-modulus values a defect ``d`` bounds that of a pair ``(x, y)`` by
+    about ``w d``, ``w`` the number of shifts that sum to ``y``: a word
+    length on a group, about ``log2(|y| / s)`` on a window."""
+    z, blocks = _plan(_generator_plan, [f], None)
     v = f.values
     parts = [abs(v[z] - 1.0)]
-    for q, has in shifts:  # f(e) is v[q[z]], the value at 0 + e
-        parts.append(np.max(np.abs(v[q] - v * v[q[z]]), where=has,
-                            initial=0.0))
+    for q, _, has in blocks:
+        # Row e holds f(x + e) - f(x) f(e); f(e) is the value at 0 + e.
+        d = np.abs(v[q] - v * v[q[:, z, None]])
+        parts.append(np.max(d, where=has, initial=0.0))
     return float(np.max(parts))
 
 

@@ -266,14 +266,13 @@ def poisson_pair_deviations(bs: Sequence[Endo], a: float,
     """``(joint residual, closed-form deviation)`` of a Poisson pair from
     ``poisson_counterexample(bs, a, mu_rest)`` under form I.
 
-    One row-blocked sweep; each block's reads serve both joint laws, and
-    the third factor, ``mu_rest`` on both sides and in the closed form, is
-    read once and multiplied into all three last, as the dense tables do.
-    The deviation is the larger of the two sides'.
+    ``mus`` and ``nus`` hold the first two factors of each side.  One
+    row-blocked sweep: each block's reads serve both joint laws, and
+    ``mu_rest``, the third factor of both and of the closed form, is read
+    once and multiplied in last, as the dense tables do.  The deviation is
+    the larger of the two sides'.
     """
     g = bs[0].group
-    if any(d is not mu_rest for d in (*mus[2:], *nus[2:])):
-        raise DomainError("the third factor must be mu_rest on both sides")
     plan = _poisson_plan(bs, LinearFormSpec.form_I(bs).pairs)
     lhs_t, rhs_t = (factor_tables(plan[1:3], d) for d in (mus, nus))
     phase_t, rest_t = _phase_table(g, a), factor_tables(plan[3:], [mu_rest])

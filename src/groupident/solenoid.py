@@ -295,7 +295,7 @@ def fit_gaussian_ratio(f: FunctionTable, tol: float = FIT_TOL) -> GaussianFitRes
     # with modulus near 5e8 carries rounding of about 1e-7.
     modulus_ok = bool(np.all(devs <= tol * np.maximum(1.0, mods)))
     defect = character_defect(f.phase_part())
-    # On a window, is_character is this test of the same generator defect.
+    # On a window, is_character is this test of the same defect.
     phase_ok = not defect > max(tol, 1e-9)
     ok = modulus_ok and phase_ok
     psi, scale = float(np.max(np.abs(logs))), max(1.0, float(np.max(mods)))

@@ -75,12 +75,13 @@ def _apply(orders, matrix, x):
                  for row, n in zip(matrix, orders))
 
 
-def character_defect_oracle(orders, table):
-    """Sup of |f(k+l) - f(k)f(l)|; None when no pair has k+l in the table."""
+def character_defect_oracle(orders, table, add=None):
+    """Sup of |f(k+l) - f(k)f(l)|; None when no pair has k+l in the table.
+    ``add`` defaults to the addition of the group of ``orders``."""
     worst, checked = 0.0, 0
     for k in table:
         for l in table:
-            s = _add(orders, k, l)
+            s = _add(orders, k, l) if add is None else add(k, l)
             if s in table:
                 checked += 1
                 worst = max(worst, abs(table[s] - table[k] * table[l]))
@@ -389,8 +390,8 @@ def find_shift_coeffs_search(group, form):
 # equation sweeps were planned once per support: every call forms its index
 # pairs and table positions again, in row blocks, or as one n x n table.
 # They read package tables, their ``_positions`` and ``row_blocks``.  The
-# planned Bernstein and equation sweeps must return what they return; the
-# generator checks must agree with them as the tests state.
+# planned Bernstein and equation sweeps must return what they return, and
+# the generator checks their verdicts.
 
 
 def _window_steps_sweep(f, folds):
