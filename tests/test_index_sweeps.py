@@ -66,7 +66,8 @@ from groupident.endomorphisms import is_adjoint_pair
 from groupident.errors import (DomainError, VanishingFactorError,
                                WindowMarginError)
 from groupident.funceq import (FunctionTable, ProductEquation,
-                               _bernstein_plan, _cached_plan, _plan,
+                               _bernstein_plan, _cached_plan,
+                               _generator_plan, _plan,
                                _product_defect, _sum_defect, _sweep_max,
                                _sweep_plan, bernstein_check,
                                bernstein_square_table, character_defect, diff,
@@ -819,7 +820,8 @@ def test_cached_plan_arrays_refuse_writes():
     f = FunctionTable(lat, lat.points[1:], np.ones(len(lat.points) - 1))
     rhs = FunctionTable.constant(lat)
     plans = [_plan(_bernstein_plan, [f]),
-             _plan(_sweep_plan, [f, f, rhs], 1, Fraction(3, 2))]
+             _plan(_sweep_plan, [f, f, rhs], 1, Fraction(3, 2)),
+             _plan(_generator_plan, [f], None), _plan(_generator_plan, [f], 2)]
     for plan in plans:
         arrays = list(plan_arrays(plan))
         assert arrays
