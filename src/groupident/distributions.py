@@ -10,13 +10,23 @@ is a column over ``u`` and one with ``a_j = 0`` a row over ``v``, each read
 once per sweep, and every other factor is gathered from its characteristic
 function tiled over the doubled coordinate box (``Group.box_idx``).  So
 comparing two needs no ``n x n`` table either.
+
+Every such sweep goes through ``sweep_rows``.  A grid of at least two
+blocks is cut into one stripe of contiguous rows per CPU the process may run
+on (``CPUS``), each swept in blocks of ``JOINT_BLOCK // CPUS`` pairs with
+its own buffers.  The caller's thread sweeps the first stripe and a pool of
+``CPUS - 1`` threads, built at the first sweep that splits, sweeps the
+others.  Every value is computed by the same operations whatever the
+stripes, so sweeps and report bodies do not depend on the CPU count.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Iterator, Sequence
+from functools import cache, cached_property, lru_cache
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,15 +37,22 @@ from .groups import Element, Group, row_blocks
 
 MASS_TOL = 1e-12
 
-# Pairs per row block of a joint-law sweep.  Smaller than PAIR_BLOCK so that
-# a block's index and value buffers stay in cache: on Z30xZ50 and Z1021 a
-# joint residual takes 0.7-0.75 of its time at PAIR_BLOCK (2-CPU x86-64
-# host, numpy 2.4).  A sweep allocates its buffers once (``pair_index_blocks``)
-# and writes every block into them: a block of complex values is 512 KiB,
-# and glibc serves each allocation of 128 KiB or more with a fresh mmap.
-# With new temporaries per block, ``verify-shift --group 30x50 --form II
-# --trials 1`` took 145 ms instead of 93 ms.
+# Pairs per row block of a joint-law sweep, shared by its stripes: each of
+# ``CPUS`` stripes takes blocks of ``JOINT_BLOCK // CPUS`` pairs, so a split
+# sweep's buffers take the memory of an unsplit one.  Smaller than
+# PAIR_BLOCK so that a block's index and value buffers stay in cache: on
+# Z30xZ50 and Z1021 a joint residual takes 0.7-0.75 of its time at
+# PAIR_BLOCK (2-CPU x86-64 host, numpy 2.4).  A stripe allocates its buffers
+# once (``pair_index_blocks``) and writes every block into them: a block of
+# complex values is 512 KiB, and glibc serves each allocation of 128 KiB or
+# more with a fresh mmap.  With new temporaries per block, ``verify-shift
+# --group 30x50 --form II --trials 1`` took 145 ms instead of 93 ms.
 JOINT_BLOCK = 1 << 15
+
+# CPUs the process may run on: the stripe count of a grid of at least two
+# blocks (``sweep_rows``).
+CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+        else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -275,11 +292,12 @@ def factor_tables(plan: FactorPlan,
     return out
 
 
-def pair_index_blocks(plan: FactorPlan, size: int,
-                      dtypes: Sequence[type] = ()
+def pair_index_blocks(plan: FactorPlan, size: int, dtypes: Sequence[type],
+                      lo: int, hi: int, block: int
                       ) -> Iterator[tuple[slice, list, list[np.ndarray]]]:
-    """Row blocks of the ``(u, v)`` grid of ``size x size`` pairs, read as
-    ``plan`` says (``factor_plan``).
+    """Row blocks of rows ``lo:hi`` of the ``(u, v)`` grid of
+    ``size x size`` pairs, about ``block`` pairs each, read as ``plan``
+    says (``factor_plan``).
 
     Each block of rows ``u`` comes with one read per factor, for
     ``read_factor``: the slice ``rows`` of a column factor, the whole of a
@@ -287,15 +305,15 @@ def pair_index_blocks(plan: FactorPlan, size: int,
     ``U[u] + V[v]``, box indices for a characteristic function, with no
     reduction and no addition table; and with one block-shaped buffer of
     each dtype in ``dtypes`` for the caller's values.  Index and value
-    buffers are allocated once per sweep and rewritten for every block, so
+    buffers are allocated once per call and rewritten for every block, so
     a caller uses a block before it takes the next one.
     """
-    step = min(size, max(1, JOINT_BLOCK // size))
+    step = min(hi - lo, max(1, block // size))
     idx = [None if U is None or V is None else np.empty((step, size), np.int64)
            for U, V in plan]
     bufs = [np.empty((step, size), d) for d in dtypes]
-    for start in range(0, size, step):
-        rows = slice(start, min(start + step, size))
+    for start in range(lo, hi, step):
+        rows = slice(start, min(start + step, hi))
         if rows.stop - start < step:  # only the last block is shorter
             idx = [b if b is None else b[:rows.stop - start] for b in idx]
             bufs = [b[:rows.stop - start] for b in bufs]
@@ -306,6 +324,60 @@ def pair_index_blocks(plan: FactorPlan, size: int,
             else:
                 reads.append(np.add(U[rows, None], V[None, :], out=out))
         yield rows, reads, bufs
+
+
+@cache
+def _stripe_pool():
+    """The threads that sweep every stripe but the first, built at the
+    first sweep that splits, so that a process whose sweeps never split
+    imports no executor."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(CPUS - 1, thread_name_prefix="groupident-sweep")
+
+
+# A forked child has none of the pool's threads, so work sent to the pool it
+# inherits would never run: the child builds its own.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_stripe_pool.cache_clear)
+
+
+def sweep_rows(plan: FactorPlan, size: int, dtypes: Sequence[type],
+               body: Callable[[slice, list, list[np.ndarray]], Any]) -> list:
+    """``body(rows, reads, bufs)`` of every block of ``pair_index_blocks``
+    over the whole ``size x size`` grid, in row order.
+
+    A grid of at least two ``JOINT_BLOCK`` blocks is cut into ``CPUS``
+    stripes of contiguous rows (one per row if there are fewer rows), each
+    with its own buffers and blocks of ``JOINT_BLOCK // CPUS`` pairs.  The
+    caller's thread sweeps the first stripe, the pool (``_stripe_pool``)
+    the others, each in a copy of the caller's context, so numpy's error
+    state (``np.errstate``) holds in every stripe; numpy releases the GIL
+    in gathers and ufunc loops.  The call returns once every stripe has
+    finished, and raises the exception of the first stripe, in row order,
+    that raised one.  ``body`` runs on the pool's threads: it calls only
+    numpy, ``read_factor`` and ``joint_block``, and writes only to its
+    buffers and to its rows of an output, so every value is the one an
+    unsplit sweep gives.
+    """
+    k = min(CPUS, size) if size * size >= 2 * JOINT_BLOCK else 1
+
+    def stripe(lo: int, hi: int) -> list:
+        return [body(*b) for b in pair_index_blocks(plan, size, dtypes, lo,
+                                                    hi, JOINT_BLOCK // k)]
+
+    if k == 1:
+        return stripe(0, size)
+    from concurrent.futures import wait
+    cuts = [size * i // k for i in range(k + 1)]
+    futures = [_stripe_pool().submit(contextvars.copy_context().run, stripe,
+                                     lo, hi)
+               for lo, hi in zip(cuts[1:-1], cuts[2:])]
+    try:
+        first = stripe(0, cuts[1])
+    finally:
+        wait(futures)
+    return [r for part in (first, *(f.result() for f in futures))
+            for r in part]
 
 
 def read_factor(table: np.ndarray, read, tmp: np.ndarray) -> np.ndarray:
@@ -337,6 +409,17 @@ def joint_block(tables: Sequence[np.ndarray], reads: Sequence,
     return out
 
 
+def joint_table(plan: FactorPlan, tables: Sequence[np.ndarray],
+                size: int) -> np.ndarray:
+    """The ``size x size`` grid of ``joint_block`` products of ``tables``,
+    read as ``plan`` says."""
+    out = np.empty((size, size), dtype=np.complex128)
+    sweep_rows(plan, size, [np.complex128],
+               lambda rows, reads, bufs: joint_block(tables, reads, out[rows],
+                                                     *bufs))
+    return out
+
+
 def _check_dists(spec: LinearFormSpec, dists: Sequence[Distribution]) -> None:
     if len(dists) != spec.arity:
         raise DomainError("distribution count must match the arity")
@@ -353,12 +436,7 @@ def joint_char_array(spec: LinearFormSpec,
     if g.size ** 2 > 4_000_000:
         raise CapacityError("joint table would exceed the size limit")
     plan = factor_plan(spec.pairs)
-    tables = factor_tables(plan, dists)
-    out = np.empty((g.size, g.size), dtype=np.complex128)
-    for rows, reads, (tmp,) in pair_index_blocks(plan, g.size,
-                                                 [np.complex128]):
-        joint_block(tables, reads, out[rows], tmp)
-    return out
+    return joint_table(plan, factor_tables(plan, dists), g.size)
 
 
 def joint_residual(spec: LinearFormSpec, mus: Sequence[Distribution],
@@ -369,13 +447,16 @@ def joint_residual(spec: LinearFormSpec, mus: Sequence[Distribution],
     _check_dists(spec, nus)
     plan = factor_plan(spec.pairs)
     lhs, rhs = factor_tables(plan, mus), factor_tables(plan, nus)
-    worst = []
-    for _, reads, (x, y, tmp, mod) in pair_index_blocks(
-            plan, spec.group.size, [np.complex128] * 3 + [np.float64]):
+
+    def worst(rows, reads, bufs):
+        x, y, tmp, mod = bufs
         diff = joint_block(lhs, reads, x, tmp)
         diff -= joint_block(rhs, reads, y, tmp)
-        worst.append(np.abs(diff, out=mod).max())
-    return float(np.max(worst))
+        return np.abs(diff, out=mod).max()
+
+    return float(np.max(sweep_rows(plan, spec.group.size,
+                                   [np.complex128] * 3 + [np.float64],
+                                   worst)))
 
 
 def joint_char(spec: LinearFormSpec,

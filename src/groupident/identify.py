@@ -19,7 +19,8 @@ import numpy as np
 
 from .distributions import (Distribution, FactorPlan, LinearFormSpec,
                             factor_plan, factor_tables, joint_block,
-                            joint_residual, pair_index_blocks, read_factor)
+                            joint_residual, joint_table, read_factor,
+                            sweep_rows)
 from .endomorphisms import Endo
 from .errors import ConstructionError, DomainError
 from .funceq import kernel_conditions, summed_variables
@@ -252,11 +253,7 @@ def poisson_closed_form_array(bs: Sequence[Endo], a: float,
     g = bs[0].group
     plan = _poisson_plan(bs, [(Endo.identity(g), b) for b in bs[2:]])
     tables = [_phase_table(g, a), *factor_tables(plan[1:], [mu_rest])]
-    out = np.empty((g.size, g.size), dtype=np.complex128)
-    for rows, reads, (tmp,) in pair_index_blocks(plan, g.size,
-                                                 [np.complex128]):
-        joint_block(tables, reads, out[rows], tmp)
-    return out
+    return joint_table(plan, tables, g.size)
 
 
 def poisson_pair_deviations(bs: Sequence[Endo], a: float,
@@ -276,9 +273,9 @@ def poisson_pair_deviations(bs: Sequence[Endo], a: float,
     plan = _poisson_plan(bs, LinearFormSpec.form_I(bs).pairs)
     lhs_t, rhs_t = (factor_tables(plan[1:3], d) for d in (mus, nus))
     phase_t, rest_t = _phase_table(g, a), factor_tables(plan[3:], [mu_rest])
-    residual, closed_dev = [], []
-    for _, reads, (x, y, z, tmp, mod) in pair_index_blocks(
-            plan, g.size, [np.complex128] * 4 + [np.float64]):
+
+    def deviations(rows, reads, bufs):
+        x, y, z, tmp, mod = bufs
         lhs = joint_block(lhs_t, reads[1:3], x, tmp)
         rhs = joint_block(rhs_t, reads[1:3], y, tmp)
         closed = read_factor(phase_t, reads[0], z)
@@ -286,12 +283,14 @@ def poisson_pair_deviations(bs: Sequence[Endo], a: float,
             rest = read_factor(t, r, tmp)
             for v in (lhs, rhs, closed):
                 v *= rest
-        residual.append(np.abs(np.subtract(lhs, rhs, out=tmp),
-                               out=mod).max())
+        residual = np.abs(np.subtract(lhs, rhs, out=tmp), out=mod).max()
         lhs -= closed
         rhs -= closed
-        closed_dev.append(max(np.abs(lhs, out=mod).max(),
-                              np.abs(rhs, out=mod).max()))
+        return residual, max(np.abs(lhs, out=mod).max(),
+                             np.abs(rhs, out=mod).max())
+
+    residual, closed_dev = zip(*sweep_rows(
+        plan, g.size, [np.complex128] * 4 + [np.float64], deviations))
     return float(np.max(residual)), float(np.max(closed_dev))
 
 

@@ -374,8 +374,20 @@ def test_bodies_are_the_same_under_x86_64_v2_dispatch():
              ["verify-gaussian", "--radius", "20", "--trials", "2",
               "--seed", "5"],
              ["counterexample", "--kind", "poisson-pair"]]
-    v2 = dict(tool.env_settings())["x86-64-v2 dispatch"]
-    native = tool.run_child(SRC.parent, argvs, {})
+    v2 = {label: env for label, env, _ in tool.env_settings()}
+    native = tool.run_child(SRC.parent, argvs, {}, False)
     assert [code for code, _ in native] == [0, 0, 0]
-    assert tool.run_child(SRC.parent, argvs, v2) == native
+    assert tool.run_child(SRC.parent, argvs, v2["x86-64-v2 dispatch"],
+                          False) == native
 
+
+
+def test_bodies_are_the_same_on_one_cpu():
+    # Natively the joint-law sweeps of these campaigns are cut into one row
+    # stripe per CPU; a child pinned to one CPU sweeps them unsplit.
+    tool = load_compare_bodies()
+    argvs = [["verify-shift", "--group", "1021", "--trials", "1"],
+             ["counterexample", "--kind", "poisson-pair", "--group", "30x50"]]
+    native = tool.run_child(SRC.parent, argvs, {}, False)
+    assert [code for code, _ in native] == [0, 0]
+    assert tool.run_child(SRC.parent, argvs, {}, True) == native

@@ -43,11 +43,22 @@ they raise DomainError, and the all-pairs sweeps must match the per-pair
 oracles there.  The adjoint check must give the all-pairs verdict with a
 fault at every admissible matrix entry, and reject index maps that are not
 homomorphisms.
+
+Cut into two or three row stripes, every joint-law sweep must give the
+values of the unsplit sweep, ``==`` and NaN for NaN, raise the exception of
+a stripe only once every stripe has finished, and keep the caller's numpy
+error state.
 """
 
 import operator
+import os
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -74,7 +85,7 @@ from groupident.funceq import (FunctionTable, ProductEquation,
                                is_character, is_polynomial,
                                kernel_conditions, least_degree,
                                locate_character, ratio_diff)
-from groupident import groups
+from groupident import distributions, groups
 from groupident.identify import (VERDICT_PRECONDITIONS, VERDICT_SHIFT,
                                  poisson_pair_deviations)
 from groupident.groups import Element, _shift_screen
@@ -1496,3 +1507,193 @@ def test_spectral_paths_build_no_dense_table(orders, monkeypatch, tmp_path):
     assert main(["counterexample", "--kind", "poisson-pair",
                  "--group", "x".join(map(str, orders)),
                  "--coeffs", f"1,{1 + p},2", "--out", str(out)]) == 0
+
+
+# -- joint-law sweeps split into row stripes ---------------------------------
+
+
+def record_stripes(monkeypatch):
+    """Monkeypatch ``pair_index_blocks`` to record the ``(lo, hi)`` of every
+    stripe a sweep reads."""
+    stripes, blocks = [], distributions.pair_index_blocks
+
+    def recording(plan, size, dtypes, lo, hi, block):
+        stripes.append((lo, hi))
+        return blocks(plan, size, dtypes, lo, hi, block)
+
+    monkeypatch.setattr(distributions, "pair_index_blocks", recording)
+    return stripes
+
+
+def split_cases(g: Group):
+    """(label, sweep, arguments) of every grid sweep: the joint table and
+    residual of specs that read every kind of factor, the Poisson closed
+    form and deviations, and each with a NaN or an infinity in a column, a
+    box and a row factor of form II's ``(0, 1, 1)`` (``kotlarski_coeffs``)
+    and in a box factor and the third factor of the Poisson pair."""
+    endos = _suite_endos(g, list(g.orders))
+    mus = [Distribution.random(g, [41, g.size, j], 0.2) for j in range(4)]
+    nus = [Distribution.random(g, [43, g.size, j], 0.2) for j in range(4)]
+    specs = [LinearFormSpec.form_I(endos[-3:]),
+             LinearFormSpec.form_II(endos[-3:]), *plan_specs(g, endos)]
+    for i, spec in enumerate(specs):
+        k = spec.arity
+        yield f"spec {i}", joint_char_array, (spec, mus[:k])
+        yield f"spec {i}", joint_residual, (spec, mus[:k], nus[:k])
+    p = smallest_prime(g.exponent)
+    bs = [Endo.scalar(g, c) for c in (1, 1 + p, 2)]
+    rest = Distribution.random(g, [47, g.size], 0.2)
+    pmus, pnus = poisson_counterexample(bs, 0.7, rest)
+    yield "poisson", poisson_closed_form_array, (bs, 0.7, rest)
+    yield "poisson", poisson_pair_deviations, (bs, 0.7, rest, pmus[:2],
+                                               pnus[:2])
+    at = int(np.random.default_rng([101, g.size]).integers(g.size))
+
+    def spoilt(d, value):
+        vals = d.char_array.copy()
+        vals[at] = value
+        return with_char(d, vals)
+
+    spec = LinearFormSpec.form_II(kotlarski_coeffs(g))  # column, box, row
+    for value in (np.nan, np.inf):
+        for j in range(3):
+            bad = list(mus[:3])
+            bad[j] = spoilt(mus[j], value)
+            label = f"{value} in factor {j}"
+            yield label, joint_char_array, (spec, bad)
+            yield label, joint_residual, (spec, bad, nus[:3])
+            yield label, joint_residual, (spec, bad, bad)
+        label = f"{value} in the Poisson pair"
+        yield label, poisson_closed_form_array, (bs, 0.7, spoilt(rest, value))
+        yield label, poisson_pair_deviations, (
+            bs, 0.7, spoilt(rest, value), [spoilt(pmus[0], value), pmus[1]],
+            pnus[:2])
+
+
+@pytest.mark.parametrize("orders", SPECTRAL_GROUPS + [(41, 41)],
+                         ids=group_id)
+def test_split_sweeps_equal_unsplit_sweeps(orders, monkeypatch):
+    """Every grid sweep gives the same values, ``==`` and NaN for NaN, on
+    one stripe and on two or three.  A grid of fewer than two blocks is
+    swept in blocks of 2 pairs, so that it splits too, into one stripe per
+    row on Z2; 1021 and 41x41 rows fall into stripes of unequal lengths."""
+    g = Group(orders)
+    if g.size ** 2 < 2 * distributions.JOINT_BLOCK:
+        monkeypatch.setattr(distributions, "JOINT_BLOCK", 2)
+    stripes = record_stripes(monkeypatch)
+    for label, sweep, args in split_cases(g):
+        with np.errstate(invalid="ignore"):
+            monkeypatch.setattr(distributions, "CPUS", 1)
+            want = sweep(*args)
+            for cpus in (2, 3):
+                monkeypatch.setattr(distributions, "CPUS", cpus)
+                stripes.clear()
+                assert np.array_equal(sweep(*args), want, equal_nan=True), \
+                    (label, sweep.__name__, cpus)
+                k = min(cpus, g.size)
+                cuts = [g.size * i // k for i in range(k + 1)]
+                assert sorted(stripes) == list(zip(cuts, cuts[1:]))
+
+
+def test_stripe_errors_reach_the_caller_after_every_stripe(monkeypatch):
+    """An exception raised in a later stripe is raised by the call, which
+    returns only once every stripe has finished; the first stripe, in row
+    order, that raised is the one reported."""
+    g = Group([30])
+    plan = factor_plan(LinearFormSpec.form_I([Endo.scalar(g, 1)] * 2).pairs)
+    monkeypatch.setattr(distributions, "JOINT_BLOCK", 60)
+    monkeypatch.setattr(distributions, "CPUS", 3)
+    for raising in ({10}, {20}, {10, 20}):
+        done = []
+
+        def body(rows, reads, bufs):
+            stripe = rows.start // 10 * 10
+            if stripe in raising and rows.start == stripe:
+                raise DomainError(f"stripe {stripe}")
+            time.sleep(0.01)
+            done.append(rows.start)
+
+        with pytest.raises(DomainError, match=f"stripe {min(raising)}"):
+            distributions.sweep_rows(plan, g.size, [], body)
+        assert sorted(done) == [r for r in range(30)
+                                if r // 10 * 10 not in raising]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("orders", [(1021,), (30, 50)], ids=group_id)
+def test_split_sweeps_keep_the_callers_error_state(orders, monkeypatch):
+    """An infinity in the last row's column factor makes the last stripe
+    multiply ``inf`` by a finite value with a zero part, an invalid
+    operation: under ``np.errstate(invalid="raise")`` the call raises
+    FloatingPointError, under ``invalid="ignore"`` it warns of nothing and
+    returns a residual that is not finite, however many stripes there
+    are."""
+    g = Group(orders)
+    mus = [Distribution.random(g, [41, g.size, j], 0.2) for j in range(3)]
+    vals = mus[0].char_array.copy()
+    vals[g.size - 1] = np.inf
+    bad = [with_char(mus[0], vals), *mus[1:]]
+    spec = LinearFormSpec.form_II(kotlarski_coeffs(g))  # column, box, row
+    stripes = record_stripes(monkeypatch)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(distributions, "CPUS", cpus)
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            joint_residual(spec, bad, mus)
+        with np.errstate(invalid="ignore"):
+            assert not np.isfinite(joint_residual(spec, bad, mus))
+        assert len(set(stripes)) == cpus
+        stripes.clear()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_sweeps_split_grids(monkeypatch):
+    """A child forked after a split sweep has built the pool sweeps split
+    grids too, on a pool of its own; it has 10 s to finish."""
+    monkeypatch.setattr(distributions, "CPUS", 2)
+    g = Group([1021])
+    mus = [Distribution.random(g, [41, g.size, j], 0.2) for j in range(3)]
+    nus = [Distribution.random(g, [43, g.size, j], 0.2) for j in range(3)]
+    spec = LinearFormSpec.form_II(kotlarski_coeffs(g))
+    want = joint_residual(spec, mus, nus)
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os._exit(0 if joint_residual(spec, mus, nus) == want else 1)
+        finally:
+            os._exit(2)
+    deadline = time.monotonic() + 10
+    while not (done := os.waitpid(pid, os.WNOHANG))[0]:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's sweep did not finish")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+def test_tiny_campaigns_start_no_pool(tmp_path):
+    """Campaigns whose grids hold fewer than two blocks import no executor,
+    even on a host of several CPUs; a campaign on Z30xZ50 builds the pool."""
+    script = f"""
+import sys
+from groupident import distributions
+from groupident.cli import main
+distributions.CPUS = 2
+out = {str(tmp_path / "report.json")!r}
+for argv in (["verify-shift", "--group", "7", "--trials", "2"],
+             ["invariants", "--groups", "2..4"],
+             ["verify-gaussian", "--radius", "20", "--trials", "1"]):
+    assert main([*argv, "--out", out]) == 0
+print("concurrent.futures" in sys.modules)
+assert main(["verify-shift", "--group", "30x50", "--form", "II",
+             "--trials", "1", "--out", out]) == 0
+print("concurrent.futures" in sys.modules)
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).parent.parent / "src"),
+                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]

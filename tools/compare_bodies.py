@@ -22,10 +22,14 @@ With ``--env`` the campaigns run against one tree (this checkout by
 default) in child processes, once natively and once under each setting of
 ``env_settings``: numpy's AVX-512 dispatch targets disabled, every dispatch
 target disabled (x86-64-v2 on an x86-64 build), OpenBLAS's Sandybridge
-kernels, and one OpenBLAS thread.  For each setting the script prints how
-many bodies are identical to the native run, with the same DIFFERENT lines,
-and it exits 1 when any body differs.  Report bodies are meant to be a
-function of configuration and seed alone, so every count should be full.
+kernels, one OpenBLAS thread, and one CPU.  Under "one CPU" the child pins
+itself to the first CPU it may run on (``os.sched_setaffinity`` on its own
+pid) before it imports the package, so every joint-law sweep runs unsplit,
+where natively it is cut into one row stripe per CPU.  For each setting the
+script prints how many bodies are identical to the native run, with the
+same DIFFERENT lines, and it exits 1 when any body differs.  Report bodies
+are meant to be a function of configuration and seed alone, so every count
+should be full.
 """
 
 from __future__ import annotations
@@ -126,24 +130,27 @@ def run_tree(tree: Path, argvs) -> list[tuple[int, bytes | None]]:
         sys.path.remove(src)
 
 
-def env_settings() -> list[tuple[str, dict[str, str]]]:
-    """(label, environment overrides) of each ``--env`` setting, native
-    first."""
+def env_settings() -> list[tuple[str, dict[str, str], bool]]:
+    """(label, environment overrides, whether the child pins itself to one
+    CPU) of each ``--env`` setting, native first."""
     from numpy._core._multiarray_umath import __cpu_dispatch__ as dispatch
 
     avx512 = [f for f in dispatch if f.startswith("AVX512") or f == "X86_V4"]
-    return [("native", {}),
+    return [("native", {}, False),
             ("AVX-512 disabled",
-             {"NPY_DISABLE_CPU_FEATURES": " ".join(avx512)}),
+             {"NPY_DISABLE_CPU_FEATURES": " ".join(avx512)}, False),
             ("x86-64-v2 dispatch",
-             {"NPY_DISABLE_CPU_FEATURES": " ".join(dispatch)}),
+             {"NPY_DISABLE_CPU_FEATURES": " ".join(dispatch)}, False),
             ("OPENBLAS_CORETYPE=Sandybridge",
-             {"OPENBLAS_CORETYPE": "Sandybridge"}),
-            ("OPENBLAS_NUM_THREADS=1", {"OPENBLAS_NUM_THREADS": "1"})]
+             {"OPENBLAS_CORETYPE": "Sandybridge"}, False),
+            ("OPENBLAS_NUM_THREADS=1", {"OPENBLAS_NUM_THREADS": "1"}, False),
+            ("one CPU", {}, True)]
 
 
 _CHILD = """\
-import json, sys
+import json, os, sys
+if sys.argv[4] == "1":
+    os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:1])
 sys.path.insert(0, sys.argv[1])
 import compare_bodies as tool
 results = tool.run_tree(tool.Path(sys.argv[2]), json.loads(sys.argv[3]))
@@ -151,12 +158,12 @@ print(json.dumps([[code, body and body.decode()] for code, body in results]))
 """
 
 
-def run_child(tree: Path, argvs, env: dict[str, str]):
+def run_child(tree: Path, argvs, env: dict[str, str], one_cpu: bool):
     """``run_tree(tree, argvs)`` in a child process whose environment is this
-    one's with ``env`` added."""
+    one's with ``env`` added, pinned to one CPU if ``one_cpu``."""
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD, str(HERE), str(tree.resolve()),
-         json.dumps(argvs)],
+         json.dumps(argvs), "1" if one_cpu else "0"],
         env={**os.environ, **env}, capture_output=True, text=True, check=True)
     return [(code, body and body.encode())
             for code, body in json.loads(proc.stdout)]
@@ -213,8 +220,9 @@ def main(argv=None) -> int:
         return 2
     if env:
         tree = Path(args[0]) if args else ROOT
-        (_, native), *others = [(label, run_child(tree, ARGVS, overrides))
-                                for label, overrides in env_settings()]
+        (_, native), *others = [
+            (label, run_child(tree, ARGVS, overrides, one_cpu))
+            for label, overrides, one_cpu in env_settings()]
         differ = [report(native, results, f"{label}: ")
                   for label, results in others]
         print("summary, bodies identical to the native run:")
