@@ -21,11 +21,12 @@ import numpy as np
 
 from . import identify, solenoid
 from .distributions import Distribution
-from .endomorphisms import Endo, annihilator, is_adjoint_pair
+from .endomorphisms import Endo, annihilator_idx, is_adjoint_pair
 from .errors import GroupIdentError, WindowMarginError
-from .funceq import (FunctionTable, bernstein_check, bernstein_square_table,
-                     is_character, kernel_conditions, summed_variables)
-from .groups import Group, row_blocks
+from .funceq import (are_characters, bernstein_check, bernstein_checks,
+                     bernstein_square_table, is_character, kernel_conditions,
+                     summed_variables)
+from .groups import Group
 from .identify import consistent_shifts
 from .reporting import FLOORS, Measured, make_report, write_report
 from . import fixtures as fixture_io
@@ -360,9 +361,9 @@ def _counterexample_bernstein(args) -> tuple[dict, dict]:
     passes = bernstein_check(table, tol=tol)
     char = is_character(table, tol=tol)
     involutions = group.order_two_count()
-    chars = [FunctionTable._at(group, group.every, row)
-             for row in group.pairing_matrix]
-    chars_ok = all(bernstein_check(c) and is_character(c) for c in chars)
+    chars_ok = all(bernstein_checks(group, group.every, V).all()
+                   and are_characters(group, group.every, V).all()
+                   for V in group.character_rows())
     ok = passes and not char and involutions >= 2 and chars_ok
     body = {
         "status": "pass" if ok else "fail",
@@ -415,22 +416,20 @@ def run_invariant_suite(group: Group, seed, inject_fault: str | None = None) -> 
             violations.append(f"adjoint identity on {group!r}")
         if adj.adjoint() != e:
             violations.append(f"double adjoint on {group!r}")
-        kernel = e.kernel()
-        # Both lists are in index order.
-        if adj.image() != annihilator(group, kernel):
+        kernel = e.kernel_idx()
+        # Both index arrays are in order.
+        if not np.array_equal(adj.image_idx(), annihilator_idx(group, kernel)):
             violations.append(f"image/annihilator identity on {group!r}")
         if adj.is_surjective() != (len(kernel) == 1):
             violations.append(f"dense-image equivalence on {group!r}")
-        if len(kernel) * len(e.image()) != group.size:
+        if len(kernel) * len(e.image_idx()) != group.size:
             violations.append(f"kernel-image size product on {group!r}")
-    every = group.every  # characters by row blocks; Bernstein's plan is n^2
-    for rows in row_blocks(group.size, group.size):
-        for row in group.roots[group.phase_idx(every[rows, None], every)]:
-            char = FunctionTable._at(group, every, row)
-            if not is_character(char):
-                violations.append(f"character multiplicativity on {group!r}")
-            if group.size <= 36 and not bernstein_check(char):
-                violations.append(f"character bernstein property on {group!r}")
+    every = group.every  # Bernstein's plan is n^2
+    for V in group.character_rows():
+        if not are_characters(group, every, V).all():
+            violations.append(f"character multiplicativity on {group!r}")
+        if group.size <= 36 and not bernstein_checks(group, every, V).all():
+            violations.append(f"character bernstein property on {group!r}")
     return {"group": list(group.orders), "characters_checked": group.size,
             "violations": sorted(set(violations))}
 

@@ -114,16 +114,22 @@ class Endo:
 
     # -- kernel / image machinery ------------------------------------------------
 
+    def kernel_idx(self) -> np.ndarray:
+        """Indices of all ``x`` with ``apply(x) = 0``, in order."""
+        return np.flatnonzero(self.index_map == 0)
+
+    def image_idx(self) -> np.ndarray:
+        """Indices of the image, in order."""
+        return np.unique(self.index_map)
+
     def kernel(self) -> list[Element]:
-        """All ``x`` with ``apply(x) = 0``; always a subgroup containing 0."""
-        return list(self.group.points_at(np.flatnonzero(self.index_map == 0)))
+        return list(self.group.points_at(self.kernel_idx()))
 
     def image(self) -> list[Element]:
-        g = self.group
-        return [g.element_at(int(i)) for i in np.unique(self.index_map)]
+        return list(self.group.points_at(self.image_idx()))
 
     def is_surjective(self) -> bool:
-        return len(np.unique(self.index_map)) == self.group.size
+        return len(self.image_idx()) == self.group.size
 
 
 def is_adjoint_pair(a: Endo, b: Endo) -> bool:
@@ -139,15 +145,11 @@ def is_adjoint_pair(a: Endo, b: Endo) -> bool:
                      == g.phase_idx(t[:, None], m[1, t])).all())
 
 
-def _subgroup_generators(group: Group, subset) -> np.ndarray | None:
-    """Generators picked from ``subset`` if it is a subgroup, else None: the
-    first element outside the span of those so far joins them (at most
-    ``log2(size)`` join), and a set containing 0 and closed under adding
-    each of them contains their span, hence is a subgroup."""
-    try:
-        idx = group.indices(subset)
-    except DomainError:
-        return None
+def _subgroup_generators(group: Group, idx: np.ndarray) -> np.ndarray | None:
+    """Generators picked from the indices ``idx`` if they form a subgroup,
+    else None: the first element outside the span of those so far joins
+    them (at most ``log2(size)`` join), and a set containing 0 and closed
+    under adding each of them contains their span, hence is a subgroup."""
     span, member = np.zeros((2, group.size), dtype=bool)
     span[0], member[idx], picked = True, True, []
     while not span[idx].all():
@@ -163,15 +165,23 @@ def _subgroup_generators(group: Group, subset) -> np.ndarray | None:
 
 def is_subgroup(group: Group, subset: Sequence[Element]) -> bool:
     """Exact closure check, under generators picked from the subset."""
-    return _subgroup_generators(group, subset) is not None
+    try:
+        return _subgroup_generators(group, group.indices(subset)) is not None
+    except DomainError:
+        return False
 
 
-def annihilator(group: Group, subgroup: Sequence[Element]) -> list[Element]:
-    """Characters that equal 1 on every element of ``subgroup``: exactly,
-    by pairing phase numerators that vanish mod the group exponent, on the
-    generators that ``is_subgroup`` picks."""
+def annihilator_idx(group: Group, subgroup: np.ndarray) -> np.ndarray:
+    """Indices, in order, of the characters that equal 1 on the subgroup of
+    indices ``subgroup``: exactly, by pairing phase numerators that vanish
+    mod the group exponent, on the generators that ``is_subgroup`` picks."""
     gens = _subgroup_generators(group, subgroup)
     if gens is None:
         raise DomainError("annihilator input must be a subgroup")
-    hit = (group.phase_idx(gens[:, None], group.every) != 0).any(axis=0)
-    return list(group.points_at(np.flatnonzero(~hit)))
+    return np.flatnonzero(~(group.phase_idx(gens[:, None], group.every)
+                            != 0).any(axis=0))
+
+
+def annihilator(group: Group, subgroup: Sequence[Element]) -> list[Element]:
+    return list(group.points_at(annihilator_idx(group,
+                                                group.indices(subgroup))))

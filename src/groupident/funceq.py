@@ -10,10 +10,15 @@ the margin runs out.  Every operator is one numpy body over the integer
 point indices that both kinds of domain provide.  The character and
 polynomial tests are homomorphism identities and gather along generators
 only; the Bernstein and product equations sweep index pairs in row blocks.
+The character, location and Bernstein checks each run one body over a block
+of value rows that share a support (a table is a block of one row), and a
+whole group table's character is located from its phases at the unit
+vectors.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -24,7 +29,8 @@ import numpy as np
 from .endomorphisms import Endo
 from .errors import (DomainError, PreconditionError, VanishingFactorError,
                      WindowMarginError)
-from .groups import Element, Group, character_search, row_blocks
+from .groups import (VALUE_BLOCK, Element, Group, character_search,
+                     row_blocks)
 
 # -- domains ------------------------------------------------------------------
 #
@@ -258,10 +264,8 @@ class FunctionTable:
 
     def hermitian_defect(self) -> float:
         """Max of ``|f(-y) - conj(f(y))|`` over points whose negation is present."""
-        q = self._positions(self.domain.neg_idx(self.idx))
-        has = q >= 0
-        d = self.values[q[has]] - np.conj(self.values[has])
-        return float(np.max(np.abs(d), initial=0.0))
+        neg = self._positions(self.domain.neg_idx(self.idx))
+        return float(_hermitian_defects(self.values[None], neg)[0])
 
     def nonvanishing(self, tol: float = 0.0) -> bool:
         return bool(np.min(np.abs(self.values)) > tol)
@@ -289,12 +293,12 @@ def _cached_plan(build, domain, supports: tuple, *params):
                                for s in supports), *params)
 
 
-def _plan(build, tables, *params):
+def _plan(build, domain, supports, *params):
     """``build(domain, supports, *params)``, cached by value: ``supports``
-    holds the ``idx`` of each table, and None for a table given as None."""
-    return _cached_plan(build, tables[0].domain, tuple(
-        None if t is None else t.idx.astype(np.int64, copy=False).tobytes()
-        for t in tables), *params)
+    holds the ``idx`` of each table's support, or None for an absent table."""
+    return _cached_plan(build, domain, tuple(
+        None if i is None else i.astype(np.int64, copy=False).tobytes()
+        for i in supports), *params)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -418,7 +422,7 @@ def is_polynomial(f: FunctionTable, n: int, tol: float = 1e-9) -> bool:
     if n < 0:
         raise DomainError("polynomial degree bound must be >= 0")
     v = f.values
-    for q, at, live in _plan(_generator_plan, [f], n + 1)[1]:
+    for q, at, live in _plan(_generator_plan, f.domain, [f.idx], n + 1)[1]:
         d = v[q] - v
         for _ in range(n):
             d = d.take(at) - d
@@ -437,6 +441,36 @@ def least_degree(f: FunctionTable, max_degree: int,
 
 
 # -- character and Bernstein tests ----------------------------------------------
+#
+# Each check is one body over a block ``V`` of value rows, tables that share
+# the support ``idx``; the one-table function is that body on ``values[None]``.
+
+
+def _cells(rows: int, cols: int) -> list:
+    """``(rows, cols)`` slices that cover a ``rows x cols`` block of values
+    with at most ``VALUE_BLOCK`` values each: runs of whole rows, or runs of
+    one row's columns where a row holds more.  A body's temporaries hold a
+    value per cell, or one per cell and shift."""
+    if cols <= VALUE_BLOCK:
+        step = VALUE_BLOCK // max(cols, 1)
+        return [(slice(r, r + step), slice(None)) for r in range(0, rows, step)]
+    return [(slice(r, r + 1), slice(c, c + VALUE_BLOCK))
+            for r in range(rows) for c in range(0, cols, VALUE_BLOCK)]
+
+
+def character_defects(dom, idx: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """``character_defect`` of each row of ``V``."""
+    z, blocks = _plan(_generator_plan, dom, [idx], None)
+    out = np.abs(V[:, z] - 1.0)
+    for q, _, has in blocks:
+        for r, c in _cells(len(V), len(idx)):
+            # Entry (r, e, x) holds f(x + e) - f(x) f(e); f(e) is at 0 + e.
+            W = V[r]
+            d = W.take(q[:, c], axis=1)
+            d -= W[:, None, c] * W.take(q[:, z], axis=1)[:, :, None]
+            out[r] = np.maximum(out[r], np.max(np.abs(d), axis=(1, 2),
+                                               where=has[:, c], initial=0.0))
+    return out
 
 
 def character_defect(f: FunctionTable) -> float:
@@ -446,34 +480,59 @@ def character_defect(f: FunctionTable) -> float:
     unit-modulus values a defect ``d`` bounds that of a pair ``(x, y)`` by
     about ``w d``, ``w`` the number of shifts that sum to ``y``: a word
     length on a group, about ``log2(|y| / s)`` on a window."""
-    z, blocks = _plan(_generator_plan, [f], None)
-    v = f.values
-    parts = [abs(v[z] - 1.0)]
-    for q, _, has in blocks:
-        # Row e holds f(x + e) - f(x) f(e); f(e) is the value at 0 + e.
-        d = np.abs(v[q] - v * v[q[:, z, None]])
-        parts.append(np.max(d, where=has, initial=0.0))
-    return float(np.max(parts))
+    return float(character_defects(f.domain, f.idx, f.values[None])[0])
+
+
+def are_characters(dom, idx: np.ndarray, V: np.ndarray,
+                   tol: float = 1e-9) -> np.ndarray:
+    """``is_character`` of each row of ``V``."""
+    # A NaN defect is not above tol; on a group no character is then found.
+    ok = ~(character_defects(dom, idx, V) > tol)
+    if isinstance(dom, Group) and ok.any():
+        ok[ok] = locate_characters(dom, idx, V[ok], tol) >= 0
+    return ok
 
 
 def is_character(f: FunctionTable, tol: float = 1e-9) -> bool:
     """Whether ``character_defect`` is at most ``tol`` and, on a group,
     ``locate_character`` finds an ``x`` with ``f = pair(x, .)``."""
-    if character_defect(f) > tol:
-        return False
-    if isinstance(f.domain, Group):
-        return locate_character(f, tol) is not None
-    return True
+    return bool(are_characters(f.domain, f.idx, f.values[None], tol)[0])
+
+
+def locate_characters(dom, idx: np.ndarray, V: np.ndarray,
+                      tol: float = 1e-9) -> np.ndarray:
+    """``locate_character`` of each row of ``V``: the index of ``x``, or -1.
+
+    Two characters differ by at least ``2 sin(pi/L)`` somewhere (``L`` the
+    exponent), so with ``tol <= sin(pi/L)/2`` at most one ``x`` passes, and
+    its phases at the unit vectors round to ``x``: on a whole group table,
+    ``character_search``'s test of that one candidate gives the exhaustive
+    search's answer.  Other supports and tolerances run that search."""
+    if not isinstance(dom, Group):
+        return np.full(len(V), -1)
+    if len(idx) < dom.size or tol > math.sin(math.pi / dom.exponent) / 2:
+        # The shift search with a = 1, which leaves P exact.
+        xs = (character_search(dom, np.ones(len(idx)), row, tol, idx)
+              for row in V)
+        return np.array([-1 if x is None else x for x in xs], dtype=np.int64)
+    z, ((q, _, _),) = _plan(_generator_plan, dom, [idx], None)
+    n = np.array(dom.orders)
+    # A value that is not finite makes every candidate's deviation NaN or inf.
+    turns = np.angle(np.nan_to_num(V[:, q[:, z]])) * n / (2 * np.pi)
+    x = dom.compose((np.rint(turns).astype(np.int64) % n).T)
+    dev = np.zeros(len(V))
+    for r, c in _cells(len(V), len(idx)):
+        P = dom.roots[dom.phase_idx(x[r, None], idx[c])]
+        dev[r] = np.maximum(dev[r], np.max(np.abs(V[r, c] - P), axis=1))
+    return np.where(dev < tol, x, -1)
 
 
 def locate_character(f: FunctionTable, tol: float = 1e-9) -> Element | None:
-    """The element ``x`` with ``f = pair(x, .)`` on a full group table, if any."""
-    dom = f.domain
-    if not isinstance(dom, Group):
-        return None
-    # The shift search with a = 1, which leaves P exact.
-    x = character_search(dom, np.ones(len(f)), f.values, tol, f.idx)
-    return None if x is None else dom.element_at(x)
+    """The element ``x`` with ``max |f - pair(x, .)| < tol`` on the table's
+    support of a group, if any; where several pass, the lowest-index one of
+    least deviation."""
+    x = int(locate_characters(f.domain, f.idx, f.values[None], tol)[0])
+    return None if x < 0 else f.domain.element_at(x)
 
 
 def bernstein_square_table(group: Group) -> FunctionTable:
@@ -489,41 +548,62 @@ def bernstein_square_table(group: Group) -> FunctionTable:
     return FunctionTable._at(group, group.every, (-1.0) ** (C[:, 0] * C[:, 1]))
 
 
+def _hermitian_defects(V: np.ndarray, neg: np.ndarray) -> np.ndarray:
+    """``hermitian_defect`` of each row of ``V``; ``neg[i]`` is the position
+    of ``-y_i``, -1 where absent."""
+    has = neg >= 0
+    d = V.take(neg[has], axis=1) - np.conj(V.compress(has, axis=1))
+    return np.max(np.abs(d), axis=1, initial=0.0)
+
+
+def bernstein_checks(dom, idx: np.ndarray, V: np.ndarray,
+                     tol: float = 1e-9) -> np.ndarray:
+    """``bernstein_check`` of each row of ``V``."""
+    z, neg, u, s, d = _plan(_bernstein_plan, dom, [idx])
+    if z < 0:
+        return np.zeros(len(V), dtype=bool)
+    ok = ((np.abs(np.abs(V) - 1.0) <= tol).all(axis=1)
+          & (_hermitian_defects(V, neg) <= tol)
+          & (np.abs(V[:, z] - 1.0) <= tol))
+    for r, p in _cells(len(V), len(s)):
+        if ok[r].any():
+            W = V[r]
+            Wu = W.take(u[p], axis=1)
+            defect = np.abs(W.take(s[p], axis=1) * W.take(d[p], axis=1)
+                            - Wu * Wu)
+            ok[r] &= (defect <= tol).all(axis=1)
+    return ok
+
+
 def bernstein_check(g: FunctionTable, tol: float = 1e-9) -> bool:
     """Test of ``g(u+v)g(u-v) = g(u)^2`` plus the unit-modulus side conditions.
 
     The side conditions are ``|g| = 1``, ``g(-y) = conj(g(y))`` and
-    ``g(0) = 1``.  Every character passes; the converse holds only on groups
+    ``g(0) = 1``.  Every quantity compared must be at most ``tol``, so a
+    NaN fails.  Every character passes; the converse holds only on groups
     with at most one element of order 2.
     """
-    if float(np.max(np.abs(np.abs(g.values) - 1.0))) > tol:
-        return False
-    if g.hermitian_defect() > tol:
-        return False
-    dom, vals = g.domain, g.values
-    z = int(g._positions(dom.indices([dom.zero]))[0])
-    if z < 0 or abs(complex(vals[z]) - 1.0) > tol:
-        return False
-    counts, s, d = _plan(_bernstein_plan, [g])
-    defect = np.abs(vals[s] * vals[d] - np.repeat(vals * vals, counts))
-    return not bool(np.any(defect > tol))
+    return bool(bernstein_checks(g.domain, g.idx, g.values[None], tol)[0])
 
 
 def _bernstein_plan(dom, supports: tuple) -> tuple:
-    """For each row ``u`` the number of pairs ``(u, v)`` with ``u + v`` and
-    ``u - v`` in the table; then, pair by pair, the positions of both."""
+    """The position of point 0 and of each ``-y`` (-1 where absent); then,
+    pair by pair ``(u, v)`` with ``u + v`` and ``u - v`` in the table, the
+    positions of ``u``, ``u + v`` and ``u - v``."""
     (i,) = supports
     find, neg = _locator(i), dom.neg_idx(i)
-    counts, ss, ds = [], [], []
+    us, ss, ds = [], [], []
     for rows in row_blocks(len(i), len(i)):
         s = find(dom.add_idx(i[rows, None], i))
         d = find(dom.add_idx(i[rows, None], neg))
-        both = (s >= 0) & (d >= 0)
-        counts.append(both.sum(axis=1))
-        ss.append(s[both])
-        ds.append(d[both])
-    return tuple(_frozen(np.concatenate([np.zeros(0, np.int64), *parts]))
-                 for parts in (counts, ss, ds))
+        r, c = np.nonzero((s >= 0) & (d >= 0))
+        us.append(r + rows.start)
+        ss.append(s[r, c])
+        ds.append(d[r, c])
+    # Point 0 has index 0 on both kinds of domain.
+    return (int(find(np.zeros(1, dtype=np.int64))[0]), _frozen(find(neg)),
+            *(_frozen(np.concatenate([np.zeros(0, np.int64), *parts]))
+              for parts in (us, ss, ds)))
 
 
 # -- product equations ----------------------------------------------------------
@@ -602,7 +682,8 @@ def _sweep_max(tables, betas, rhs, defect) -> float:
     only; that plan is cached, and a call only gathers values along it.
     """
     worst = None
-    for pos, at, counts in _plan(_sweep_plan, [*tables, rhs], *betas):
+    for pos, at, counts in _plan(_sweep_plan, tables[0].domain, [
+            None if t is None else t.idx for t in (*tables, rhs)], *betas):
         vals = (f.values[p] for f, p in zip(tables, pos))
         r = None if rhs is None else np.repeat(rhs.values[at], counts)
         block = float(np.max(defect(vals, r, len(pos[0]))))

@@ -249,13 +249,18 @@ class Group:
 
     def phase_idx(self, i, j) -> np.ndarray:
         """Exact ``pair_phase(element_at(i), element_at(j))``."""
-        L, C = self.exponent, self.coords_array
+        C, S = self.coords_array, self._phase_coords
         # Each term is below L^2 and L is at most the group size, so the sum
         # fits in int64 and one reduction at the end suffices.
         total = 0
-        for k, n in enumerate(self.orders):
-            total = total + C[i, k] * ((C[j, k] * (L // n)) % L)
-        return total % L
+        for k in range(self.rank):
+            total = total + C[i, k] * S[j, k]
+        return total % self.exponent
+
+    @cached_property
+    def _phase_coords(self) -> np.ndarray:
+        """``coords_array`` times ``exponent // n_k`` on axis ``k``."""
+        return self.coords_array * (self.exponent // np.array(self.orders))
 
     # -- dense helper tables (desk scale only) -------------------------------
 
@@ -273,17 +278,18 @@ class Group:
 
     @cached_property
     def pairing_matrix(self) -> np.ndarray:
-        """``P[i, j] = pair(element_at(i), element_at(j))`` as complex doubles.
-
-        Filled from ``phase_idx`` one row block at a time, so the phases
-        never exist as a whole ``n x n`` table.
-        """
+        """``P[i, j] = pair(element_at(i), element_at(j))`` as complex
+        doubles, stacked from ``character_rows``."""
         self._require_table_capacity("the pairing matrix")
+        return np.concatenate(list(self.character_rows()))
+
+    def character_rows(self):
+        """The rows ``pair(x, .)`` of the character table, ``x`` in index
+        order, from exact phases, in blocks of at most ``VALUE_BLOCK``
+        values (one row at least)."""
         every = self.every
-        out = np.empty((self.size, self.size), dtype=np.complex128)
-        for rows in row_blocks(self.size, self.size):
-            out[rows] = self.roots[self.phase_idx(every[rows, None], every)]
-        return out
+        for rows in row_blocks(self.size, self.size, VALUE_BLOCK):
+            yield self.roots[self.phase_idx(every[rows, None], every)]
 
     @cached_property
     def add_table(self) -> np.ndarray:
@@ -299,6 +305,11 @@ class Group:
 
 # Pairs per row block of an index-pair sweep; bounds its temporary memory.
 PAIR_BLOCK = 1 << 18
+
+# Values per block of a batched check over rows of tables: 2^12 complex
+# doubles, 64 KiB, stay under glibc's 128 KiB mmap threshold, so a block's
+# temporaries come from the heap and not from fresh mappings.
+VALUE_BLOCK = 1 << 12
 
 
 def row_blocks(rows: int, cols: int, block: int = PAIR_BLOCK) -> list[slice]:

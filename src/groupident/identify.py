@@ -286,8 +286,8 @@ def poisson_pair_deviations(bs: Sequence[Endo], a: float,
         residual = np.abs(np.subtract(lhs, rhs, out=tmp), out=mod).max()
         lhs -= closed
         rhs -= closed
-        return residual, max(np.abs(lhs, out=mod).max(),
-                             np.abs(rhs, out=mod).max())
+        return residual, np.maximum(np.abs(lhs, out=mod).max(),
+                                    np.abs(rhs, out=mod).max())
 
     residual, closed_dev = zip(*sweep_rows(
         plan, g.size, [np.complex128] * 4 + [np.float64], deviations))

@@ -50,7 +50,9 @@ def rational_rref_nullspace(rows):
 #
 # Per-pair loops over coordinate tuples, with Python complex arithmetic and
 # exact Fraction phases; nothing here calls package arithmetic.  A table is a
-# dict mapping coordinate tuples to complex values.
+# dict mapping coordinate tuples to complex values.  The Hermitian and
+# Bernstein oracles also take window tables, keyed by Fraction points, with
+# ``orders`` None.  A NaN compared reaches each sup.
 
 
 def group_elements(orders):
@@ -58,11 +60,23 @@ def group_elements(orders):
 
 
 def _add(orders, x, y):
+    if orders is None:
+        return x + y
     return tuple((a + b) % n for a, b, n in zip(x, y, orders))
 
 
 def _neg(orders, x):
+    if orders is None:
+        return -x
     return tuple((-a) % n for a, n in zip(x, orders))
+
+
+def _sup(values, empty=None):
+    """The largest of ``values``, NaN if one is NaN, ``empty`` if none."""
+    values = list(values)
+    if any(math.isnan(v) for v in values):
+        return math.nan
+    return max(values, default=empty)
 
 
 def _phase(orders, x, y):
@@ -78,31 +92,26 @@ def _apply(orders, matrix, x):
 def character_defect_oracle(orders, table, add=None):
     """Sup of |f(k+l) - f(k)f(l)|; None when no pair has k+l in the table.
     ``add`` defaults to the addition of the group of ``orders``."""
-    worst, checked = 0.0, 0
+    defects = []
     for k in table:
         for l in table:
             s = _add(orders, k, l) if add is None else add(k, l)
             if s in table:
-                checked += 1
-                worst = max(worst, abs(table[s] - table[k] * table[l]))
-    return worst if checked else None
+                defects.append(abs(table[s] - table[k] * table[l]))
+    return _sup(defects)
 
 
 def hermitian_defect_oracle(orders, table):
-    worst = 0.0
-    for p in table:
-        q = _neg(orders, p)
-        if q in table:
-            worst = max(worst, abs(table[q] - table[p].conjugate()))
-    return worst
+    return _sup((abs(table[_neg(orders, p)] - v.conjugate())
+                 for p, v in table.items() if _neg(orders, p) in table), 0.0)
 
 
 def locate_character_oracle(orders, table, tol):
     """The x with max |pair(x, p) - f(p)| < tol over the table, if any."""
     best, best_dev = None, None
     for x in group_elements(orders):
-        dev = max(abs(cmath.exp(2j * math.pi * _phase(orders, x, p)) - v)
-                  for p, v in table.items())
+        dev = _sup(abs(cmath.exp(2j * math.pi * _phase(orders, x, p)) - v)
+                   for p, v in table.items())
         if best_dev is None or dev < best_dev:
             best, best_dev = x, dev
     return best if best_dev < tol else None
@@ -110,7 +119,7 @@ def locate_character_oracle(orders, table, tol):
 
 def bernstein_oracle(orders, table, tol):
     """(verdict, distance from ``tol`` of the closest quantity it compares)."""
-    zero = (0,) * len(orders)
+    zero = Fraction(0) if orders is None else (0,) * len(orders)
     if zero not in table:
         return False, math.inf
     qs = [abs(abs(v) - 1.0) for v in table.values()]
@@ -366,8 +375,8 @@ def poisson_deviations_dense(bs, a, mu_rest, mus, nus):
     rhs = joint_char_array_dense(LinearFormSpec.form_I(bs), nus)
     closed = poisson_closed_form_dense(bs, a, mu_rest)
     residual = float(np.max(np.abs(lhs - rhs)))
-    closed_dev = float(max(np.max(np.abs(lhs - closed)),
-                           np.max(np.abs(rhs - closed))))
+    closed_dev = float(np.maximum(np.max(np.abs(lhs - closed)),
+                                  np.max(np.abs(rhs - closed))))
     return residual, closed_dev
 
 

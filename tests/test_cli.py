@@ -284,20 +284,27 @@ def test_invariants_above_dense_table_gate(tmp_path, monkeypatch):
     # Any dense n x n table on this group raises CapacityError, so the suite
     # must run its adjoint, annihilator and subgroup checks on index
     # arithmetic, and build its character rows from exact phases, in
-    # several row blocks here; every character must reach is_character.
+    # several row blocks here; every character row must reach the batched
+    # certifier, and no dense table may be built.
     assert Group([41, 41]).size > TABLE_SIZE_LIMIT
-    checked, original = set(), cli.is_character
+    checked, blocks, original = set(), [], cli.are_characters
 
-    def is_character(f, *args):
-        checked.add(f.values.tobytes())
-        return original(f, *args)
+    def are_characters(dom, idx, V, *args):
+        blocks.append(len(V))
+        checked.update(row.tobytes() for row in V)
+        return original(dom, idx, V, *args)
 
-    monkeypatch.setattr(cli, "is_character", is_character)
+    def refuse(self):
+        raise AssertionError("a dense n x n table was built")
+
+    monkeypatch.setattr(cli, "are_characters", are_characters)
+    monkeypatch.setattr(Group, "pairing_matrix", property(refuse))
+    monkeypatch.setattr(Group, "phase_matrix", property(refuse))
     code, report = run_cli(tmp_path, "invariants", "--groups", "41x41")
     assert code == 0
     assert report["body"]["results"] == [
         {"group": [41, 41], "characters_checked": 1681, "violations": []}]
-    assert len(checked) == 1681
+    assert len(checked) == sum(blocks) == 1681 and len(blocks) > 1
 
 
 def test_invariants_empty_family_exits_2(capsys):

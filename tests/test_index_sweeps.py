@@ -44,6 +44,14 @@ oracles there.  The adjoint check must give the all-pairs verdict with a
 fault at every admissible matrix entry, and reject index maps that are not
 homomorphisms.
 
+The batched character, location and Bernstein checks over a block of
+value rows must give, row by row, the verdicts of the one-table functions
+and of the per-table oracles, on characters and on rows moved by twice the
+tolerance, NaN or zero at one point; the location by generator phases must
+return what the exhaustive ``character_search`` returns, on either side of
+``tol = sin(pi/L)/2``.  A NaN or an infinity anywhere fails the Bernstein
+check, as it fails its oracle.
+
 Cut into two or three row stripes, every joint-law sweep must give the
 values of the unsplit sweep, ``==`` and NaN for NaN, raise the exception of
 a stripe only once every stripe has finished, and keep the caller's numpy
@@ -80,15 +88,17 @@ from groupident.funceq import (FunctionTable, ProductEquation,
                                _bernstein_plan, _cached_plan,
                                _generator_plan, _plan,
                                _product_defect, _sum_defect, _sweep_max,
-                               _sweep_plan, bernstein_check,
-                               bernstein_square_table, character_defect, diff,
+                               _sweep_plan, are_characters, bernstein_check,
+                               bernstein_checks, bernstein_square_table,
+                               character_defect, character_defects, diff,
                                is_character, is_polynomial,
                                kernel_conditions, least_degree,
-                               locate_character, ratio_diff)
-from groupident import distributions, groups
+                               locate_character, locate_characters,
+                               ratio_diff)
+from groupident import distributions, funceq, groups
 from groupident.identify import (VERDICT_PRECONDITIONS, VERDICT_SHIFT,
                                  poisson_pair_deviations)
-from groupident.groups import Element, _shift_screen
+from groupident.groups import Element, _shift_screen, character_search
 from groupident.solenoid import (FIT_TOL, RationalLattice, SolenoidEndo,
                                  character_gaussian_values,
                                  fit_gaussian_ratio, make_lattice)
@@ -797,13 +807,15 @@ def test_plan_cache_keys_by_value():
     a, b = (FunctionTable(g, g.elements(), vals)
             for g in (Group([6]), Group([2, 3])))
     assert a.idx.tobytes() == b.idx.tobytes()
-    assert _plan(_bernstein_plan, [a]) is not _plan(_bernstein_plan, [b])
+    assert _plan(_bernstein_plan, a.domain, [a.idx]) is not _plan(
+        _bernstein_plan, b.domain, [b.idx])
     for f in (a, b):
         assert bernstein_check(f, TOL) == bernstein_check_percall(f, TOL)
     # Two windows of equal radius and different base.
     wa, wb = (FunctionTable.constant(make_lattice([base], 0, 5))
               for base in (2, 3))
-    assert _plan(_bernstein_plan, [wa]) is not _plan(_bernstein_plan, [wb])
+    assert _plan(_bernstein_plan, wa.domain, [wa.idx]) is not _plan(
+        _bernstein_plan, wb.domain, [wb.idx])
     # Tables sharing a support: one plan, and each its own result.
     pts = make_lattice([2, 3], 1, 12).points[::2]
     f, g = (FunctionTable(make_lattice([2, 3], 1, 12), pts,
@@ -830,9 +842,11 @@ def test_cached_plan_arrays_refuse_writes():
     lat = LATTICES[0]
     f = FunctionTable(lat, lat.points[1:], np.ones(len(lat.points) - 1))
     rhs = FunctionTable.constant(lat)
-    plans = [_plan(_bernstein_plan, [f]),
-             _plan(_sweep_plan, [f, f, rhs], 1, Fraction(3, 2)),
-             _plan(_generator_plan, [f], None), _plan(_generator_plan, [f], 2)]
+    plans = [_plan(_bernstein_plan, lat, [f.idx]),
+             _plan(_sweep_plan, lat, [f.idx, f.idx, rhs.idx], 1,
+                   Fraction(3, 2)),
+             _plan(_generator_plan, lat, [f.idx], None),
+             _plan(_generator_plan, lat, [f.idx], 2)]
     for plan in plans:
         arrays = list(plan_arrays(plan))
         assert arrays
@@ -1697,3 +1711,185 @@ print("concurrent.futures" in sys.modules)
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True"]
+
+
+# -- batched character checks -------------------------------------------------
+
+BATCH_GROUPS = [(2,), (7,), (12,), (2, 4), (4, 6), (6, 6), (3, 3, 2),
+                (9, 8)]
+
+
+def batch_rows(g: Group, rng):
+    """(label, values on all of g) of one block's rows: characters, one of
+    them moved by twice the tolerance, NaN or zero at one point (zero at a
+    generator), or turned by opposite phases at ``y`` and ``-y`` (which
+    keeps the side conditions of the Bernstein check and fails its pair
+    equation), the square table and a random unit-modulus row."""
+    P = np.concatenate(list(g.character_rows()))
+    xs = rng.choice(g.size, size=min(4, g.size), replace=False)
+    out = [(f"character {x}", P[x]) for x in xs]
+    x, point = xs[-1], int(rng.integers(g.size))
+    gen = int(g.generators[rng.integers(g.rank)])
+    for label, at, value in (("moved by 2 tol", point, P[x, point] * (1 + 2 * TOL)),
+                             ("NaN", point, np.nan),
+                             ("zero", gen, 0.0)):
+        vals = P[x].copy()
+        vals[at] = value
+        out.append((f"character {x}, {label} at {at}", vals))
+    y = int(rng.integers(1, g.size))
+    if g.neg_index[y] != y:
+        vals = P[x].copy()
+        vals[[y, g.neg_index[y]]] *= np.exp([1e-3j, -1e-3j])
+        out.append((f"character {x}, turned at +-{y}", vals))
+    if g.rank == 2 and not any(n % 2 for n in g.orders):
+        out.append(("square table", bernstein_square_table(g).values))
+    out.append(("random unit modulus", np.exp(2j * np.pi * rng.random(g.size))))
+    return out
+
+
+@pytest.mark.parametrize("orders", BATCH_GROUPS, ids=group_id)
+def test_batched_checks_match_per_table_oracles(orders):
+    g = Group(orders)
+    rng = np.random.default_rng([71, *orders])
+    labels, rows = zip(*batch_rows(g, rng))
+    keep = rng.random(g.size) < 0.6
+    keep[0] = True
+    for idx in (g.every, rng.permutation(g.size), g.every[keep]):
+        V = np.array(rows)[:, idx]
+        whole = len(idx) == g.size
+        got = {"located": locate_characters(g, idx, V, TOL),
+               "bernstein": bernstein_checks(g, idx, V, TOL)}
+        if whole:
+            got["defect"] = character_defects(g, idx, V)
+            got["character"] = are_characters(g, idx, V, TOL)
+        for r, label in enumerate(labels):
+            f = FunctionTable._at(g, idx, V[r])
+            table = as_dict(f, coords)
+            bound = ulp_tol(np.where(np.isfinite(V[r]), V[r], 0))
+            case = f"{label}, {len(idx)} of {g.size} points"
+            # The one-table functions run the same bodies on one row.
+            assert got["bernstein"][r] == bernstein_check(f, TOL), case
+            loc = locate_character(f, TOL)
+            assert got["located"][r] == (-1 if loc is None else g.index(loc))
+            verdict, margin = bernstein_oracle(orders, table, TOL)
+            if not margin <= bound:
+                assert got["bernstein"][r] == verdict, case
+            want = locate_character_oracle(orders, table, TOL)
+            assert loc == (None if want is None else g.element(want)), case
+            if not whole:
+                continue
+            assert got["character"][r] == is_character(f, TOL), case
+            one = character_defect(f)
+            assert (np.isnan(one) and np.isnan(got["defect"][r])
+                    or abs(got["defect"][r] - one) <= bound), case
+            defect = character_defect_oracle(orders, table)
+            if not abs(defect - TOL) <= bound:
+                assert got["character"][r] == (defect <= TOL
+                                               and want is not None), case
+
+
+@pytest.mark.parametrize("orders", BATCH_GROUPS + [(5, 13)], ids=group_id)
+def test_generator_location_matches_exhaustive_search(orders):
+    """Characters with each value moved by up to about a half to twice the
+    tolerance: below ``sin(pi/L)/2`` a whole table is located from its
+    phases at the unit vectors, above it and on partial tables by the
+    search itself; both must return what the search returns."""
+    g = Group(orders)
+    rng = np.random.default_rng([73, *orders])
+    P = np.concatenate(list(g.character_rows()))
+    edge = np.sin(np.pi / g.exponent) / 2
+    keep = rng.random(g.size) < 0.5
+    keep[0] = True
+    # A character turned at the first unit vector by just over half a step
+    # of its phase: within 2 sin(pi/L) of it where n_1 = L, but its phase
+    # there rounds to the next character.
+    x, n1 = int(rng.integers(g.size)), g.orders[0]
+    turned = P[x].copy()
+    turned[g.generators[0]] *= np.exp(1j * np.pi / n1 * 1.001)
+    for tol in (TOL, 1e-3 * edge, np.nextafter(edge, 0), edge,
+                np.nextafter(edge, 1), 1.5 * edge, 3 * edge):
+        scale = tol * np.array([0.5, 0.9, 0.99, 1.01, 1.1, 2.0])[:, None]
+        noise = scale * rng.random((6, g.size)) ** 0.25
+        V = np.vstack([P[rng.integers(g.size, size=6)] + noise * np.exp(
+            2j * np.pi * rng.random((6, g.size))), turned])
+        for idx in (g.every, rng.permutation(g.size), g.every[keep]):
+            W = V[:, idx]
+            want = [character_search(g, np.ones(len(idx)), row, tol, idx)
+                    for row in W]
+            assert (locate_characters(g, idx, W, tol).tolist()
+                    == [-1 if x is None else x for x in want]), tol
+
+
+@pytest.mark.parametrize("dom", [Group([9, 8]), Group([12]), *LATTICES],
+                         ids=repr)
+def test_batched_checks_cut_into_cells_match_whole_rows(dom, monkeypatch):
+    """With blocks of 7 values every body runs on runs of one row's columns
+    (pairs, points or shifts), and must give the whole-row results."""
+    rng = np.random.default_rng([79, len(dom.every)])
+    idx = dom.every
+    if isinstance(dom, Group):
+        rows = [vals for _, vals in batch_rows(dom, rng)]
+    else:
+        rows = [character_gaussian_values(dom, Fraction(k, 97), 0.0).values
+                for k in range(4)]
+        rows.append(rows[0] * (1 + 2 * TOL))
+    V = np.array(rows)
+    checks = [lambda: character_defects(dom, idx, V),
+              lambda: are_characters(dom, idx, V, TOL),
+              lambda: locate_characters(dom, idx, V, TOL),
+              lambda: bernstein_checks(dom, idx, V, TOL)]
+    whole = [check() for check in checks]
+    monkeypatch.setattr(funceq, "VALUE_BLOCK", 7)
+    for want, check in zip(whole, checks):
+        np.testing.assert_array_equal(check(), want)
+
+
+@pytest.mark.parametrize("dom", [Group([6, 6]), Group([7]), *LATTICES],
+                         ids=repr)
+def test_bernstein_check_rejects_non_finite_values(dom):
+    group = isinstance(dom, Group)
+    if group:
+        base = dom.roots[dom.phase_idx(dom.size - 1, dom.every)]
+    else:
+        base = character_gaussian_values(dom, Fraction(7, 30), 0.0).values
+    assert bernstein_check(FunctionTable._at(dom, dom.every, base), TOL)
+    zero = int(np.flatnonzero(dom.every == 0)[0])
+    for bad in (np.nan, np.inf, complex(np.nan, np.nan)):
+        for where in (zero, (zero + 1) % len(base), slice(None)):
+            vals = base.copy()
+            vals[where] = bad
+            f = FunctionTable._at(dom, dom.every, vals)
+            table = as_dict(f, coords if group else (lambda p: p))
+            want, _ = bernstein_oracle(dom.orders if group else None, table,
+                                       TOL)
+            assert bernstein_check(f, TOL) == want is False, (bad, where)
+
+
+def test_bernstein_counterexample_builds_no_dense_table(monkeypatch,
+                                                       tmp_path):
+    def refuse(self):
+        raise AssertionError("a dense n x n table was built")
+
+    monkeypatch.setattr(Group, "pairing_matrix", property(refuse))
+    monkeypatch.setattr(Group, "phase_matrix", property(refuse))
+    out = tmp_path / "report.json"
+    assert main(["counterexample", "--kind", "bernstein", "--group", "6x6",
+                 "--out", str(out)]) == 0
+
+
+def test_poisson_pair_deviations_keep_a_nan_of_either_side():
+    """A NaN in the first characteristic function of either side reaches
+    the closed-form deviation, in the sweep and in the dense oracle."""
+    g = Group([6])
+    bs = [Endo.scalar(g, c) for c in (1, 3, 2)]
+    mu3 = Distribution.random(g, [43, 6], 0.2)
+    mus, nus = poisson_counterexample(bs, 0.7, mu3)
+    for side in (0, 1):
+        sides = [list(mus), list(nus)]
+        vals = sides[side][0].char_array.copy()
+        vals[0] = np.nan
+        sides[side][0] = with_char(sides[side][0], vals)
+        got = poisson_pair_deviations(bs, 0.7, mu3, sides[0][:2],
+                                      sides[1][:2])
+        want = poisson_deviations_dense(bs, 0.7, mu3, *sides)
+        assert np.isnan(got).all() and np.isnan(want).all(), side
