@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -20,15 +21,16 @@ from pathlib import Path
 import numpy as np
 
 from . import identify, solenoid
-from .distributions import Distribution
+from .distributions import (Distribution, char_arrays, checked_masses,
+                            random_masses, shifted_masses)
 from .endomorphisms import Endo, annihilator_idx, is_adjoint_pair
 from .errors import GroupIdentError, WindowMarginError
 from .funceq import (are_characters, bernstein_check, bernstein_checks,
                      bernstein_square_table, is_character, kernel_conditions,
                      summed_variables)
-from .groups import Group
+from .groups import Element, Group
 from .identify import consistent_shifts
-from .reporting import FLOORS, Measured, make_report, write_report
+from .reporting import FLOORS, Measured, Phases, make_report, write_report
 from . import fixtures as fixture_io
 
 DEFAULT_FAMILY = "2..12,2x4,6x6"
@@ -87,32 +89,42 @@ def find_shift_coeffs(group: Group, form: str) -> list[int] | None:
 
 
 def _finish(command: str, config: dict, body: dict, start: float,
-            out: str | None) -> int:
-    """Write the report with the wall time since ``start``; exit 0 on a
-    passing body, else 1."""
-    timings = {"seconds": time.perf_counter() - start}
+            out: str | None, phases: Phases | None = None) -> int:
+    """Write the report with the wall time since ``start`` and the seconds
+    of each of ``phases``; exit 0 on a passing body, else 1."""
+    timings = {"seconds": time.perf_counter() - start, **(phases or {})}
     write_report(make_report(command, config, body, timings), out)
     return 0 if body["status"] == "pass" else 1
 
 
-def _trials_body(count: int, roundtrip, adversarial, fields: dict) -> dict:
-    """Body of ``count`` trials, each a roundtrip and an adversarial entry.
+KINDS = ("roundtrip", "adversarial")
 
-    A GroupIdentError inside one is recorded on its entry as ``error``, with
-    ``ok`` false, and the campaign goes on.  A WindowMarginError ends it: the
-    window's margin is fixed by the configuration, so every trial hits it.
-    """
-    trials = []
+
+def _attempts(count: int, roundtrip, adversarial) -> list:
+    """``run(t)`` of each trial ``t < count`` and each run of ``KINDS``, in
+    that order, or the GroupIdentError it raised.  A WindowMarginError
+    ends the campaign: the window's margin is fixed by the configuration,
+    so every trial hits it."""
+    out = []
     for t in range(count):
-        for kind, run in (("roundtrip", roundtrip),
-                          ("adversarial", adversarial)):
+        for run in (roundtrip, adversarial):
             try:
-                entry = run(t)
+                out.append(run(t))
             except WindowMarginError:
                 raise
             except GroupIdentError as exc:
-                entry = {"error": str(exc), "ok": False}
-            trials.append({"trial": t, "kind": kind, **entry})
+                out.append(exc)
+    return out
+
+
+def _trials_body(entries: list, fields: dict) -> dict:
+    """Body of the entries of ``_attempts``, a roundtrip and an adversarial
+    entry per trial.  A GroupIdentError in place of an entry is recorded
+    as ``error``, with ``ok`` false, and the campaign goes on."""
+    trials = [{"trial": i // 2, "kind": KINDS[i % 2],
+               **({"error": str(e), "ok": False}
+                  if isinstance(e, GroupIdentError) else e)}
+              for i, e in enumerate(entries)]
     failed = sum(not t["ok"] for t in trials)
     return {"status": "fail" if failed else "pass", **fields,
             "trials": trials, "counts": {"total": len(trials),
@@ -122,37 +134,81 @@ def _trials_body(count: int, roundtrip, adversarial, fields: dict) -> dict:
 # -- shift campaign ----------------------------------------------------------------
 
 
-def _shift_entry(bs, form, mus, nus, tol, expected, shifts=None) -> dict:
-    report = getattr(identify, "verify_form_" + form)(bs, mus, nus, tol=tol)
-    ok = report.verdict == expected and (shifts is None
-                                         or report.shifts == tuple(shifts))
-    return {**report.to_json_dict(), "expected": expected, "ok": ok}
+@dataclass(frozen=True)
+class ShiftEntry:
+    """One entry of a shift campaign: the seeds of its laws ``mu_j``, the
+    shifts that carry them to ``nu_j``, the verdict it expects and, for a
+    roundtrip, the shifts the verifier must recover."""
+
+    seeds: tuple
+    shifts: tuple[Element, ...]
+    expected: str
+    recovers: tuple[Element, ...] | None = None
 
 
 def run_shift_trial(group: Group, bs, form: str, seed, trial: int,
-                    tol: float, expect_negative: bool) -> dict:
-    mus = [Distribution.random(group, [seed, trial, j], 0.2) for j in range(3)]
+                    expect_negative: bool) -> ShiftEntry:
+    """The roundtrip of ``trial``: ``nu_j`` is ``mu_j`` shifted by shifts
+    that leave both forms invariant, or ``mu_j`` itself when the campaign
+    expects the hypotheses to fail."""
+    seeds = tuple([seed, trial, j] for j in range(3))
     if expect_negative:
-        return _shift_entry(bs, form, mus, list(mus), tol,
-                            identify.VERDICT_PRECONDITIONS)
+        return ShiftEntry(seeds, (group.zero,) * 3,
+                          identify.VERDICT_PRECONDITIONS)
     rng = np.random.default_rng([seed, trial, 7])
     x1 = group.element_at(int(rng.integers(0, group.size)))
     shifts = consistent_shifts(bs, form, x1)
-    nus = [mu.shift(x) for mu, x in zip(mus, shifts)]
-    return _shift_entry(bs, form, mus, nus, tol, identify.VERDICT_SHIFT,
-                        shifts)
+    return ShiftEntry(seeds, shifts, identify.VERDICT_SHIFT, shifts)
 
 
 def run_shift_adversarial(group: Group, bs, form: str, seed, trial: int,
-                          tol: float, expect_negative: bool) -> dict:
-    mus = [Distribution.random(group, [seed, trial, 10 + j], 0.2)
-           for j in range(3)]
+                          expect_negative: bool) -> ShiftEntry:
+    """The adversarial entry of ``trial``: only ``nu_1`` is shifted, by a
+    nonzero element, which changes the joint law."""
     rng = np.random.default_rng([seed, trial, 17])
     x = group.element_at(1 + int(rng.integers(0, group.size - 1)))
-    nus = [mus[0].shift(x), mus[1], mus[2]]
-    return _shift_entry(bs, form, mus, nus, tol,
-                        identify.VERDICT_PRECONDITIONS if expect_negative
-                        else identify.VERDICT_MISMATCH)
+    return ShiftEntry(tuple([seed, trial, 10 + j] for j in range(3)),
+                      (x, group.zero, group.zero),
+                      identify.VERDICT_PRECONDITIONS if expect_negative
+                      else identify.VERDICT_MISMATCH)
+
+
+def verify_shift_entries(group: Group, bs, form: str, entries: list,
+                         tol: float, phases: Phases) -> list:
+    """The body entry of each ShiftEntry of ``entries``, in order, through
+    one stacked draw of every law and one ``identify.verify_shifts``.  An
+    entry whose draw failed becomes its GenerationError, and any other
+    item of ``entries`` passes through."""
+    todo = [e for e in entries if isinstance(e, ShiftEntry)]
+    n = group.size
+    with phases.timed("draw_s"):
+        masses, chars, errors = random_masses(
+            group, [s for e in todo for s in e.seeds], 0.2)
+        errors = [next(filter(None, errors[3 * i:3 * i + 3]), None)
+                  for i in range(len(todo))]
+        drawn = [i for i, err in enumerate(errors) if err is None]
+        M = masses.reshape(-1, 3, n)[drawn]
+        C = chars.reshape(-1, 3, n)[drawn]
+        x = group.indices([s for i in drawn
+                           for s in todo[i].shifts]).reshape(-1, 3)
+        N = checked_masses(group, shifted_masses(group, M, x))
+        D = char_arrays(group, N)
+    errors = iter(errors)
+    reports = iter(identify.verify_shifts(form, bs, (M, C), (N, D), tol=tol,
+                                          phases=phases))
+    out = []
+    for e in entries:
+        if isinstance(e, ShiftEntry):
+            error = next(errors)
+            if error is not None:
+                e = error
+            else:
+                r = next(reports)
+                ok = r.verdict == e.expected and (e.recovers is None
+                                                  or r.shifts == e.recovers)
+                e = {**r.to_json_dict(), "expected": e.expected, "ok": ok}
+        out.append(e)
+    return out
 
 
 def cmd_verify_shift(args) -> int:
@@ -177,12 +233,14 @@ def cmd_verify_shift(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     start = time.perf_counter()
+    phases = Phases()
     setup = (group, bs, args.form, args.seed)
-    body = _trials_body(
+    entries = _attempts(
         args.trials,
-        lambda t: run_shift_trial(*setup, t, args.tol, args.expect_negative),
-        lambda t: run_shift_adversarial(*setup, t, args.tol,
-                                        args.expect_negative),
+        lambda t: run_shift_trial(*setup, t, args.expect_negative),
+        lambda t: run_shift_adversarial(*setup, t, args.expect_negative))
+    body = _trials_body(
+        verify_shift_entries(group, bs, args.form, entries, args.tol, phases),
         {"form": args.form, "group": list(group.orders), "coeffs": cs,
          "preconditions_hold": all(kernel_conditions(
              summed_variables(args.form, 3), bs).values()),
@@ -193,7 +251,7 @@ def cmd_verify_shift(args) -> int:
     config = {"group": args.group, "form": args.form, "coeffs": cs,
               "trials": args.trials, "seed": args.seed, "tol": args.tol,
               "expect_negative": args.expect_negative}
-    return _finish("verify-shift", config, body, start, args.out)
+    return _finish("verify-shift", config, body, start, args.out, phases)
 
 
 # -- gaussian campaign -----------------------------------------------------------------
@@ -240,9 +298,9 @@ def cmd_verify_gaussian(args) -> int:
     setup = (lattice, cs, args.form, args.seed)
     try:
         body = _trials_body(
-            args.trials,
-            lambda t: run_gaussian_trial(*setup, t, args.tol),
-            lambda t: run_gaussian_adversarial(*setup, t),
+            _attempts(args.trials,
+                      lambda t: run_gaussian_trial(*setup, t, args.tol),
+                      lambda t: run_gaussian_adversarial(*setup, t)),
             {"form": args.form, "base": base, "depth": args.depth,
              "radius": args.radius, "coeffs": [str(c) for c in cs]})
     except WindowMarginError as exc:

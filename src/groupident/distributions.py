@@ -33,7 +33,7 @@ import numpy as np
 from .endomorphisms import Endo
 from .errors import CapacityError, DomainError, GenerationError
 from .funceq import FunctionTable
-from .groups import Element, Group, row_blocks
+from .groups import VALUE_BLOCK, Element, Group, row_blocks
 
 MASS_TOL = 1e-12
 
@@ -64,16 +64,10 @@ class Distribution:
 
     def __post_init__(self) -> None:
         m = np.asarray(self.masses, dtype=np.float64)
-        if m.shape != (self.group.size,):
+        if m.ndim != 1:
             raise DomainError(
                 f"need {self.group.size} masses, got shape {m.shape}")
-        if np.any(m < -MASS_TOL):
-            raise DomainError("negative probability mass")
-        if abs(float(m.sum()) - 1.0) > 1e-9:
-            raise DomainError(f"masses sum to {m.sum()}, not 1")
-        m = np.clip(m, 0.0, None)
-        m.setflags(write=False)
-        object.__setattr__(self, "masses", m)
+        object.__setattr__(self, "masses", checked_masses(self.group, m))
 
     # -- constructors -----------------------------------------------------------
 
@@ -120,39 +114,22 @@ class Distribution:
     def random(cls, group: Group, seed, floor: float = 0.1, *,
                nonvanishing_tol: float = 0.05,
                max_tries: int = 1000) -> "Distribution":
-        """Seeded random distribution guaranteed nonvanishing.
-
-        A raw random vector is mixed with a point mass at 0 (weight
-        ``floor``) and rejected until ``min |char| > nonvanishing_tol``.
-        Deterministic for a fixed seed.
-        """
-        if not 0 < floor < 1:
-            raise DomainError("floor must lie strictly between 0 and 1")
-        rng = np.random.default_rng(seed)
-        for _ in range(max_tries):
-            raw = rng.random(group.size)
-            m = (1.0 - floor) * raw / raw.sum()
-            m[0] += floor
-            cand = cls(group, m)
-            if cand.nonvanishing(nonvanishing_tol):
-                return cand
-        raise GenerationError(
-            f"no nonvanishing distribution within {max_tries} tries")
+        """Seeded random distribution guaranteed nonvanishing: the draw of
+        ``random_masses`` from the one seed ``seed``."""
+        masses, _, errors = random_masses(group, [seed], floor,
+                                          nonvanishing_tol=nonvanishing_tol,
+                                          max_tries=max_tries)
+        if errors[0] is not None:
+            raise errors[0]
+        return cls(group, masses[0])
 
     # -- characteristic function ---------------------------------------------------
 
     @cached_property
     def char_array(self) -> np.ndarray:
-        """``char_array[j] = sum_x masses[x] * pair(x, y_j)``.
-
-        numpy's ``ifftn`` carries ``exp(+2 pi i <x, y>)``, the pairing, and
-        divides by ``n``.
-        """
-        g = self.group
-        if g.spectral:
-            return np.fft.ifftn(self.masses.reshape(g.orders)).reshape(-1) \
-                * g.size
-        return self.masses @ g.pairing_matrix
+        """``char_array[j] = sum_x masses[x] * pair(x, y_j)``, by
+        ``char_arrays``."""
+        return char_arrays(self.group, self.masses[None])[0]
 
     def nonvanishing(self, tol: float) -> bool:
         return bool(np.min(np.abs(self.char_array)) > tol)
@@ -174,9 +151,7 @@ class Distribution:
     def shift(self, x: Element) -> "Distribution":
         """Convolution with the point mass at ``x``."""
         g = self.group
-        out = np.zeros(g.size)
-        out[g.add_idx(np.arange(g.size), g.index(x))] = self.masses
-        return Distribution(g, out)
+        return Distribution(g, shifted_masses(g, self.masses, g.index(x)))
 
     def pushforward(self, e: Endo) -> "Distribution":
         if e.group != self.group:
@@ -189,6 +164,94 @@ class Distribution:
         if self.group != other.group:
             raise DomainError("total variation needs a common group")
         return 0.5 * float(np.abs(self.masses - other.masses).sum())
+
+
+# -- stacks of laws ---------------------------------------------------------------
+
+
+def checked_masses(group: Group, masses) -> np.ndarray:
+    """``masses``, probability vectors over ``group.elements()`` on the last
+    axis, clipped at 0 and read-only; DomainError unless each is one."""
+    m = np.asarray(masses, dtype=np.float64)
+    if m.shape[-1:] != (group.size,):
+        raise DomainError(f"need {group.size} masses, got shape {m.shape}")
+    if np.any(m < -MASS_TOL):
+        raise DomainError("negative probability mass")
+    sums = m.sum(axis=-1)
+    off = np.abs(sums - 1.0) > 1e-9
+    if np.any(off):
+        raise DomainError(f"masses sum to {sums[off][0]}, not 1")
+    m = np.clip(m, 0.0, None)
+    m.setflags(write=False)
+    return m
+
+
+def char_arrays(group: Group, masses: np.ndarray) -> np.ndarray:
+    """``out[..., j] = sum_x masses[..., x] * pair(x, y_j)`` for a stack of
+    mass vectors on the last axis.
+
+    One ``ifftn`` over the trailing ``orders`` axes on a
+    ``Group.spectral`` group (numpy's ``ifftn`` carries
+    ``exp(+2 pi i <x, y>)``, the pairing, and divides by ``n``), else one
+    product with ``pairing_matrix``.  A row of a dense stack may differ by
+    a few ulps from the product of that row alone, which the BLAS blocks
+    apart; FFT rows do not.
+    """
+    g = group
+    if g.spectral:
+        lead = masses.shape[:-1]
+        axes = tuple(range(-g.rank, 0))
+        return np.fft.ifftn(masses.reshape(lead + g.orders),
+                            axes=axes).reshape(lead + (g.size,)) * g.size
+    return masses @ g.pairing_matrix
+
+
+def random_masses(group: Group, seeds: Sequence, floor: float = 0.1, *,
+                  nonvanishing_tol: float = 0.05, max_tries: int = 1000
+                  ) -> tuple[np.ndarray, np.ndarray, list]:
+    """Seeded random nonvanishing laws, one per seed: ``(masses, chars,
+    errors)``, the first two as rows of ``(len(seeds), n)`` arrays.
+
+    Each seed has its own generator.  A raw random vector is mixed with a
+    point mass at 0 (weight ``floor``) and drawn again from its generator
+    until ``min |char| > nonvanishing_tol``; each round tests the rows still
+    drawing as one stack.  A row rejected ``max_tries`` times reads NaN,
+    with a GenerationError at its place in ``errors`` (None elsewhere).  A
+    row's masses depend on its seed alone.
+    """
+    if not 0 < floor < 1:
+        raise DomainError("floor must lie strictly between 0 and 1")
+    rngs = [np.random.default_rng(s) for s in seeds]
+    masses = np.full((len(rngs), group.size), np.nan)
+    chars = np.full(masses.shape, np.nan, dtype=np.complex128)
+    todo = np.arange(len(rngs))
+    for _ in range(max_tries):
+        if not todo.size:
+            break
+        raw = np.empty((todo.size, group.size))
+        for row, i in zip(raw, todo):
+            rngs[i].random(out=row)
+        m = (1.0 - floor) * raw / raw.sum(axis=1, keepdims=True)
+        m[:, 0] += floor
+        m = checked_masses(group, m)
+        c = char_arrays(group, m)
+        ok = np.min(np.abs(c), axis=1) > nonvanishing_tol
+        masses[todo[ok]], chars[todo[ok]] = m[ok], c[ok]
+        todo = todo[~ok]
+    errors: list = [None] * len(rngs)
+    for i in todo:
+        errors[i] = GenerationError(
+            f"no nonvanishing distribution within {max_tries} tries")
+    return masses, chars, errors
+
+
+def shifted_masses(group: Group, masses: np.ndarray, x) -> np.ndarray:
+    """``masses`` convolved with the point mass at the element of index
+    ``x``, which broadcasts against the stack's leading axes:
+    ``out[..., z] = masses[..., z - x]``."""
+    src = group.add_idx(group.every, group.neg_idx(np.asarray(x))[..., None])
+    return np.take_along_axis(masses, np.broadcast_to(src, masses.shape),
+                              axis=-1)
 
 
 # -- joint characteristic functions of two linear forms ----------------------------
@@ -275,40 +338,62 @@ def factor_plan(pairs: tuple[tuple[Endo, Endo], ...]) -> FactorPlan:
     return tuple(plan)
 
 
-def factor_tables(plan: FactorPlan,
-                  dists: Sequence[Distribution]) -> list[np.ndarray]:
-    """Each characteristic function as ``plan`` reads it: the column
-    ``mu^[U]`` as ``(n, 1)``, the row ``mu^[V]`` as ``(1, n)``, or tiled
-    over the doubled box."""
+def char_rows(dists: Sequence[Distribution]) -> list[np.ndarray]:
+    """The characteristic function of each of ``dists`` as a stack of one
+    row, for ``factor_tables``."""
+    return [d.char_array[None] for d in dists]
+
+
+def factor_tables(group: Group, plan: FactorPlan,
+                  chars: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Each factor's characteristic functions, a ``(k, n)`` stack of one
+    row per entry, as ``plan`` reads them over the rows ``(e, u)`` of the
+    stacked grids of ``k`` entries: the columns ``mu_e^[U]`` as one
+    ``(k n, 1)`` column, the rows ``mu_e^[V]`` as ``(k, n)``, or each
+    ``mu_e^`` tiled over the doubled box, the boxes end to end
+    (``stack_plan``)."""
     out = []
-    for (U, V), d in zip(plan, dists):
-        c = d.char_array
+    for (U, V), c in zip(plan, chars):
         if V is None:
-            out.append(c[U][:, None])
+            out.append(c[:, U].reshape(-1, 1))
         elif U is None:
-            out.append(c[V][None, :])
+            out.append(c[:, V])
         else:
-            out.append(d.group.box_tile(c))
+            out.append(group.box_tile(c).reshape(-1))
     return out
+
+
+def stack_plan(plan: FactorPlan, group: Group, k: int) -> FactorPlan:
+    """``plan`` over the rows ``(e, u)`` of ``k`` stacked grids: each box
+    read at ``u`` moves into entry ``e``'s box, as ``factor_tables`` lays
+    them out."""
+    if k == 1:
+        return plan
+    offsets = np.arange(k)[:, None] * (group.size << group.rank)
+    return tuple((U, V) if U is None or V is None
+                 else ((offsets + U).reshape(-1), V) for U, V in plan)
 
 
 def pair_index_blocks(plan: FactorPlan, size: int, dtypes: Sequence[type],
                       lo: int, hi: int, block: int
                       ) -> Iterator[tuple[slice, list, list[np.ndarray]]]:
-    """Row blocks of rows ``lo:hi`` of the ``(u, v)`` grid of
-    ``size x size`` pairs, about ``block`` pairs each, read as ``plan``
-    says (``factor_plan``).
+    """Row blocks of rows ``lo:hi`` of stacked ``(u, v)`` grids of
+    ``size x size`` pairs each, about ``block`` pairs each, read as
+    ``plan`` says (``factor_plan``, ``stack_plan``); row ``r`` is
+    ``u = r mod size`` of entry ``e = r // size``.
 
-    Each block of rows ``u`` comes with one read per factor, for
-    ``read_factor``: the slice ``rows`` of a column factor, the whole of a
-    row factor, and for every other factor the table indices
-    ``U[u] + V[v]``, box indices for a characteristic function, with no
-    reduction and no addition table; and with one block-shaped buffer of
-    each dtype in ``dtypes`` for the caller's values.  Index and value
-    buffers are allocated once per call and rewritten for every block, so
-    a caller uses a block before it takes the next one.
+    Each block of rows comes with one read per factor, for
+    ``read_factor``: the slice ``rows`` of a column factor; for a row
+    factor the slice ``e:e+1`` of its entry's row, or the entry of each
+    row where a block spans two entries; and for every other factor the
+    table indices ``U[r] + V[v]``, box indices for a characteristic
+    function, with no reduction and no addition table; and with one
+    block-shaped buffer of each dtype in ``dtypes`` for the caller's
+    values.  Index and value buffers are allocated once per call and
+    rewritten for every block, so a caller uses a block before it takes
+    the next one.
     """
-    step = min(hi - lo, max(1, block // size))
+    step = max(1, min(hi - lo, block // size))
     idx = [None if U is None or V is None else np.empty((step, size), np.int64)
            for U, V in plan]
     bufs = [np.empty((step, size), d) for d in dtypes]
@@ -317,12 +402,15 @@ def pair_index_blocks(plan: FactorPlan, size: int, dtypes: Sequence[type],
         if rows.stop - start < step:  # only the last block is shorter
             idx = [b if b is None else b[:rows.stop - start] for b in idx]
             bufs = [b[:rows.stop - start] for b in bufs]
+        e = start // size
+        entry = (slice(e, e + 1) if (rows.stop - 1) // size == e
+                 else np.arange(start, rows.stop) // size)
         reads = []
         for (U, V), out in zip(plan, idx):
-            if out is None:
-                reads.append(rows if V is None else slice(None))
-            else:
+            if out is not None:
                 reads.append(np.add(U[rows, None], V[None, :], out=out))
+            else:
+                reads.append(rows if V is None else entry)
         yield rows, reads, bufs
 
 
@@ -342,13 +430,19 @@ if hasattr(os, "register_at_fork"):
 
 
 def sweep_rows(plan: FactorPlan, size: int, dtypes: Sequence[type],
-               body: Callable[[slice, list, list[np.ndarray]], Any]) -> list:
+               body: Callable[[slice, list, list[np.ndarray]], Any],
+               entries: int = 1) -> list:
     """``body(rows, reads, bufs)`` of every block of ``pair_index_blocks``
-    over the whole ``size x size`` grid, in row order.
+    over the ``entries * size`` rows of ``entries`` stacked ``size x size``
+    grids, in row order.
 
-    A grid of at least two ``JOINT_BLOCK`` blocks is cut into ``CPUS``
-    stripes of contiguous rows (one per row if there are fewer rows), each
-    with its own buffers and blocks of ``JOINT_BLOCK // CPUS`` pairs.  The
+    A block holds at most ``JOINT_BLOCK`` pairs, and on stacked grids of
+    fewer pairs at most those of one grid or ``groups.VALUE_BLOCK``,
+    whichever is more: a stack of small grids then holds the memory of one
+    grid's sweep, not ``JOINT_BLOCK`` pairs (2.5 MB of buffers).  A sweep
+    of at least two ``JOINT_BLOCK`` blocks is cut into ``CPUS`` stripes of
+    contiguous rows (one per row if there are fewer rows), each with its
+    own buffers and blocks of a ``CPUS``-th of that size.  The
     caller's thread sweeps the first stripe, the pool (``_stripe_pool``)
     the others, each in a copy of the caller's context, so numpy's error
     state (``np.errstate``) holds in every stripe; numpy releases the GIL
@@ -359,16 +453,18 @@ def sweep_rows(plan: FactorPlan, size: int, dtypes: Sequence[type],
     buffers and to its rows of an output, so every value is the one an
     unsplit sweep gives.
     """
-    k = min(CPUS, size) if size * size >= 2 * JOINT_BLOCK else 1
+    rows = entries * size
+    k = min(CPUS, rows) if rows * size >= 2 * JOINT_BLOCK else 1
+    block = min(JOINT_BLOCK, max(size * size, VALUE_BLOCK)) // k
 
     def stripe(lo: int, hi: int) -> list:
         return [body(*b) for b in pair_index_blocks(plan, size, dtypes, lo,
-                                                    hi, JOINT_BLOCK // k)]
+                                                    hi, block)]
 
     if k == 1:
-        return stripe(0, size)
+        return stripe(0, rows)
     from concurrent.futures import wait
-    cuts = [size * i // k for i in range(k + 1)]
+    cuts = [rows * i // k for i in range(k + 1)]
     futures = [_stripe_pool().submit(contextvars.copy_context().run, stripe,
                                      lo, hi)
                for lo, hi in zip(cuts[1:-1], cuts[2:])]
@@ -381,8 +477,9 @@ def sweep_rows(plan: FactorPlan, size: int, dtypes: Sequence[type],
 
 
 def read_factor(table: np.ndarray, read, tmp: np.ndarray) -> np.ndarray:
-    """One factor's block: a broadcastable view of a column or row factor,
-    or the gather of any other factor written into ``tmp``.
+    """One factor's block: a broadcastable view of a column factor or of
+    one entry's row factor, or the gather of any other factor, or of the
+    rows of several entries, written into ``tmp``.
 
     Table indices are in range by construction, so the gathers use
     ``mode="clip"``: with ``out`` and the default ``mode="raise"`` numpy
@@ -392,7 +489,7 @@ def read_factor(table: np.ndarray, read, tmp: np.ndarray) -> np.ndarray:
     """
     if isinstance(read, slice):
         return table[read]
-    return table.take(read, out=tmp, mode="clip")
+    return table.take(read, axis=0, out=tmp, mode="clip")
 
 
 def joint_block(tables: Sequence[np.ndarray], reads: Sequence,
@@ -436,27 +533,47 @@ def joint_char_array(spec: LinearFormSpec,
     if g.size ** 2 > 4_000_000:
         raise CapacityError("joint table would exceed the size limit")
     plan = factor_plan(spec.pairs)
-    return joint_table(plan, factor_tables(plan, dists), g.size)
+    return joint_table(plan, factor_tables(g, plan, char_rows(dists)),
+                       g.size)
+
+
+def joint_residuals(spec: LinearFormSpec, lhs: np.ndarray,
+                    rhs: np.ndarray) -> np.ndarray:
+    """``max |phi_mu(u, v) - phi_nu(u, v)|`` over the whole ``(u, v)`` grid
+    of each of ``k`` entries, whose two sides' characteristic functions are
+    the ``(k, arity, n)`` stacks ``lhs`` and ``rhs``.
+
+    One sweep over the ``k n`` rows of the stacked grids, one row block at
+    a time; both sides share each block's indices, and each row's largest
+    deviation goes to its entry.
+    """
+    g = spec.group
+    shape = (len(lhs), spec.arity, g.size)
+    if lhs.shape != shape or rhs.shape != shape:
+        raise DomainError(f"need two {shape} stacks, got {lhs.shape} and "
+                          f"{rhs.shape}")
+    plan = factor_plan(spec.pairs)
+    L, R = (factor_tables(g, plan, c.swapaxes(0, 1)) for c in (lhs, rhs))
+    worst = np.empty(len(lhs) * g.size)
+
+    def body(rows, reads, bufs):
+        x, y, tmp, mod = bufs
+        diff = joint_block(L, reads, x, tmp)
+        diff -= joint_block(R, reads, y, tmp)
+        np.maximum.reduce(np.abs(diff, out=mod), axis=1, out=worst[rows])
+
+    sweep_rows(stack_plan(plan, g, len(lhs)), g.size,
+               [np.complex128] * 3 + [np.float64], body, entries=len(lhs))
+    return worst.reshape(shape[0], g.size).max(axis=1)
 
 
 def joint_residual(spec: LinearFormSpec, mus: Sequence[Distribution],
                    nus: Sequence[Distribution]) -> float:
-    """``max |phi_mu(u, v) - phi_nu(u, v)|`` over the whole ``(u, v)`` grid,
-    one row block at a time; both sides share each block's indices."""
+    """``joint_residuals`` of the one entry ``(mus, nus)``."""
     _check_dists(spec, mus)
     _check_dists(spec, nus)
-    plan = factor_plan(spec.pairs)
-    lhs, rhs = factor_tables(plan, mus), factor_tables(plan, nus)
-
-    def worst(rows, reads, bufs):
-        x, y, tmp, mod = bufs
-        diff = joint_block(lhs, reads, x, tmp)
-        diff -= joint_block(rhs, reads, y, tmp)
-        return np.abs(diff, out=mod).max()
-
-    return float(np.max(sweep_rows(plan, spec.group.size,
-                                   [np.complex128] * 3 + [np.float64],
-                                   worst)))
+    lhs, rhs = (np.stack(char_rows(d), axis=1) for d in (mus, nus))
+    return float(joint_residuals(spec, lhs, rhs)[0])
 
 
 def joint_char(spec: LinearFormSpec,

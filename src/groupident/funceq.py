@@ -512,9 +512,7 @@ def locate_characters(dom, idx: np.ndarray, V: np.ndarray,
         return np.full(len(V), -1)
     if len(idx) < dom.size or tol > math.sin(math.pi / dom.exponent) / 2:
         # The shift search with a = 1, which leaves P exact.
-        xs = (character_search(dom, np.ones(len(idx)), row, tol, idx)
-              for row in V)
-        return np.array([-1 if x is None else x for x in xs], dtype=np.int64)
+        return character_search(dom, np.ones(V.shape), V, tol, idx)
     z, ((q, _, _),) = _plan(_generator_plan, dom, [idx], None)
     n = np.array(dom.orders)
     # A value that is not finite makes every candidate's deviation NaN or inf.
@@ -558,20 +556,23 @@ def _hermitian_defects(V: np.ndarray, neg: np.ndarray) -> np.ndarray:
 
 def bernstein_checks(dom, idx: np.ndarray, V: np.ndarray,
                      tol: float = 1e-9) -> np.ndarray:
-    """``bernstein_check`` of each row of ``V``."""
+    """``bernstein_check`` of each row of ``V``.  A value that is not
+    finite makes a comparison NaN, which fails it, so numpy's warning of
+    an invalid operation (``inf - inf``) is not raised."""
     z, neg, u, s, d = _plan(_bernstein_plan, dom, [idx])
     if z < 0:
         return np.zeros(len(V), dtype=bool)
-    ok = ((np.abs(np.abs(V) - 1.0) <= tol).all(axis=1)
-          & (_hermitian_defects(V, neg) <= tol)
-          & (np.abs(V[:, z] - 1.0) <= tol))
-    for r, p in _cells(len(V), len(s)):
-        if ok[r].any():
-            W = V[r]
-            Wu = W.take(u[p], axis=1)
-            defect = np.abs(W.take(s[p], axis=1) * W.take(d[p], axis=1)
-                            - Wu * Wu)
-            ok[r] &= (defect <= tol).all(axis=1)
+    with np.errstate(invalid="ignore"):
+        ok = ((np.abs(np.abs(V) - 1.0) <= tol).all(axis=1)
+              & (_hermitian_defects(V, neg) <= tol)
+              & (np.abs(V[:, z] - 1.0) <= tol))
+        for r, p in _cells(len(V), len(s)):
+            if ok[r].any():
+                W = V[r]
+                Wu = W.take(u[p], axis=1)
+                defect = np.abs(W.take(s[p], axis=1) * W.take(d[p], axis=1)
+                                - Wu * Wu)
+                ok[r] &= (defect <= tol).all(axis=1)
     return ok
 
 

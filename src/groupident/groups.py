@@ -237,9 +237,9 @@ class Group:
         return total
 
     def box_tile(self, values: np.ndarray) -> np.ndarray:
-        """``values`` tiled over the doubled box, so that
+        """``values`` tiled over the doubled box on its last axis, so that
         ``box_tile(f)[box_idx(i) + box_idx(j)] == f[add_idx(i, j)]``."""
-        return values[self._box_source]
+        return values[..., self._box_source]
 
     @cached_property
     def _box_source(self) -> np.ndarray:
@@ -322,37 +322,41 @@ def row_blocks(rows: int, cols: int, block: int = PAIR_BLOCK) -> list[slice]:
 
 
 def character_search(g: Group, a: np.ndarray, b: np.ndarray, tol: float,
-                     cols: np.ndarray | None = None) -> int | None:
-    """Index of the lowest-index minimiser ``x`` of
+                     cols: np.ndarray | None = None) -> np.ndarray:
+    """For each row of the ``(k, m)`` stacks ``a`` and ``b``, the index of
+    the lowest-index minimiser ``x`` of
     ``dev(x) = max_j |b[j] - a[j] pair(x, y_j)|``, ``y_j`` the element of
     index ``cols[j]`` (every element in order by default), if that minimum
-    is below ``tol``; else None, as the dense search over every ``x``.
-    ``dev`` is exact, in row blocks, on pairing rows from ``phase_idx``
-    on a ``spectral`` group, where ``_shift_screen`` first drops every ``x``
-    whose ``dev(x)`` provably reaches ``tol`` if every column is there in
-    order; below that size the cached ``pairing_matrix`` rows, the same
-    doubles, spare shift-small 3-5% of its time."""
+    is below ``tol``; else -1, as the dense search over every ``x``.
+    ``dev`` is exact, in blocks of ``(row, x)`` candidates of at most
+    ``VALUE_BLOCK`` values (one candidate at least), on pairing rows
+    from ``phase_idx`` on a ``spectral`` group, where ``_shift_screen``
+    first drops every ``x`` whose ``dev(x)`` provably reaches ``tol`` if
+    every column is there in order; below that size the cached
+    ``pairing_matrix`` rows, the same doubles, spare shift-small 3-5% of
+    its time."""
     every = g.every
     cols = every if cols is None else cols
-    keep = (np.flatnonzero(_shift_screen(g, a, b, tol))
-            if g.spectral and np.array_equal(cols, every) else every)
-    if not keep.size:
-        return None
-    dev = []
-    for rows in row_blocks(keep.size, len(cols)):
-        x = keep[rows]
-        P = (g.roots[g.phase_idx(x[:, None], cols)] if g.spectral
-             else g.pairing_matrix[x][:, cols])
-        dev.append(np.max(np.abs(b - a * P), axis=1))
-    dev = np.concatenate(dev)
-    best = int(np.argmin(dev))
-    return int(keep[best]) if dev[best] < tol else None
+    if g.spectral and np.array_equal(cols, every):
+        r, x = np.nonzero(_shift_screen(g, a, b, tol))
+    else:
+        r, x = np.divmod(np.arange(len(a) * g.size), g.size)
+    # A dropped candidate reads inf, so it is never below tol.
+    dev = np.full((len(a), g.size), np.inf)
+    for s in row_blocks(len(r), len(cols), VALUE_BLOCK):
+        P = (g.roots[g.phase_idx(x[s, None], cols)] if g.spectral
+             else g.pairing_matrix[x[s, None], cols])
+        dev[r[s], x[s]] = np.max(np.abs(b[r[s]] - a[r[s]] * P), axis=1)
+    best = np.argmin(dev, axis=1)
+    return np.where(dev[np.arange(len(a)), best] < tol, best, -1)
 
 
 def _shift_screen(g: Group, a: np.ndarray, b: np.ndarray,
                   tol: float) -> np.ndarray:
-    """Mask of the ``x`` that may have a computed ``dev(x) < tol`` in
-    ``character_search`` over every character ``y``.
+    """For each row of the ``(k, n)`` stacks ``a`` and ``b``, the mask of
+    the ``x`` that may have a computed ``dev(x) < tol`` in
+    ``character_search`` over every character ``y``, one FFT over the
+    trailing ``orders`` axes for all rows.
 
     Over all ``n`` characters ``y``,
     ``L2^2(x) = sum_y |b(y) - a(y) pair(x, y)|^2 = S + T - 2 Re F(x)`` with
@@ -379,12 +383,15 @@ def _shift_screen(g: Group, a: np.ndarray, b: np.ndarray,
     keeps it.
     """
     n, u = g.size, 2.0 ** -53
-    S, T = float(np.vdot(a, a).real), float(np.vdot(b, b).real)
+    S = np.einsum("ij,ij->i", a.conj(), a).real
+    T = np.einsum("ij,ij->i", b.conj(), b).real
     w = a.conj() * b
-    F = np.fft.fftn(w.reshape(g.orders)).reshape(-1)
-    l2 = (S + T) - 2 * F.real
-    W = math.sqrt(np.vdot(w, w).real)
+    axes = tuple(range(1, g.rank + 1))
+    F = np.fft.fftn(w.reshape((len(w),) + g.orders),
+                    axes=axes).reshape(len(w), n)
+    l2 = (S + T)[:, None] - 2 * F.real
+    W = np.sqrt(np.einsum("ij,ij->i", w.conj(), w).real)
     E = 2 * u * ((2 * n + 8) * (S + T)
                  + 64 * math.log2(4 * n) * math.sqrt(n) * W)
-    t = tol + 4 * u * (math.sqrt(S) + tol)
-    return ~(l2 - E >= n * t * t)
+    t = tol + 4 * u * (np.sqrt(S) + tol)
+    return ~(l2 - E[:, None] >= n * (t * t)[:, None])

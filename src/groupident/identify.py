@@ -18,14 +18,14 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import (Distribution, FactorPlan, LinearFormSpec,
-                            factor_plan, factor_tables, joint_block,
-                            joint_residual, joint_table, read_factor,
-                            sweep_rows)
+                            char_rows, factor_plan, factor_tables,
+                            joint_block, joint_residuals, joint_table,
+                            read_factor, shifted_masses, sweep_rows)
 from .endomorphisms import Endo
 from .errors import ConstructionError, DomainError
 from .funceq import kernel_conditions, summed_variables
 from .groups import Element, Group, character_search
-from .reporting import FLOORS, Measured
+from .reporting import FLOORS, Measured, Phases
 
 JOINT_TOL = 1e-8
 SHIFT_TOL = 1e-8
@@ -61,14 +61,15 @@ class IdentifiabilityReport:
 def recover_shift(mu: Distribution, nu: Distribution,
                   tol: float = SHIFT_TOL) -> Element | None:
     """The ``x`` with ``nu_hat = mu_hat * pair(x, .)`` everywhere, if one
-    exists: ``groups.character_search`` over the whole group, so no
-    logarithm branch is taken.  Ties cannot occur for nonvanishing
-    ``mu_hat``."""
+    exists: ``groups.character_search`` of the one row pair over the whole
+    group, so no logarithm branch is taken.  Ties cannot occur for
+    nonvanishing ``mu_hat``."""
     if mu.group != nu.group:
         raise DomainError("shift recovery needs a common group")
     g = mu.group
-    x = character_search(g, mu.char_array, nu.char_array, tol)
-    return None if x is None else g.element_at(x)
+    x = int(character_search(g, mu.char_array[None], nu.char_array[None],
+                             tol)[0])
+    return None if x < 0 else g.element_at(x)
 
 
 @lru_cache(maxsize=16)
@@ -87,45 +88,77 @@ def _kernel_conditions(summed: tuple[bool, ...], bs: tuple[Endo, ...]
     return tuple(kernel_conditions(summed, bs).items())
 
 
-def _verify(summed: tuple[bool, ...], bs: Sequence[Endo],
-            mus: Sequence[Distribution], nus: Sequence[Distribution],
-            tol: float, *, shifted: bool) -> IdentifiabilityReport:
+def law_stack(dists: Sequence[Distribution]) -> tuple[np.ndarray, np.ndarray]:
+    """``dists`` as one entry of a stack: ``(masses, chars)``, each a
+    ``(1, len(dists), n)`` array."""
+    return (np.stack([d.masses for d in dists])[None],
+            np.stack(char_rows(dists), axis=1))
+
+
+def _verify(summed: tuple[bool, ...], bs: Sequence[Endo], lhs, rhs,
+            tol: float, *, shifted: bool,
+            phases: Phases | None = None) -> list[IdentifiabilityReport]:
     """Hypotheses, joint laws, then each component up to a recovered shift
-    (``shifted``) or outright, with the shift fixed at zero."""
+    (``shifted``) or outright, with the shift fixed at zero, for each of
+    ``k`` entries.
+
+    ``lhs`` and ``rhs`` are ``(masses, chars)`` pairs of ``(k, arity, n)``
+    stacks, the laws of each entry's two sides (``law_stack``).  The joint
+    residuals are one sweep; only the entries whose hypotheses hold and
+    whose residual is not at least ``tol`` are searched for shifts, all in
+    one ``character_search``.  ``phases`` receives the seconds of
+    ``joint_residual_s`` and ``shift_recovery_s``.
+    """
     n = len(summed)
-    if not len(bs) == len(mus) == len(nus) == n:
+    (M, C), (N, D) = lhs, rhs
+    if len(bs) != n or M.shape[1:2] != (n,) or M.shape != N.shape:
         raise DomainError(f"takes {n} coefficients and {n}+{n} distributions")
-    pre = dict(_kernel_conditions(summed, tuple(bs)))
-    pre["nonvanishing"] = all(d.nonvanishing(NONVANISHING_GUARD)
-                              for d in (*mus, *nus))
+    phases = Phases() if phases is None else phases
+    pre = _kernel_conditions(summed, tuple(bs))
     g = bs[0].group
     spec = LinearFormSpec(g, _first_form_coeffs(g, summed), tuple(bs))
-    residual = Measured(joint_residual(spec, mus, nus),
-                        FLOORS["joint_residual"](g))
-    if not all(pre.values()):
-        return IdentifiabilityReport(pre, residual, None, None,
-                                     VERDICT_PRECONDITIONS)
-    mismatch = IdentifiabilityReport(pre, residual, None, None,
-                                     VERDICT_MISMATCH)
-    if residual >= tol:
-        return mismatch
-    shifts, tvs = [], []
-    for mu, nu in zip(mus, nus):
-        x = recover_shift(mu, nu) if shifted else g.zero
-        if x is None:
-            return mismatch
-        tv = Measured(nu.total_variation(mu.shift(x)),
-                      FLOORS["reconstruction_tv"](g))
-        if tv >= TV_TOL:
-            return mismatch
-        shifts.append(x)
-        tvs.append(tv)
-    if shifted:
-        return IdentifiabilityReport(pre, residual, tuple(shifts),
-                                     tuple(tvs), VERDICT_SHIFT)
-    # uniqueness leaves no shift freedom, so no shifts are reported
-    return IdentifiabilityReport(pre, residual, None, tuple(tvs),
-                                 VERDICT_UNIQUE)
+    with phases.timed("joint_residual_s"):
+        residuals = joint_residuals(spec, C, D)
+    nonvanishing = np.minimum(np.abs(C).min(axis=(1, 2)),
+                              np.abs(D).min(axis=(1, 2))) > NONVANISHING_GUARD
+    hold = all(v for _, v in pre) & nonvanishing
+    search = np.flatnonzero(hold & ~(residuals >= tol))
+    with phases.timed("shift_recovery_s"):
+        xs = np.zeros((len(search), n), dtype=np.int64)
+        if shifted and len(search):
+            xs = character_search(g, C[search].reshape(-1, g.size),
+                                  D[search].reshape(-1, g.size),
+                                  SHIFT_TOL).reshape(-1, n)
+        back = shifted_masses(g, M[search], np.maximum(xs, 0))
+        tvs = 0.5 * np.abs(N[search] - back).sum(axis=2)
+    # the position in ``search`` of each entry whose every component matched
+    passed = ((xs >= 0) & ~(tvs >= TV_TOL)).all(axis=1)
+    matched = {e: j for j, e in enumerate(search.tolist()) if passed[j]}
+    reports = []
+    for i, residual in enumerate(residuals.tolist()):
+        j = matched.get(i)
+        verdict = (VERDICT_PRECONDITIONS if not hold[i]
+                   else VERDICT_MISMATCH if j is None
+                   else VERDICT_SHIFT if shifted else VERDICT_UNIQUE)
+        # uniqueness leaves no shift freedom, so no shifts are reported
+        reports.append(IdentifiabilityReport(
+            {**dict(pre), "nonvanishing": bool(nonvanishing[i])},
+            Measured(residual, FLOORS["joint_residual"](g)),
+            None if j is None or not shifted else g.points_at(xs[j]),
+            None if j is None else tuple(
+                Measured(tv, FLOORS["reconstruction_tv"](g))
+                for tv in tvs[j].tolist()),
+            verdict))
+    return reports
+
+
+def verify_shifts(form: str, bs: Sequence[Endo], lhs, rhs, *,
+                  tol: float = JOINT_TOL,
+                  phases: Phases | None = None) -> list[IdentifiabilityReport]:
+    """``verify_form_I`` or ``verify_form_II`` (``form``) of each entry of
+    the stacks ``lhs`` and ``rhs`` (``_verify``)."""
+    return _verify(summed_variables(form, 3), bs, lhs, rhs, tol,
+                   shifted=True, phases=phases)
 
 
 def verify_form_I(bs: Sequence[Endo], mus: Sequence[Distribution],
@@ -133,7 +166,8 @@ def verify_form_I(bs: Sequence[Endo], mus: Sequence[Distribution],
                   tol: float = JOINT_TOL) -> IdentifiabilityReport:
     """Three variables, ``L_1 = xi_1+xi_2+xi_3``: shifts are identifiable when
     all pairwise coefficient differences have trivial kernel."""
-    return _verify(summed_variables("I", 3), bs, mus, nus, tol, shifted=True)
+    return _verify_one(summed_variables("I", 3), bs, mus, nus, tol,
+                       shifted=True)
 
 
 def verify_form_II(bs: Sequence[Endo], mus: Sequence[Distribution],
@@ -141,7 +175,20 @@ def verify_form_II(bs: Sequence[Endo], mus: Sequence[Distribution],
                    tol: float = JOINT_TOL) -> IdentifiabilityReport:
     """Three variables, ``L_1 = xi_1+xi_2``: needs ``ker(b1-b2)`` and
     ``ker(b3)`` trivial."""
-    return _verify(summed_variables("II", 3), bs, mus, nus, tol, shifted=True)
+    return _verify_one(summed_variables("II", 3), bs, mus, nus, tol,
+                       shifted=True)
+
+
+def _verify_one(summed, bs, mus, nus, tol, *, shifted):
+    """``_verify`` of the one entry ``(mus, nus)``."""
+    n = len(summed)
+    if not len(bs) == len(mus) == len(nus) == n:
+        raise DomainError(f"takes {n} coefficients and {n}+{n} distributions")
+    g = bs[0].group
+    if any(d.group != g for d in (*mus, *nus)):
+        raise DomainError("distributions live on a different group")
+    return _verify(summed, bs, law_stack(mus), law_stack(nus), tol,
+                   shifted=shifted)[0]
 
 
 def kotlarski_coeffs(group: Group) -> tuple[Endo, Endo, Endo]:
@@ -151,6 +198,12 @@ def kotlarski_coeffs(group: Group) -> tuple[Endo, Endo, Endo]:
     the classical two-noisy-measurements design.
     """
     return (Endo.zero(group), Endo.identity(group), Endo.identity(group))
+
+
+@lru_cache(maxsize=16)
+def _difference(a: Endo, b: Endo) -> Endo:
+    """``a - b``, built once per pair, so that its index map is too."""
+    return a - b
 
 
 def _preimage(e: Endo, target: Element) -> Element:
@@ -170,12 +223,12 @@ def consistent_shifts(bs: Sequence[Endo], form: str, x1: Element):
     """
     g = bs[0].group
     if summed_variables(form, 3)[2]:
-        rhs = g.neg((bs[0] - bs[2]).apply(x1))
-        x2 = _preimage(bs[1] - bs[2], rhs)
+        rhs = g.neg(_difference(bs[0], bs[2]).apply(x1))
+        x2 = _preimage(_difference(bs[1], bs[2]), rhs)
         x3 = g.neg(g.add(x1, x2))
     else:
         x2 = g.neg(x1)
-        rhs = g.neg((bs[0] - bs[1]).apply(x1))
+        rhs = g.neg(_difference(bs[0], bs[1]).apply(x1))
         x3 = _preimage(bs[2], rhs)
     return x1, x2, x3
 
@@ -186,8 +239,8 @@ def verify_pair_uniqueness(b1: Endo, b2: Endo, mus: Sequence[Distribution],
     """Two variables, ``L_1 = xi_1+xi_2``: equality of joints forces equality
     of the components outright (no shift freedom) when ``ker(b1-b2)`` is
     trivial."""
-    return _verify(summed_variables("I", 2), (b1, b2), mus, nus, tol,
-                   shifted=False)
+    return _verify_one(summed_variables("I", 2), (b1, b2), mus, nus, tol,
+                       shifted=False)
 
 
 # -- counterexamples ------------------------------------------------------------
@@ -252,7 +305,8 @@ def poisson_closed_form_array(bs: Sequence[Endo], a: float,
     """
     g = bs[0].group
     plan = _poisson_plan(bs, [(Endo.identity(g), b) for b in bs[2:]])
-    tables = [_phase_table(g, a), *factor_tables(plan[1:], [mu_rest])]
+    rest = char_rows([mu_rest][:len(bs) - 2])  # none for two variables
+    tables = [_phase_table(g, a), *factor_tables(g, plan[1:], rest)]
     return joint_table(plan, tables, g.size)
 
 
@@ -271,8 +325,11 @@ def poisson_pair_deviations(bs: Sequence[Endo], a: float,
     """
     g = bs[0].group
     plan = _poisson_plan(bs, LinearFormSpec.form_I(bs).pairs)
-    lhs_t, rhs_t = (factor_tables(plan[1:3], d) for d in (mus, nus))
-    phase_t, rest_t = _phase_table(g, a), factor_tables(plan[3:], [mu_rest])
+    lhs_t, rhs_t = (factor_tables(g, plan[1:3], char_rows(d))
+                    for d in (mus, nus))
+    phase_t = _phase_table(g, a)
+    rest_t = factor_tables(g, plan[3:],
+                           char_rows([mu_rest][:len(bs) - 2]))
 
     def deviations(rows, reads, bufs):
         x, y, z, tmp, mod = bufs

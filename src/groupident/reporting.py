@@ -9,6 +9,8 @@ from __future__ import annotations
 import json
 import math
 import sys
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 SCHEMA_VERSION = "1"
@@ -81,6 +83,19 @@ FLOORS = {
         abs(float(b)) ** k * (f.sigma.floor + 4 * U * abs(f.sigma))
         for f, b in zip(fits, bs)),
 }
+
+
+class Phases(dict):
+    """Seconds spent in each named phase of a campaign, flat keys for a
+    report's ``timings``; a phase entered again adds to its total."""
+
+    @contextmanager
+    def timed(self, key: str):
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self[key] = self.get(key, 0.0) + time.perf_counter() - start
 
 
 def load_schema() -> dict:

@@ -154,29 +154,52 @@ def test_verify_gaussian_trial_error_is_recorded(tmp_path):
 
 
 def test_verify_shift_trial_error_is_recorded(tmp_path, monkeypatch):
-    from groupident import identify
-    from groupident.errors import PreconditionError
+    # The generator of one law of trial 1's roundtrip yields NaN, so that
+    # law never passes the nonvanishing test and its draw runs out of
+    # tries; every other entry is the one the campaign gives without it.
+    import numpy as np
 
-    real, calls = identify.verify_form_I, []
+    argv = ("verify-shift", "--trials", "3")
+    _, clean = run_cli(tmp_path, *argv)
+    real = np.random.default_rng
 
-    def flaky(*args, **kwargs):
-        calls.append(None)
-        if len(calls) == 3:  # the roundtrip of trial 1
-            raise PreconditionError("injected")
-        return real(*args, **kwargs)
+    class NaNGenerator:
+        def random(self, size=None, out=None):
+            out[...] = np.nan
+            return out
 
-    monkeypatch.setattr(identify, "verify_form_I", flaky)
-    code, report = run_cli(tmp_path, "verify-shift", "--trials", "3")
+    def default_rng(seed=None):
+        return NaNGenerator() if seed == [0, 1, 1] else real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    code, report = run_cli(tmp_path, *argv)
     assert code == 1
     trials = report["body"]["trials"]
     assert [(t["trial"], t["kind"]) for t in trials] == [
         (t, kind) for t in range(3) for kind in ("roundtrip", "adversarial")]
     assert trials[2] == {"trial": 1, "kind": "roundtrip",
-                         "error": "injected", "ok": False}
+                         "error": "no nonvanishing distribution within "
+                                  "1000 tries", "ok": False}
     assert all(t["ok"] for i, t in enumerate(trials) if i != 2)
+    assert [json.dumps(t, sort_keys=True)
+            for i, t in enumerate(trials) if i != 2] == [
+        json.dumps(t, sort_keys=True)
+        for i, t in enumerate(clean["body"]["trials"]) if i != 2]
     assert report["body"]["counts"] == {"total": 6, "failed": 1}
     assert report["body"]["max_joint_residual"] == max(
         t["joint_residual"] for i, t in enumerate(trials) if i != 2)
+    jsonschema.validate(report, load_schema())
+
+
+@pytest.mark.parametrize("argv", [("--group", "7"),
+                                  ("--group", "8x8", "--form", "II")])
+def test_verify_shift_reports_phase_timings(tmp_path, argv):
+    code, report = run_cli(tmp_path, "verify-shift", *argv, "--trials", "2")
+    assert code == 0
+    timings = report["timings"]
+    assert set(timings) == {"seconds", "draw_s", "joint_residual_s",
+                            "shift_recovery_s"}
+    assert all(isinstance(v, float) and v >= 0 for v in timings.values())
     jsonschema.validate(report, load_schema())
 
 

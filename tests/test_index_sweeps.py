@@ -1289,7 +1289,7 @@ def test_recover_shift_matches_dense_search(orders, monkeypatch):
         a, b = mu.char_array, nu.char_array
         dev = np.max(np.abs(b[None, :] - a[None, :] * g.pairing_matrix),
                      axis=1)
-        kept = _shift_screen(g, a, b, 1e-8)
+        kept = _shift_screen(g, a[None], b[None], 1e-8)[0]
         assert kept[dev < 1e-8].all(), label
         # ... and, for a nonvanishing mu_hat, nothing but the shift.
         if label == "shifted":
@@ -1814,10 +1814,9 @@ def test_generator_location_matches_exhaustive_search(orders):
             2j * np.pi * rng.random((6, g.size))), turned])
         for idx in (g.every, rng.permutation(g.size), g.every[keep]):
             W = V[:, idx]
-            want = [character_search(g, np.ones(len(idx)), row, tol, idx)
-                    for row in W]
-            assert (locate_characters(g, idx, W, tol).tolist()
-                    == [-1 if x is None else x for x in want]), tol
+            want = [character_search(g, np.ones((1, len(idx))), row[None],
+                                     tol, idx)[0] for row in W]
+            assert locate_characters(g, idx, W, tol).tolist() == want, tol
 
 
 @pytest.mark.parametrize("dom", [Group([9, 8]), Group([12]), *LATTICES],
@@ -1844,9 +1843,11 @@ def test_batched_checks_cut_into_cells_match_whole_rows(dom, monkeypatch):
         np.testing.assert_array_equal(check(), want)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("dom", [Group([6, 6]), Group([7]), *LATTICES],
                          ids=repr)
 def test_bernstein_check_rejects_non_finite_values(dom):
+    """Any NaN or infinity fails the check, and numpy warns of nothing."""
     group = isinstance(dom, Group)
     if group:
         base = dom.roots[dom.phase_idx(dom.size - 1, dom.every)]

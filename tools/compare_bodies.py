@@ -102,6 +102,11 @@ ARGVS = [
     # The adjoint, subgroup and annihilator checks and every character of a
     # group of 10,000 elements.
     ["invariants", "--groups", "100x100"],
+    # The other shift-small groups, and a spectral campaign of many trials:
+    # the verifier stacks every trial of a campaign.
+    _shift("11", "I", "20"),
+    _shift("13", "I", "20"),
+    _shift("8x8", "II", "20"),
 ]
 
 
