@@ -36,8 +36,8 @@ from . import fixtures as fixture_io
 DEFAULT_FAMILY = "2..12,2x4,6x6"
 
 # Default tolerance of the counterexample residuals; a residual is compared
-# with the larger of this and its noise floor, which exceeds it from
-# groups.SPECTRAL_MIN_SIZE elements up.
+# with the larger of this and its noise floor, which exceeds it from 25
+# elements up.
 COUNTEREXAMPLE_TOL = 1e-12
 
 

@@ -1,9 +1,8 @@
 """Probability distributions on finite abelian groups.
 
 Masses are a float vector in the lexicographic element order.  Their
-characteristic function is an FFT over the ``orders`` shape on a
-``Group.spectral`` group, with no ``n x n`` table, and the cheaper product
-with the exact ``Group.pairing_matrix`` below that size.  Joint laws of two
+characteristic function is an FFT over the ``orders`` shape, with no
+``n x n`` table, at every group size.  Joint laws of two
 linear forms are swept over the ``(u, v)`` grid in row blocks, each factor
 read at the rank it depends on (``factor_plan``): a factor with ``b_j = 0``
 is a column over ``u`` and one with ``a_j = 0`` a row over ``v``, each read
@@ -103,10 +102,7 @@ class Distribution:
         row = group.roots[group.phase_idx(group.index(x0),
                                           np.arange(group.size))]
         hat = np.exp(lam * (row - 1.0))
-        if group.spectral:
-            masses = np.fft.fftn(hat.reshape(group.orders)).reshape(-1).real
-        else:
-            masses = (group.pairing_matrix.conj() @ hat).real
+        masses = np.fft.fftn(hat.reshape(group.orders)).reshape(-1).real
         masses = np.clip(masses / group.size, 0.0, None)
         return cls(group, masses / masses.sum())
 
@@ -190,20 +186,15 @@ def char_arrays(group: Group, masses: np.ndarray) -> np.ndarray:
     """``out[..., j] = sum_x masses[..., x] * pair(x, y_j)`` for a stack of
     mass vectors on the last axis.
 
-    One ``ifftn`` over the trailing ``orders`` axes on a
-    ``Group.spectral`` group (numpy's ``ifftn`` carries
-    ``exp(+2 pi i <x, y>)``, the pairing, and divides by ``n``), else one
-    product with ``pairing_matrix``.  A row of a dense stack may differ by
-    a few ulps from the product of that row alone, which the BLAS blocks
-    apart; FFT rows do not.
+    One ``ifftn`` over the trailing ``orders`` axes (numpy's ``ifftn``
+    carries ``exp(+2 pi i <x, y>)``, the pairing, and divides by ``n``);
+    each row of a stack is the transform of that row alone.
     """
     g = group
-    if g.spectral:
-        lead = masses.shape[:-1]
-        axes = tuple(range(-g.rank, 0))
-        return np.fft.ifftn(masses.reshape(lead + g.orders),
-                            axes=axes).reshape(lead + (g.size,)) * g.size
-    return masses @ g.pairing_matrix
+    lead = masses.shape[:-1]
+    axes = tuple(range(-g.rank, 0))
+    return np.fft.ifftn(masses.reshape(lead + g.orders),
+                        axes=axes).reshape(lead + (g.size,)) * g.size
 
 
 def random_masses(group: Group, seeds: Sequence, floor: float = 0.1, *,

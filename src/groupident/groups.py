@@ -21,20 +21,9 @@ from .errors import CapacityError, DomainError
 
 DEFAULT_ENUMERATION_BOUND = 10**6
 
-# Dense pairing / addition tables are quadratic in the group size; they are
-# only built for desk-scale groups.
+# Dense pairing / addition tables are quadratic in the group size; they
+# serve tests and tracing only, and are built for desk-scale groups.
 TABLE_SIZE_LIMIT = 1500
-
-# From this many elements up, characteristic functions are FFTs over the
-# ``orders`` shape and shift recovery is screened by one, so no ``n x n``
-# pairing table is built.  Below it an FFT call costs more than the dense
-# work it replaces: at n = 64 an FFT takes 18-26 us against 5.5 us for a
-# product with the cached table, and the screen's FFT overtakes the n^2
-# shift search near n = 48.  End to end, ``verify-shift --form II`` runs as
-# fast on either path at n = 64 with one trial; with twenty trials, which
-# build the table once, they meet between 100 and 144 elements (2-CPU
-# x86-64 host, numpy 2.4).
-SPECTRAL_MIN_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -83,13 +72,6 @@ class Group:
     @property
     def rank(self) -> int:
         return len(self.orders)
-
-    @property
-    def spectral(self) -> bool:
-        """Whether characteristic functions on this group are FFTs rather
-        than products with ``pairing_matrix`` (from ``SPECTRAL_MIN_SIZE``
-        elements up)."""
-        return self.size >= SPECTRAL_MIN_SIZE
 
     @property
     def zero(self) -> Element:
@@ -262,7 +244,7 @@ class Group:
         """``coords_array`` times ``exponent // n_k`` on axis ``k``."""
         return self.coords_array * (self.exponent // np.array(self.orders))
 
-    # -- dense helper tables (desk scale only) -------------------------------
+    # -- dense helper tables (desk scale; tests and tracing only) ------------
 
     def _require_table_capacity(self, what: str) -> None:
         if self.size > TABLE_SIZE_LIMIT:
@@ -329,23 +311,19 @@ def character_search(g: Group, a: np.ndarray, b: np.ndarray, tol: float,
     index ``cols[j]`` (every element in order by default), if that minimum
     is below ``tol``; else -1, as the dense search over every ``x``.
     ``dev`` is exact, in blocks of ``(row, x)`` candidates of at most
-    ``VALUE_BLOCK`` values (one candidate at least), on pairing rows
-    from ``phase_idx`` on a ``spectral`` group, where ``_shift_screen``
-    first drops every ``x`` whose ``dev(x)`` provably reaches ``tol`` if
-    every column is there in order; below that size the cached
-    ``pairing_matrix`` rows, the same doubles, spare shift-small 3-5% of
-    its time."""
+    ``VALUE_BLOCK`` values (one candidate at least), on pairing rows from
+    ``phase_idx``; if every column is there in order, ``_shift_screen``
+    first drops every ``x`` whose ``dev(x)`` provably reaches ``tol``."""
     every = g.every
     cols = every if cols is None else cols
-    if g.spectral and np.array_equal(cols, every):
+    if np.array_equal(cols, every):
         r, x = np.nonzero(_shift_screen(g, a, b, tol))
     else:
         r, x = np.divmod(np.arange(len(a) * g.size), g.size)
     # A dropped candidate reads inf, so it is never below tol.
     dev = np.full((len(a), g.size), np.inf)
     for s in row_blocks(len(r), len(cols), VALUE_BLOCK):
-        P = (g.roots[g.phase_idx(x[s, None], cols)] if g.spectral
-             else g.pairing_matrix[x[s, None], cols])
+        P = g.roots[g.phase_idx(x[s, None], cols)]
         dev[r[s], x[s]] = np.max(np.abs(b[r[s]] - a[r[s]] * P), axis=1)
     best = np.argmin(dev, axis=1)
     return np.where(dev[np.arange(len(a)), best] < tol, best, -1)

@@ -61,14 +61,13 @@ def _evidence(value):
 # The noise floor of each body float: an a-priori bound on the rounding error
 # of its computation (Higham, *Accuracy and Stability of Numerical
 # Algorithms*, 2nd ed., 2002, ch. 3-4 and §24.1; the README derives each).
-# g is a group, whose characteristic-function entries are within
-# (2n + 24) u as dense products and (32 log2(4n) sqrt(n) + 2) u as FFTs
-# (n = g.size); psi is the largest |log|f|| of a ratio table, spread =
+# g is a group, whose characteristic-function entries, FFTs, are within
+# (32 log2(4n) sqrt(n) + 2) u (n = g.size, log2(4n) taken as the bit length
+# of 4n); psi is the largest |log|f|| of a ratio table, spread =
 # max y^2 sum y^2 / sum y^4 and y2 = max y^2 over its points.
 FLOORS = {
     "joint_residual": lambda g: 8 * U * (
-        32 * (4 * g.size).bit_length() * math.sqrt(g.size) + 6 if g.spectral
-        else 2 * g.size + 28),
+        32 * (4 * g.size).bit_length() * math.sqrt(g.size) + 6),
     "closed_form_deviation": lambda g, rate: FLOORS["joint_residual"](g)
     + 200 * rate * U,
     "reconstruction_tv": lambda g: g.size * U,

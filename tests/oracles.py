@@ -271,7 +271,7 @@ def gaussian_fit_oracle(table, tol):
 # They read the package's ``add_table`` and ``pairing_matrix``, so they check
 # the index arithmetic and the screen, with results compared by ``==``.
 # The dense characteristic function, Poisson masses and rejection loop that
-# the FFTs replaced from ``SPECTRAL_MIN_SIZE`` elements up are kept too; the
+# the FFTs replaced are kept too, for groups up to the dense-table limit; the
 # FFTs round differently, so they are compared within a stated bound.  So is
 # the convolution over the addition table that index arithmetic replaced.
 

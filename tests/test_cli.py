@@ -111,8 +111,8 @@ def test_verify_shift_even_exponent_form_I_exits_2(capsys):
 
 
 def test_verify_shift_beyond_dense_table_limit(tmp_path):
-    # From SPECTRAL_MIN_SIZE elements up no n x n table is built, so a group
-    # beyond the dense-table limit gets verdicts on every trial.
+    # No n x n table is built, so a group beyond the dense-table limit gets
+    # verdicts on every trial.
     assert Group([41, 41]).size > TABLE_SIZE_LIMIT
     code, report = run_cli(tmp_path, "verify-shift", "--group", "41x41",
                            "--form", "II", "--trials", "1", "--seed", "1")

@@ -276,8 +276,8 @@ def test_adjoint_and_annihilator_identities_match_oracles(orders):
 @pytest.mark.parametrize("orders", [(8, 8), (9, 8), (30, 50), (2, 2, 3, 5)],
                          ids=lambda o: "x".join(map(str, o)))
 def test_adjoint_generator_check_matches_sweep_at_scale(orders):
-    """On groups from SPECTRAL_MIN_SIZE elements up, against the all-pairs
-    sweep over index maps."""
+    """On groups of 64 elements or more, against the all-pairs sweep over
+    index maps."""
     g = Group(orders)
     rng = np.random.default_rng([3, *orders])
     for e in _suite_endos(g, list(orders)):
@@ -585,7 +585,7 @@ def check_generator_polynomial(f, n):
             == outcome(is_polynomial_sweep, f, n, TOL)), n
 
 
-# Groups on both sides of SPECTRAL_MIN_SIZE, and windows whose step is 1/D.
+# Groups of 7 to 72 elements, and windows whose step is 1/D.
 CERT_GROUPS = [(7,), (12,), (4, 6), (3, 3, 2), (2, 2, 2, 2), (8, 8), (9, 8),
                (5, 13), (2, 4, 8)]
 CERT_LATTICES = [make_lattice([2, 3], 1, 12), make_lattice([3], 0, 10),
@@ -1269,22 +1269,13 @@ def shift_cases(g: Group):
 
 
 @pytest.mark.parametrize("orders", JOINT_GROUPS, ids=group_id)
-def test_recover_shift_matches_dense_search(orders, monkeypatch):
+def test_recover_shift_matches_dense_search(orders):
     g = Group(orders)
-    threshold = groups.SPECTRAL_MIN_SIZE
-    # Build every case and compute each characteristic function under the
-    # group's own threshold, before any patching: each law is then the one
-    # its group's production path gives, and both search paths see it.
-    cases = list(shift_cases(g))
-    for _, mu, nu, _ in cases:
-        mu.char_array, nu.char_array
-    for label, mu, nu, want in cases:
-        for screen_from in (threshold, 0):
-            monkeypatch.setattr(groups, "SPECTRAL_MIN_SIZE", screen_from)
-            got = recover_shift(mu, nu)
-            assert got == recover_shift_dense(mu, nu), label
-            if want != "dense":
-                assert got == want, label
+    for label, mu, nu, want in shift_cases(g):
+        got = recover_shift(mu, nu)
+        assert got == recover_shift_dense(mu, nu), label
+        if want != "dense":
+            assert got == want, label
         # The screen keeps every x within tol of the dense search ...
         a, b = mu.char_array, nu.char_array
         dev = np.max(np.abs(b[None, :] - a[None, :] * g.pairing_matrix),
@@ -1378,7 +1369,8 @@ def test_campaigns_convert_at_most_one_point_per_call(monkeypatch, tmp_path):
 
 # -- spectral characteristic functions against the dense products ----------
 
-SPECTRAL_GROUPS = GROUPS + [(63,), (64,), (7, 9), (8, 8), (1021,), (30, 50)]
+SPECTRAL_GROUPS = [(1,), (2, 1)] + GROUPS + [(63,), (64,), (7, 9), (8, 8),
+                                            (1021,), (30, 50)]
 
 
 def transform_bound(v) -> float:
@@ -1424,7 +1416,7 @@ def poisson_bound(hat) -> float:
 def transform_laws(g: Group):
     """(label, law) for the transform comparisons."""
     x0 = g.element_at(int(np.random.default_rng([73, g.size]).integers(
-        1, g.size)))
+        min(1, g.size - 1), g.size)))
     yield "random", Distribution.random(g, [79, g.size], 0.2)
     yield "degenerate at 0", Distribution.degenerate(g, g.zero)
     yield f"degenerate at {x0}", Distribution.degenerate(g, x0)
@@ -1433,11 +1425,8 @@ def transform_laws(g: Group):
 
 
 @pytest.mark.parametrize("orders", SPECTRAL_GROUPS, ids=group_id)
-def test_spectral_transforms_match_dense_products(orders, monkeypatch):
-    # Take the FFT path at every size; the oracles read pairing_matrix.
-    monkeypatch.setattr(groups, "SPECTRAL_MIN_SIZE", 0)
+def test_spectral_transforms_match_dense_products(orders):
     g = Group(orders)
-    assert g.spectral
     for label, d in transform_laws(g):
         err = np.max(np.abs(d.char_array - char_array_dense(d)))
         assert err <= transform_bound(d.masses), label
@@ -1454,13 +1443,11 @@ def test_spectral_transforms_match_dense_products(orders, monkeypatch):
 
 
 def char_floor(g: Group) -> float:
-    """The README's bound on a characteristic-function entry of a law:
-    ``(2n + 24) u`` as a dense product, ``(32 log2(4n) sqrt(n) + 2) u`` as
-    an FFT, ``log2(4n)`` taken as the bit length of ``4n``."""
+    """The README's bound on a characteristic-function entry of a law, an
+    FFT: ``(32 log2(4n) sqrt(n) + 2) u``, ``log2(4n)`` taken as the bit
+    length of ``4n``."""
     n, u = g.size, np.finfo(float).eps / 2
-    if g.spectral:
-        return (32 * (4 * n).bit_length() * np.sqrt(n) + 2) * u
-    return (2 * n + 24) * u
+    return (32 * (4 * n).bit_length() * np.sqrt(n) + 2) * u
 
 
 @pytest.mark.parametrize("orders", SPECTRAL_GROUPS + [(41, 41)],
@@ -1484,7 +1471,8 @@ def test_convolution_matches_transform_and_dense_table(orders):
                 <= ulp_tol(got.masses)
 
 
-@pytest.mark.parametrize("orders", [(1021,), (30, 50)], ids=group_id)
+@pytest.mark.parametrize("orders", [(4,), (7,), (11,), (13,), (4, 3), (5, 5),
+                                    (1021,), (30, 50)], ids=group_id)
 def test_spectral_paths_build_no_dense_table(orders, monkeypatch, tmp_path):
     def refuse(self):
         raise AssertionError("a dense n x n table was built")
@@ -1496,7 +1484,7 @@ def test_spectral_paths_build_no_dense_table(orders, monkeypatch, tmp_path):
     odd = g.exponent % 2 == 1
     for form, cs in (("I", (0, 1, 2)), ("II", (0, 1, 1))):
         bs = [Endo.scalar(g, c) for c in cs]
-        shifts = consistent_shifts(bs, form, g.element_at(5))
+        shifts = consistent_shifts(bs, form, g.element_at(5 % g.size))
         nus = [mu.shift(x) for mu, x in zip(mus, shifts)]
         verify = verify_form_I if form == "I" else verify_form_II
         report = verify(bs, mus, nus)
@@ -1505,7 +1493,7 @@ def test_spectral_paths_build_no_dense_table(orders, monkeypatch, tmp_path):
             assert report.verdict == VERDICT_PRECONDITIONS
         else:
             assert (report.verdict, report.shifts) == (VERDICT_SHIFT, shifts)
-    x = g.element_at(g.size - 7)
+    x = g.element_at((g.size - 7) % g.size)
     assert recover_shift(mus[0], mus[0].shift(x)) == x
     assert recover_shift(mus[0], mus[1]) is None
     # A full character table takes the screened search.
@@ -1584,7 +1572,8 @@ def split_cases(g: Group):
             pnus[:2])
 
 
-@pytest.mark.parametrize("orders", SPECTRAL_GROUPS + [(41, 41)],
+# The Poisson pair of ``split_cases`` needs an element of prime order.
+@pytest.mark.parametrize("orders", SPECTRAL_GROUPS[1:] + [(41, 41)],
                          ids=group_id)
 def test_split_sweeps_equal_unsplit_sweeps(orders, monkeypatch):
     """Every grid sweep gives the same values, ``==`` and NaN for NaN, on

@@ -79,8 +79,7 @@ ARGVS = [
     *(["counterexample", "--kind", kind, "--group", "30x50"]
       for kind in ("poisson-pair", "kernel-mass")),
     ["verify-shift", "--group", "15", "--trials", "5"],
-    # Either side of groups.SPECTRAL_MIN_SIZE (63 and 64 elements), and a
-    # group above the dense-table limit.
+    # Groups of 63 and 64 elements, and a group above the dense-table limit.
     *(_shift(g, "II", t) for g, t in (("7x9", "5"), ("8x8", "5"),
                                       ("41x41", "1"))),
     ["invariants"],
@@ -107,6 +106,10 @@ ARGVS = [
     _shift("11", "I", "20"),
     _shift("13", "I", "20"),
     _shift("8x8", "II", "20"),
+    # The counterexample residuals on a group whose floor, unlike Z6's, is
+    # above the default tolerance of 1e-12.
+    *(["counterexample", "--kind", kind, "--group", "6x6"]
+      for kind in ("poisson-pair", "kernel-mass")),
 ]
 
 
