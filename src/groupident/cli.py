@@ -25,8 +25,8 @@ from .distributions import (Distribution, char_arrays, checked_masses,
                             random_masses, shifted_masses)
 from .endomorphisms import Endo, annihilator_idx, is_adjoint_pair
 from .errors import GroupIdentError, WindowMarginError
-from .funceq import (are_characters, bernstein_check, bernstein_checks,
-                     bernstein_square_table, is_character, kernel_conditions,
+from .funceq import (bernstein_check, bernstein_square_table,
+                     character_table_checks, is_character, kernel_conditions,
                      summed_variables)
 from .groups import Element, Group
 from .identify import consistent_shifts
@@ -419,9 +419,7 @@ def _counterexample_bernstein(args) -> tuple[dict, dict]:
     passes = bernstein_check(table, tol=tol)
     char = is_character(table, tol=tol)
     involutions = group.order_two_count()
-    chars_ok = all(bernstein_checks(group, group.every, V).all()
-                   and are_characters(group, group.every, V).all()
-                   for V in group.character_rows())
+    chars_ok = all(character_table_checks(group, tol))
     ok = passes and not char and involutions >= 2 and chars_ok
     body = {
         "status": "pass" if ok else "fail",
@@ -482,12 +480,11 @@ def run_invariant_suite(group: Group, seed, inject_fault: str | None = None) -> 
             violations.append(f"dense-image equivalence on {group!r}")
         if len(kernel) * len(e.image_idx()) != group.size:
             violations.append(f"kernel-image size product on {group!r}")
-    every = group.every  # Bernstein's plan is n^2
-    for V in group.character_rows():
-        if not are_characters(group, every, V).all():
-            violations.append(f"character multiplicativity on {group!r}")
-        if group.size <= 36 and not bernstein_checks(group, every, V).all():
-            violations.append(f"character bernstein property on {group!r}")
+    characters, bernstein = character_table_checks(group)
+    if not characters:
+        violations.append(f"character multiplicativity on {group!r}")
+    if not bernstein:
+        violations.append(f"character bernstein property on {group!r}")
     return {"group": list(group.orders), "characters_checked": group.size,
             "violations": sorted(set(violations))}
 

@@ -10,10 +10,11 @@ the margin runs out.  Every operator is one numpy body over the integer
 point indices that both kinds of domain provide.  The character and
 polynomial tests are homomorphism identities and gather along generators
 only; the Bernstein and product equations sweep index pairs in row blocks.
-The character, location and Bernstein checks each run one body over a block
-of value rows that share a support (a table is a block of one row), and a
-whole group table's character is located from its phases at the unit
-vectors.
+A whole group table's character is located from its phases at the unit
+vectors.  Every character of a group is certified at once on one table over
+``Z_L`` (``character_table_checks``): the phase pairing is bilinear into
+``Z_L``, ``L`` the exponent, so each row of the character table reads its
+values from ``Group.roots``.
 """
 
 from __future__ import annotations
@@ -265,7 +266,8 @@ class FunctionTable:
     def hermitian_defect(self) -> float:
         """Max of ``|f(-y) - conj(f(y))|`` over points whose negation is present."""
         neg = self._positions(self.domain.neg_idx(self.idx))
-        return float(_hermitian_defects(self.values[None], neg)[0])
+        has, v = neg >= 0, self.values
+        return float(np.max(np.abs(v[neg[has]] - np.conj(v[has])), initial=0.0))
 
     def nonvanishing(self, tol: float = 0.0) -> bool:
         return bool(np.min(np.abs(self.values)) > tol)
@@ -281,9 +283,8 @@ class FunctionTable:
 # them on every call, and costs twice as long.
 
 # Plans kept.  A verify-gaussian campaign uses five (a sweep, a character
-# plan and a polynomial plan per fold count), the invariant suite two per
-# group of at most 36 elements and one per larger group; 32 hold a
-# gaussian-window run or the default invariants.
+# plan and a polynomial plan per fold count), the Bernstein counterexample
+# two; 32 hold a gaussian-window run.
 PLAN_CACHE_SIZE = 32
 
 
@@ -441,36 +442,6 @@ def least_degree(f: FunctionTable, max_degree: int,
 
 
 # -- character and Bernstein tests ----------------------------------------------
-#
-# Each check is one body over a block ``V`` of value rows, tables that share
-# the support ``idx``; the one-table function is that body on ``values[None]``.
-
-
-def _cells(rows: int, cols: int) -> list:
-    """``(rows, cols)`` slices that cover a ``rows x cols`` block of values
-    with at most ``VALUE_BLOCK`` values each: runs of whole rows, or runs of
-    one row's columns where a row holds more.  A body's temporaries hold a
-    value per cell, or one per cell and shift."""
-    if cols <= VALUE_BLOCK:
-        step = VALUE_BLOCK // max(cols, 1)
-        return [(slice(r, r + step), slice(None)) for r in range(0, rows, step)]
-    return [(slice(r, r + 1), slice(c, c + VALUE_BLOCK))
-            for r in range(rows) for c in range(0, cols, VALUE_BLOCK)]
-
-
-def character_defects(dom, idx: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """``character_defect`` of each row of ``V``."""
-    z, blocks = _plan(_generator_plan, dom, [idx], None)
-    out = np.abs(V[:, z] - 1.0)
-    for q, _, has in blocks:
-        for r, c in _cells(len(V), len(idx)):
-            # Entry (r, e, x) holds f(x + e) - f(x) f(e); f(e) is at 0 + e.
-            W = V[r]
-            d = W.take(q[:, c], axis=1)
-            d -= W[:, None, c] * W.take(q[:, z], axis=1)[:, :, None]
-            out[r] = np.maximum(out[r], np.max(np.abs(d), axis=(1, 2),
-                                               where=has[:, c], initial=0.0))
-    return out
 
 
 def character_defect(f: FunctionTable) -> float:
@@ -480,57 +451,50 @@ def character_defect(f: FunctionTable) -> float:
     unit-modulus values a defect ``d`` bounds that of a pair ``(x, y)`` by
     about ``w d``, ``w`` the number of shifts that sum to ``y``: a word
     length on a group, about ``log2(|y| / s)`` on a window."""
-    return float(character_defects(f.domain, f.idx, f.values[None])[0])
-
-
-def are_characters(dom, idx: np.ndarray, V: np.ndarray,
-                   tol: float = 1e-9) -> np.ndarray:
-    """``is_character`` of each row of ``V``."""
-    # A NaN defect is not above tol; on a group no character is then found.
-    ok = ~(character_defects(dom, idx, V) > tol)
-    if isinstance(dom, Group) and ok.any():
-        ok[ok] = locate_characters(dom, idx, V[ok], tol) >= 0
-    return ok
+    z, blocks = _plan(_generator_plan, f.domain, [f.idx], None)
+    v = f.values
+    out = np.abs(v[z] - 1.0)
+    for q, _, has in blocks:
+        # Entry (e, x) holds f(x + e) - f(x) f(e); f(e) is at 0 + e.
+        d = v[q] - v * v[q[:, z], None]
+        out = np.maximum(out, np.max(np.abs(d), where=has, initial=0.0))
+    return float(out)
 
 
 def is_character(f: FunctionTable, tol: float = 1e-9) -> bool:
     """Whether ``character_defect`` is at most ``tol`` and, on a group,
     ``locate_character`` finds an ``x`` with ``f = pair(x, .)``."""
-    return bool(are_characters(f.domain, f.idx, f.values[None], tol)[0])
+    # A NaN defect is not above tol; on a group no character is then found.
+    return (not character_defect(f) > tol
+            and (not isinstance(f.domain, Group)
+                 or locate_character(f, tol) is not None))
 
 
-def locate_characters(dom, idx: np.ndarray, V: np.ndarray,
-                      tol: float = 1e-9) -> np.ndarray:
-    """``locate_character`` of each row of ``V``: the index of ``x``, or -1.
+def locate_character(f: FunctionTable, tol: float = 1e-9) -> Element | None:
+    """The element ``x`` with ``max |f - pair(x, .)| < tol`` on the table's
+    support of a group, if any; where several pass, the lowest-index one of
+    least deviation.
 
     Two characters differ by at least ``2 sin(pi/L)`` somewhere (``L`` the
     exponent), so with ``tol <= sin(pi/L)/2`` at most one ``x`` passes, and
     its phases at the unit vectors round to ``x``: on a whole group table,
     ``character_search``'s test of that one candidate gives the exhaustive
     search's answer.  Other supports and tolerances run that search."""
+    dom, idx, v = f.domain, f.idx, f.values
     if not isinstance(dom, Group):
-        return np.full(len(V), -1)
+        return None
     if len(idx) < dom.size or tol > math.sin(math.pi / dom.exponent) / 2:
         # The shift search with a = 1, which leaves P exact.
-        return character_search(dom, np.ones(V.shape), V, tol, idx)
-    z, ((q, _, _),) = _plan(_generator_plan, dom, [idx], None)
-    n = np.array(dom.orders)
-    # A value that is not finite makes every candidate's deviation NaN or inf.
-    turns = np.angle(np.nan_to_num(V[:, q[:, z]])) * n / (2 * np.pi)
-    x = dom.compose((np.rint(turns).astype(np.int64) % n).T)
-    dev = np.zeros(len(V))
-    for r, c in _cells(len(V), len(idx)):
-        P = dom.roots[dom.phase_idx(x[r, None], idx[c])]
-        dev[r] = np.maximum(dev[r], np.max(np.abs(V[r, c] - P), axis=1))
-    return np.where(dev < tol, x, -1)
-
-
-def locate_character(f: FunctionTable, tol: float = 1e-9) -> Element | None:
-    """The element ``x`` with ``max |f - pair(x, .)| < tol`` on the table's
-    support of a group, if any; where several pass, the lowest-index one of
-    least deviation."""
-    x = int(locate_characters(f.domain, f.idx, f.values[None], tol)[0])
-    return None if x < 0 else f.domain.element_at(x)
+        x = character_search(dom, np.ones((1, len(idx))), v[None], tol, idx)[0]
+    else:
+        z, ((q, _, _),) = _plan(_generator_plan, dom, [idx], None)
+        n = np.array(dom.orders)
+        # A value that is not finite makes the deviation NaN or inf.
+        turns = np.angle(np.nan_to_num(v[q[:, z]])) * n / (2 * np.pi)
+        x = dom.compose(np.rint(turns).astype(np.int64) % n)
+        if not np.max(np.abs(v - dom.roots[dom.phase_idx(x, idx)])) < tol:
+            x = -1
+    return None if x < 0 else dom.element_at(int(x))
 
 
 def bernstein_square_table(group: Group) -> FunctionTable:
@@ -546,51 +510,36 @@ def bernstein_square_table(group: Group) -> FunctionTable:
     return FunctionTable._at(group, group.every, (-1.0) ** (C[:, 0] * C[:, 1]))
 
 
-def _hermitian_defects(V: np.ndarray, neg: np.ndarray) -> np.ndarray:
-    """``hermitian_defect`` of each row of ``V``; ``neg[i]`` is the position
-    of ``-y_i``, -1 where absent."""
-    has = neg >= 0
-    d = V.take(neg[has], axis=1) - np.conj(V.compress(has, axis=1))
-    return np.max(np.abs(d), axis=1, initial=0.0)
-
-
-def bernstein_checks(dom, idx: np.ndarray, V: np.ndarray,
-                     tol: float = 1e-9) -> np.ndarray:
-    """``bernstein_check`` of each row of ``V``.  A value that is not
-    finite makes a comparison NaN, which fails it, so numpy's warning of
-    an invalid operation (``inf - inf``) is not raised."""
-    z, neg, u, s, d = _plan(_bernstein_plan, dom, [idx])
-    if z < 0:
-        return np.zeros(len(V), dtype=bool)
-    with np.errstate(invalid="ignore"):
-        ok = ((np.abs(np.abs(V) - 1.0) <= tol).all(axis=1)
-              & (_hermitian_defects(V, neg) <= tol)
-              & (np.abs(V[:, z] - 1.0) <= tol))
-        for r, p in _cells(len(V), len(s)):
-            if ok[r].any():
-                W = V[r]
-                Wu = W.take(u[p], axis=1)
-                defect = np.abs(W.take(s[p], axis=1) * W.take(d[p], axis=1)
-                                - Wu * Wu)
-                ok[r] &= (defect <= tol).all(axis=1)
-    return ok
-
-
 def bernstein_check(g: FunctionTable, tol: float = 1e-9) -> bool:
     """Test of ``g(u+v)g(u-v) = g(u)^2`` plus the unit-modulus side conditions.
 
     The side conditions are ``|g| = 1``, ``g(-y) = conj(g(y))`` and
     ``g(0) = 1``.  Every quantity compared must be at most ``tol``, so a
-    NaN fails.  Every character passes; the converse holds only on groups
-    with at most one element of order 2.
+    NaN fails, and numpy's warning of an invalid operation (``inf - inf``)
+    is not raised.  The pairs go in runs of ``VALUE_BLOCK``, which bound
+    the temporaries.  Every character passes; the converse holds only on
+    groups with at most one element of order 2.
     """
-    return bool(bernstein_checks(g.domain, g.idx, g.values[None], tol)[0])
+    z, u, s, d = _plan(_bernstein_plan, g.domain, [g.idx])
+    v = g.values
+    if z < 0:
+        return False
+    with np.errstate(invalid="ignore"):
+        if not ((np.abs(np.abs(v) - 1.0) <= tol).all()
+                and g.hermitian_defect() <= tol
+                and np.abs(v[z] - 1.0) <= tol):
+            return False
+        for p in row_blocks(len(s), 1, VALUE_BLOCK):
+            vu = v[u[p]]
+            if not (np.abs(v[s[p]] * v[d[p]] - vu * vu) <= tol).all():
+                return False
+    return True
 
 
 def _bernstein_plan(dom, supports: tuple) -> tuple:
-    """The position of point 0 and of each ``-y`` (-1 where absent); then,
-    pair by pair ``(u, v)`` with ``u + v`` and ``u - v`` in the table, the
-    positions of ``u``, ``u + v`` and ``u - v``."""
+    """The position of point 0; then, pair by pair ``(u, v)`` with ``u + v``
+    and ``u - v`` in the table, the positions of ``u``, ``u + v`` and
+    ``u - v``."""
     (i,) = supports
     find, neg = _locator(i), dom.neg_idx(i)
     us, ss, ds = [], [], []
@@ -602,9 +551,53 @@ def _bernstein_plan(dom, supports: tuple) -> tuple:
         ss.append(s[r, c])
         ds.append(d[r, c])
     # Point 0 has index 0 on both kinds of domain.
-    return (int(find(np.zeros(1, dtype=np.int64))[0]), _frozen(find(neg)),
+    return (int(find(np.zeros(1, dtype=np.int64))[0]),
             *(_frozen(np.concatenate([np.zeros(0, np.int64), *parts]))
               for parts in (us, ss, ds)))
+
+
+def character_table_checks(group: Group,
+                           tol: float = 1e-9) -> tuple[bool, bool]:
+    """Whether every character ``pair(x, .)`` of ``group``, as a whole group
+    table, passes ``is_character``, and whether every one passes
+    ``bernstein_check``, both at ``tol``.
+
+    Row ``x`` of the character table is ``w[p(x, .)]``, where ``w`` is
+    ``group.roots`` and ``p = phase_idx`` is bilinear into ``Z_L``, ``L``
+    the exponent: ``p(x, y + e) = p(x, y) + p(x, e)`` and
+    ``p(x, -y) = -p(x, y)`` mod ``L``.  So each quantity the two checks
+    compare on a row is an entry of a table over ``Z_L``, the same
+    floating-point operation on the same doubles: ``|w[0] - 1|``,
+    ``|w[a+b] - w[a] w[b]|``, ``||w[a]| - 1|``, ``|w[-a] - conj w[a]|`` and
+    ``|w[a+b] w[a-b] - w[a]^2|``.  At the unit vector of a factor ``Z_n``
+    row ``x`` reads ``w[x_k L/n]``; where that phase rounds to ``x_k``,
+    ``locate_character`` finds ``x`` itself, at deviation 0.  So where the
+    table passes, every row passes.  An element of order ``L`` has
+    ``p(x, .)`` onto ``Z_L``, so its row reads every entry, and the
+    Bernstein verdict of the table is that of the rows.  Where a character
+    entry exceeds ``tol``, a phase rounds elsewhere or ``tol`` is not
+    positive, the rows go through ``is_character`` one by one.  The table
+    costs ``O(L^2)``, in blocks of ``VALUE_BLOCK`` values; the rows hold
+    ``n^2`` values and ``n^3`` Bernstein pairs (``n`` the group size).
+    """
+    L, w = group.exponent, group.roots
+    b = np.arange(L)
+    chars = 0 < tol and np.abs(w[0] - 1.0) <= tol
+    for n in group.orders:
+        c = np.arange(n)
+        turns = np.angle(w[c * (L // n)]) * n / (2 * np.pi)
+        chars = chars and np.array_equal(np.rint(turns).astype(np.int64) % n, c)
+    bern = (np.abs(w[0] - 1.0) <= tol and (np.abs(np.abs(w) - 1.0) <= tol).all()
+            and (np.abs(w[-b % L] - np.conj(w)) <= tol).all())
+    for rows in row_blocks(L, L, VALUE_BLOCK):
+        a = b[rows, None]
+        wa, ws = w[a], w[(a + b) % L]
+        chars = chars and (np.abs(ws - wa * w) <= tol).all()
+        bern = bern and (np.abs(ws * w[(a - b) % L] - wa * wa) <= tol).all()
+    if not chars:
+        chars = all(is_character(FunctionTable._at(group, group.every, v), tol)
+                    for V in group.character_rows() for v in V)
+    return bool(chars), bool(bern)
 
 
 # -- product equations ----------------------------------------------------------
@@ -764,7 +757,7 @@ class CharacterVerdict:
 def _default_cascade_steps(eq: ProductEquation, limit: int = 12) -> list:
     dom = eq.domain
     if isinstance(dom, Group):
-        return list(dom.elements()[1:limit + 1])  # all but the zero
+        return list(dom.points_at(dom.every[1:limit + 1]))  # all but the zero
     # Small steps leave margin for the repeated restrictions of the cascade.
     pts = sorted((p for p in dom.points if p != 0), key=abs)
     return pts[: 2 * (eq.arity - 1)][:limit]

@@ -121,7 +121,9 @@ def body_bytes(report: dict) -> bytes:
 
 
 def write_report(report: dict, out: str | None) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """Write ``report`` to ``out`` (stdout for None or ``-``) as one line of
+    JSON encoded as ``body_bytes`` encodes a body, and a newline."""
+    text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
     if out is None or out == "-":
         sys.stdout.write(text)
     else:

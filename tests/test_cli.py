@@ -8,7 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from groupident import cli
+from groupident import cli, funceq
 from groupident.cli import (build_parser, find_shift_coeffs, main,
                             parse_group_family)
 from groupident.groups import TABLE_SIZE_LIMIT, Group
@@ -306,28 +306,23 @@ def test_invariants_suite(tmp_path):
 def test_invariants_above_dense_table_gate(tmp_path, monkeypatch):
     # Any dense n x n table on this group raises CapacityError, so the suite
     # must run its adjoint, annihilator and subgroup checks on index
-    # arithmetic, and build its character rows from exact phases, in
-    # several row blocks here; every character row must reach the batched
-    # certifier, and no dense table may be built.
+    # arithmetic; its characters pass the root-table certificate over Z_41,
+    # so no row of the character table is built and no per-row check runs.
     assert Group([41, 41]).size > TABLE_SIZE_LIMIT
-    checked, blocks, original = set(), [], cli.are_characters
 
-    def are_characters(dom, idx, V, *args):
-        blocks.append(len(V))
-        checked.update(row.tobytes() for row in V)
-        return original(dom, idx, V, *args)
+    def refuse(*args):
+        raise AssertionError("a dense table or a character row was built")
 
-    def refuse(self):
-        raise AssertionError("a dense n x n table was built")
-
-    monkeypatch.setattr(cli, "are_characters", are_characters)
     monkeypatch.setattr(Group, "pairing_matrix", property(refuse))
     monkeypatch.setattr(Group, "phase_matrix", property(refuse))
+    monkeypatch.setattr(Group, "character_rows", refuse)
+    for name in ("is_character", "locate_character", "character_defect",
+                 "bernstein_check"):
+        monkeypatch.setattr(funceq, name, refuse)
     code, report = run_cli(tmp_path, "invariants", "--groups", "41x41")
     assert code == 0
     assert report["body"]["results"] == [
         {"group": [41, 41], "characters_checked": 1681, "violations": []}]
-    assert len(checked) == sum(blocks) == 1681 and len(blocks) > 1
 
 
 def test_invariants_empty_family_exits_2(capsys):
@@ -406,10 +401,23 @@ def test_bodies_are_the_same_under_x86_64_v2_dispatch():
              ["counterexample", "--kind", "poisson-pair"]]
     v2 = {label: env for label, env, _ in tool.env_settings()}
     native = tool.run_child(SRC.parent, argvs, {}, False)
-    assert [code for code, _ in native] == [0, 0, 0]
+    assert [code for code, *_ in native] == [0, 0, 0]
     assert tool.run_child(SRC.parent, argvs, v2["x86-64-v2 dispatch"],
                           False) == native
 
+
+def test_compare_tool_shows_a_changed_config(capsys, monkeypatch):
+    # A report whose body is unchanged but whose config moved is DIFFERENT,
+    # and the path of the moved config field is printed.
+    tool = load_compare_bodies()
+    monkeypatch.setattr(tool, "ARGVS", [["counterexample"]])
+    body = b'{"status":"pass"}'
+    before, after = ((0, body, b'{"kind":"bernstein","tol":%s}' % tol)
+                     for tol in (b"1e-12", b"2e-12"))
+    assert tool.report([before], [after]) == 1
+    out = capsys.readouterr().out
+    assert "DIFFERENT" in out and "config.tol 1e-12 -> 2e-12" in out
+    assert "body" not in out
 
 
 def test_bodies_are_the_same_on_one_cpu():
@@ -419,5 +427,5 @@ def test_bodies_are_the_same_on_one_cpu():
     argvs = [["verify-shift", "--group", "1021", "--trials", "1"],
              ["counterexample", "--kind", "poisson-pair", "--group", "30x50"]]
     native = tool.run_child(SRC.parent, argvs, {}, False)
-    assert [code for code, _ in native] == [0, 0]
+    assert [code for code, *_ in native] == [0, 0]
     assert tool.run_child(SRC.parent, argvs, {}, True) == native

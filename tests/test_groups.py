@@ -93,6 +93,25 @@ def test_bilinearity_exact_phase(orders):
     assert np.array_equal(lhs, rhs)
 
 
+
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=3), st.data())
+@settings(max_examples=50, deadline=None)
+def test_phase_idx_is_additive_in_each_argument(orders, data):
+    """``phase_idx`` is additive mod the exponent ``L`` in each argument,
+    through ``add_idx``, on groups too large for the dense tables; the
+    root-table certificate of the character table rests on this."""
+    g = Group(orders)
+    L = g.exponent
+    n = data.draw(st.integers(1, 20))
+    i, j, k = (np.array(data.draw(st.lists(st.integers(0, g.size - 1),
+                                           min_size=n, max_size=n)))
+               for _ in range(3))
+    s = g.add_idx(i, j)
+    assert np.array_equal(g.phase_idx(s, k),
+                          (g.phase_idx(i, k) + g.phase_idx(j, k)) % L)
+    assert np.array_equal(g.phase_idx(k, s),
+                          (g.phase_idx(k, i) + g.phase_idx(k, j)) % L)
+
 def test_bilinearity_float_deviation():
     for orders in ([5], [8], [4, 3], [2, 2, 2]):
         g = Group(orders)

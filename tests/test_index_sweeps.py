@@ -88,13 +88,11 @@ from groupident.funceq import (FunctionTable, ProductEquation,
                                _bernstein_plan, _cached_plan,
                                _generator_plan, _plan,
                                _product_defect, _sum_defect, _sweep_max,
-                               _sweep_plan, are_characters, bernstein_check,
-                               bernstein_checks, bernstein_square_table,
-                               character_defect, character_defects, diff,
-                               is_character, is_polynomial,
-                               kernel_conditions, least_degree,
-                               locate_character, locate_characters,
-                               ratio_diff)
+                               _sweep_plan, bernstein_check,
+                               bernstein_square_table, character_defect,
+                               character_table_checks, diff, is_character,
+                               is_polynomial, kernel_conditions, least_degree,
+                               locate_character, ratio_diff)
 from groupident import distributions, funceq, groups
 from groupident.identify import (VERDICT_PRECONDITIONS, VERDICT_SHIFT,
                                  poisson_pair_deviations)
@@ -1702,7 +1700,7 @@ print("concurrent.futures" in sys.modules)
     assert proc.stdout.split() == ["False", "True"]
 
 
-# -- batched character checks -------------------------------------------------
+# -- character checks on rows of values, and the root-table certificate ----
 
 BATCH_GROUPS = [(2,), (7,), (12,), (2, 4), (4, 6), (6, 6), (3, 3, 2),
                 (9, 8)]
@@ -1738,43 +1736,31 @@ def batch_rows(g: Group, rng):
 
 @pytest.mark.parametrize("orders", BATCH_GROUPS, ids=group_id)
 def test_batched_checks_match_per_table_oracles(orders):
+    """The one-table checks on each row of ``batch_rows``, over the whole
+    group, a permutation of it and part of it, give the oracles' verdicts."""
     g = Group(orders)
     rng = np.random.default_rng([71, *orders])
-    labels, rows = zip(*batch_rows(g, rng))
+    rows = batch_rows(g, rng)
     keep = rng.random(g.size) < 0.6
     keep[0] = True
     for idx in (g.every, rng.permutation(g.size), g.every[keep]):
-        V = np.array(rows)[:, idx]
-        whole = len(idx) == g.size
-        got = {"located": locate_characters(g, idx, V, TOL),
-               "bernstein": bernstein_checks(g, idx, V, TOL)}
-        if whole:
-            got["defect"] = character_defects(g, idx, V)
-            got["character"] = are_characters(g, idx, V, TOL)
-        for r, label in enumerate(labels):
-            f = FunctionTable._at(g, idx, V[r])
+        for label, row in rows:
+            f = FunctionTable._at(g, idx, row[idx])
             table = as_dict(f, coords)
-            bound = ulp_tol(np.where(np.isfinite(V[r]), V[r], 0))
+            bound = ulp_tol(np.where(np.isfinite(f.values), f.values, 0))
             case = f"{label}, {len(idx)} of {g.size} points"
-            # The one-table functions run the same bodies on one row.
-            assert got["bernstein"][r] == bernstein_check(f, TOL), case
-            loc = locate_character(f, TOL)
-            assert got["located"][r] == (-1 if loc is None else g.index(loc))
             verdict, margin = bernstein_oracle(orders, table, TOL)
             if not margin <= bound:
-                assert got["bernstein"][r] == verdict, case
+                assert bernstein_check(f, TOL) == verdict, case
             want = locate_character_oracle(orders, table, TOL)
-            assert loc == (None if want is None else g.element(want)), case
-            if not whole:
+            assert locate_character(f, TOL) == (
+                None if want is None else g.element(want)), case
+            if len(idx) < g.size:
                 continue
-            assert got["character"][r] == is_character(f, TOL), case
-            one = character_defect(f)
-            assert (np.isnan(one) and np.isnan(got["defect"][r])
-                    or abs(got["defect"][r] - one) <= bound), case
             defect = character_defect_oracle(orders, table)
             if not abs(defect - TOL) <= bound:
-                assert got["character"][r] == (defect <= TOL
-                                               and want is not None), case
+                assert is_character(f, TOL) == (defect <= TOL
+                                                and want is not None), case
 
 
 @pytest.mark.parametrize("orders", BATCH_GROUPS + [(5, 13)], ids=group_id)
@@ -1802,34 +1788,80 @@ def test_generator_location_matches_exhaustive_search(orders):
         V = np.vstack([P[rng.integers(g.size, size=6)] + noise * np.exp(
             2j * np.pi * rng.random((6, g.size))), turned])
         for idx in (g.every, rng.permutation(g.size), g.every[keep]):
-            W = V[:, idx]
-            want = [character_search(g, np.ones((1, len(idx))), row[None],
-                                     tol, idx)[0] for row in W]
-            assert locate_characters(g, idx, W, tol).tolist() == want, tol
+            for row in V[:, idx]:
+                want = character_search(g, np.ones((1, len(idx))), row[None],
+                                        tol, idx)[0]
+                got = locate_character(FunctionTable._at(g, idx, row), tol)
+                assert got == (None if want < 0 else g.element_at(want)), tol
+
+
+def per_row_checks(g: Group, tol: float) -> tuple[bool, bool]:
+    """The oracle of ``character_table_checks``: ``is_character`` and
+    ``bernstein_check`` on every row of the character table."""
+    rows = [FunctionTable._at(g, g.every, v)
+            for V in g.character_rows() for v in V]
+    return (all([is_character(f, tol) for f in rows]),
+            all([bernstein_check(f, tol) for f in rows]))
+
+
+# Groups with several involutions, and two whose exponent exceeds every
+# cyclic order.
+TABLE_GROUPS = BATCH_GROUPS + [(2, 3, 5), (12, 18)]
+
+
+@pytest.mark.parametrize("orders", TABLE_GROUPS, ids=group_id)
+def test_character_table_checks_match_per_row_loop(orders):
+    """At the default tolerance every character passes; far below the
+    roots' rounding the character entries fail, so the rows are checked one
+    by one, and the Bernstein table still gives the rows' verdict; above
+    ``sin(pi/L)/2`` the rows are located by the search, and at 0 by none."""
+    g = Group(orders)
+    assert character_table_checks(g, TOL) == (True, True)
+    edge = np.sin(np.pi / g.exponent) / 2
+    for tol in (TOL, 1e-16, 0.0, 3 * edge):
+        assert character_table_checks(g, tol) == per_row_checks(g, tol), tol
+
+
+@pytest.mark.parametrize("orders", [(7,), (4, 6), (3, 3, 2), (2, 3, 5)],
+                         ids=group_id)
+def test_character_table_checks_see_a_perturbed_root(orders, monkeypatch):
+    """One entry of ``Group.roots`` turned or scaled by ``10 TOL``: both
+    paths see it at ``TOL``, and agree at tolerances on either side of the
+    defects it causes, where the table passes or fails in part."""
+    rng = np.random.default_rng([83, *orders])
+    for factor in (np.exp(10j * TOL), 1 + 10 * TOL):
+        g = Group(orders)
+        w = g.roots.copy()
+        w[rng.integers(1, g.exponent)] *= factor
+        monkeypatch.setattr(g, "roots", w)
+        assert character_table_checks(g, TOL) == (False, False)
+        for tol in TOL * np.array([1, 5, 10, 15, 20, 30]):
+            assert character_table_checks(g, tol) == per_row_checks(g, tol)
 
 
 @pytest.mark.parametrize("dom", [Group([9, 8]), Group([12]), *LATTICES],
                          ids=repr)
 def test_batched_checks_cut_into_cells_match_whole_rows(dom, monkeypatch):
-    """With blocks of 7 values every body runs on runs of one row's columns
-    (pairs, points or shifts), and must give the whole-row results."""
+    """With blocks of 7 values ``bernstein_check`` runs its pairs, and
+    ``character_table_checks`` its root table, in short runs, and both must
+    give the uncut results."""
     rng = np.random.default_rng([79, len(dom.every)])
-    idx = dom.every
     if isinstance(dom, Group):
         rows = [vals for _, vals in batch_rows(dom, rng)]
     else:
         rows = [character_gaussian_values(dom, Fraction(k, 97), 0.0).values
                 for k in range(4)]
         rows.append(rows[0] * (1 + 2 * TOL))
-    V = np.array(rows)
-    checks = [lambda: character_defects(dom, idx, V),
-              lambda: are_characters(dom, idx, V, TOL),
-              lambda: locate_characters(dom, idx, V, TOL),
-              lambda: bernstein_checks(dom, idx, V, TOL)]
+    tables = [FunctionTable._at(dom, dom.every, v) for v in rows]
+    checks = [lambda: [bernstein_check(f, TOL) for f in tables]]
+    if isinstance(dom, Group):
+        checks += [lambda: character_table_checks(dom, TOL),
+                   lambda: character_table_checks(dom, 1e-16)]
     whole = [check() for check in checks]
+    assert True in whole[0] and False in whole[0]
     monkeypatch.setattr(funceq, "VALUE_BLOCK", 7)
     for want, check in zip(whole, checks):
-        np.testing.assert_array_equal(check(), want)
+        assert check() == want
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

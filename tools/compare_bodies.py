@@ -1,5 +1,5 @@
-"""Compare report bodies of a fixed list of campaigns between two source
-trees, or between environments.
+"""Compare the report bodies and configs of a fixed list of campaigns
+between two source trees, or between environments.
 
 Usage, from the root of a checkout::
 
@@ -10,13 +10,14 @@ Usage, from the root of a checkout::
 ``TREE`` defaults to this checkout.  Each campaign runs in-process through
 ``groupident.cli.main``, first with the package imported from the first
 tree's ``src/``, then from the second's.  For every argv the script prints
-whether the exit codes and ``reporting.body_bytes`` of the two reports match,
-and it exits 1 when any of them differ.  Under each DIFFERENT line it prints
-every JSON path whose value differs, with both values, for example
-``.trials[1].joint_residual 0.09152442122103922 -> 0.09152442122103924``,
-so that a deliberate change of bodies can be reviewed field by field.  A
-refactor that claims unchanged behaviour should print ``same`` on every
-line.
+whether the exit codes, the ``reporting.body_bytes`` and the ``config`` of
+the two reports match, and it exits 1 when any of them differ.  Under each
+DIFFERENT line it prints every JSON path whose value differs, with both
+values, for example
+``body.trials[1].joint_residual 0.09152442122103922 -> 0.09152442122103924``
+or ``config.tol 1e-12 -> 1.385e-12``, so that a deliberate change of
+reports can be reviewed field by field.  A refactor that claims unchanged
+behaviour should print ``same`` on every line.
 
 With ``--env`` the campaigns run against one tree (this checkout by
 default) in child processes, once natively and once under each setting of
@@ -26,8 +27,8 @@ kernels, one OpenBLAS thread, and one CPU.  Under "one CPU" the child pins
 itself to the first CPU it may run on (``os.sched_setaffinity`` on its own
 pid) before it imports the package, so every joint-law sweep runs unsplit,
 where natively it is cut into one row stripe per CPU.  For each setting the
-script prints how many bodies are identical to the native run, with the
-same DIFFERENT lines, and it exits 1 when any body differs.  Report bodies
+script prints how many reports are identical to the native run, with the
+same DIFFERENT lines, and it exits 1 when any report differs.  Report bodies
 are meant to be a function of configuration and seed alone, so every count
 should be full.
 """
@@ -101,6 +102,11 @@ ARGVS = [
     # The adjoint, subgroup and annihilator checks and every character of a
     # group of 10,000 elements.
     ["invariants", "--groups", "100x100"],
+    # Every character of 30x30 certified at the campaign's tolerance, and
+    # two groups whose exponent exceeds every cyclic order, one of them
+    # above 36 elements.
+    ["counterexample", "--kind", "bernstein", "--group", "30x30"],
+    ["invariants", "--groups", "2x3x5,12x18"],
     # The other shift-small groups, and a spectral campaign of many trials:
     # the verifier stacks every trial of a campaign.
     _shift("11", "I", "20"),
@@ -113,8 +119,10 @@ ARGVS = [
 ]
 
 
-def run_tree(tree: Path, argvs) -> list[tuple[int, bytes | None]]:
-    """(exit code, body bytes or None) of every argv, run against ``tree``."""
+def run_tree(tree: Path, argvs) -> list[tuple[int, bytes | None,
+                                              bytes | None]]:
+    """(exit code, body bytes, config bytes) of every argv, run against
+    ``tree``; both None where no report was written."""
     src = str(tree.resolve() / "src")
     for name in [m for m in sys.modules
                  if m == "groupident" or m.startswith("groupident.")]:
@@ -130,9 +138,12 @@ def run_tree(tree: Path, argvs) -> list[tuple[int, bytes | None]]:
                 out.unlink(missing_ok=True)
                 with contextlib.redirect_stderr(io.StringIO()):
                     code = cli.main([*argv, "--out", str(out)])
-                body = (reporting.body_bytes(json.loads(out.read_text()))
-                        if out.exists() else None)
-                results.append((code, body))
+                if not out.exists():
+                    results.append((code, None, None))
+                    continue
+                report = json.loads(out.read_text())
+                results.append((code, reporting.body_bytes(report),
+                                _config_bytes(report)))
         return results
     finally:
         sys.path.remove(src)
@@ -162,7 +173,8 @@ if sys.argv[4] == "1":
 sys.path.insert(0, sys.argv[1])
 import compare_bodies as tool
 results = tool.run_tree(tool.Path(sys.argv[2]), json.loads(sys.argv[3]))
-print(json.dumps([[code, body and body.decode()] for code, body in results]))
+print(json.dumps([[code, *(b and b.decode() for b in parts)]
+                  for code, *parts in results]))
 """
 
 
@@ -173,8 +185,14 @@ def run_child(tree: Path, argvs, env: dict[str, str], one_cpu: bool):
         [sys.executable, "-c", _CHILD, str(HERE), str(tree.resolve()),
          json.dumps(argvs), "1" if one_cpu else "0"],
         env={**os.environ, **env}, capture_output=True, text=True, check=True)
-    return [(code, body and body.encode())
-            for code, body in json.loads(proc.stdout)]
+    return [(code, *(b and b.encode() for b in parts))
+            for code, *parts in json.loads(proc.stdout)]
+
+
+def _config_bytes(report: dict) -> bytes:
+    """Canonical bytes of a report's ``config``, encoded as its body is."""
+    return json.dumps(report["config"], sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
 
 
 _ABSENT = object()
@@ -201,20 +219,23 @@ def _show(value) -> str:
 
 
 def report(before, after, label: str = "") -> int:
-    """Print one line per argv, and the fields of each body that differs;
-    return the number of argvs whose exit code or body differs."""
+    """Print one line per argv, and the fields of each body and config
+    that differ; return the number of argvs whose exit code, body or config
+    differs."""
     differ = 0
     for argv, a, b in zip(ARGVS, before, after):
         same = a == b
         differ += not same
         detail = "" if same else f"  (exit {a[0]} -> {b[0]})"
         print(f"{'same' if same else 'DIFFERENT':9} {' '.join(argv)}{detail}")
-        if not same:
-            old, new = (None if body is None else json.loads(body)
-                        for _, body in (a, b))
-            for path, x, y in changed_fields(old, new):
-                print(f"    {path or '.'} {_show(x)} -> {_show(y)}")
-    print(f"{label}{len(ARGVS) - differ} of {len(ARGVS)} bodies identical")
+        for k, part in enumerate(("body", "config"), 1):
+            if a[k] == b[k]:
+                continue
+            old, new = (None if r[k] is None else json.loads(r[k])
+                        for r in (a, b))
+            for path, x, y in changed_fields(old, new, part):
+                print(f"    {path} {_show(x)} -> {_show(y)}")
+    print(f"{label}{len(ARGVS) - differ} of {len(ARGVS)} reports identical")
     return differ
 
 
@@ -233,7 +254,7 @@ def main(argv=None) -> int:
             for label, overrides, one_cpu in env_settings()]
         differ = [report(native, results, f"{label}: ")
                   for label, results in others]
-        print("summary, bodies identical to the native run:")
+        print("summary, reports identical to the native run:")
         for (label, _), d in zip(others, differ):
             print(f"  {label}: {len(ARGVS) - d} of {len(ARGVS)}")
         return 1 if any(differ) else 0
