@@ -15,7 +15,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -327,7 +327,9 @@ def _write_fixture_dists(directory, mus, nus) -> list[str]:
 
 def cmd_counterexample(args) -> int:
     start = time.perf_counter()
-    construct = {"poisson-pair": _counterexample_poisson,
+    phases = Phases()
+    construct = {"poisson-pair": partial(_counterexample_poisson,
+                                         phases=phases),
                  "kernel-mass": _counterexample_kernel,
                  "plane-gaussian": _counterexample_plane,
                  "bernstein": _counterexample_bernstein}[args.kind]
@@ -336,7 +338,7 @@ def cmd_counterexample(args) -> int:
     except GroupIdentError as exc:
         print(f"cannot construct: {exc}", file=sys.stderr)
         return 2
-    return _finish("counterexample", config, body, start, args.out)
+    return _finish("counterexample", config, body, start, args.out, phases)
 
 
 def _counterexample_tol(args, floor: float) -> float:
@@ -345,14 +347,15 @@ def _counterexample_tol(args, floor: float) -> float:
     return max(COUNTEREXAMPLE_TOL, floor) if args.tol is None else args.tol
 
 
-def _counterexample_poisson(args) -> tuple[dict, dict]:
+def _counterexample_poisson(args, phases: Phases) -> tuple[dict, dict]:
     group = parse_group(args.group or "6")
     cs = parse_int_coeffs(args.coeffs) if args.coeffs else [1, 3, 2]
     bs = _scalar_endos(group, cs)
     mu3 = Distribution.random(group, [args.seed, 99], 0.2)
     mus, nus = identify.poisson_counterexample(bs, args.rate, mu3)
-    residual, closed_dev = identify.poisson_pair_deviations(
-        bs, args.rate, mu3, mus[:2], nus[:2])
+    with phases.timed("joint_residual_s"):
+        residual, closed_dev = identify.poisson_pair_deviations(
+            bs, args.rate, mu3, mus[:2], nus[:2])
     non_shift = [identify.recover_shift(mus[j], nus[j]) is None
                  for j in (0, 1)]
     tol = _counterexample_tol(

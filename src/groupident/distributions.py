@@ -8,7 +8,10 @@ read at the rank it depends on (``factor_plan``): a factor with ``b_j = 0``
 is a column over ``u`` and one with ``a_j = 0`` a row over ``v``, each read
 once per sweep, and every other factor is gathered from its characteristic
 function tiled over the doubled coordinate box (``Group.box_idx``).  So
-comparing two needs no ``n x n`` table either.
+comparing two needs no ``n x n`` table either.  On exactly conjugate-
+symmetric tables, as ``char_arrays`` makes them, a residual sweep reads
+only the columns ``v`` with ``-v >= v``, since ``(u, v)`` and ``(-u, -v)``
+deviate alike (``mirror_plan``).
 
 Every such sweep goes through ``sweep_rows``.  A grid of at least two
 blocks is cut into one stripe of contiguous rows per CPU the process may run
@@ -188,13 +191,19 @@ def char_arrays(group: Group, masses: np.ndarray) -> np.ndarray:
 
     One ``ifftn`` over the trailing ``orders`` axes (numpy's ``ifftn``
     carries ``exp(+2 pi i <x, y>)``, the pairing, and divides by ``n``);
-    each row of a stack is the transform of that row alone.
+    each row of a stack is the transform of that row alone.  An entry at
+    ``y`` with ``-y < y`` is then read as the conjugate of the one at
+    ``-y``, and one with ``2y = 0`` as its real part (``mirror_plan``).
     """
     g = group
     lead = masses.shape[:-1]
     axes = tuple(range(-g.rank, 0))
-    return np.fft.ifftn(masses.reshape(lead + g.orders),
-                        axes=axes).reshape(lead + (g.size,)) * g.size
+    out = np.fft.ifftn(masses.reshape(lead + g.orders),
+                       axes=axes).reshape(lead + (g.size,)) * g.size
+    _, y, neg, fixed = g.mirror
+    out[..., y] = out[..., neg].conj()
+    out.imag[..., fixed] = 0.0
+    return out
 
 
 def random_masses(group: Group, seeds: Sequence, floor: float = 0.1, *,
@@ -365,13 +374,27 @@ def stack_plan(plan: FactorPlan, group: Group, k: int) -> FactorPlan:
                  else ((offsets + U).reshape(-1), V) for U, V in plan)
 
 
-def pair_index_blocks(plan: FactorPlan, size: int, dtypes: Sequence[type],
-                      lo: int, hi: int, block: int
+def mirror_plan(group: Group, plan: FactorPlan, chars: Sequence[np.ndarray],
+                phase: np.ndarray | None = None) -> tuple[FactorPlan, int]:
+    """``plan`` with its reads at ``v`` cut to the mirror half, and its
+    size, if each of ``chars`` and ``phase``, read at ``k mod L``, is
+    exactly conjugate-symmetric (a NaN is not); else ``plan`` and ``n``."""
+    tables = [(c, group.neg_index) for c in chars]
+    if phase is not None:
+        tables.append((phase, -np.arange(len(phase)) % group.exponent))
+    if not all(np.array_equal(t[..., neg], t.conj()) for t, neg in tables):
+        return plan, group.size
+    half = group.mirror[0]
+    return tuple((U, V if V is None else V[half]) for U, V in plan), len(half)
+
+
+def pair_index_blocks(plan: FactorPlan, size: int, cols: int,
+                      dtypes: Sequence[type], lo: int, hi: int, block: int
                       ) -> Iterator[tuple[slice, list, list[np.ndarray]]]:
-    """Row blocks of rows ``lo:hi`` of stacked ``(u, v)`` grids of
-    ``size x size`` pairs each, about ``block`` pairs each, read as
-    ``plan`` says (``factor_plan``, ``stack_plan``); row ``r`` is
-    ``u = r mod size`` of entry ``e = r // size``.
+    """Row blocks of rows ``lo:hi`` of stacked grids of ``size`` rows ``u``
+    and ``cols`` columns ``v`` each, about ``block`` pairs each, read as
+    ``plan`` says (``factor_plan``, ``stack_plan``, ``mirror_plan``); row
+    ``r`` is ``u = r mod size`` of entry ``e = r // size``.
 
     Each block of rows comes with one read per factor, for
     ``read_factor``: the slice ``rows`` of a column factor; for a row
@@ -384,10 +407,10 @@ def pair_index_blocks(plan: FactorPlan, size: int, dtypes: Sequence[type],
     rewritten for every block, so a caller uses a block before it takes
     the next one.
     """
-    step = max(1, min(hi - lo, block // size))
-    idx = [None if U is None or V is None else np.empty((step, size), np.int64)
+    step = max(1, min(hi - lo, block // cols))
+    idx = [None if U is None or V is None else np.empty((step, cols), np.int64)
            for U, V in plan]
-    bufs = [np.empty((step, size), d) for d in dtypes]
+    bufs = [np.empty((step, cols), d) for d in dtypes]
     for start in range(lo, hi, step):
         rows = slice(start, min(start + step, hi))
         if rows.stop - start < step:  # only the last block is shorter
@@ -420,11 +443,12 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_stripe_pool.cache_clear)
 
 
-def sweep_rows(plan: FactorPlan, size: int, dtypes: Sequence[type],
+def sweep_rows(plan: FactorPlan, size: int, cols: int,
+               dtypes: Sequence[type],
                body: Callable[[slice, list, list[np.ndarray]], Any],
                entries: int = 1) -> list:
     """``body(rows, reads, bufs)`` of every block of ``pair_index_blocks``
-    over the ``entries * size`` rows of ``entries`` stacked ``size x size``
+    over the ``entries * size`` rows of ``entries`` stacked ``size x cols``
     grids, in row order.
 
     A block holds at most ``JOINT_BLOCK`` pairs, and on stacked grids of
@@ -445,12 +469,12 @@ def sweep_rows(plan: FactorPlan, size: int, dtypes: Sequence[type],
     unsplit sweep gives.
     """
     rows = entries * size
-    k = min(CPUS, rows) if rows * size >= 2 * JOINT_BLOCK else 1
-    block = min(JOINT_BLOCK, max(size * size, VALUE_BLOCK)) // k
+    k = min(CPUS, rows) if rows * cols >= 2 * JOINT_BLOCK else 1
+    block = min(JOINT_BLOCK, max(size * cols, VALUE_BLOCK)) // k
 
     def stripe(lo: int, hi: int) -> list:
-        return [body(*b) for b in pair_index_blocks(plan, size, dtypes, lo,
-                                                    hi, block)]
+        return [body(*b) for b in pair_index_blocks(plan, size, cols, dtypes,
+                                                    lo, hi, block)]
 
     if k == 1:
         return stripe(0, rows)
@@ -502,7 +526,7 @@ def joint_table(plan: FactorPlan, tables: Sequence[np.ndarray],
     """The ``size x size`` grid of ``joint_block`` products of ``tables``,
     read as ``plan`` says."""
     out = np.empty((size, size), dtype=np.complex128)
-    sweep_rows(plan, size, [np.complex128],
+    sweep_rows(plan, size, size, [np.complex128],
                lambda rows, reads, bufs: joint_block(tables, reads, out[rows],
                                                      *bufs))
     return out
@@ -537,13 +561,23 @@ def joint_residuals(spec: LinearFormSpec, lhs: np.ndarray,
     One sweep over the ``k n`` rows of the stacked grids, one row block at
     a time; both sides share each block's indices, and each row's largest
     deviation goes to its entry.
+
+    If every table is exactly conjugate-symmetric, only the ``(n + t) / 2``
+    columns ``v`` with ``-v >= v`` are swept (``mirror_plan``), ``t`` the
+    number of ``v`` with ``2v = 0``; their maximum is the grid's bit for
+    bit.  A factor is read at ``adj(a_j) u + adj(b_j) v``, a homomorphism,
+    so at ``(-u, -v)`` it reads the exact conjugate of its entry at
+    ``(u, v)``.  Negation is exact and round-to-nearest symmetric, so
+    products, differences and moduli of exact conjugates are exact
+    conjugates or equal, with or without FMA: each pair is swept itself or
+    through its mirror ``(-u, -v)``.
     """
     g = spec.group
     shape = (len(lhs), spec.arity, g.size)
     if lhs.shape != shape or rhs.shape != shape:
         raise DomainError(f"need two {shape} stacks, got {lhs.shape} and "
                           f"{rhs.shape}")
-    plan = factor_plan(spec.pairs)
+    plan, cols = mirror_plan(g, factor_plan(spec.pairs), [lhs, rhs])
     L, R = (factor_tables(g, plan, c.swapaxes(0, 1)) for c in (lhs, rhs))
     worst = np.empty(len(lhs) * g.size)
 
@@ -553,7 +587,7 @@ def joint_residuals(spec: LinearFormSpec, lhs: np.ndarray,
         diff -= joint_block(R, reads, y, tmp)
         np.maximum.reduce(np.abs(diff, out=mod), axis=1, out=worst[rows])
 
-    sweep_rows(stack_plan(plan, g, len(lhs)), g.size,
+    sweep_rows(stack_plan(plan, g, len(lhs)), g.size, cols,
                [np.complex128] * 3 + [np.float64], body, entries=len(lhs))
     return worst.reshape(shape[0], g.size).max(axis=1)
 

@@ -149,8 +149,12 @@ class Group:
 
     @cached_property
     def roots(self) -> np.ndarray:
+        """``exp(2 pi i k / L)``, ``L`` the exponent, with ``roots[L - k]``
+        exactly ``conj(roots[k])`` and entries 0 and ``L/2`` real."""
         L = self.exponent
-        return np.exp(2j * np.pi * np.arange(L) / L)
+        half = np.exp(2j * np.pi * np.arange(L // 2 + 1) / L)
+        half.imag[[0, -1] if L % 2 == 0 else 0] = 0.0
+        return np.concatenate([half, half[(L + 1) // 2 - 1:0:-1].conj()])
 
     # -- index arithmetic: exact, elementwise on broadcastable int64 arrays ---
 
@@ -283,6 +287,15 @@ class Group:
     def neg_index(self) -> np.ndarray:
         """``neg_index[i]`` is the index of ``-element_at(i)``."""
         return self.neg_idx(self.every)
+
+    @cached_property
+    def mirror(self) -> tuple[np.ndarray, ...]:
+        """``(half, y, -y, z)``: the indices ``v`` with ``-v >= v``, ``y``
+        with ``-y < y`` and their ``-y``, and ``z`` with ``2z = 0``."""
+        neg, every = self.neg_index, self.every
+        y = np.flatnonzero(neg < every)
+        return (np.flatnonzero(neg >= every), y, neg[y],
+                np.flatnonzero(neg == every))
 
 
 # Pairs per row block of an index-pair sweep; bounds its temporary memory.

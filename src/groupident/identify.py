@@ -20,7 +20,8 @@ import numpy as np
 from .distributions import (Distribution, FactorPlan, LinearFormSpec,
                             char_rows, factor_plan, factor_tables,
                             joint_block, joint_residuals, joint_table,
-                            read_factor, shifted_masses, sweep_rows)
+                            mirror_plan, read_factor, shifted_masses,
+                            sweep_rows)
 from .endomorphisms import Endo
 from .errors import ConstructionError, DomainError
 from .funceq import kernel_conditions, summed_variables
@@ -321,15 +322,17 @@ def poisson_pair_deviations(bs: Sequence[Endo], a: float,
     row-blocked sweep: each block's reads serve both joint laws, and
     ``mu_rest``, the third factor of both and of the closed form, is read
     once and multiplied in last, as the dense tables do.  The deviation is
-    the larger of the two sides'.
+    the larger of the two sides'.  As in ``joint_residuals``, the sweep
+    reads the mirror half if every table, the phase table too, allows it.
     """
     g = bs[0].group
-    plan = _poisson_plan(bs, LinearFormSpec.form_I(bs).pairs)
-    lhs_t, rhs_t = (factor_tables(g, plan[1:3], char_rows(d))
-                    for d in (mus, nus))
+    chars = [char_rows(d) for d in (mus, nus, [mu_rest][:len(bs) - 2])]
     phase_t = _phase_table(g, a)
-    rest_t = factor_tables(g, plan[3:],
-                           char_rows([mu_rest][:len(bs) - 2]))
+    plan, cols = mirror_plan(
+        g, _poisson_plan(bs, LinearFormSpec.form_I(bs).pairs),
+        [c for cs in chars for c in cs], phase_t)
+    lhs_t, rhs_t, rest_t = (factor_tables(g, p, c) for p, c
+                            in zip((plan[1:3], plan[1:3], plan[3:]), chars))
 
     def deviations(rows, reads, bufs):
         x, y, z, tmp, mod = bufs
@@ -347,7 +350,7 @@ def poisson_pair_deviations(bs: Sequence[Endo], a: float,
                                     np.abs(rhs, out=mod).max())
 
     residual, closed_dev = zip(*sweep_rows(
-        plan, g.size, [np.complex128] * 4 + [np.float64], deviations))
+        plan, g.size, cols, [np.complex128] * 4 + [np.float64], deviations))
     return float(np.max(residual)), float(np.max(closed_dev))
 
 

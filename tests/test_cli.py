@@ -203,6 +203,16 @@ def test_verify_shift_reports_phase_timings(tmp_path, argv):
     jsonschema.validate(report, load_schema())
 
 
+def test_poisson_pair_reports_its_sweep_seconds(tmp_path):
+    code, report = run_cli(tmp_path, "counterexample", "--kind",
+                           "poisson-pair", "--group", "6x6")
+    assert code == 0
+    timings = report["timings"]
+    assert set(timings) == {"seconds", "joint_residual_s"}
+    assert 0 <= timings["joint_residual_s"] <= timings["seconds"]
+    jsonschema.validate(report, load_schema())
+
+
 @pytest.mark.parametrize("form", ["I", "II"])
 @pytest.mark.parametrize("coeffs", ["1,2,3,1/2", "1,2,4,3/2"])
 def test_verify_gaussian_large_modulus_ratios(tmp_path, coeffs, form):
@@ -418,6 +428,22 @@ def test_compare_tool_shows_a_changed_config(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "DIFFERENT" in out and "config.tol 1e-12 -> 2e-12" in out
     assert "body" not in out
+
+
+def test_compare_tool_restores_the_callers_modules():
+    # run_tree imports the package afresh; afterwards the caller's modules,
+    # and so its exception classes, are the ones in sys.modules again.
+    import groupident.errors
+
+    tool = load_compare_bodies()
+    before = sys.modules["groupident.errors"]
+    [(code, body, _)] = tool.run_tree(SRC.parent,
+                                      [["counterexample", "--kind",
+                                        "poisson-pair"]])
+    assert code == 0 and body is not None
+    assert sys.modules["groupident.errors"] is before
+    from groupident.errors import CapacityError
+    assert CapacityError is groupident.errors.CapacityError
 
 
 def test_bodies_are_the_same_on_one_cpu():

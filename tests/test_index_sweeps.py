@@ -93,7 +93,7 @@ from groupident.funceq import (FunctionTable, ProductEquation,
                                character_table_checks, diff, is_character,
                                is_polynomial, kernel_conditions, least_degree,
                                locate_character, ratio_diff)
-from groupident import distributions, funceq, groups
+from groupident import distributions, funceq, groups, identify
 from groupident.identify import (VERDICT_PRECONDITIONS, VERDICT_SHIFT,
                                  poisson_pair_deviations)
 from groupident.groups import Element, _shift_screen, character_search
@@ -1236,6 +1236,93 @@ def test_poisson_pair_deviations_read_mu_rest_for_the_third_factor():
         assert abs(got[1] - want[1]) <= closed_form_tol(0.7)
 
 
+# JOINT_GROUPS holds 2x4 and 6x6, with 3 nonzero elements of order 2 each;
+# 2x2x2 has 7 and no other nonzero element.
+@pytest.mark.parametrize("orders", JOINT_GROUPS + [(2, 2, 2)], ids=group_id)
+def test_transforms_and_roots_are_exactly_conjugate_symmetric(orders):
+    """``f(-y) == conj(f(y))`` exactly, and so ``f(y)`` real where
+    ``2y = 0``, for ``Group.roots`` under ``k -> -k mod L``, every row of
+    ``char_arrays`` and the ``char_array`` of Poisson laws."""
+    g = Group(orders)
+    L = g.exponent
+    assert np.array_equal(g.roots[-np.arange(L) % L], g.roots.conj())
+    masses, _, _ = distributions.random_masses(
+        g, [[71, g.size, j] for j in range(3)], 0.2)
+    rows = [*distributions.char_arrays(g, masses),
+            *(Distribution.poisson(g, 0.7, x).char_array
+              for x in g.points_at(g.every[-2:]))]
+    for c in rows:
+        assert np.array_equal(c[g.neg_index], c.conj())
+    assert len(g.mirror[0]) == (g.size + g.order_two_count() + 1) // 2
+
+
+@pytest.mark.parametrize("orders", [(7,), (2, 4), (6, 6), (9, 8)],
+                         ids=group_id)
+def test_broken_symmetry_sweeps_the_whole_grid(orders, monkeypatch):
+    """One finite entry of a factor table moved off its mirror's conjugate
+    makes ``joint_residual`` and ``poisson_pair_deviations`` sweep all
+    ``n^2`` pairs, and they still equal the dense oracle exactly; with
+    every table symmetric they sweep the ``n (n + t) / 2`` of the mirror
+    half.  A moved entry of the Poisson phase table does the same."""
+    g = Group(orders)
+    pairs, blocks = [], distributions.pair_index_blocks
+
+    def recording(*args):
+        for rows, reads, bufs in blocks(*args):
+            pairs.append(bufs[0].size)
+            yield rows, reads, bufs
+
+    monkeypatch.setattr(distributions, "pair_index_blocks", recording)
+    at = int(np.random.default_rng([103, g.size]).integers(g.size))
+
+    def moved(d):
+        vals = d.char_array.copy()
+        vals[at] += 1e-3j
+        return with_char(d, vals)
+
+    def swept(fn, *args):
+        pairs.clear()
+        return fn(*args), sum(pairs)
+
+    half, whole = g.size * len(g.mirror[0]), g.size ** 2
+    mus = [Distribution.random(g, [41, g.size, j], 0.2) for j in range(4)]
+    nus = [Distribution.random(g, [43, g.size, j], 0.2) for j in range(4)]
+    for spec in plan_specs(g, _suite_endos(g, list(orders))):
+        k = spec.arity
+        got, n = swept(joint_residual, spec, mus[:k], nus[:k])
+        assert (got, n) == (joint_residual_dense(spec, mus[:k], nus[:k]),
+                            half)
+        for j in range(k):
+            bad = [*mus[:j], moved(mus[j]), *mus[j + 1:k]]
+            got, n = swept(joint_residual, spec, bad, nus[:k])
+            assert (got, n) == (joint_residual_dense(spec, bad, nus[:k]),
+                                whole)
+    p = smallest_prime(g.exponent)
+    bs = [Endo.scalar(g, c) for c in (1, 1 + p, 2)]
+    rest = Distribution.random(g, [47, g.size], 0.2)
+    pmus, pnus = poisson_counterexample(bs, 0.7, rest)
+    bad = moved(rest)
+    for lhs, r, n_want in (((*pmus[:2], rest), rest, half),
+                           ((moved(pmus[0]), pmus[1], rest), rest, whole),
+                           ((*pmus[:2], bad), bad, whole)):
+        got, n = swept(poisson_pair_deviations, bs, 0.7, r, lhs[:2], pnus[:2])
+        want = poisson_deviations_dense(bs, 0.7, r, lhs, (*pnus[:2], r))
+        assert got[0] == want[0] and n == n_want
+        assert abs(got[1] - want[1]) <= closed_form_tol(0.7)
+    phase_table = identify._phase_table
+
+    def moved_phase(*args):
+        out = phase_table(*args)
+        out[1] += 1e-3j
+        return out
+
+    monkeypatch.setattr(identify, "_phase_table", moved_phase)
+    got, n = swept(poisson_pair_deviations, bs, 0.7, rest, pmus[:2],
+                   pnus[:2])
+    want = poisson_deviations_dense(bs, 0.7, rest, pmus, pnus)
+    assert got[0] == want[0] and n == whole
+
+
 def shift_cases(g: Group):
     """(label, mu, nu, the element the dense search must return)."""
     n, tol = g.size, 1e-8
@@ -1517,9 +1604,9 @@ def record_stripes(monkeypatch):
     stripe a sweep reads."""
     stripes, blocks = [], distributions.pair_index_blocks
 
-    def recording(plan, size, dtypes, lo, hi, block):
+    def recording(plan, size, cols, dtypes, lo, hi, block):
         stripes.append((lo, hi))
-        return blocks(plan, size, dtypes, lo, hi, block)
+        return blocks(plan, size, cols, dtypes, lo, hi, block)
 
     monkeypatch.setattr(distributions, "pair_index_blocks", recording)
     return stripes
@@ -1615,7 +1702,7 @@ def test_stripe_errors_reach_the_caller_after_every_stripe(monkeypatch):
             done.append(rows.start)
 
         with pytest.raises(DomainError, match=f"stripe {min(raising)}"):
-            distributions.sweep_rows(plan, g.size, [], body)
+            distributions.sweep_rows(plan, g.size, g.size, [], body)
         assert sorted(done) == [r for r in range(30)
                                 if r // 10 * 10 not in raising]
 

@@ -132,13 +132,18 @@ def test_stacked_draw_redraws_and_fails_row_by_row(group):
 def test_stacked_sweeps_build_small_blocks(group, k, monkeypatch):
     """A stack of ``k`` grids is swept in blocks of at most the pairs of
     one grid or ``VALUE_BLOCK``, whichever is more, and never more than
-    ``JOINT_BLOCK``: no ``(k, n, n)`` array is built.  The residuals are
-    those of each entry swept alone."""
+    ``JOINT_BLOCK``: no ``(k, n, n)`` array is built.  A conjugate-symmetric
+    stack is swept over the ``k n (n + t) / 2`` pairs of the mirror half
+    of each grid, ``t`` the number of ``v`` with ``2v = 0``; one finite
+    entry changed breaks the symmetry, and the stack is swept over all
+    ``k n^2`` pairs.  The residuals are those of each entry swept alone."""
     g = parse_group(group)
     bs = [Endo.scalar(g, c) for c in find_shift_coeffs(g, "II")]
     spec = LinearFormSpec.form_II(bs)
     _, chars, _ = random_masses(g, [[13, i] for i in range(6 * k)], 0.2)
     lhs, rhs = chars.reshape(2, k, 3, g.size)
+    broken = lhs.copy()
+    broken[k - 1, 1, 1] += 1e-3
     blocks, real = [], distributions.pair_index_blocks
 
     def recording(*args):
@@ -147,9 +152,13 @@ def test_stacked_sweeps_build_small_blocks(group, k, monkeypatch):
             yield rows, reads, bufs
 
     monkeypatch.setattr(distributions, "pair_index_blocks", recording)
-    got = joint_residuals(spec, lhs, rhs)
-    bound = min(distributions.JOINT_BLOCK, max(g.size ** 2, VALUE_BLOCK))
-    assert blocks and max(blocks) <= bound
-    assert sum(blocks) == k * g.size ** 2
-    for e in range(k):
-        assert joint_residuals(spec, lhs[e:e + 1], rhs[e:e + 1])[0] == got[e]
+    t = g.order_two_count() + 1
+    for left, cols in ((lhs, (g.size + t) // 2), (broken, g.size)):
+        blocks.clear()
+        got = joint_residuals(spec, left, rhs)
+        bound = min(distributions.JOINT_BLOCK, max(g.size * cols, VALUE_BLOCK))
+        assert blocks and max(blocks) <= bound
+        assert sum(blocks) == k * g.size * cols
+        for e in range(k):
+            assert joint_residuals(spec, left[e:e + 1],
+                                   rhs[e:e + 1])[0] == got[e]

@@ -119,14 +119,20 @@ ARGVS = [
 ]
 
 
+def _package_modules() -> list[str]:
+    return [m for m in sys.modules
+            if m == "groupident" or m.startswith("groupident.")]
+
+
 def run_tree(tree: Path, argvs) -> list[tuple[int, bytes | None,
                                               bytes | None]]:
     """(exit code, body bytes, config bytes) of every argv, run against
-    ``tree``; both None where no report was written."""
+    ``tree``; both None where no report was written.  The package is
+    imported afresh from ``tree``, and the caller's ``groupident`` modules
+    are back in ``sys.modules`` when the call returns, so that the caller
+    keeps one class per exception."""
     src = str(tree.resolve() / "src")
-    for name in [m for m in sys.modules
-                 if m == "groupident" or m.startswith("groupident.")]:
-        del sys.modules[name]
+    saved = {m: sys.modules.pop(m) for m in _package_modules()}
     sys.path.insert(0, src)
     try:
         cli = importlib.import_module("groupident.cli")
@@ -147,6 +153,9 @@ def run_tree(tree: Path, argvs) -> list[tuple[int, bytes | None,
         return results
     finally:
         sys.path.remove(src)
+        for m in _package_modules():
+            del sys.modules[m]
+        sys.modules.update(saved)
 
 
 def env_settings() -> list[tuple[str, dict[str, str], bool]]:
