@@ -22,7 +22,7 @@ import numpy as np
 
 from . import identify, solenoid
 from .distributions import (Distribution, char_arrays, checked_masses,
-                            random_masses, shifted_masses)
+                            generators, random_masses, shifted_masses)
 from .endomorphisms import Endo, annihilator_idx, is_adjoint_pair
 from .errors import GroupIdentError, WindowMarginError
 from .funceq import (bernstein_check, bernstein_square_table,
@@ -147,25 +147,25 @@ class ShiftEntry:
 
 
 def run_shift_trial(group: Group, bs, form: str, seed, trial: int,
-                    expect_negative: bool) -> ShiftEntry:
+                    expect_negative: bool, rng) -> ShiftEntry:
     """The roundtrip of ``trial``: ``nu_j`` is ``mu_j`` shifted by shifts
-    that leave both forms invariant, or ``mu_j`` itself when the campaign
-    expects the hypotheses to fail."""
+    that leave both forms invariant, drawn from ``rng`` (the generator of
+    ``[seed, trial, 7]`` in a campaign), or ``mu_j`` itself when the
+    campaign expects the hypotheses to fail."""
     seeds = tuple([seed, trial, j] for j in range(3))
     if expect_negative:
         return ShiftEntry(seeds, (group.zero,) * 3,
                           identify.VERDICT_PRECONDITIONS)
-    rng = np.random.default_rng([seed, trial, 7])
     x1 = group.element_at(int(rng.integers(0, group.size)))
     shifts = consistent_shifts(bs, form, x1)
     return ShiftEntry(seeds, shifts, identify.VERDICT_SHIFT, shifts)
 
 
 def run_shift_adversarial(group: Group, bs, form: str, seed, trial: int,
-                          expect_negative: bool) -> ShiftEntry:
+                          expect_negative: bool, rng) -> ShiftEntry:
     """The adversarial entry of ``trial``: only ``nu_1`` is shifted, by a
-    nonzero element, which changes the joint law."""
-    rng = np.random.default_rng([seed, trial, 17])
+    nonzero element drawn from ``rng`` (the generator of ``[seed, trial,
+    17]`` in a campaign), which changes the joint law."""
     x = group.element_at(1 + int(rng.integers(0, group.size - 1)))
     return ShiftEntry(tuple([seed, trial, 10 + j] for j in range(3)),
                       (x, group.zero, group.zero),
@@ -235,10 +235,14 @@ def cmd_verify_shift(args) -> int:
     start = time.perf_counter()
     phases = Phases()
     setup = (group, bs, args.form, args.seed)
+    rngs = generators([[args.seed, t, j] for t in range(args.trials)
+                       for j in (7, 17)])
     entries = _attempts(
         args.trials,
-        lambda t: run_shift_trial(*setup, t, args.expect_negative),
-        lambda t: run_shift_adversarial(*setup, t, args.expect_negative))
+        lambda t: run_shift_trial(*setup, t, args.expect_negative,
+                                  rngs[2 * t]),
+        lambda t: run_shift_adversarial(*setup, t, args.expect_negative,
+                                        rngs[2 * t + 1]))
     body = _trials_body(
         verify_shift_entries(group, bs, args.form, entries, args.tol, phases),
         {"form": args.form, "group": list(group.orders), "coeffs": cs,
@@ -463,27 +467,32 @@ def _suite_endos(group: Group, seed) -> list[Endo]:
     return endos
 
 
-def run_invariant_suite(group: Group, seed, inject_fault: str | None = None) -> dict:
+def run_invariant_suite(group: Group, seed, inject_fault: str | None = None,
+                        phases: Phases | None = None) -> dict:
+    phases = Phases() if phases is None else phases
     violations = []
-    for e in _suite_endos(group, seed):
-        adj = e.adjoint()
-        if inject_fault == "adjoint":
-            broken = [list(row) for row in adj.matrix]
-            broken[0][0] = (broken[0][0] + 1) % group.orders[0]
-            adj = Endo(group, broken)
-        if not is_adjoint_pair(e, adj):
-            violations.append(f"adjoint identity on {group!r}")
-        if adj.adjoint() != e:
-            violations.append(f"double adjoint on {group!r}")
-        kernel = e.kernel_idx()
-        # Both index arrays are in order.
-        if not np.array_equal(adj.image_idx(), annihilator_idx(group, kernel)):
-            violations.append(f"image/annihilator identity on {group!r}")
-        if adj.is_surjective() != (len(kernel) == 1):
-            violations.append(f"dense-image equivalence on {group!r}")
-        if len(kernel) * len(e.image_idx()) != group.size:
-            violations.append(f"kernel-image size product on {group!r}")
-    characters, bernstein = character_table_checks(group)
+    with phases.timed("endomorphisms_s"):
+        for e in _suite_endos(group, seed):
+            adj = e.adjoint()
+            if inject_fault == "adjoint":
+                broken = [list(row) for row in adj.matrix]
+                broken[0][0] = (broken[0][0] + 1) % group.orders[0]
+                adj = Endo(group, broken)
+            if not is_adjoint_pair(e, adj):
+                violations.append(f"adjoint identity on {group!r}")
+            if adj.adjoint() != e:
+                violations.append(f"double adjoint on {group!r}")
+            kernel = e.kernel_idx()
+            # Both index arrays are in order.
+            if not np.array_equal(adj.image_idx(),
+                                  annihilator_idx(group, kernel)):
+                violations.append(f"image/annihilator identity on {group!r}")
+            if adj.is_surjective() != (len(kernel) == 1):
+                violations.append(f"dense-image equivalence on {group!r}")
+            if len(kernel) * len(e.image_idx()) != group.size:
+                violations.append(f"kernel-image size product on {group!r}")
+    with phases.timed("characters_s"):
+        characters, bernstein = character_table_checks(group)
     if not characters:
         violations.append(f"character multiplicativity on {group!r}")
     if not bernstein:
@@ -501,7 +510,8 @@ def cmd_invariants(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     start = time.perf_counter()
-    results = [run_invariant_suite(g, args.seed, args.inject_fault)
+    phases = Phases()
+    results = [run_invariant_suite(g, args.seed, args.inject_fault, phases)
                for g in groups]
     violations = [v for r in results for v in r["violations"]]
     body = {
@@ -512,7 +522,7 @@ def cmd_invariants(args) -> int:
     }
     config = {"groups": args.groups, "seed": args.seed,
               "inject_fault": args.inject_fault}
-    return _finish("invariants", config, body, start, args.out)
+    return _finish("invariants", config, body, start, args.out, phases)
 
 
 # -- entry point -------------------------------------------------------------------------
@@ -588,6 +598,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.seed < 0:
+        print(f"config error: --seed must be nonnegative, got {args.seed}",
+              file=sys.stderr)
+        return 2
     return args.func(args)
 
 

@@ -206,22 +206,121 @@ def char_arrays(group: Group, masses: np.ndarray) -> np.ndarray:
     return out
 
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx), fixed by
+# the stream guarantee of NEP 19.
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
+_MIX_L, _MIX_R = np.uint32(0xca01f9dd), np.uint32(0x4973f715)
+_MASK32 = 0xFFFFFFFF
+
+
+@cache
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """``init * mult**i mod 2**32`` for ``i < count``: hash step ``i`` xors
+    with entry ``i`` and multiplies by entry ``i + 1``."""
+    out = np.array([init] + [mult] * (count - 1), np.uint32)
+    out = out.cumprod(dtype=np.uint32)
+    out.setflags(write=False)
+    return out
+
+
+def _seed_words(seed) -> list[int]:
+    """numpy's ``_coerce_to_uint32_array``: the 32-bit little-endian words
+    of each nonnegative int (one word for 0), sequences flattened."""
+    if isinstance(seed, (int, np.integer)):
+        n = int(seed)
+        if n < 0:
+            raise DomainError(f"seeds must be nonnegative, got {n}")
+        return [n & _MASK32, *_seed_words(n >> 32)] if n >> 32 else [n]
+    if isinstance(seed, str):
+        raise TypeError(f"seeds are ints or sequences of ints, got {seed!r}")
+    return [w for s in seed for w in _seed_words(s)]
+
+
+def _pcg64_states(words: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` of each row of
+    the ``(k, m)`` uint32 entropy ``words``: the 4-word pool hashed and
+    mixed as numpy does, one column step at a time over every row."""
+    k, m = words.shape
+    c = _hash_consts(_INIT_A, _MULT_A, 4 * max(m, 4) + 1)
+
+    def hashmix(v, i, w):
+        v = (v ^ c[i:i + w]) * c[i + 1:i + w + 1]
+        return v ^ (v >> 16)
+
+    def mix(x, y):
+        r = _MIX_L * x - _MIX_R * y
+        return r ^ (r >> 16)
+
+    pool = np.zeros((k, 4), np.uint32)
+    pool[:, :min(m, 4)] = words[:, :4]
+    pool = hashmix(pool, 0, 4)
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        pool[:, dst] = mix(pool[:, dst],
+                           hashmix(pool[:, src, None], 4 + 3 * src, 3))
+    for src in range(4, m):
+        pool = mix(pool, hashmix(words[:, src, None], 4 * src, 4))
+    b = _hash_consts(_INIT_B, _MULT_B, 9)
+    state = (np.tile(pool, 2) ^ b[:8]) * b[1:]
+    state ^= state >> 16
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _PoolState(np.random.bit_generator.ISeedSequence):
+    """A SeedSequence's PCG64 state, already generated."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.state
+
+
+def generators(seeds: Sequence) -> list[np.random.Generator]:
+    """One generator per seed, entry ``i`` with exactly the streams of
+    ``np.random.default_rng(seeds[i])``: numpy's SeedSequence hash runs once
+    over the rows of each entropy word count, as uint32 array arithmetic,
+    and each PCG64 seeds itself from its row's state.  A stack of ints
+    below ``2**32``, or of equal-length sequences of them, is one ``(k, m)``
+    array.  A negative seed raises DomainError.  A batch of one costs more
+    than ``default_rng``, which code that builds one generator at a time
+    calls (``solenoid.synth_gaussian_instance``, ``cli._suite_endos``)."""
+    try:
+        a = np.asarray(seeds)
+    except (ValueError, OverflowError):
+        a = np.asarray(())
+    if (a.size and a.dtype.kind in "iu" and a.min() >= 0
+            and a.max() <= _MASK32):
+        states = _pcg64_states(a.reshape(len(a), -1).astype(np.uint32))
+    else:
+        rows = [_seed_words(s) for s in seeds]
+        states = np.empty((len(rows), 4), np.uint64)
+        for m in {len(r) for r in rows}:
+            at = [i for i, r in enumerate(rows) if len(r) == m]
+            states[at] = _pcg64_states(np.array(
+                [rows[i] for i in at], np.uint32).reshape(len(at), m))
+    return [np.random.Generator(np.random.PCG64(_PoolState(s)))
+            for s in states]
+
+
 def random_masses(group: Group, seeds: Sequence, floor: float = 0.1, *,
                   nonvanishing_tol: float = 0.05, max_tries: int = 1000
                   ) -> tuple[np.ndarray, np.ndarray, list]:
     """Seeded random nonvanishing laws, one per seed: ``(masses, chars,
     errors)``, the first two as rows of ``(len(seeds), n)`` arrays.
 
-    Each seed has its own generator.  A raw random vector is mixed with a
-    point mass at 0 (weight ``floor``) and drawn again from its generator
-    until ``min |char| > nonvanishing_tol``; each round tests the rows still
-    drawing as one stack.  A row rejected ``max_tries`` times reads NaN,
-    with a GenerationError at its place in ``errors`` (None elsewhere).  A
-    row's masses depend on its seed alone.
+    Each seed has its own generator, ``default_rng(seed)`` bit for bit, all
+    seeded in one ``generators`` hash pass.  A raw random vector is mixed
+    with a point mass at 0 (weight ``floor``) and drawn again from its
+    generator until ``min |char| > nonvanishing_tol``; each round tests the
+    rows still drawing as one stack.  A row rejected ``max_tries`` times
+    reads NaN, with a GenerationError at its place in ``errors`` (None
+    elsewhere).  A row's masses depend on its seed alone.
     """
     if not 0 < floor < 1:
         raise DomainError("floor must lie strictly between 0 and 1")
-    rngs = [np.random.default_rng(s) for s in seeds]
+    rngs = generators(seeds)
     masses = np.full((len(rngs), group.size), np.nan)
     chars = np.full(masses.shape, np.nan, dtype=np.complex128)
     todo = np.arange(len(rngs))

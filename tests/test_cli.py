@@ -158,20 +158,22 @@ def test_verify_shift_trial_error_is_recorded(tmp_path, monkeypatch):
     # law never passes the nonvanishing test and its draw runs out of
     # tries; every other entry is the one the campaign gives without it.
     import numpy as np
+    from groupident import distributions
 
     argv = ("verify-shift", "--trials", "3")
     _, clean = run_cli(tmp_path, *argv)
-    real = np.random.default_rng
+    real = distributions.generators
 
     class NaNGenerator:
         def random(self, size=None, out=None):
             out[...] = np.nan
             return out
 
-    def default_rng(seed=None):
-        return NaNGenerator() if seed == [0, 1, 1] else real(seed)
+    def generators(seeds):
+        return [NaNGenerator() if s == [0, 1, 1] else g
+                for s, g in zip(seeds, real(seeds))]
 
-    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    monkeypatch.setattr(distributions, "generators", generators)
     code, report = run_cli(tmp_path, *argv)
     assert code == 1
     trials = report["body"]["trials"]
@@ -201,6 +203,30 @@ def test_verify_shift_reports_phase_timings(tmp_path, argv):
                             "shift_recovery_s"}
     assert all(isinstance(v, float) and v >= 0 for v in timings.values())
     jsonschema.validate(report, load_schema())
+
+
+def test_invariants_report_phase_timings(tmp_path):
+    code, report = run_cli(tmp_path, "invariants", "--groups", "2..4,6x6")
+    assert code == 0
+    timings = report["timings"]
+    assert set(timings) == {"seconds", "endomorphisms_s", "characters_s"}
+    assert all(isinstance(v, float) and v >= 0 for v in timings.values())
+    assert (timings["endomorphisms_s"] + timings["characters_s"]
+            <= timings["seconds"])
+    jsonschema.validate(report, load_schema())
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-shift", "--trials", "1"),
+    ("verify-gaussian", "--trials", "1", "--radius", "20"),
+    ("counterexample", "--kind", "poisson-pair"),
+    ("invariants", "--groups", "3")])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, argv):
+    out = tmp_path / "report.json"
+    assert main([*argv, "--seed", "-1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: --seed must be nonnegative" in err
+    assert not out.exists()
 
 
 def test_poisson_pair_reports_its_sweep_seconds(tmp_path):

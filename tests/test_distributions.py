@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupident import Distribution, Endo, Group, LinearFormSpec, joint_char_array
-from groupident.distributions import joint_char
+from groupident.distributions import generators, joint_char
 from groupident.errors import DomainError
 
 
@@ -266,3 +266,57 @@ def test_joint_char_capacity_gate():
     dists = [Distribution.degenerate(g, g.zero)] * 3
     with pytest.raises(CapacityError):
         joint_char_array(LinearFormSpec.form_I(bs), dists)
+
+
+# Seeds of every shape numpy's SeedSequence takes, for ``generators``:
+# ints of one to three 32-bit words, ``[seed, t, j]`` lists, nested lists,
+# ``[]`` and numpy integer scalars.  A stack drawn from them mixes word
+# counts, so its rows go through ``generators`` in several groups.
+SEEDS = st.one_of(
+    st.integers(0, 2**80),
+    st.tuples(st.integers(0, 2**64), st.integers(0, 300),
+              st.integers(0, 20)).map(list),
+    st.recursive(st.integers(0, 2**70), lambda c: st.lists(c, max_size=4),
+                 max_leaves=12),
+    st.just([]),
+    st.integers(0, 2**63 - 1).map(np.int64),
+    st.integers(0, 2**32 - 1).map(np.uint32))
+# Stacks of equal-length rows of one-word ints: ``generators`` reads each
+# as one ``(k, m)`` array, ``m`` words a row.
+ARRAY_STACKS = st.integers(0, 6).flatmap(lambda m: st.lists(
+    st.lists(st.integers(0, 2**32 - 1), min_size=m, max_size=m),
+    max_size=6))
+
+
+def assert_streams_match_default_rng(seeds, n, top):
+    gens = generators(seeds)
+    assert len(gens) == len(seeds)
+    for seed, rng in zip(seeds, gens):
+        ref = np.random.default_rng(seed)
+        assert np.array_equal(rng.random(n), ref.random(n)), seed
+        assert np.array_equal(rng.integers(0, top, n),
+                              ref.integers(0, top, n)), seed
+
+
+@given(st.one_of(st.lists(SEEDS, max_size=8), ARRAY_STACKS,
+                 st.lists(st.integers(0, 2**32 - 1), max_size=8)),
+       st.integers(1, 40), st.integers(1, 2**40))
+@settings(max_examples=150, deadline=None)
+def test_generators_match_default_rng(seeds, n, top):
+    assert_streams_match_default_rng(seeds, n, top)
+
+
+def test_generators_match_default_rng_on_a_stack_of_every_shape():
+    seeds = [0, 2**32 - 1, 2**32, 2**80, [3, 1, 7], [2**40, 5, 17],
+             [[1, [2]], 3], [], [[]], np.uint32(5), np.int64(2**40),
+             list(range(9)), [[0, 1], [2, 3], [4, 5]], 12]
+    assert_streams_match_default_rng(seeds, 16, 1000)
+    assert_streams_match_default_rng(np.arange(24).reshape(4, 3, 2), 16, 7)
+    assert generators([]) == []
+
+
+@pytest.mark.parametrize("seed", [-1, [3, -1, 7], [[0], [-5]],
+                                  np.int64(-2)])
+def test_generators_reject_negative_seeds(seed):
+    with pytest.raises(DomainError):
+        generators([[1, 2, 3], seed])

@@ -39,8 +39,10 @@ def test_stacked_verifier_matches_batches_of_one_and_dense_oracles(case):
     g = parse_group(group)
     negative = coeffs is not None
     bs = [Endo.scalar(g, c) for c in coeffs or find_shift_coeffs(g, form)]
-    entries = [run(g, bs, form, 5, t, negative) for t in range(trials)
-               for run in (run_shift_trial, run_shift_adversarial)]
+    recipes = ((run_shift_trial, 7), (run_shift_adversarial, 17))
+    entries = [run(g, bs, form, 5, t, negative,
+                   np.random.default_rng([5, t, j]))
+               for t in range(trials) for run, j in recipes]
     seeds = [s for e in entries for s in e.seeds]
     masses, chars, errors = random_masses(g, seeds, 0.2)
     assert errors == [None] * len(seeds)
@@ -125,6 +127,33 @@ def test_stacked_draw_redraws_and_fails_row_by_row(group):
             assert str(err) == "no nonvanishing distribution within 1 tries"
         else:
             assert err is None and np.array_equal(m, f)
+
+
+@pytest.mark.parametrize("group", ["7", "4x3", "8x8"])
+def test_redrawn_rows_continue_their_own_streams(group, monkeypatch):
+    """Each row draws from its own generator, which a redraw carries on:
+    after the draw it is where ``default_rng(seed)`` is after the row's
+    candidates, and the row's masses come from its last candidate."""
+    g = parse_group(group)
+    seeds = [[11, i] for i in range(12)]
+    tol = np.median([np.min(np.abs(char_array_dense(
+        random_dense(g, s, 0.2, 0.0, 1)))) for s in seeds])
+    built, real = [], distributions.generators
+    monkeypatch.setattr(distributions, "generators",
+                        lambda seeds: built.extend(real(seeds)) or built)
+    masses, _, _ = random_masses(g, seeds, 0.2, nonvanishing_tol=tol)
+    candidates = []
+    for seed, m, rng in zip(seeds, masses, built, strict=True):
+        ref = np.random.default_rng(seed)
+        raws = []
+        while ref.bit_generator.state != rng.bit_generator.state:
+            raws.append(ref.random(g.size))
+            assert len(raws) <= 1000, seed
+        want = 0.8 * raws[-1] / raws[-1].sum()
+        want[0] += 0.2
+        assert np.array_equal(m, want), seed
+        candidates.append(len(raws))
+    assert 1 == min(candidates) < max(candidates)
 
 
 @pytest.mark.parametrize("group, k", [("5x5", 40), ("13", 40), ("8x8", 6),

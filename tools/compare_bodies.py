@@ -116,6 +116,11 @@ ARGVS = [
     # above the default tolerance of 1e-12.
     *(["counterexample", "--kind", kind, "--group", "6x6"]
       for kind in ("poisson-pair", "kernel-mass")),
+    # Seeds of two and three 32-bit words: every law and shift generator
+    # hashes four or five words of entropy.
+    ["verify-shift", "--group", "7", "--trials", "5", "--seed", "4294967296"],
+    ["verify-shift", "--group", "4x3", "--form", "II", "--trials", "5",
+     "--seed", "18446744073709551621"],
 ]
 
 
