@@ -33,7 +33,7 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 from .endomorphisms import Endo
-from .errors import CapacityError, DomainError, GenerationError
+from .errors import DomainError, GenerationError
 from .funceq import FunctionTable
 from .groups import VALUE_BLOCK, Element, Group, row_blocks
 
@@ -644,8 +644,7 @@ def joint_char_array(spec: LinearFormSpec,
     """``(u, v)`` grid of ``prod_j char_j(adj(a_j) u + adj(b_j) v)``."""
     g = spec.group
     _check_dists(spec, dists)
-    if g.size ** 2 > 4_000_000:
-        raise CapacityError("joint table would exceed the size limit")
+    g._require_table_capacity("the joint law")
     plan = factor_plan(spec.pairs)
     return joint_table(plan, factor_tables(g, plan, char_rows(dists)),
                        g.size)

@@ -30,8 +30,8 @@ import numpy as np
 from .endomorphisms import Endo
 from .errors import (DomainError, PreconditionError, VanishingFactorError,
                      WindowMarginError)
-from .groups import (VALUE_BLOCK, Element, Group, character_search,
-                     row_blocks)
+from .groups import (PAIR_BLOCK, VALUE_BLOCK, Element, Group,
+                     character_search, row_blocks)
 
 # -- domains ------------------------------------------------------------------
 #
@@ -273,18 +273,19 @@ class FunctionTable:
         return bool(np.min(np.abs(self.values)) > tol)
 
 
-# -- pair plans ---------------------------------------------------------------
+# -- plans ---------------------------------------------------------------------
 #
-# Which index pairs a pair check visits, and at which table positions, depends
-# on the domain, the supports and the coefficients, never on the values.
-# Each check splits into a plan of those positions, built once per key and
-# cached, and an evaluation that gathers values along it.  Plan arrays are
-# read-only.  Positions are int64: a gather with int32 positions converts
+# Which index pairs a generator check or an equation sweep visits, and at
+# which table positions, depends on the domain, the supports and the
+# coefficients, never on the values.  Each such check splits into a plan of
+# those positions, built once per key and cached, and an evaluation that
+# gathers values along it.  ``bernstein_check`` keeps no plan.  Plan arrays
+# are read-only.  Positions are int64: a gather with int32 positions converts
 # them on every call, and costs twice as long.
 
 # Plans kept.  A verify-gaussian campaign uses five (a sweep, a character
 # plan and a polynomial plan per fold count), the Bernstein counterexample
-# two; 32 hold a gaussian-window run.
+# one (the square table's character plan); 32 hold a gaussian-window run.
 PLAN_CACHE_SIZE = 32
 
 
@@ -516,12 +517,16 @@ def bernstein_check(g: FunctionTable, tol: float = 1e-9) -> bool:
     The side conditions are ``|g| = 1``, ``g(-y) = conj(g(y))`` and
     ``g(0) = 1``.  Every quantity compared must be at most ``tol``, so a
     NaN fails, and numpy's warning of an invalid operation (``inf - inf``)
-    is not raised.  The pairs go in runs of ``VALUE_BLOCK``, which bound
-    the temporaries.  Every character passes; the converse holds only on
-    groups with at most one element of order 2.
+    is not raised.  The pairs ``(u, v)`` with ``u + v`` and ``u - v`` in the
+    table go in row blocks of about ``PAIR_BLOCK`` pairs, each located and
+    tested before the next, so no all-pairs structure is held.  Every
+    character passes; the converse holds only on groups with at most one
+    element of order 2.
     """
-    z, u, s, d = _plan(_bernstein_plan, g.domain, [g.idx])
-    v = g.values
+    dom, i, v = g.domain, g.idx, g.values
+    find = _locator(i)
+    # Point 0 has index 0 on both kinds of domain.
+    z = find(np.zeros(1, dtype=np.int64))[0]
     if z < 0:
         return False
     with np.errstate(invalid="ignore"):
@@ -529,31 +534,17 @@ def bernstein_check(g: FunctionTable, tol: float = 1e-9) -> bool:
                 and g.hermitian_defect() <= tol
                 and np.abs(v[z] - 1.0) <= tol):
             return False
-        for p in row_blocks(len(s), 1, VALUE_BLOCK):
-            vu = v[u[p]]
-            if not (np.abs(v[s[p]] * v[d[p]] - vu * vu) <= tol).all():
+        neg = dom.neg_idx(i)
+        for rows in row_blocks(len(i), len(i), PAIR_BLOCK):
+            s = find(dom.add_idx(i[rows, None], i))
+            d = find(dom.add_idx(i[rows, None], neg))
+            vu = v[rows, None]
+            # An absent position, -1, reads the last value into a cell
+            # that ``where`` leaves out.
+            if not (np.abs(v[s] * v[d] - vu * vu) <= tol).all(
+                    where=(s >= 0) & (d >= 0)):
                 return False
     return True
-
-
-def _bernstein_plan(dom, supports: tuple) -> tuple:
-    """The position of point 0; then, pair by pair ``(u, v)`` with ``u + v``
-    and ``u - v`` in the table, the positions of ``u``, ``u + v`` and
-    ``u - v``."""
-    (i,) = supports
-    find, neg = _locator(i), dom.neg_idx(i)
-    us, ss, ds = [], [], []
-    for rows in row_blocks(len(i), len(i)):
-        s = find(dom.add_idx(i[rows, None], i))
-        d = find(dom.add_idx(i[rows, None], neg))
-        r, c = np.nonzero((s >= 0) & (d >= 0))
-        us.append(r + rows.start)
-        ss.append(s[r, c])
-        ds.append(d[r, c])
-    # Point 0 has index 0 on both kinds of domain.
-    return (int(find(np.zeros(1, dtype=np.int64))[0]),
-            *(_frozen(np.concatenate([np.zeros(0, np.int64), *parts]))
-              for parts in (us, ss, ds)))
 
 
 def character_table_checks(group: Group,

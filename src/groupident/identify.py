@@ -23,7 +23,7 @@ from .distributions import (Distribution, FactorPlan, LinearFormSpec,
                             mirror_plan, read_factor, shifted_masses,
                             sweep_rows)
 from .endomorphisms import Endo
-from .errors import ConstructionError, DomainError
+from .errors import ConstructionError, DomainError, PreconditionError
 from .funceq import kernel_conditions, summed_variables
 from .groups import Element, Group, character_search
 from .reporting import FLOORS, Measured, Phases
@@ -208,9 +208,13 @@ def _difference(a: Endo, b: Endo) -> Endo:
 
 
 def _preimage(e: Endo, target: Element) -> Element:
-    """Unique preimage under a bijective endomorphism."""
-    i = np.flatnonzero(e.index_map == e.group.index(target))[0]
-    return e.group.element_at(int(i))
+    """Unique preimage under a bijective endomorphism; PreconditionError
+    where ``target`` has none or several."""
+    hits = np.flatnonzero(e.index_map == e.group.index(target))
+    if len(hits) != 1:
+        raise PreconditionError(f"{target!r} has {len(hits)} preimages under "
+                                f"a coefficient that must be bijective")
+    return e.group.element_at(int(hits[0]))
 
 
 def consistent_shifts(bs: Sequence[Endo], form: str, x1: Element):
@@ -305,6 +309,7 @@ def poisson_closed_form_array(bs: Sequence[Endo], a: float,
     factor is absent.
     """
     g = bs[0].group
+    g._require_table_capacity("the closed-form joint law")
     plan = _poisson_plan(bs, [(Endo.identity(g), b) for b in bs[2:]])
     rest = char_rows([mu_rest][:len(bs) - 2])  # none for two variables
     tables = [_phase_table(g, a), *factor_tables(g, plan[1:], rest)]

@@ -13,7 +13,7 @@ reduce to being nonzero.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -266,7 +266,7 @@ class GaussianFitResult:
     ok: bool
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def fit_gaussian_ratio(f: FunctionTable, tol: float = FIT_TOL) -> GaussianFitResult:

@@ -88,6 +88,26 @@ def test_verify_shift_expect_negative(tmp_path):
                for t in report["body"]["trials"])
 
 
+def test_verify_shift_unmet_kernel_condition_is_recorded(tmp_path):
+    # On Z6, b2 - b3 = 0: the roundtrip's x2 solves 0 x2 = 3 x1, which has
+    # no solution for odd x1 and six for even x1.  Each roundtrip records
+    # that, the adversarial entries run, and the report is written.
+    code, report = run_cli(tmp_path, "verify-shift", "--group", "6",
+                           "--coeffs", "0,3,3", "--form", "I",
+                           "--trials", "4")
+    assert code == 1
+    body = report["body"]
+    assert not body["preconditions_hold"]
+    assert body["counts"] == {"total": 8, "failed": 8}
+    roundtrips = [t for t in body["trials"] if t["kind"] == "roundtrip"]
+    assert {t["error"] for t in roundtrips} == {
+        f"({x}) has {k} preimages under a coefficient that must be bijective"
+        for x, k in ((3, 0), (0, 6))}
+    assert all(t["verdict"] == "preconditions-violated"
+               for t in body["trials"] if t["kind"] == "adversarial")
+    jsonschema.validate(report, load_schema())
+
+
 def test_verify_shift_bad_group_exits_2(capsys):
     # a trivial group and a trial count below 1 are configuration errors too
     for argv in (["--group", "bogus"], ["--group", "1"], ["--trials", "0"],

@@ -259,13 +259,20 @@ def test_joint_char_arity_four():
 
 
 def test_joint_char_capacity_gate():
+    # Both dense (u, v) grids pass the dense-table gate: 1681 elements, a
+    # 45 MB grid, are above it.
+    from groupident import poisson_closed_form_array
     from groupident.errors import CapacityError
+    from groupident.groups import TABLE_SIZE_LIMIT
 
-    g = Group([2100])  # the (u, v) grid would have 4.4e6 entries
+    g = Group([41, 41])
+    assert g.size > TABLE_SIZE_LIMIT
     bs = [Endo.scalar(g, c) for c in (1, 2, 3)]
     dists = [Distribution.degenerate(g, g.zero)] * 3
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="the joint law needs"):
         joint_char_array(LinearFormSpec.form_I(bs), dists)
+    with pytest.raises(CapacityError, match="the closed-form joint law"):
+        poisson_closed_form_array(bs, 0.7, dists[2])
 
 
 # Seeds of every shape numpy's SeedSequence takes, for ``generators``:

@@ -82,11 +82,10 @@ from groupident import (Distribution, Endo, Group, LinearFormSpec,
 from groupident.cli import _suite_endos, find_shift_coeffs, main
 from groupident.distributions import factor_plan, joint_residual
 from groupident.endomorphisms import is_adjoint_pair
-from groupident.errors import (DomainError, VanishingFactorError,
-                               WindowMarginError)
+from groupident.errors import (CapacityError, DomainError,
+                               VanishingFactorError, WindowMarginError)
 from groupident.funceq import (FunctionTable, ProductEquation,
-                               _bernstein_plan, _cached_plan,
-                               _generator_plan, _plan,
+                               _cached_plan, _generator_plan, _plan,
                                _product_defect, _sum_defect, _sweep_max,
                                _sweep_plan, bernstein_check,
                                bernstein_square_table, character_defect,
@@ -801,31 +800,30 @@ def test_planned_sweeps_match_per_call_code(dom):
 def test_plan_cache_keys_by_value():
     rng = np.random.default_rng(37)
     vals = np.exp(2j * np.pi * rng.random(6))
-    # The same index bytes on two domains whose addition differs.
+    # The same index bytes on two domains whose generators differ.
     a, b = (FunctionTable(g, g.elements(), vals)
             for g in (Group([6]), Group([2, 3])))
     assert a.idx.tobytes() == b.idx.tobytes()
-    assert _plan(_bernstein_plan, a.domain, [a.idx]) is not _plan(
-        _bernstein_plan, b.domain, [b.idx])
+    assert _plan(_generator_plan, a.domain, [a.idx], None) is not _plan(
+        _generator_plan, b.domain, [b.idx], None)
     for f in (a, b):
-        assert bernstein_check(f, TOL) == bernstein_check_percall(f, TOL)
+        check_character(f, character_defect_sweep(f))
     # Two windows of equal radius and different base.
     wa, wb = (FunctionTable.constant(make_lattice([base], 0, 5))
               for base in (2, 3))
-    assert _plan(_bernstein_plan, wa.domain, [wa.idx]) is not _plan(
-        _bernstein_plan, wb.domain, [wb.idx])
-    # Tables sharing a support: one plan, and each its own result.
+    assert _plan(_generator_plan, wa.domain, [wa.idx], None) is not _plan(
+        _generator_plan, wb.domain, [wb.idx], None)
+    # Tables sharing a support: one sweep plan, and each its own result.
     pts = make_lattice([2, 3], 1, 12).points[::2]
     f, g = (FunctionTable(make_lattice([2, 3], 1, 12), pts,
                           np.exp(2j * np.pi * rng.random(len(pts))))
             for _ in range(2))
     _cached_plan.cache_clear()
     for t in (f, g, f):
-        assert bernstein_check(t, 3.0) == bernstein_check_percall(t, 3.0)
         assert (_sweep_max([t, t], [1, 2], None, _sum_defect)
                 == sweep_max_percall([t, t], [1, 2], None, _sum_defect))
     info = _cached_plan.cache_info()
-    assert (info.misses, info.hits) == (2, 4)
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def plan_arrays(plan):
@@ -840,8 +838,7 @@ def test_cached_plan_arrays_refuse_writes():
     lat = LATTICES[0]
     f = FunctionTable(lat, lat.points[1:], np.ones(len(lat.points) - 1))
     rhs = FunctionTable.constant(lat)
-    plans = [_plan(_bernstein_plan, lat, [f.idx]),
-             _plan(_sweep_plan, lat, [f.idx, f.idx, rhs.idx], 1,
+    plans = [_plan(_sweep_plan, lat, [f.idx, f.idx, rhs.idx], 1,
                    Fraction(3, 2)),
              _plan(_generator_plan, lat, [f.idx], None),
              _plan(_generator_plan, lat, [f.idx], 2)]
@@ -1664,12 +1661,19 @@ def test_split_sweeps_equal_unsplit_sweeps(orders, monkeypatch):
     """Every grid sweep gives the same values, ``==`` and NaN for NaN, on
     one stripe and on two or three.  A grid of fewer than two blocks is
     swept in blocks of 2 pairs, so that it splits too, into one stripe per
-    row on Z2; 1021 and 41x41 rows fall into stripes of unequal lengths."""
+    row on Z2; 1021 and 41x41 rows fall into stripes of unequal lengths.
+    Above the dense-table gate, as on 41x41, the dense joint table and
+    closed form are refused, and the residual sweeps run."""
     g = Group(orders)
     if g.size ** 2 < 2 * distributions.JOINT_BLOCK:
         monkeypatch.setattr(distributions, "JOINT_BLOCK", 2)
     stripes = record_stripes(monkeypatch)
     for label, sweep, args in split_cases(g):
+        if (sweep in (joint_char_array, poisson_closed_form_array)
+                and g.size > groups.TABLE_SIZE_LIMIT):
+            with pytest.raises(CapacityError):
+                sweep(*args)
+            continue
         with np.errstate(invalid="ignore"):
             monkeypatch.setattr(distributions, "CPUS", 1)
             want = sweep(*args)
@@ -1929,8 +1933,8 @@ def test_character_table_checks_see_a_perturbed_root(orders, monkeypatch):
 @pytest.mark.parametrize("dom", [Group([9, 8]), Group([12]), *LATTICES],
                          ids=repr)
 def test_batched_checks_cut_into_cells_match_whole_rows(dom, monkeypatch):
-    """With blocks of 7 values ``bernstein_check`` runs its pairs, and
-    ``character_table_checks`` its root table, in short runs, and both must
+    """With row blocks of 7 pairs ``bernstein_check``, and with blocks of 7
+    values ``character_table_checks``, run in short runs, and both must
     give the uncut results."""
     rng = np.random.default_rng([79, len(dom.every)])
     if isinstance(dom, Group):
@@ -1946,6 +1950,7 @@ def test_batched_checks_cut_into_cells_match_whole_rows(dom, monkeypatch):
                    lambda: character_table_checks(dom, 1e-16)]
     whole = [check() for check in checks]
     assert True in whole[0] and False in whole[0]
+    monkeypatch.setattr(funceq, "PAIR_BLOCK", 7)
     monkeypatch.setattr(funceq, "VALUE_BLOCK", 7)
     for want, check in zip(whole, checks):
         assert check() == want
@@ -1984,6 +1989,20 @@ def test_bernstein_counterexample_builds_no_dense_table(monkeypatch,
     out = tmp_path / "report.json"
     assert main(["counterexample", "--kind", "bernstein", "--group", "6x6",
                  "--out", str(out)]) == 0
+
+
+def test_bernstein_check_of_the_square_table_holds_no_pair_plan():
+    """The 40x40 square table has 2.56 million pairs, whose positions
+    alone would take 61 MB as int64; the check locates and tests them one
+    row block at a time."""
+    f = bernstein_square_table(Group([40, 40]))
+    tracemalloc.start()
+    try:
+        assert bernstein_check(f, TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_poisson_pair_deviations_keep_a_nan_of_either_side():

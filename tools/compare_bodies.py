@@ -106,6 +106,8 @@ ARGVS = [
     # two groups whose exponent exceeds every cyclic order, one of them
     # above 36 elements.
     ["counterexample", "--kind", "bernstein", "--group", "30x30"],
+    # The square table's 2.56 million pairs, swept in row blocks.
+    ["counterexample", "--kind", "bernstein", "--group", "40x40"],
     ["invariants", "--groups", "2x3x5,12x18"],
     # The other shift-small groups, and a spectral campaign of many trials:
     # the verifier stacks every trial of a campaign.
