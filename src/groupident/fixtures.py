@@ -21,7 +21,6 @@ original values bit for bit.
 
 from __future__ import annotations
 
-import io
 from fractions import Fraction
 from pathlib import Path
 

@@ -10,16 +10,15 @@ the margin runs out.  Every operator is one numpy body over the integer
 point indices that both kinds of domain provide.  The character and
 polynomial tests are homomorphism identities and gather along generators
 only; the Bernstein and product equations sweep index pairs in row blocks.
-A whole group table's character is located from its phases at the unit
-vectors.  Every character of a group is certified at once on one table over
-``Z_L`` (``character_table_checks``): the phase pairing is bilinear into
-``Z_L``, ``L`` the exponent, so each row of the character table reads its
-values from ``Group.roots``.
+A group table's character is located by ``character_search``, the search of
+the shift recovery.  Every character of a group is certified at once on one
+table over ``Z_L`` (``character_table_checks``): the phase pairing is
+bilinear into ``Z_L``, ``L`` the exponent, so each row of the character
+table reads its values from ``Group.roots``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -420,6 +419,7 @@ def is_polynomial(f: FunctionTable, n: int, tol: float = 1e-9) -> bool:
     at the longest step read here, and one wrong value shows at step ``s``
     at least as much as at any other; a table may still pass here and fail
     a step not read.  The first step, which a higher degree fails, goes first.
+    A NaN difference is not at most ``tol``, so it fails.
     """
     if n < 0:
         raise DomainError("polynomial degree bound must be >= 0")
@@ -428,7 +428,7 @@ def is_polynomial(f: FunctionTable, n: int, tol: float = 1e-9) -> bool:
         d = v[q] - v
         for _ in range(n):
             d = d.take(at) - d
-        if ((np.abs(d) > tol) & live).any():
+        if (~(np.abs(d) <= tol) & live).any():
             return False
     return True
 
@@ -464,8 +464,9 @@ def character_defect(f: FunctionTable) -> float:
 
 def is_character(f: FunctionTable, tol: float = 1e-9) -> bool:
     """Whether ``character_defect`` is at most ``tol`` and, on a group,
-    ``locate_character`` finds an ``x`` with ``f = pair(x, .)``."""
-    # A NaN defect is not above tol; on a group no character is then found.
+    ``locate_character`` finds an ``x`` within ``tol`` of ``f``.  A NaN
+    defect is not above ``tol``: a window table passes with it, and on a
+    group no character is then found."""
     return (not character_defect(f) > tol
             and (not isinstance(f.domain, Group)
                  or locate_character(f, tol) is not None))
@@ -474,27 +475,17 @@ def is_character(f: FunctionTable, tol: float = 1e-9) -> bool:
 def locate_character(f: FunctionTable, tol: float = 1e-9) -> Element | None:
     """The element ``x`` with ``max |f - pair(x, .)| < tol`` on the table's
     support of a group, if any; where several pass, the lowest-index one of
-    least deviation.
-
-    Two characters differ by at least ``2 sin(pi/L)`` somewhere (``L`` the
-    exponent), so with ``tol <= sin(pi/L)/2`` at most one ``x`` passes, and
-    its phases at the unit vectors round to ``x``: on a whole group table,
-    ``character_search``'s test of that one candidate gives the exhaustive
-    search's answer.  Other supports and tolerances run that search."""
-    dom, idx, v = f.domain, f.idx, f.values
+    least deviation.  This is ``character_search`` with ``a = 1``, which
+    leaves each pairing value exact, on the table in index order: a whole
+    table takes the screened search, a partial one the column search.  A
+    value that is not finite makes every deviation NaN or inf, so nothing is
+    found."""
+    dom = f.domain
     if not isinstance(dom, Group):
         return None
-    if len(idx) < dom.size or tol > math.sin(math.pi / dom.exponent) / 2:
-        # The shift search with a = 1, which leaves P exact.
-        x = character_search(dom, np.ones((1, len(idx))), v[None], tol, idx)[0]
-    else:
-        z, ((q, _, _),) = _plan(_generator_plan, dom, [idx], None)
-        n = np.array(dom.orders)
-        # A value that is not finite makes the deviation NaN or inf.
-        turns = np.angle(np.nan_to_num(v[q[:, z]])) * n / (2 * np.pi)
-        x = dom.compose(np.rint(turns).astype(np.int64) % n)
-        if not np.max(np.abs(v - dom.roots[dom.phase_idx(x, idx)])) < tol:
-            x = -1
+    order = np.argsort(f.idx)
+    x = character_search(dom, np.ones((1, len(order))), f.values[None, order],
+                         tol, f.idx[order])[0]
     return None if x < 0 else dom.element_at(int(x))
 
 
@@ -560,24 +551,21 @@ def character_table_checks(group: Group,
     compare on a row is an entry of a table over ``Z_L``, the same
     floating-point operation on the same doubles: ``|w[0] - 1|``,
     ``|w[a+b] - w[a] w[b]|``, ``||w[a]| - 1|``, ``|w[-a] - conj w[a]|`` and
-    ``|w[a+b] w[a-b] - w[a]^2|``.  At the unit vector of a factor ``Z_n``
-    row ``x`` reads ``w[x_k L/n]``; where that phase rounds to ``x_k``,
-    ``locate_character`` finds ``x`` itself, at deviation 0.  So where the
-    table passes, every row passes.  An element of order ``L`` has
+    ``|w[a+b] w[a-b] - w[a]^2|``.  For ``tol > 0``, ``locate_character``
+    finds a character on row ``x``: the search computes the pairing row of
+    its candidate ``x`` as the same doubles, so that candidate deviates by
+    0, and the screen, which drops only a provable ``dev >= tol``, keeps it.
+    So where the table passes, every row passes.  An element of order ``L`` has
     ``p(x, .)`` onto ``Z_L``, so its row reads every entry, and the
     Bernstein verdict of the table is that of the rows.  Where a character
-    entry exceeds ``tol``, a phase rounds elsewhere or ``tol`` is not
-    positive, the rows go through ``is_character`` one by one.  The table
-    costs ``O(L^2)``, in blocks of ``VALUE_BLOCK`` values; the rows hold
-    ``n^2`` values and ``n^3`` Bernstein pairs (``n`` the group size).
+    entry exceeds ``tol`` or ``tol`` is not positive, the rows go through
+    ``is_character`` one by one.  The table costs ``O(L^2)``, in blocks of
+    ``VALUE_BLOCK`` values; the rows hold ``n^2`` values and ``n^3``
+    Bernstein pairs (``n`` the group size).
     """
     L, w = group.exponent, group.roots
     b = np.arange(L)
     chars = 0 < tol and np.abs(w[0] - 1.0) <= tol
-    for n in group.orders:
-        c = np.arange(n)
-        turns = np.angle(w[c * (L // n)]) * n / (2 * np.pi)
-        chars = chars and np.array_equal(np.rint(turns).astype(np.int64) % n, c)
     bern = (np.abs(w[0] - 1.0) <= tol and (np.abs(np.abs(w) - 1.0) <= tol).all()
             and (np.abs(w[-b % L] - np.conj(w)) <= tol).all())
     for rows in row_blocks(L, L, VALUE_BLOCK):
@@ -664,19 +652,20 @@ def _sweep_max(tables, betas, rhs, defect) -> float:
     for each ``j`` in turn, with ``rhs`` at ``v`` (None without a right-hand
     side) and with the number of pairs; all are flat over the block's pairs.
     The pairs and their positions depend on the supports and coefficients
-    only; that plan is cached, and a call only gathers values along it.
+    only; that plan is cached, and a call only gathers values along it.  A
+    NaN in any block reaches the maximum.
     """
     worst = None
     for pos, at, counts in _plan(_sweep_plan, tables[0].domain, [
             None if t is None else t.idx for t in (*tables, rhs)], *betas):
         vals = (f.values[p] for f, p in zip(tables, pos))
         r = None if rhs is None else np.repeat(rhs.values[at], counts)
-        block = float(np.max(defect(vals, r, len(pos[0]))))
-        worst = block if worst is None else max(worst, block)
+        block = np.max(defect(vals, r, len(pos[0])))
+        worst = block if worst is None else np.maximum(worst, block)
     if worst is None:
         raise WindowMarginError(
             "no (u, v) pair keeps every argument inside its table")
-    return worst
+    return float(worst)
 
 
 def _product_defect(vals, r, pairs) -> np.ndarray:

@@ -20,8 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (DomainError, InvalidEndomorphismError, PreconditionError,
-                     VanishingFactorError, WindowMarginError)
+from .errors import (CapacityError, DomainError, InvalidEndomorphismError,
+                     PreconditionError, VanishingFactorError,
+                     WindowMarginError)
 from .funceq import (DegreeReport, FunctionTable, ProductEquation,
                      character_defect, least_degree,
                      require_kernel_conditions, shifted_sum_degrees,
@@ -175,7 +176,7 @@ def character_gaussian_values(lattice: RationalLattice, phase: Fraction,
     with np.errstate(over="ignore"):
         gauss = np.exp(-sigma * (m / D).astype(float) ** 2)
     if np.isinf(gauss).any():
-        raise OverflowError("exp(-sigma y^2) exceeds the float range")
+        raise CapacityError("exp(-sigma y^2) exceeds the float range")
     return FunctionTable._at(lattice, lattice.every,
                              np.exp(2j * np.pi * turns) * gauss)
 
@@ -407,7 +408,7 @@ def _verify_gaussian(form: str, bs, muhats: Sequence[FunctionTable],
                               FLOORS["sigma_sum"](k, fits, vals))
                      for k in range(3))
     failures = []
-    if eq_defect > tol:
+    if not eq_defect <= tol:
         shown = evidence_float(eq_defect, eq_defect.floor)
         failures.append(f"product equation defect {shown:.2e}")
     for j, fit in enumerate(fits):
@@ -419,7 +420,7 @@ def _verify_gaussian(form: str, bs, muhats: Sequence[FunctionTable],
         failures.append("fourth log-modulus is not quadratic on the window")
     if sums is not None and any(s > 1e-8 for s in sums):
         failures.append("fitted rates violate the power-sum constraints")
-    if eq_defect > tol:
+    if not eq_defect <= tol:
         verdict = VERDICT_MISMATCH
     elif failures:
         verdict = VERDICT_NOT_GAUSSIAN

@@ -5,6 +5,7 @@ replaced."""
 import cmath
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -106,12 +107,19 @@ def hermitian_defect_oracle(orders, table):
                  for p, v in table.items() if _neg(orders, p) in table), 0.0)
 
 
+@lru_cache(maxsize=8)
+def _pairings(orders):
+    """``pair(x, p)`` of every two elements, ``[x][p]``, from exact phases."""
+    elements = group_elements(orders)
+    return {x: {p: cmath.exp(2j * math.pi * _phase(orders, x, p))
+                for p in elements} for x in elements}
+
+
 def locate_character_oracle(orders, table, tol):
     """The x with max |pair(x, p) - f(p)| < tol over the table, if any."""
     best, best_dev = None, None
-    for x in group_elements(orders):
-        dev = _sup(abs(cmath.exp(2j * math.pi * _phase(orders, x, p)) - v)
-                   for p, v in table.items())
+    for x, pair in _pairings(tuple(orders)).items():
+        dev = _sup(abs(pair[p] - v) for p, v in table.items())
         if best_dev is None or dev < best_dev:
             best, best_dev = x, dev
     return best if best_dev < tol else None
@@ -189,13 +197,13 @@ def is_polynomial_oracle(add, table, n, tol, steps):
             g = diff_oracle(add, g, h)
             if not g:
                 return None
-        if max(abs(v) for v in g.values()) > tol:
+        if not _sup(abs(v) for v in g.values()) <= tol:
             return False
     return True
 
 
 def _equation_oracle(add, tables, coeffs, rhs, vs, combine):
-    worst, checked = -1.0, 0
+    defects = []
     for v in vs:
         if rhs is not None and v not in rhs:
             continue
@@ -204,9 +212,8 @@ def _equation_oracle(add, tables, coeffs, rhs, vs, combine):
             args = [add(u, s) for s in shifts]
             if all(a in f for a, f in zip(args, tables)):
                 vals = [f[a] for a, f in zip(args, tables)]
-                worst = max(worst, combine(vals, None if rhs is None else rhs[v]))
-                checked += 1
-    return worst if checked else None
+                defects.append(combine(vals, None if rhs is None else rhs[v]))
+    return _sup(defects)
 
 
 def _residual(vals, r):
@@ -429,7 +436,8 @@ def is_polynomial_sweep(f, n, tol=1e-9):
             live = has & live & live.take(at)
             g = g.take(at) - g
         empty = ~live.any(axis=1)
-        stop = np.flatnonzero(empty | ((np.abs(g) > tol) & live).any(axis=1))
+        far = ~(np.abs(g) <= tol) & live
+        stop = np.flatnonzero(empty | far.any(axis=1))
         if len(stop):
             if empty[stop[0]]:
                 raise WindowMarginError(
@@ -485,7 +493,7 @@ def sweep_max_percall(tables, betas, rhs, defect):
     mapped = [_coeff_idx(b, vs) for b in betas]
     keep = np.logical_and.reduce([at >= 0] + [ok for _, ok in mapped])
     at, shifts = at[keep], [s[keep] for s, _ in mapped]
-    worst = None
+    maxima = []
     for rows in row_blocks(int(keep.sum()), len(us)):
         pos = [f._positions(dom.add_idx(us[None, :], s[rows, None]))
                for f, s in zip(tables, shifts)]
@@ -496,9 +504,8 @@ def sweep_max_percall(tables, betas, rhs, defect):
         vals = (f.values[p[inside]] for f, p in zip(tables, pos))
         r = None if rhs is None else np.broadcast_to(
             rhs.values[at[rows], None], inside.shape)[inside]
-        block = float(np.max(defect(vals, r, pairs)))
-        worst = block if worst is None else max(worst, block)
-    if worst is None:
+        maxima.append(np.max(defect(vals, r, pairs)))
+    if not maxima:
         raise WindowMarginError(
             "no (u, v) pair keeps every argument inside its table")
-    return worst
+    return float(np.max(maxima))

@@ -173,6 +173,22 @@ def test_verify_gaussian_trial_error_is_recorded(tmp_path):
     jsonschema.validate(report, load_schema())
 
 
+@pytest.mark.parametrize("form", ["I", "II"])
+def test_verify_gaussian_beyond_the_float_range_writes_a_report(tmp_path,
+                                                                form):
+    # At radius 1600 a table leaves the float range: form I's overflows
+    # exp(-sigma y^2), form II's underflows to 0.  Each entry records its
+    # error, and the campaign writes its report and exits 1.
+    code, report = run_cli(tmp_path, "verify-gaussian", "--form", form,
+                           "--radius", "1600", "--trials", "1")
+    assert code == 1
+    trials = report["body"]["trials"]
+    assert [t["kind"] for t in trials] == ["roundtrip", "adversarial"]
+    want = "float range" if form == "I" else "nonvanishing"
+    assert all(not t["ok"] and want in t["error"] for t in trials)
+    jsonschema.validate(report, load_schema())
+
+
 def test_verify_shift_trial_error_is_recorded(tmp_path, monkeypatch):
     # The generator of one law of trial 1's roundtrip yields NaN, so that
     # law never passes the nonvanishing test and its draw runs out of

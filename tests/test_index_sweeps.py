@@ -47,9 +47,9 @@ homomorphisms.
 The batched character, location and Bernstein checks over a block of
 value rows must give, row by row, the verdicts of the one-table functions
 and of the per-table oracles, on characters and on rows moved by twice the
-tolerance, NaN or zero at one point; the location by generator phases must
-return what the exhaustive ``character_search`` returns, on either side of
-``tol = sin(pi/L)/2``.  A NaN or an infinity anywhere fails the Bernstein
+tolerance, NaN or zero at one point; the location must return what the
+dense oracle returns, on whole, permuted and partial tables and on either
+side of ``tol = sin(pi/L)/2``.  A NaN or an infinity anywhere fails the Bernstein
 check, as it fails its oracle.
 
 Cut into two or three row stripes, every joint-law sweep must give the
@@ -77,7 +77,8 @@ from groupident import (Distribution, Endo, Group, LinearFormSpec,
                         annihilator, consistent_shifts, is_subgroup,
                         joint_char_array, kernel_counterexample,
                         kotlarski_coeffs, poisson_closed_form_array,
-                        poisson_counterexample, recover_shift, verify_form_I,
+                        poisson_counterexample, recover_shift,
+                        shifted_sum_degrees, verify_form_I,
                         verify_form_II)
 from groupident.cli import _suite_endos, find_shift_coeffs, main
 from groupident.distributions import factor_plan, joint_residual
@@ -95,7 +96,7 @@ from groupident.funceq import (FunctionTable, ProductEquation,
 from groupident import distributions, funceq, groups, identify
 from groupident.identify import (VERDICT_PRECONDITIONS, VERDICT_SHIFT,
                                  poisson_pair_deviations)
-from groupident.groups import Element, _shift_screen, character_search
+from groupident.groups import Element, _shift_screen
 from groupident.solenoid import (FIT_TOL, RationalLattice, SolenoidEndo,
                                  character_gaussian_values,
                                  fit_gaussian_ratio, make_lattice)
@@ -992,7 +993,7 @@ def test_character_gaussian_values_match_oracle(lat):
                 want = character_gaussian_oracle(lat.points, lat.denominator,
                                                  phase, sigma)
             except OverflowError:  # exp(-sigma y^2) beyond the float range
-                with pytest.raises(OverflowError):
+                with pytest.raises(CapacityError):
                     character_gaussian_values(lat, phase, sigma)
                 continue
             f = character_gaussian_values(lat, phase, sigma)
@@ -1857,9 +1858,11 @@ def test_batched_checks_match_per_table_oracles(orders):
 @pytest.mark.parametrize("orders", BATCH_GROUPS + [(5, 13)], ids=group_id)
 def test_generator_location_matches_exhaustive_search(orders):
     """Characters with each value moved by up to about a half to twice the
-    tolerance: below ``sin(pi/L)/2`` a whole table is located from its
-    phases at the unit vectors, above it and on partial tables by the
-    search itself; both must return what the search returns."""
+    tolerance, at tolerances around ``sin(pi/L)/2``, below which at most one
+    character passes, and a character turned at a unit vector: on whole,
+    permuted and partial tables ``locate_character`` returns what the dense
+    oracle returns, and a permuted whole table is located as its
+    index-ordered copy is."""
     g = Group(orders)
     rng = np.random.default_rng([73, *orders])
     P = np.concatenate(list(g.character_rows()))
@@ -1878,12 +1881,17 @@ def test_generator_location_matches_exhaustive_search(orders):
         noise = scale * rng.random((6, g.size)) ** 0.25
         V = np.vstack([P[rng.integers(g.size, size=6)] + noise * np.exp(
             2j * np.pi * rng.random((6, g.size))), turned])
-        for idx in (g.every, rng.permutation(g.size), g.every[keep]):
-            for row in V[:, idx]:
-                want = character_search(g, np.ones((1, len(idx))), row[None],
-                                        tol, idx)[0]
-                got = locate_character(FunctionTable._at(g, idx, row), tol)
-                assert got == (None if want < 0 else g.element_at(want)), tol
+        perm = rng.permutation(g.size)
+        for row in V:
+            whole = locate_character(FunctionTable._at(g, g.every, row), tol)
+            for idx in (g.every, perm, g.every[keep]):
+                f = FunctionTable._at(g, idx, row[idx])
+                want = locate_character_oracle(orders, as_dict(f, coords),
+                                               tol)
+                got = locate_character(f, tol)
+                assert got == (None if want is None else g.element(want)), tol
+                if len(idx) == g.size:
+                    assert got == whole, tol
 
 
 def per_row_checks(g: Group, tol: float) -> tuple[bool, bool]:
@@ -1977,6 +1985,49 @@ def test_bernstein_check_rejects_non_finite_values(dom):
             want, _ = bernstein_oracle(dom.orders if group else None, table,
                                        TOL)
             assert bernstein_check(f, TOL) == want is False, (bad, where)
+
+
+def test_a_nan_fails_the_polynomial_check():
+    """One NaN in ``y^2`` on a radius-60 window, or in the constant 1 on
+    Z12, fails every degree, as it fails the all-steps sweep and the
+    per-pair oracle on Z12."""
+    lat = make_lattice([2, 3, 5], 2, 60)
+    y = lat.every / lat.denominator
+    g = Group([12])
+    for at in (0, 1, len(y) // 2, -1):
+        vals = (y ** 2).astype(complex)
+        vals[at] = np.nan
+        f = FunctionTable._at(lat, lat.every, vals)
+        assert not is_polynomial(f, 2) and not is_polynomial_sweep(f, 2), at
+        assert least_degree(f, 3) is None, at
+    for at in range(g.size):
+        vals = np.ones(g.size, dtype=complex)
+        vals[at] = np.nan
+        t = FunctionTable._at(g, g.every, vals)
+        steps = [x.coords for x in g.elements()[1:]]
+        assert not is_polynomial(t, 0) and not is_polynomial_sweep(t, 0), at
+        assert is_polynomial_oracle(group_add((12,)), as_dict(t, coords), 0,
+                                    TOL, steps) is False, at
+
+
+@pytest.mark.parametrize("radius", [160, 400])
+def test_a_nan_reaches_the_equation_sweeps(radius):
+    """``f`` is 1 but for one NaN at the first or last point.  The sweep of
+    ``f(u + v) * 1(u + 2v)`` is one row block at radius 160 and several at
+    radius 400, and the NaN reaches the product and the sum defect in
+    both, as it reaches the per-call sweep."""
+    lat = make_lattice([2, 3, 5], 2, radius)
+    ones = FunctionTable.constant(lat)
+    blocks = _plan(_sweep_plan, lat, [lat.every, lat.every, None], 1, 2)
+    assert (len(blocks) > 1) == (radius == 400)
+    for at in (0, -1):
+        vals = np.ones(len(lat.every), dtype=complex)
+        vals[at] = np.nan
+        f = FunctionTable._at(lat, lat.every, vals)
+        assert np.isnan(ProductEquation(((f, 1), (ones, 2))).residual_defect())
+        assert np.isnan(shifted_sum_degrees([f, ones], [1, 2]).equation_defect)
+        for defect in (_product_defect, _sum_defect):
+            assert np.isnan(sweep_max_percall([f, ones], [1, 2], None, defect))
 
 
 def test_bernstein_counterexample_builds_no_dense_table(monkeypatch,

@@ -15,7 +15,7 @@ from groupident.solenoid import (SolenoidCharModel, SolenoidEndo,
                                  vandermonde_nullspace,
                                  verify_gaussian_form_I,
                                  verify_gaussian_form_II, VERDICT_GAUSSIAN,
-                                 VERDICT_NOT_GAUSSIAN)
+                                 VERDICT_MISMATCH, VERDICT_NOT_GAUSSIAN)
 
 
 def test_make_lattice_examples():
@@ -230,6 +230,21 @@ def test_verify_form_I_rejects_non_quadratic_modulus():
     report = verify_gaussian_form_I([1, 2, 3, 4], mus, nus)
     assert report.verdict != VERDICT_GAUSSIAN
     assert any("factor 1" in f for f in report.failures) or report.failures
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_equation_defect_is_a_mismatch():
+    # An infinite value passes the nonvanishing and ratio tests, and its
+    # product-equation defect is NaN, which is not within the tolerance.
+    lat = make_lattice([2, 3, 5], 2, 60)
+    mus, nus, _, _ = synth_gaussian_instance(lat, [1, 2, 3, 4], 5, "I")
+    vals = nus[0].values.copy()
+    vals[5] = np.inf
+    nus[0] = FunctionTable(lat, lat.points, vals)
+    report = verify_gaussian_form_I([1, 2, 3, 4], mus, nus)
+    assert math.isnan(report.equation_defect)
+    assert report.verdict == VERDICT_MISMATCH
+    assert "product equation defect nan" in report.failures
 
 
 def test_verify_form_I_preconditions():

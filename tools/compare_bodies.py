@@ -123,6 +123,9 @@ ARGVS = [
     ["verify-shift", "--group", "7", "--trials", "5", "--seed", "4294967296"],
     ["verify-shift", "--group", "4x3", "--form", "II", "--trials", "5",
      "--seed", "18446744073709551621"],
+    # Equation sweeps of 521k (form II) and 641k (form I) pairs, in three
+    # and six row blocks.
+    *(_gauss(form, 800) for form in ("I", "II")),
 ]
 
 
