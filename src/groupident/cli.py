@@ -265,8 +265,8 @@ def run_gaussian_trial(lattice, bs, form: str, seed, trial: int,
                        tol: float) -> dict:
     muhats, nuhats, sigmas, _ = solenoid.synth_gaussian_instance(
         lattice, bs, [seed, trial], form)
-    report = getattr(solenoid, "verify_gaussian_form_" + form)(bs, muhats,
-                                                              nuhats)
+    report = getattr(solenoid, "verify_gaussian_form_" + form)(
+        bs, muhats, nuhats, tol=tol)
     # The difference of two nearby floats is exact.
     sigma_err = Measured(max(abs(fit.sigma - s)
                              for fit, s in zip(report.fits, sigmas)),
@@ -276,13 +276,14 @@ def run_gaussian_trial(lattice, bs, form: str, seed, trial: int,
             "expected": solenoid.VERDICT_GAUSSIAN, "ok": ok}
 
 
-def run_gaussian_adversarial(lattice, bs, form: str, seed, trial: int) -> dict:
+def run_gaussian_adversarial(lattice, bs, form: str, seed, trial: int,
+                             tol: float) -> dict:
     muhats, nuhats, _, _ = solenoid.synth_gaussian_instance(
         lattice, bs, [seed, trial, 1], form)
     quartic = np.exp(-0.4 * (nuhats[0].idx / lattice.denominator) ** 4)
     nuhats[0] = nuhats[0].map_values(lambda v: v * quartic)
-    report = getattr(solenoid, "verify_gaussian_form_" + form)(bs, muhats,
-                                                              nuhats)
+    report = getattr(solenoid, "verify_gaussian_form_" + form)(
+        bs, muhats, nuhats, tol=tol)
     return {**report.to_json_dict(), "expected": "negative-verdict",
             "ok": report.verdict != solenoid.VERDICT_GAUSSIAN}
 
@@ -304,7 +305,7 @@ def cmd_verify_gaussian(args) -> int:
         body = _trials_body(
             _attempts(args.trials,
                       lambda t: run_gaussian_trial(*setup, t, args.tol),
-                      lambda t: run_gaussian_adversarial(*setup, t)),
+                      lambda t: run_gaussian_adversarial(*setup, t, args.tol)),
             {"form": args.form, "base": base, "depth": args.depth,
              "radius": args.radius, "coeffs": [str(c) for c in cs]})
     except WindowMarginError as exc:
@@ -336,7 +337,8 @@ def cmd_counterexample(args) -> int:
                                          phases=phases),
                  "kernel-mass": _counterexample_kernel,
                  "plane-gaussian": _counterexample_plane,
-                 "bernstein": _counterexample_bernstein}[args.kind]
+                 "bernstein": partial(_counterexample_bernstein,
+                                      phases=phases)}[args.kind]
     try:
         config, body = construct(args)
     except GroupIdentError as exc:
@@ -419,14 +421,16 @@ def _counterexample_plane(args) -> tuple[dict, dict]:
                                  **cert.to_json_dict()}
 
 
-def _counterexample_bernstein(args) -> tuple[dict, dict]:
+def _counterexample_bernstein(args, phases: Phases) -> tuple[dict, dict]:
     group = parse_group(args.group or "6x6")
     table = bernstein_square_table(group)
     tol = COUNTEREXAMPLE_TOL if args.tol is None else args.tol
-    passes = bernstein_check(table, tol=tol)
-    char = is_character(table, tol=tol)
+    with phases.timed("bernstein_check_s"):
+        passes = bernstein_check(table, tol=tol)
+    with phases.timed("characters_s"):
+        char = is_character(table, tol=tol)
+        chars_ok = all(character_table_checks(group, tol))
     involutions = group.order_two_count()
-    chars_ok = all(character_table_checks(group, tol))
     ok = passes and not char and involutions >= 2 and chars_ok
     body = {
         "status": "pass" if ok else "fail",

@@ -9,7 +9,8 @@ lattice.  Window operations shrink their domain explicitly and raise when
 the margin runs out.  Every operator is one numpy body over the integer
 point indices that both kinds of domain provide.  The character and
 polynomial tests are homomorphism identities and gather along generators
-only; the Bernstein and product equations sweep index pairs in row blocks.
+only.  The Bernstein equation reads its pairs as windows of its table, and
+the product equations sweep index pairs, both in row blocks.
 A group table's character is located by ``character_search``, the search of
 the shift recovery.  Every character of a group is certified at once on one
 table over ``Z_L`` (``character_table_checks``): the phase pairing is
@@ -25,12 +26,12 @@ from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .endomorphisms import Endo
 from .errors import (DomainError, PreconditionError, VanishingFactorError,
                      WindowMarginError)
-from .groups import (PAIR_BLOCK, VALUE_BLOCK, Element, Group,
-                     character_search, row_blocks)
+from .groups import VALUE_BLOCK, Element, Group, character_search, row_blocks
 
 # -- domains ------------------------------------------------------------------
 #
@@ -278,8 +279,9 @@ class FunctionTable:
 # which table positions, depends on the domain, the supports and the
 # coefficients, never on the values.  Each such check splits into a plan of
 # those positions, built once per key and cached, and an evaluation that
-# gathers values along it.  ``bernstein_check`` keeps no plan.  Plan arrays
-# are read-only.  Positions are int64: a gather with int32 positions converts
+# gathers values along it.  ``bernstein_check`` needs no plan: on the
+# supports it takes, its pairs are windows of an extended copy of its values
+# at offsets affine in the row.  Plan arrays are read-only.  Positions are int64: a gather with int32 positions converts
 # them on every call, and costs twice as long.
 
 # Plans kept.  A verify-gaussian campaign uses five (a sweep, a character
@@ -350,9 +352,29 @@ def _ratio_step(f: FunctionTable, k) -> FunctionTable:
 # ch. 1).  So both checks gather along a few shifts of a whole group table, or
 # of a window support that is an arithmetic progression through 0 (a whole
 # window, a ``diff`` restriction, a pullback by ``p/q``); any other support
-# raises DomainError.  Against an absolute tolerance a smooth table's defect
+# raises DomainError.  ``_box_support`` holds this contract, and
+# ``bernstein_check`` takes it too.  Against an absolute tolerance a smooth table's defect
 # grows with the shift, so a doubling ladder of multiples of the generators
 # runs up to the longest shift the all-pairs sweeps read.
+
+
+def _box_support(dom, idx: np.ndarray) -> tuple[int, int, int] | None:
+    """None for a whole group table, in any order; ``(s, lo, hi)`` for a
+    window support ``{j s : lo <= j <= hi}`` with ``lo <= 0 <= hi``.  Any
+    other support raises DomainError, and the window ``{0}``
+    WindowMarginError."""
+    if isinstance(dom, Group):
+        if len(idx) != dom.size:
+            raise DomainError("this check needs a whole group table")
+        return None
+    s = int(np.gcd.reduce(idx))
+    if not s:
+        raise WindowMarginError("a window table needs a point besides 0")
+    lo, hi = int(idx.min()) // s, int(idx.max()) // s
+    if not lo <= 0 <= hi or hi - lo + 1 != len(idx):
+        raise DomainError("this check needs a window support that is an "
+                          "arithmetic progression through 0")
+    return s, lo, hi
 
 
 def _ladder(top: int) -> set:
@@ -375,20 +397,13 @@ def _generator_plan(dom, supports: tuple, folds: int | None) -> tuple:
     the largest with ``2 folds K s <= max |k|`` (WindowMarginError at 0).
     """
     (idx,) = supports
-    if isinstance(dom, Group):
-        if len(idx) != dom.size:
-            raise DomainError("a generator check needs a whole group table")
+    box = _box_support(dom, idx)
+    if box is None:
         shifts = dom.generators if folds is None else np.concatenate([
             e * np.array(sorted(_ladder(n // 2)), dtype=np.int64)
             for e, n in zip(dom.generators, dom.orders)])
     else:
-        s = int(np.gcd.reduce(idx))
-        if not s:
-            raise WindowMarginError("a window table needs a point besides 0")
-        lo, hi = int(idx.min()) // s, int(idx.max()) // s
-        if not lo <= 0 <= hi or hi - lo + 1 != len(idx):
-            raise DomainError("a generator check needs a window support that "
-                              "is an arithmetic progression through 0")
+        s, lo, hi = box
         if folds is None:
             js = _ladder(hi) | {-j for j in _ladder(-lo)}
         elif not (js := _ladder(max(-lo, hi) // (2 * folds))):
@@ -508,33 +523,68 @@ def bernstein_check(g: FunctionTable, tol: float = 1e-9) -> bool:
     The side conditions are ``|g| = 1``, ``g(-y) = conj(g(y))`` and
     ``g(0) = 1``.  Every quantity compared must be at most ``tol``, so a
     NaN fails, and numpy's warning of an invalid operation (``inf - inf``)
-    is not raised.  The pairs ``(u, v)`` with ``u + v`` and ``u - v`` in the
-    table go in row blocks of about ``PAIR_BLOCK`` pairs, each located and
-    tested before the next, so no all-pairs structure is held.  Every
-    character passes; the converse holds only on groups with at most one
-    element of order 2.
+    is not raised.  The table takes the support of ``_box_support``: a whole
+    group table in any order, or a window progression through 0; any other
+    support raises DomainError.  On the values in index order, ``g(u+v)``
+    and ``g(u-v)`` over every ``v`` are windows of an extended array at
+    offsets affine in ``u``: on a group the table tiled over the doubled box
+    (``Group.box_tile``) and that tile reversed, on a window the values
+    padded by their length on each side and reversed, with the padding
+    masked.  The pairs with ``u + v`` and ``u - v`` in the table go in
+    blocks of about ``VALUE_BLOCK`` values (whole rows, or a row cut along
+    the leading coordinate of ``v``), each tested before the next, so no
+    all-pairs structure is held.  Every character passes; the converse
+    holds only on groups with at most one element of order 2.
     """
-    dom, i, v = g.domain, g.idx, g.values
-    find = _locator(i)
-    # Point 0 has index 0 on both kinds of domain.
-    z = find(np.zeros(1, dtype=np.int64))[0]
-    if z < 0:
-        return False
+    box = _box_support(g.domain, g.idx)
+    v, n = g.values[np.argsort(g.idx)], len(g)
+    if box is None:
+        # With c the coordinates of u, g(u+v) over v in index order is the
+        # box of the tile at c, and g(u-v) that of the reversed tile at
+        # n_k - 1 - c_k, where it reads g(-1-k) at k.  Every pair is in.
+        shape, z, live = g.domain.orders, 0, None
+        ext = g.domain.box_tile(v).reshape([2 * m for m in shape])
+        plus = g.domain.coords_array
+        minus = np.array(shape) - 1 - plus
+    else:
+        # u and v at positions r and t of the support {j s : lo <= j <= hi}:
+        # u + v is at r + t + lo + n of the padded values, and u - v at
+        # r - t - lo + n, so at 2n - 1 + lo - r + t of them reversed.  The
+        # padded mask of the support is its own reverse.
+        lo = box[1]
+        shape, z = (n,), -lo
+        ext = np.pad(v, n)
+        live = sliding_window_view(np.pad(np.ones(n, dtype=bool), n), n)
+        r = np.arange(n)[:, None]
+        plus, minus = r + lo + n, 2 * n - 1 + lo - r
+    P, M = (sliding_window_view(a, shape) for a in (ext, np.flip(ext)))
+
+    def read(rows: slice, cols: slice) -> tuple:
+        """g(u+v) and g(u-v) for u in rows and v with leading coordinate
+        in cols, and where both are in the table."""
+        p = tuple(plus[rows].T) + (cols,)
+        m = tuple(minus[rows].T) + (cols,)
+        k = len(p[0])
+        has = True if live is None else (live[p] & live[m]).reshape(k, -1)
+        return P[p].reshape(k, -1), M[m].reshape(k, -1), has
+
     with np.errstate(invalid="ignore"):
+        # The row of u = 0 reads g(-v) at every v whose negation is in the
+        # table.
+        _, neg, has = read(slice(z, z + 1), slice(None))
         if not ((np.abs(np.abs(v) - 1.0) <= tol).all()
-                and g.hermitian_defect() <= tol
+                and (np.abs(neg - np.conj(v)) <= tol).all(where=has)
                 and np.abs(v[z] - 1.0) <= tol):
             return False
-        neg = dom.neg_idx(i)
-        for rows in row_blocks(len(i), len(i), PAIR_BLOCK):
-            s = find(dom.add_idx(i[rows, None], i))
-            d = find(dom.add_idx(i[rows, None], neg))
+        # Blocks of about VALUE_BLOCK values: whole rows, or cut along the
+        # leading coordinate of v where a row is longer.
+        cols = row_blocks(shape[0], n // shape[0], VALUE_BLOCK)
+        for rows in row_blocks(n, n, VALUE_BLOCK):
             vu = v[rows, None]
-            # An absent position, -1, reads the last value into a cell
-            # that ``where`` leaves out.
-            if not (np.abs(v[s] * v[d] - vu * vu) <= tol).all(
-                    where=(s >= 0) & (d >= 0)):
-                return False
+            for c in cols:
+                s, d, has = read(rows, c)
+                if not (np.abs(s * d - vu * vu) <= tol).all(where=has):
+                    return False
     return True
 
 

@@ -359,9 +359,10 @@ def _ratio_tables(muhats, nuhats) -> list[FunctionTable]:
     for j, f in enumerate(fs):
         # Ratios of characteristic functions are normalized and Hermitian;
         # symmetry is checked relative to the modulus where it exceeds 1.
+        # An infinite ratio caps to NaN, which is not within 1e-6.
         capped = f.map_values(lambda v: v / np.maximum(1.0, np.abs(v)))
-        if (abs(f.value_at_zero() - 1.0) > 1e-6
-                or capped.hermitian_defect() > 1e-6):
+        if not (abs(f.value_at_zero() - 1.0) <= 1e-6
+                and capped.hermitian_defect() <= 1e-6):
             raise PreconditionError(
                 f"ratio table {j + 1} is not a characteristic-function ratio")
     return fs

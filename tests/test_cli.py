@@ -173,6 +173,18 @@ def test_verify_gaussian_trial_error_is_recorded(tmp_path):
     jsonschema.validate(report, load_schema())
 
 
+def test_verify_gaussian_tol_reaches_the_verifier(tmp_path):
+    # The roundtrip's product-equation defect, 1.99e-14, is rounding; below
+    # it, --tol fails the roundtrip's verdict, not only its sigma error.
+    code, report = run_cli(tmp_path, "verify-gaussian", "--trials", "1",
+                           "--tol", "1e-15", "--seed", "1")
+    assert code == 1
+    roundtrip, adversarial = report["body"]["trials"]
+    assert roundtrip["verdict"] == "mismatch" and not roundtrip["ok"]
+    assert roundtrip["failures"] == ["product equation defect 1.99e-14"]
+    assert adversarial["verdict"] == "mismatch" and adversarial["ok"]
+
+
 @pytest.mark.parametrize("form", ["I", "II"])
 def test_verify_gaussian_beyond_the_float_range_writes_a_report(tmp_path,
                                                                 form):
@@ -272,6 +284,17 @@ def test_poisson_pair_reports_its_sweep_seconds(tmp_path):
     timings = report["timings"]
     assert set(timings) == {"seconds", "joint_residual_s"}
     assert 0 <= timings["joint_residual_s"] <= timings["seconds"]
+    jsonschema.validate(report, load_schema())
+
+
+def test_bernstein_reports_its_check_and_character_seconds(tmp_path):
+    code, report = run_cli(tmp_path, "counterexample", "--kind",
+                           "bernstein", "--group", "6x6")
+    assert code == 0
+    timings = report["timings"]
+    assert set(timings) == {"seconds", "bernstein_check_s", "characters_s"}
+    assert 0 <= timings["bernstein_check_s"] + timings["characters_s"] \
+        <= timings["seconds"]
     jsonschema.validate(report, load_schema())
 
 

@@ -40,7 +40,8 @@ far above the tolerance, never report a larger character defect than the
 all-pairs sup (their pairs are among it), and give the all-pairs verdict
 (``check_character``, ``check_generator_polynomial``).  On any other support
 they raise DomainError, and the all-pairs sweeps must match the per-pair
-oracles there.  The adjoint check must give the all-pairs verdict with a
+oracles there.  The Bernstein check reads views of the same supports, must
+give the per-pair oracle's verdict on them and raises DomainError off them.  The adjoint check must give the all-pairs verdict with a
 fault at every admissible matrix entry, and reject index maps that are not
 homomorphisms.
 
@@ -177,7 +178,10 @@ def test_pair_sweeps_match_oracles(orders):
             assert abs(f.hermitian_defect()
                        - hermitian_defect_oracle(orders, table)) <= bound, case
             verdict, margin = bernstein_oracle(orders, table, TOL)
-            if margin > bound:
+            if len(pts) < g.size:
+                with pytest.raises(DomainError):
+                    bernstein_check(f, TOL)
+            elif margin > bound:
                 assert bernstein_check(f, TOL) == verdict, case
             located = locate_character_oracle(orders, table, TOL)
             assert locate_character(f, TOL) == (
@@ -531,11 +535,11 @@ def test_disjoint_window_supports_raise_margin_errors():
 
 # -- planned and generator checks against the all-pairs code -----------------
 #
-# The Bernstein and equation sweeps gather along plans cached per support, and
-# the character and polynomial checks along generators and their doubling
-# ladders; the all-pairs code they replaced is in oracles.py.  Verdicts and
-# sweep maxima must be equal, and the generator checks must raise
-# DomainError off their supports.
+# The equation sweeps gather along plans cached per support, the Bernstein
+# check reads views of its table, and the character and polynomial checks
+# gather along generators and their doubling ladders; the all-pairs code they
+# replaced is in oracles.py.  Verdicts and sweep maxima must be equal, and the
+# generator and Bernstein checks must raise DomainError off their supports.
 
 PLAN_DOMAINS = [Group([6]), Group([2, 3]), Group([12]), Group([4, 6]),
                 Group([3, 3, 2]), *LATTICES, make_lattice([2], 0, 9)]
@@ -779,12 +783,13 @@ def test_planned_sweeps_match_per_call_code(dom):
                   for name, idx in supports.items()}
         for name, f in tables.items():
             case = f"{label} on the {name} support"
-            assert bernstein_check(f, TOL) == bernstein_check_percall(f, TOL)
             if not generator_support(f):
-                for check in (character_defect, lambda f: is_polynomial(f, 1)):
+                for check in (character_defect, lambda f: is_polynomial(f, 1),
+                              bernstein_check):
                     with pytest.raises(DomainError):
                         check(f)
                 continue
+            assert bernstein_check(f, TOL) == bernstein_check_percall(f, TOL)
             for n in range(4):
                 check_generator_polynomial(f, n)
             want = outcome(character_defect_sweep, f)
@@ -1841,14 +1846,16 @@ def test_batched_checks_match_per_table_oracles(orders):
             table = as_dict(f, coords)
             bound = ulp_tol(np.where(np.isfinite(f.values), f.values, 0))
             case = f"{label}, {len(idx)} of {g.size} points"
-            verdict, margin = bernstein_oracle(orders, table, TOL)
-            if not margin <= bound:
-                assert bernstein_check(f, TOL) == verdict, case
             want = locate_character_oracle(orders, table, TOL)
             assert locate_character(f, TOL) == (
                 None if want is None else g.element(want)), case
             if len(idx) < g.size:
+                with pytest.raises(DomainError):
+                    bernstein_check(f, TOL)
                 continue
+            verdict, margin = bernstein_oracle(orders, table, TOL)
+            if not margin <= bound:
+                assert bernstein_check(f, TOL) == verdict, case
             defect = character_defect_oracle(orders, table)
             if not abs(defect - TOL) <= bound:
                 assert is_character(f, TOL) == (defect <= TOL
@@ -1941,9 +1948,10 @@ def test_character_table_checks_see_a_perturbed_root(orders, monkeypatch):
 @pytest.mark.parametrize("dom", [Group([9, 8]), Group([12]), *LATTICES],
                          ids=repr)
 def test_batched_checks_cut_into_cells_match_whole_rows(dom, monkeypatch):
-    """With row blocks of 7 pairs ``bernstein_check``, and with blocks of 7
-    values ``character_table_checks``, run in short runs, and both must
-    give the uncut results."""
+    """With blocks of 7 values, ``bernstein_check``, which then cuts each
+    row along the leading coordinate of ``v``, and
+    ``character_table_checks`` run in short runs, and both must give the
+    uncut results."""
     rng = np.random.default_rng([79, len(dom.every)])
     if isinstance(dom, Group):
         rows = [vals for _, vals in batch_rows(dom, rng)]
@@ -1958,7 +1966,6 @@ def test_batched_checks_cut_into_cells_match_whole_rows(dom, monkeypatch):
                    lambda: character_table_checks(dom, 1e-16)]
     whole = [check() for check in checks]
     assert True in whole[0] and False in whole[0]
-    monkeypatch.setattr(funceq, "PAIR_BLOCK", 7)
     monkeypatch.setattr(funceq, "VALUE_BLOCK", 7)
     for want, check in zip(whole, checks):
         assert check() == want
@@ -1985,6 +1992,34 @@ def test_bernstein_check_rejects_non_finite_values(dom):
             want, _ = bernstein_oracle(dom.orders if group else None, table,
                                        TOL)
             assert bernstein_check(f, TOL) == want is False, (bad, where)
+
+
+@pytest.mark.parametrize("lat", [*LATTICES, make_lattice([2], 0, 9)],
+                         ids=repr)
+def test_bernstein_check_on_window_progressions_matches_oracle(lat):
+    """On the window progressions ``[-R/3, R]``, every other point and a
+    sub-window, each in a random order, a character passes, and the same
+    with one Hermitian pair turned by 1e-6, or with one NaN, fails, as
+    ``bernstein_oracle`` says: the padded offsets of each support line up
+    with its points."""
+    rng = np.random.default_rng([89, lat.radius])
+    every, R = lat.every, lat.radius
+    char = character_gaussian_values(lat, Fraction(7, 30), 0.0).values
+    for name, idx in {"asymmetric": every[every >= -(R // 3)],
+                      "every other": every[every % 2 == 0],
+                      "sub-window": every[2:-1]}.items():
+        y = int(rng.choice(idx[(idx > 0) & np.isin(-idx, idx)]))
+        turned = char.copy()
+        turned[[R + y, R - y]] *= np.exp([1e-6j, -1e-6j])
+        nan = char.copy()
+        nan[R + int(rng.choice(idx))] = np.nan
+        for label, vals in (("character", char), ("turned", turned),
+                            ("NaN", nan)):
+            perm = rng.permutation(idx)
+            f = FunctionTable._at(lat, perm, vals[perm + R])
+            want, _ = bernstein_oracle(None, as_dict(f), TOL)
+            assert want == (label == "character"), (name, label)
+            assert bernstein_check(f, TOL) == want, (name, label)
 
 
 def test_a_nan_fails_the_polynomial_check():
@@ -2044,8 +2079,8 @@ def test_bernstein_counterexample_builds_no_dense_table(monkeypatch,
 
 def test_bernstein_check_of_the_square_table_holds_no_pair_plan():
     """The 40x40 square table has 2.56 million pairs, whose positions
-    alone would take 61 MB as int64; the check locates and tests them one
-    row block at a time."""
+    alone would take 61 MB as int64; the check reads and tests them one
+    block at a time."""
     f = bernstein_square_table(Group([40, 40]))
     tracemalloc.start()
     try:
@@ -2054,6 +2089,23 @@ def test_bernstein_check_of_the_square_table_holds_no_pair_plan():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("dom", [Group([6, 6]), *LATTICES], ids=repr)
+def test_bernstein_check_does_no_index_arithmetic(dom, monkeypatch):
+    """The check reads its pairs as views of the table: it locates no
+    index and adds or negates none."""
+    def refuse(*args):
+        raise AssertionError("index arithmetic in the Bernstein check")
+
+    if isinstance(dom, Group):
+        f = bernstein_square_table(dom)
+    else:
+        f = character_gaussian_values(dom, Fraction(7, 30), 0.0)
+    monkeypatch.setattr(funceq, "_locator", refuse)
+    for name in ("add_idx", "neg_idx"):
+        monkeypatch.setattr(type(dom), name, refuse)
+    assert bernstein_check(f, TOL)
 
 
 def test_poisson_pair_deviations_keep_a_nan_of_either_side():

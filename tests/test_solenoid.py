@@ -6,7 +6,8 @@ import pytest
 
 from groupident.errors import (DomainError, InvalidEndomorphismError,
                                PreconditionError, WindowMarginError)
-from groupident.funceq import FunctionTable, bernstein_check, summed_variables
+from groupident.funceq import (FunctionTable, ProductEquation, bernstein_check,
+                               summed_variables)
 from groupident.solenoid import (SolenoidCharModel, SolenoidEndo,
                                  character_gaussian_values, fit_gaussian_ratio,
                                  form_sigmas, gaussian_table, make_lattice,
@@ -233,18 +234,30 @@ def test_verify_form_I_rejects_non_quadratic_modulus():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_nan_equation_defect_is_a_mismatch():
-    # An infinite value passes the nonvanishing and ratio tests, and its
-    # product-equation defect is NaN, which is not within the tolerance.
+def test_nan_equation_defect_is_a_mismatch(monkeypatch):
+    # A NaN product-equation defect is not within the tolerance.  No
+    # table that passes the ratio tests gives one, so the sweep returns it.
     lat = make_lattice([2, 3, 5], 2, 60)
     mus, nus, _, _ = synth_gaussian_instance(lat, [1, 2, 3, 4], 5, "I")
-    vals = nus[0].values.copy()
-    vals[5] = np.inf
-    nus[0] = FunctionTable(lat, lat.points, vals)
+    monkeypatch.setattr(ProductEquation, "residual_defect",
+                        lambda self: math.nan)
     report = verify_gaussian_form_I([1, 2, 3, 4], mus, nus)
     assert math.isnan(report.equation_defect)
     assert report.verdict == VERDICT_MISMATCH
     assert "product equation defect nan" in report.failures
+
+
+def test_an_infinite_ratio_is_not_a_characteristic_function_ratio():
+    # The capped ratio reads inf/inf = NaN there, which fails the
+    # Hermitian test as an infinity at 0 fails the normalization.
+    lat = make_lattice([2, 3, 5], 2, 60)
+    mus, nus, _, _ = synth_gaussian_instance(lat, [1, 2, 3, 4], 5, "I")
+    for at in (0, 5, lat.radius, -1):
+        vals = nus[0].values.copy()
+        vals[at] = np.inf
+        bad = [FunctionTable(lat, lat.points, vals), *nus[1:]]
+        with pytest.raises(PreconditionError, match="ratio table 1 is not"):
+            verify_gaussian_form_I([1, 2, 3, 4], mus, bad)
 
 
 def test_verify_form_I_preconditions():

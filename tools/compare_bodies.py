@@ -108,6 +108,9 @@ ARGVS = [
     ["counterexample", "--kind", "bernstein", "--group", "30x30"],
     # The square table's 2.56 million pairs, swept in row blocks.
     ["counterexample", "--kind", "bernstein", "--group", "40x40"],
+    # The square table's 100 million pairs, each row cut along the leading
+    # coordinate of v.
+    ["counterexample", "--kind", "bernstein", "--group", "100x100"],
     ["invariants", "--groups", "2x3x5,12x18"],
     # The other shift-small groups, and a spectral campaign of many trials:
     # the verifier stacks every trial of a campaign.
