@@ -15,7 +15,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -296,7 +296,7 @@ def cmd_verify_gaussian(args) -> int:
         if len(cs) != 4:
             raise GroupIdentError("verify-gaussian needs four coefficients")
         _check_trials(args.trials)
-    except (GroupIdentError, ValueError) as exc:
+    except (GroupIdentError, ValueError, ZeroDivisionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     start = time.perf_counter()
@@ -332,15 +332,19 @@ def _write_fixture_dists(directory, mus, nus) -> list[str]:
 
 def cmd_counterexample(args) -> int:
     start = time.perf_counter()
+    try:
+        group = parse_group(args.group) if args.group else None
+        cs = parse_int_coeffs(args.coeffs) if args.coeffs else None
+    except (GroupIdentError, ValueError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     phases = Phases()
-    construct = {"poisson-pair": partial(_counterexample_poisson,
-                                         phases=phases),
+    construct = {"poisson-pair": _counterexample_poisson,
                  "kernel-mass": _counterexample_kernel,
                  "plane-gaussian": _counterexample_plane,
-                 "bernstein": partial(_counterexample_bernstein,
-                                      phases=phases)}[args.kind]
+                 "bernstein": _counterexample_bernstein}[args.kind]
     try:
-        config, body = construct(args)
+        config, body = construct(args, group, cs, phases)
     except GroupIdentError as exc:
         print(f"cannot construct: {exc}", file=sys.stderr)
         return 2
@@ -353,9 +357,8 @@ def _counterexample_tol(args, floor: float) -> float:
     return max(COUNTEREXAMPLE_TOL, floor) if args.tol is None else args.tol
 
 
-def _counterexample_poisson(args, phases: Phases) -> tuple[dict, dict]:
-    group = parse_group(args.group or "6")
-    cs = parse_int_coeffs(args.coeffs) if args.coeffs else [1, 3, 2]
+def _counterexample_poisson(args, group, cs, phases) -> tuple[dict, dict]:
+    group, cs = group or Group([6]), cs or [1, 3, 2]
     bs = _scalar_endos(group, cs)
     mu3 = Distribution.random(group, [args.seed, 99], 0.2)
     mus, nus = identify.poisson_counterexample(bs, args.rate, mu3)
@@ -386,9 +389,8 @@ def _counterexample_poisson(args, phases: Phases) -> tuple[dict, dict]:
     return config, body
 
 
-def _counterexample_kernel(args) -> tuple[dict, dict]:
-    group = parse_group(args.group or "6")
-    cs = parse_int_coeffs(args.coeffs) if args.coeffs else [1, 2, 2]
+def _counterexample_kernel(args, group, cs, phases) -> tuple[dict, dict]:
+    group, cs = group or Group([6]), cs or [1, 2, 2]
     bs = _scalar_endos(group, cs)
     mus, nus = identify.kernel_counterexample(bs)
     non_shift = identify.recover_shift(mus[2], nus[2]) is None
@@ -414,15 +416,15 @@ def _counterexample_kernel(args) -> tuple[dict, dict]:
     return config, body
 
 
-def _counterexample_plane(args) -> tuple[dict, dict]:
+def _counterexample_plane(args, group, cs, phases) -> tuple[dict, dict]:
     cert = identify.plane_gaussian_counterexample()
     return {"kind": args.kind}, {"status": "pass" if cert.ok else "fail",
                                  "kind": "plane-gaussian",
                                  **cert.to_json_dict()}
 
 
-def _counterexample_bernstein(args, phases: Phases) -> tuple[dict, dict]:
-    group = parse_group(args.group or "6x6")
+def _counterexample_bernstein(args, group, cs, phases) -> tuple[dict, dict]:
+    group = group or Group([6, 6])
     table = bernstein_square_table(group)
     tol = COUNTEREXAMPLE_TOL if args.tol is None else args.tol
     with phases.timed("bernstein_check_s"):

@@ -5,12 +5,13 @@ character tests, the Bernstein equation ``g(u+v)g(u-v)=g(u)^2``, and the
 substitute-and-divide step that removes one factor from an equation
 ``f_1(u + b_1 v) * ... * f_n(u + b_n v) = R(v)``, run numerically on tables
 over a whole finite group or a finite symmetric window of a rational
-lattice.  Window operations shrink their domain explicitly and raise when
-the margin runs out.  Every operator is one numpy body over the integer
-point indices that both kinds of domain provide.  The character and
-polynomial tests are homomorphism identities and gather along generators
-only.  The Bernstein equation reads its pairs as windows of its table, and
-the product equations sweep index pairs, both in row blocks.
+lattice.  A table's support is a box: a whole group, or a window
+progression ``{j s : lo <= j <= hi}``, which window operations shrink
+explicitly, raising when the margin runs out.  Every operator is one numpy
+body over the integer point indices that both kinds of domain provide.  The
+character and polynomial tests are homomorphism identities and gather along
+generators only.  The Bernstein equation reads its pairs as windows of its
+table, and the product equations sweep index pairs, both in row blocks.
 A group table's character is located by ``character_search``, the search of
 the shift recovery.  Every character of a group is certified at once on one
 table over ``Z_L`` (``character_table_checks``): the phase pairing is
@@ -122,26 +123,36 @@ def require_kernel_conditions(summed: Sequence[bool],
 # -- function tables -----------------------------------------------------------
 
 
-def _locator(idx: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """The map from domain indices to their positions in ``idx``; -1 where
-    absent."""
-    # slots[k - lo] is the position of index k; a -1 pads each end.
-    lo, hi = (idx.min() - 1, idx.max() + 1) if len(idx) else (0, 0)
-    slots = np.full(hi - lo + 1, -1, dtype=np.int64)
-    slots[idx - lo] = np.arange(len(idx))
-    return lambda k: slots.take(k - lo, mode="clip")
+def _box_idx(box: tuple[int, int, int]) -> np.ndarray:
+    """The indices ``j s``, ``lo <= j <= hi``, of ``box = (s, lo, hi)``."""
+    s, lo, hi = box
+    return s * np.arange(lo, hi + 1, dtype=np.int64)
+
+
+def _box_positions(box: tuple[int, int, int], k: np.ndarray) -> np.ndarray:
+    """Position of each domain index in ``k`` in ``box = (s, lo, hi)``:
+    ``k/s - lo`` where ``s`` divides ``k`` and that is in range, else -1."""
+    s, lo, hi = box
+    j = k // s - lo
+    j[(k % s != 0) | (j < 0) | (j > hi - lo)] = -1
+    return j
 
 
 @dataclass(frozen=True, init=False, eq=False)
 class FunctionTable:
-    """A complex-valued function on (a subset of) a domain.
+    """A complex-valued function on a box of a domain.
 
     A table is its domain, the int64 domain indices ``idx`` of its support
-    (on a window the grid indices ``m = y*D``) and the aligned complex
-    ``values``; every operator computes on ``idx``.  ``points``, the support
-    as group elements or exact Fractions, is built from ``idx`` when first
-    read.  The constructor takes points, converts them once and rejects a
-    repeated one.  Tables are immutable, and compare and hash by identity.
+    in index order (on a window the grid indices ``m = y*D``) and the
+    aligned complex ``values``; every operator computes on ``idx``.  The
+    support is a box, ``idx = {j s : lo <= j <= hi}`` for ``box = (s, lo,
+    hi)``: the whole group, or a progression of a window.  Every operator
+    returns a box: a window ``diff`` restriction, a pullback by ``p/q`` and
+    the common support of two windows are progressions again.  ``points``,
+    the support as group elements or exact Fractions, is built from ``idx``
+    when first read.  The constructor takes points in any order and sorts
+    them; a repeated point or a support that is no box raises DomainError.
+    Tables are immutable, and compare and hash by identity.
     """
 
     domain: object
@@ -150,16 +161,21 @@ class FunctionTable:
 
     def __init__(self, domain, points, values) -> None:
         idx = domain.indices(points)
-        if np.unique(idx).size < idx.size:
-            raise DomainError("a point repeats in the table")
-        vars(self).update(vars(self._at(domain, idx, values)))
-
-    @classmethod
-    def _at(cls, domain, idx: np.ndarray, values) -> "FunctionTable":
-        """The table with ``values`` at the domain indices ``idx``."""
         vals = np.asarray(values, dtype=np.complex128)
         if len(idx) != len(vals):
             raise DomainError("points and values length mismatch")
+        order = np.argsort(idx)
+        idx = idx[order]
+        vars(self).update(vars(self._at(domain, idx, vals[order])))
+        # A repeated point is never in the box.
+        if not np.array_equal(idx, _box_idx(self.box)):
+            raise DomainError("the points, each once, must be a whole group "
+                              "or a window progression {j s : lo <= j <= hi}")
+
+    @classmethod
+    def _at(cls, domain, idx: np.ndarray, values) -> "FunctionTable":
+        """The table with ``values`` at the box ``idx``, in index order."""
+        vals = np.asarray(values, dtype=np.complex128)
         idx.setflags(write=False)
         vals.setflags(write=False)
         t = cls.__new__(cls)
@@ -177,18 +193,24 @@ class FunctionTable:
             domain.every.size, value, dtype=np.complex128))
 
     @cached_property
-    def points(self) -> tuple:
-        """The support as points, in table order."""
-        return self.domain.points_at(self.idx)
+    def box(self) -> tuple[int, int, int]:
+        """``(s, lo, hi)``: ``(1, 0, n - 1)`` on a group of ``n`` elements;
+        on a window ``s`` is the gcd of ``idx`` (the step of a progression
+        of two or more points), or 1 for ``{0}`` and an empty table."""
+        if isinstance(self.domain, Group):
+            return 1, 0, self.domain.size - 1
+        s = int(np.gcd.reduce(self.idx)) or 1
+        lo = int(self.idx[0]) // s if len(self) else 0
+        return s, lo, lo + len(self) - 1
 
     @cached_property
-    def _positions(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Table position of every domain index in an array; -1 where absent."""
-        return _locator(self.idx)
+    def points(self) -> tuple:
+        """The support as points, in index order."""
+        return self.domain.points_at(self.idx)
 
     def _found(self, idx: np.ndarray, err: str) -> tuple[np.ndarray, np.ndarray]:
         """Where in ``idx`` the table has points, and their table positions."""
-        q = self._positions(idx)
+        q = _box_positions(self.box, idx)
         has = np.flatnonzero(q >= 0)
         if not len(has):
             raise WindowMarginError(err)
@@ -197,7 +219,7 @@ class FunctionTable:
     def _position(self, p) -> int:
         """Table position of the point ``p``; -1 where absent or foreign."""
         try:
-            return int(self._positions(self.domain.indices([p]))[0])
+            return int(_box_positions(self.box, self.domain.indices([p]))[0])
         except (DomainError, AttributeError, OverflowError):
             return -1
 
@@ -242,13 +264,15 @@ class FunctionTable:
         den = other.values[q]
         if np.any(den == 0):
             raise VanishingFactorError("division by a vanishing table")
-        return self._at(self.domain, self.idx[has], self.values[has] / den)
+        # inf / inf is NaN, which every verdict on the ratio fails.
+        with np.errstate(invalid="ignore"):
+            return self._at(self.domain, self.idx[has], self.values[has] / den)
 
     def pullback(self, beta) -> "FunctionTable":
         """The table ``v -> f(beta v)`` where ``beta v`` is in the table."""
         every = self.domain.every
         img, ok = _coeff_idx(beta, every)
-        q = np.where(ok, self._positions(img), -1)
+        q = np.where(ok, _box_positions(self.box, img), -1)
         rows = np.flatnonzero(q >= 0)
         return self._at(self.domain, every[rows], self.values[q[rows]])
 
@@ -265,7 +289,7 @@ class FunctionTable:
 
     def hermitian_defect(self) -> float:
         """Max of ``|f(-y) - conj(f(y))|`` over points whose negation is present."""
-        neg = self._positions(self.domain.neg_idx(self.idx))
+        neg = _box_positions(self.box, self.domain.neg_idx(self.idx))
         has, v = neg >= 0, self.values
         return float(np.max(np.abs(v[neg[has]] - np.conj(v[has])), initial=0.0))
 
@@ -276,32 +300,19 @@ class FunctionTable:
 # -- plans ---------------------------------------------------------------------
 #
 # Which index pairs a generator check or an equation sweep visits, and at
-# which table positions, depends on the domain, the supports and the
+# which table positions, depends on the domain, the boxes and the
 # coefficients, never on the values.  Each such check splits into a plan of
-# those positions, built once per key and cached, and an evaluation that
-# gathers values along it.  ``bernstein_check`` needs no plan: on the
-# supports it takes, its pairs are windows of an extended copy of its values
-# at offsets affine in the row.  Plan arrays are read-only.  Positions are int64: a gather with int32 positions converts
+# those positions, built once per key by an ``lru_cache`` of
+# ``PLAN_CACHE_SIZE`` entries, and an evaluation that gathers values along
+# it.  ``bernstein_check`` needs no plan: its pairs are windows of an
+# extended copy of its values at offsets affine in the row.  Plan arrays are
+# read-only.  Positions are int64: a gather with int32 positions converts
 # them on every call, and costs twice as long.
 
-# Plans kept.  A verify-gaussian campaign uses five (a sweep, a character
-# plan and a polynomial plan per fold count), the Bernstein counterexample
-# one (the square table's character plan); 32 hold a gaussian-window run.
+# Plans kept per kind.  A verify-gaussian campaign uses one sweep plan and,
+# per fold count, a character plan and a polynomial plan; the Bernstein
+# counterexample one character plan.  32 of each hold a gaussian-window run.
 PLAN_CACHE_SIZE = 32
-
-
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _cached_plan(build, domain, supports: tuple, *params):
-    return build(domain, tuple(None if s is None else np.frombuffer(s, np.int64)
-                               for s in supports), *params)
-
-
-def _plan(build, domain, supports, *params):
-    """``build(domain, supports, *params)``, cached by value: ``supports``
-    holds the ``idx`` of each table's support, or None for an absent table."""
-    return _cached_plan(build, domain, tuple(
-        None if i is None else i.astype(np.int64, copy=False).tobytes()
-        for i in supports), *params)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -350,31 +361,24 @@ def _ratio_step(f: FunctionTable, k) -> FunctionTable:
 # finitely generated abelian group each holds everywhere exactly when it holds
 # along generators (Djokovic, Ann. Polon. Math. 22, 1969; Szekelyhidi, 1991,
 # ch. 1).  So both checks gather along a few shifts of a whole group table, or
-# of a window support that is an arithmetic progression through 0 (a whole
-# window, a ``diff`` restriction, a pullback by ``p/q``); any other support
-# raises DomainError.  ``_box_support`` holds this contract, and
-# ``bernstein_check`` takes it too.  Against an absolute tolerance a smooth table's defect
-# grows with the shift, so a doubling ladder of multiples of the generators
-# runs up to the longest shift the all-pairs sweeps read.
+# of a window box through 0 (a whole window, a ``diff`` restriction, a
+# pullback by ``p/q``); a window box that misses 0 raises DomainError.
+# ``_through_zero`` holds this contract, and ``bernstein_check`` takes it
+# too.  Against an absolute tolerance a smooth table's defect grows with the
+# shift, so a doubling ladder of multiples of the generators runs up to the
+# longest shift the all-pairs sweeps read.
 
 
-def _box_support(dom, idx: np.ndarray) -> tuple[int, int, int] | None:
-    """None for a whole group table, in any order; ``(s, lo, hi)`` for a
-    window support ``{j s : lo <= j <= hi}`` with ``lo <= 0 <= hi``.  Any
-    other support raises DomainError, and the window ``{0}``
-    WindowMarginError."""
+def _through_zero(dom, box: tuple[int, int, int]) -> None:
+    """Raise WindowMarginError for the window box ``{0}`` or an empty one,
+    and DomainError for any other that misses 0."""
     if isinstance(dom, Group):
-        if len(idx) != dom.size:
-            raise DomainError("this check needs a whole group table")
-        return None
-    s = int(np.gcd.reduce(idx))
-    if not s:
+        return
+    _, lo, hi = box
+    if lo >= 0 >= hi:
         raise WindowMarginError("a window table needs a point besides 0")
-    lo, hi = int(idx.min()) // s, int(idx.max()) // s
-    if not lo <= 0 <= hi or hi - lo + 1 != len(idx):
-        raise DomainError("this check needs a window support that is an "
-                          "arithmetic progression through 0")
-    return s, lo, hi
+    if not lo <= 0 <= hi:
+        raise DomainError("this check needs a window support through 0")
 
 
 def _ladder(top: int) -> set:
@@ -382,12 +386,13 @@ def _ladder(top: int) -> set:
     return {top, *(1 << i for i in range(top.bit_length()))} - {0}
 
 
-def _generator_plan(dom, supports: tuple, folds: int | None) -> tuple:
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _generator_plan(dom, box: tuple, folds: int | None) -> tuple:
     """The position of point 0, and the shifts ``e`` in blocks (for
     differences two, the first alone): per ``e`` a row of positions of
-    ``x + e`` for the points ``x`` (-1 where absent), the same in a tile of
-    the values with a row per shift, and where ``folds`` differences (one
-    for None) are defined.
+    ``x + e`` for the points ``x`` of ``box`` (-1 where absent), the same in
+    a tile of the values with a row per shift, and where ``folds``
+    differences (one for None) are defined.
 
     The character check (``folds`` None) shifts a group table by its unit
     vectors, a window ``{j s : lo <= j <= hi}`` by ``j s`` for ``j`` in
@@ -396,30 +401,29 @@ def _generator_plan(dom, supports: tuple, folds: int | None) -> tuple:
     ``_ladder(n // 2)``, or by ``j s`` for ``j`` in ``_ladder(K)``, ``K``
     the largest with ``2 folds K s <= max |k|`` (WindowMarginError at 0).
     """
-    (idx,) = supports
-    box = _box_support(dom, idx)
-    if box is None:
+    _through_zero(dom, box)
+    s, lo, hi = box
+    if isinstance(dom, Group):
         shifts = dom.generators if folds is None else np.concatenate([
             e * np.array(sorted(_ladder(n // 2)), dtype=np.int64)
             for e, n in zip(dom.generators, dom.orders)])
     else:
-        s, lo, hi = box
         if folds is None:
             js = _ladder(hi) | {-j for j in _ladder(-lo)}
         elif not (js := _ladder(max(-lo, hi) // (2 * folds))):
             raise WindowMarginError(
                 f"no step leaves margin for {folds} differences")
         shifts = s * np.array(sorted(js), dtype=np.int64)
-    find, blocks = _locator(idx), []
+    idx, blocks = _box_idx(box), []
     for block in (shifts[:1], shifts[1:]) if folds else (shifts,):
-        q = find(dom.add_idx(idx, block[:, None]))
+        q = _box_positions(box, dom.add_idx(idx, block[:, None]))
         at = q + len(idx) * np.arange(len(q))[:, None]
         live = np.ones(q.shape, dtype=bool)
         for _ in range(folds or 1):
             live = (q >= 0) & live & live.take(at)
         blocks.append((_frozen(q), _frozen(at), _frozen(live)))
-    # Point 0 has index 0 on both kinds of domain.
-    return int(find(np.zeros(1, dtype=np.int64))[0]), tuple(blocks)
+    # Point 0 has index 0 on both kinds of domain, so position -lo.
+    return -lo, tuple(blocks)
 
 
 def is_polynomial(f: FunctionTable, n: int, tol: float = 1e-9) -> bool:
@@ -439,7 +443,7 @@ def is_polynomial(f: FunctionTable, n: int, tol: float = 1e-9) -> bool:
     if n < 0:
         raise DomainError("polynomial degree bound must be >= 0")
     v = f.values
-    for q, at, live in _plan(_generator_plan, f.domain, [f.idx], n + 1)[1]:
+    for q, at, live in _generator_plan(f.domain, f.box, n + 1)[1]:
         d = v[q] - v
         for _ in range(n):
             d = d.take(at) - d
@@ -467,7 +471,7 @@ def character_defect(f: FunctionTable) -> float:
     unit-modulus values a defect ``d`` bounds that of a pair ``(x, y)`` by
     about ``w d``, ``w`` the number of shifts that sum to ``y``: a word
     length on a group, about ``log2(|y| / s)`` on a window."""
-    z, blocks = _plan(_generator_plan, f.domain, [f.idx], None)
+    z, blocks = _generator_plan(f.domain, f.box, None)
     v = f.values
     out = np.abs(v[z] - 1.0)
     for q, _, has in blocks:
@@ -491,16 +495,12 @@ def locate_character(f: FunctionTable, tol: float = 1e-9) -> Element | None:
     """The element ``x`` with ``max |f - pair(x, .)| < tol`` on the table's
     support of a group, if any; where several pass, the lowest-index one of
     least deviation.  This is ``character_search`` with ``a = 1``, which
-    leaves each pairing value exact, on the table in index order: a whole
-    table takes the screened search, a partial one the column search.  A
-    value that is not finite makes every deviation NaN or inf, so nothing is
-    found."""
+    leaves each pairing value exact.  A value that is not finite makes every
+    deviation NaN or inf, so nothing is found."""
     dom = f.domain
     if not isinstance(dom, Group):
         return None
-    order = np.argsort(f.idx)
-    x = character_search(dom, np.ones((1, len(order))), f.values[None, order],
-                         tol, f.idx[order])[0]
+    x = character_search(dom, np.ones((1, len(f))), f.values[None], tol)[0]
     return None if x < 0 else dom.element_at(int(x))
 
 
@@ -523,9 +523,9 @@ def bernstein_check(g: FunctionTable, tol: float = 1e-9) -> bool:
     The side conditions are ``|g| = 1``, ``g(-y) = conj(g(y))`` and
     ``g(0) = 1``.  Every quantity compared must be at most ``tol``, so a
     NaN fails, and numpy's warning of an invalid operation (``inf - inf``)
-    is not raised.  The table takes the support of ``_box_support``: a whole
-    group table in any order, or a window progression through 0; any other
-    support raises DomainError.  On the values in index order, ``g(u+v)``
+    is not raised.  The table takes the boxes of ``_through_zero``: a whole
+    group table, or a window progression through 0; another window box
+    raises DomainError.  On the values in index order, ``g(u+v)``
     and ``g(u-v)`` over every ``v`` are windows of an extended array at
     offsets affine in ``u``: on a group the table tiled over the doubled box
     (``Group.box_tile``) and that tile reversed, on a window the values
@@ -536,9 +536,9 @@ def bernstein_check(g: FunctionTable, tol: float = 1e-9) -> bool:
     all-pairs structure is held.  Every character passes; the converse
     holds only on groups with at most one element of order 2.
     """
-    box = _box_support(g.domain, g.idx)
-    v, n = g.values[np.argsort(g.idx)], len(g)
-    if box is None:
+    _through_zero(g.domain, g.box)
+    v, n = g.values, len(g)
+    if isinstance(g.domain, Group):
         # With c the coordinates of u, g(u+v) over v in index order is the
         # box of the tile at c, and g(u-v) that of the reversed tile at
         # n_k - 1 - c_k, where it reads g(-1-k) at k.  Every pair is in.
@@ -551,7 +551,7 @@ def bernstein_check(g: FunctionTable, tol: float = 1e-9) -> bool:
         # u + v is at r + t + lo + n of the padded values, and u - v at
         # r - t - lo + n, so at 2n - 1 + lo - r + t of them reversed.  The
         # padded mask of the support is its own reverse.
-        lo = box[1]
+        lo = g.box[1]
         shape, z = (n,), -lo
         ext = np.pad(v, n)
         live = sliding_window_view(np.pad(np.ones(n, dtype=bool), n), n)
@@ -666,26 +666,26 @@ class ProductEquation:
                           _product_defect)
 
 
-def _sweep_plan(dom, supports: tuple, *betas) -> tuple:
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _sweep_plan(dom, boxes: tuple, rhs: tuple | None, *betas) -> tuple:
     """Row blocks of the pairs ``(u, v)`` that keep every argument inside.
 
-    ``supports`` holds those of the tables and then that of the right-hand
+    ``boxes`` holds the box of each table, ``rhs`` that of the right-hand
     side (None without one), ``betas`` the coefficient of each table.  For
     each row block of ``v`` with pairs: the positions of ``u + beta_j v`` in
     table ``j``, pair by pair; the position of each ``v`` of the block in
     the right-hand side (0 without one); and the number of pairs of each.
     """
-    *idxs, rhs = supports
-    us, vs = idxs[0], dom.every
-    at = np.zeros(len(vs), dtype=np.int64) if rhs is None else _locator(rhs)(vs)
+    us, vs = _box_idx(boxes[0]), dom.every
+    at = (np.zeros(len(vs), dtype=np.int64) if rhs is None
+          else _box_positions(rhs, vs))
     mapped = [_coeff_idx(b, vs) for b in betas]
     keep = np.logical_and.reduce([at >= 0] + [ok for _, ok in mapped])
     at, shifts = at[keep], [s[keep] for s, _ in mapped]
-    finds = [_locator(i) for i in idxs]
     blocks = []
     for rows in row_blocks(len(at), len(us)):
-        pos = [find(dom.add_idx(us[None, :], s[rows, None]))
-               for find, s in zip(finds, shifts)]
+        pos = [_box_positions(box, dom.add_idx(us[None, :], s[rows, None]))
+               for box, s in zip(boxes, shifts)]
         inside = np.logical_and.reduce([p >= 0 for p in pos])
         if inside.any():
             blocks.append((tuple(_frozen(p[inside]) for p in pos),
@@ -701,13 +701,14 @@ def _sweep_max(tables, betas, rhs, defect) -> float:
     is called with ``vals``, which yields ``tables[j]`` at ``u + betas[j] v``
     for each ``j`` in turn, with ``rhs`` at ``v`` (None without a right-hand
     side) and with the number of pairs; all are flat over the block's pairs.
-    The pairs and their positions depend on the supports and coefficients
+    The pairs and their positions depend on the boxes and coefficients
     only; that plan is cached, and a call only gathers values along it.  A
     NaN in any block reaches the maximum.
     """
     worst = None
-    for pos, at, counts in _plan(_sweep_plan, tables[0].domain, [
-            None if t is None else t.idx for t in (*tables, rhs)], *betas):
+    for pos, at, counts in _sweep_plan(
+            tables[0].domain, tuple(t.box for t in tables),
+            None if rhs is None else rhs.box, *betas):
         vals = (f.values[p] for f, p in zip(tables, pos))
         r = None if rhs is None else np.repeat(rhs.values[at], counts)
         block = np.max(defect(vals, r, len(pos[0])))

@@ -316,27 +316,21 @@ def row_blocks(rows: int, cols: int, block: int = PAIR_BLOCK) -> list[slice]:
 # -- the exhaustive character search ------------------------------------------
 
 
-def character_search(g: Group, a: np.ndarray, b: np.ndarray, tol: float,
-                     cols: np.ndarray | None = None) -> np.ndarray:
-    """For each row of the ``(k, m)`` stacks ``a`` and ``b``, the index of
+def character_search(g: Group, a: np.ndarray, b: np.ndarray,
+                     tol: float) -> np.ndarray:
+    """For each row of the ``(k, n)`` stacks ``a`` and ``b``, the index of
     the lowest-index minimiser ``x`` of
-    ``dev(x) = max_j |b[j] - a[j] pair(x, y_j)|``, ``y_j`` the element of
-    index ``cols[j]`` (every element in order by default), if that minimum
-    is below ``tol``; else -1, as the dense search over every ``x``.
-    ``dev`` is exact, in blocks of ``(row, x)`` candidates of at most
-    ``VALUE_BLOCK`` values (one candidate at least), on pairing rows from
-    ``phase_idx``; if every column is there in order, ``_shift_screen``
-    first drops every ``x`` whose ``dev(x)`` provably reaches ``tol``."""
-    every = g.every
-    cols = every if cols is None else cols
-    if np.array_equal(cols, every):
-        r, x = np.nonzero(_shift_screen(g, a, b, tol))
-    else:
-        r, x = np.divmod(np.arange(len(a) * g.size), g.size)
+    ``dev(x) = max_y |b[y] - a[y] pair(x, y)|`` over every element ``y`` in
+    index order, if that minimum is below ``tol``; else -1, as the dense
+    search over every ``x``.  ``_shift_screen`` first drops every ``x``
+    whose ``dev(x)`` provably reaches ``tol``; ``dev`` of the rest is exact,
+    in blocks of ``(row, x)`` candidates of at most ``VALUE_BLOCK`` values
+    (one candidate at least), on pairing rows from ``phase_idx``."""
+    r, x = np.nonzero(_shift_screen(g, a, b, tol))
     # A dropped candidate reads inf, so it is never below tol.
     dev = np.full((len(a), g.size), np.inf)
-    for s in row_blocks(len(r), len(cols), VALUE_BLOCK):
-        P = g.roots[g.phase_idx(x[s, None], cols)]
+    for s in row_blocks(len(r), g.size, VALUE_BLOCK):
+        P = g.roots[g.phase_idx(x[s, None], g.every)]
         dev[r[s], x[s]] = np.max(np.abs(b[r[s]] - a[r[s]] * P), axis=1)
     best = np.argmin(dev, axis=1)
     return np.where(dev[np.arange(len(a)), best] < tol, best, -1)

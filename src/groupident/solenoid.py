@@ -284,9 +284,9 @@ def fit_gaussian_ratio(f: FunctionTable, tol: float = FIT_TOL) -> GaussianFitRes
         raise WindowMarginError("gaussian fit needs at least 3 points per side")
     if not f.nonvanishing(0.0):
         raise VanishingFactorError("gaussian fit needs a nonvanishing table")
-    order, D = np.argsort(f.idx), f.domain.denominator
-    mods = np.abs(f.values)[order]
-    ys = f.idx[order] / D
+    D = f.domain.denominator
+    mods = np.abs(f.values)
+    ys = f.idx / D
     logs = np.log(mods)
     num = math.fsum(-ys ** 2 * logs)
     den = math.fsum(ys ** 4)
@@ -360,7 +360,8 @@ def _ratio_tables(muhats, nuhats) -> list[FunctionTable]:
         # Ratios of characteristic functions are normalized and Hermitian;
         # symmetry is checked relative to the modulus where it exceeds 1.
         # An infinite ratio caps to NaN, which is not within 1e-6.
-        capped = f.map_values(lambda v: v / np.maximum(1.0, np.abs(v)))
+        with np.errstate(invalid="ignore"):
+            capped = f.map_values(lambda v: v / np.maximum(1.0, np.abs(v)))
         if not (abs(f.value_at_zero() - 1.0) <= 1e-6
                 and capped.hermitian_defect() <= 1e-6):
             raise PreconditionError(

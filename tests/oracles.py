@@ -405,9 +405,20 @@ def find_shift_coeffs_search(group, form):
 # character, polynomial and adjoint sweeps, and before the Bernstein and
 # equation sweeps were planned once per support: every call forms its index
 # pairs and table positions again, in row blocks, or as one n x n table.
-# They read package tables, their ``_positions`` and ``row_blocks``.  The
-# planned Bernstein and equation sweeps must return what they return, and
-# the generator checks their verdicts.
+# They read package tables and ``row_blocks``, and find table positions in
+# a slot array over each table's indices, not from its box.  The planned
+# Bernstein and equation sweeps must return what they return, and the
+# generator checks their verdicts.
+
+
+def _positions(f, k):
+    """Position in ``f`` of each domain index in ``k``; -1 where absent."""
+    idx = f.idx
+    # slots[m - lo] is the position of index m; a -1 pads each end.
+    lo, hi = (int(idx.min()) - 1, int(idx.max()) + 1) if len(idx) else (0, 0)
+    slots = np.full(hi - lo + 1, -1, dtype=np.int64)
+    slots[idx - lo] = np.arange(len(idx))
+    return slots.take(k - lo, mode="clip")
 
 
 def _window_steps_sweep(f, folds):
@@ -429,7 +440,7 @@ def is_polynomial_sweep(f, n, tol=1e-9):
         raise WindowMarginError(
             f"no step leaves margin for {n + 1} differences")
     for rows in row_blocks(len(ks), len(idx)):
-        q = f._positions(dom.add_idx(idx[None, :], ks[rows, None]))
+        q = _positions(f, dom.add_idx(idx[None, :], ks[rows, None]))
         has, at = q >= 0, q + len(idx) * np.arange(len(q))[:, None]
         g, live = np.tile(f.values, (len(q), 1)), np.ones(q.shape, dtype=bool)
         for _ in range(n + 1):
@@ -451,7 +462,7 @@ def character_defect_sweep(f):
     """Sup of ``|f(k+l) - f(k)f(l)|`` over every pair with ``k+l`` in the
     table."""
     i = f.idx
-    s = f._positions(f.domain.add_idx(i[:, None], i[None, :]))
+    s = _positions(f, f.domain.add_idx(i[:, None], i[None, :]))
     inside = s >= 0
     if not inside.any():
         raise WindowMarginError("no pair (k, l) with k+l inside the window")
@@ -475,11 +486,11 @@ def bernstein_check_percall(g, tol=1e-9):
     if g.hermitian_defect() > tol:
         return False
     dom, i, vals = g.domain, g.idx, g.values
-    z = int(g._positions(dom.indices([dom.zero]))[0])
+    z = int(_positions(g, dom.indices([dom.zero]))[0])
     if z < 0 or abs(complex(vals[z]) - 1.0) > tol:
         return False
-    s = g._positions(dom.add_idx(i[:, None], i[None, :]))
-    d = g._positions(dom.add_idx(i[:, None], dom.neg_idx(i)[None, :]))
+    s = _positions(g, dom.add_idx(i[:, None], i[None, :]))
+    d = _positions(g, dom.add_idx(i[:, None], dom.neg_idx(i)[None, :]))
     both = (s >= 0) & (d >= 0)
     c = np.broadcast_to(vals[:, None], both.shape)[both]
     defect = np.abs(vals[s[both]] * vals[d[both]] - c * c)
@@ -489,13 +500,14 @@ def bernstein_check_percall(g, tol=1e-9):
 def sweep_max_percall(tables, betas, rhs, defect):
     dom = tables[0].domain
     us, vs = tables[0].idx, dom.every
-    at = np.zeros(len(vs), dtype=np.int64) if rhs is None else rhs._positions(vs)
+    at = (np.zeros(len(vs), dtype=np.int64) if rhs is None
+          else _positions(rhs, vs))
     mapped = [_coeff_idx(b, vs) for b in betas]
     keep = np.logical_and.reduce([at >= 0] + [ok for _, ok in mapped])
     at, shifts = at[keep], [s[keep] for s, _ in mapped]
     maxima = []
     for rows in row_blocks(int(keep.sum()), len(us)):
-        pos = [f._positions(dom.add_idx(us[None, :], s[rows, None]))
+        pos = [_positions(f, dom.add_idx(us[None, :], s[rows, None]))
                for f, s in zip(tables, shifts)]
         inside = np.logical_and.reduce([p >= 0 for p in pos])
         pairs = int(inside.sum())

@@ -116,6 +116,18 @@ def test_verify_shift_bad_group_exits_2(capsys):
         assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["counterexample", "--kind", "poisson-pair", "--group", "abc"],
+    ["counterexample", "--kind", "kernel-mass", "--coeffs", "1,x"],
+    ["verify-gaussian", "--coeffs", "1,2,3,1/0"]],
+    ids=["group", "coeffs", "zero-denominator"])
+def test_unreadable_options_are_config_errors(tmp_path, capsys, argv):
+    out = tmp_path / "report.json"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
 def test_verify_shift_impossible_coeffs_exits_2(capsys):
     # no scalar triple satisfies the three-variable kernel conditions on Z12
     assert main(["verify-shift", "--group", "4x3", "--form", "I",

@@ -59,7 +59,10 @@ def test_diff_window_margin_error():
     f = lattice_table(lat, lambda y: 1.0)
     with pytest.raises(DomainError):  # a step outside the window
         diff(f, Fraction(5, 2))
-    ends = FunctionTable(lat, (Fraction(-1), Fraction(1)), [1.0, 1.0])
+    with pytest.raises(DomainError):  # the ends alone are no progression
+        FunctionTable(lat, (Fraction(-1), Fraction(1)), [1.0, 1.0])
+    ends = FunctionTable(lat, (Fraction(-1), Fraction(0), Fraction(1)),
+                         [1.0, 1.0, 1.0])
     with pytest.raises(WindowMarginError):
         diff(ends, Fraction(1, 2))
 

@@ -20,13 +20,17 @@ wherever the oracle's value is farther than that bound from the tolerance:
 - twice each field's a-priori noise floor (``reporting.FLOORS``) for the
   fitted ``sigma`` and ``modulus_residual`` of the Gaussian fit.
 
-Every table is checked on its full support and on a random partial support;
-the difference operators and the product- and sum-equation residuals on
-group tables (coordinate tuples, endomorphism coefficients given by their
-matrices) and on window tables (Fraction points, rational coefficients), on
-full, partial and irregular supports.  Quotients are held within a few ulps
-of their magnitude.  The screened shift search must return the element of
-the dense search.  The FFT characteristic functions and Poisson masses must
+Every table's support is a box in index order: a whole group table, or a
+window progression ``{j s : lo <= j <= hi}``.  Tables are built from their
+points in a random order, which the constructor sorts, and a partial group
+table, an irregular window support or a repeated point must raise
+DomainError at construction.  The difference operators and the product- and
+sum-equation residuals are checked on group tables (coordinate tuples,
+endomorphism coefficients given by their matrices) and on window tables
+(Fraction points, rational coefficients), on the whole window, sub-windows,
+every other point and progressions that miss 0.  Quotients are held
+within a few ulps of their magnitude.  The screened shift search must
+return the element of the dense search.  The FFT characteristic functions and Poisson masses must
 stay within a stated a-priori rounding bound of the dense products they
 replaced, a convolution's transform within one of the product of the
 transforms, and ``Distribution.random`` must return the masses of the dense
@@ -38,20 +42,21 @@ a window support that is an arithmetic progression through 0, they must
 accept exact characters and polynomials, reject a table with one value moved
 far above the tolerance, never report a larger character defect than the
 all-pairs sup (their pairs are among it), and give the all-pairs verdict
-(``check_character``, ``check_generator_polynomial``).  On any other support
-they raise DomainError, and the all-pairs sweeps must match the per-pair
-oracles there.  The Bernstein check reads views of the same supports, must
-give the per-pair oracle's verdict on them and raises DomainError off them.  The adjoint check must give the all-pairs verdict with a
-fault at every admissible matrix entry, and reject index maps that are not
-homomorphisms.
+(``check_character``, ``check_generator_polynomial``).  On a window box
+that misses 0 they raise DomainError, and the all-pairs sweeps must match
+the per-pair oracles there.  The Bernstein check reads views of the same
+supports, must give the per-pair oracle's verdict on them and raises
+DomainError off them.  The adjoint check must give the all-pairs verdict
+with a fault at every admissible matrix entry, and reject index maps that
+are not homomorphisms.
 
 The batched character, location and Bernstein checks over a block of
 value rows must give, row by row, the verdicts of the one-table functions
 and of the per-table oracles, on characters and on rows moved by twice the
 tolerance, NaN or zero at one point; the location must return what the
-dense oracle returns, on whole, permuted and partial tables and on either
-side of ``tol = sin(pi/L)/2``.  A NaN or an infinity anywhere fails the Bernstein
-check, as it fails its oracle.
+dense oracle returns, on tables built in index and in random order and on
+either side of ``tol = sin(pi/L)/2``.  A NaN or an infinity anywhere fails
+the Bernstein check, as it fails its oracle.
 
 Cut into two or three row stripes, every joint-law sweep must give the
 values of the unsplit sweep, ``==`` and NaN for NaN, raise the exception of
@@ -87,7 +92,7 @@ from groupident.endomorphisms import is_adjoint_pair
 from groupident.errors import (CapacityError, DomainError,
                                VanishingFactorError, WindowMarginError)
 from groupident.funceq import (FunctionTable, ProductEquation,
-                               _cached_plan, _generator_plan, _plan,
+                               _generator_plan,
                                _product_defect, _sum_defect, _sweep_max,
                                _sweep_plan, bernstein_check,
                                bernstein_square_table, character_defect,
@@ -145,6 +150,23 @@ def tables(g: Group, rng):
     return out
 
 
+def shuffled(dom, idx, vals, rng):
+    """The table of ``vals`` on the box ``idx``, built from its points in a
+    random order: the constructor puts them back in index order."""
+    order = rng.permutation(len(idx))
+    f = FunctionTable(dom, dom.points_at(idx[order]), vals[order])
+    assert f.idx.tolist() == idx.tolist()
+    assert np.array_equal(f.values, vals, equal_nan=True)
+    return f
+
+
+def refused(dom, idx):
+    """A partial group table or an irregular window support: DomainError
+    at construction."""
+    with pytest.raises(DomainError):
+        FunctionTable(dom, dom.points_at(idx), np.ones(len(idx)))
+
+
 def check_character(f, want, located=True):
     """The character check against the all-pairs sup ``want``.
 
@@ -167,39 +189,23 @@ def test_pair_sweeps_match_oracles(orders):
     elements = g.elements()
     for label, vals in tables(g, rng):
         keep = rng.random(g.size) < 0.6
-        keep[rng.integers(g.size)] = True
-        for support in (np.ones(g.size, dtype=bool), keep):
-            pts = tuple(x for x, k in zip(elements, support) if k)
-            f = FunctionTable(g, pts, vals[support])
-            table = {x.coords: complex(v) for x, v in zip(pts, f.values)}
-            case = f"{label}, {len(pts)} of {g.size} points"
+        keep[rng.integers(g.size)] = False
+        refused(g, g.every[keep])
+        f = shuffled(g, g.every, vals, rng)
+        table = {x.coords: complex(v) for x, v in zip(elements, f.values)}
 
-            bound = ulp_tol(f.values)
-            assert abs(f.hermitian_defect()
-                       - hermitian_defect_oracle(orders, table)) <= bound, case
-            verdict, margin = bernstein_oracle(orders, table, TOL)
-            if len(pts) < g.size:
-                with pytest.raises(DomainError):
-                    bernstein_check(f, TOL)
-            elif margin > bound:
-                assert bernstein_check(f, TOL) == verdict, case
-            located = locate_character_oracle(orders, table, TOL)
-            assert locate_character(f, TOL) == (
-                None if located is None else g.element(located)), case
-
-            want = character_defect_oracle(orders, table)
-            if want is None:
-                with pytest.raises(WindowMarginError):
-                    character_defect_sweep(f)
-            else:
-                assert abs(character_defect_sweep(f) - want) <= bound, case
-            if len(pts) < g.size:
-                # The generator checks read whole group tables only.
-                for check in (character_defect, is_character):
-                    with pytest.raises(DomainError):
-                        check(f)
-                continue
-            check_character(f, want, located is not None)
+        bound = ulp_tol(f.values)
+        assert abs(f.hermitian_defect()
+                   - hermitian_defect_oracle(orders, table)) <= bound, label
+        verdict, margin = bernstein_oracle(orders, table, TOL)
+        if margin > bound:
+            assert bernstein_check(f, TOL) == verdict, label
+        located = locate_character_oracle(orders, table, TOL)
+        assert locate_character(f, TOL) == (
+            None if located is None else g.element(located)), label
+        want = character_defect_oracle(orders, table)
+        assert abs(character_defect_sweep(f) - want) <= bound, label
+        check_character(f, want, located is not None)
 
 
 def broken_adjoints(b: Endo):
@@ -321,7 +327,10 @@ def random_values(rng, size):
 
 
 def check_points(t):
-    """``t``, after checking that its points convert back to its indices."""
+    """``t``, after checking that its indices are its box in index order
+    and that its points convert back to them."""
+    s, lo, hi = t.box
+    assert t.idx.tolist() == [j * s for j in range(lo, hi + 1)]
     assert t.idx.tolist() == t.domain.indices(t.points).tolist()
     return t
 
@@ -415,15 +424,11 @@ def test_difference_operators_match_oracles_on_groups(orders):
                        rng.choice(g.size, size=min(4, g.size), replace=False))]
     for vals in (g.pairing_matrix[int(rng.integers(g.size))],
                  np.ones(g.size), random_values(rng, g.size)):
-        keep = rng.random(g.size) < 0.7
-        keep[0] = True
-        for support in (np.ones(g.size, dtype=bool), keep):
-            pts = tuple(x for x, k in zip(elements, support) if k)
-            f = FunctionTable(g, pts, vals[support])
-            table = as_dict(f, coords)
-            check_differences(f, table, add, steps, coords)
-            for n in range(3):
-                check_polynomial(f, table, add, nonzero, n)
+        f = shuffled(g, g.every, vals, rng)
+        table = as_dict(f, coords)
+        check_differences(f, table, add, steps, coords)
+        for n in range(3):
+            check_polynomial(f, table, add, nonzero, n)
 
 
 @pytest.mark.parametrize("orders", GROUPS, ids=lambda o: "x".join(map(str, o)))
@@ -435,19 +440,13 @@ def test_equation_sweeps_match_oracles_on_groups(orders):
     for trial in range(6):
         picks = rng.choice(len(endos), size=3, replace=False)
         betas = [endos[i] for i in picks]
-        fs = []
-        for j in range(3):
-            keep = rng.random(g.size) < (1.0 if trial < 2 else 0.7)
-            pts = tuple(x for x, k in zip(elements, keep) if k) or elements
-            vals = (g.pairing_matrix[int(rng.integers(g.size))] if j == 0
-                    else random_values(rng, g.size))
-            fs.append(FunctionTable(g, pts, vals[[g.index(x) for x in pts]]))
+        fs = [shuffled(g, g.every, g.pairing_matrix[int(rng.integers(g.size))]
+                       if j == 0 else random_values(rng, g.size), rng)
+              for j in range(3)]
         rhs_vals = random_values(rng, g.size)
-        half = tuple(elements[::2])
         vanishing = rhs_vals.copy()
         vanishing[int(rng.integers(g.size))] = 0.0
         for rhs in (None, FunctionTable(g, elements, rhs_vals),
-                    FunctionTable(g, half, rhs_vals[::2]),
                     FunctionTable(g, elements, vanishing)):
             check_equations(fs, betas, rhs, add,
                             [endo_coeff(orders, b.matrix) for b in betas],
@@ -461,12 +460,26 @@ WINDOW_COEFFS = [(1, 2, 3), (1, Fraction(3, 2), Fraction(1, 3)),
 
 
 def window_supports(lat, rng):
-    """Full, sub-window (as after ``ratio_diff``), irregular, every other."""
-    pts = lat.points
-    keep = rng.random(len(pts)) < 0.6
-    return {"full": pts, "sub-window": pts[3:-1],
-            "irregular": tuple(p for p, k in zip(pts, keep) if k),
-            "every other": pts[::2]}
+    """Full, sub-window (as after ``ratio_diff``), every other point, a
+    sub-window that misses 0 and every third point below 0, each in a
+    random order."""
+    r, pts = lat.radius, np.array(lat.points, dtype=object)
+    out = {"full": pts, "sub-window": pts[3:-1],
+           "every other": pts[r % 2::2], "positive": pts[r + 2:],
+           "thirds below 0": pts[r % 3:r:3]}
+    return {k: tuple(rng.permutation(v)) for k, v in out.items()}
+
+
+def irregular(dom, rng):
+    """Supports that are no box: a random part of the window, odd points,
+    and two points with a gap; on a group, a random part of it."""
+    every = dom.every
+    keep = rng.random(len(every)) < 0.6
+    keep[[0, 1, -1]] = True, False, True
+    if isinstance(dom, Group):
+        return [every[keep]]
+    return [every[keep], every[every % 2 == 1], np.array([-2, 2]),
+            np.array([0, 1, 3])]
 
 
 @pytest.mark.parametrize("lat", LATTICES, ids=repr)
@@ -475,13 +488,15 @@ def test_difference_operators_match_oracles_on_windows(lat):
     step = lat.step()
     steps = [0, step, -step, 2 * step, -3 * step, 5 * step,
              lat.radius * step]
+    for idx in irregular(lat, rng):
+        refused(lat, idx)
     for label, pts in window_supports(lat, rng).items():
         ys = np.array([float(p) for p in pts])
         c = rng.normal(size=3) + 1j * rng.normal(size=3)
         for vals in (c[0] + 0 * ys, c[0] + c[1] * ys,
                      c[0] + c[1] * ys + c[2] * ys ** 2,
                      random_values(rng, len(pts))):
-            f = FunctionTable(lat, pts, vals)
+            f = check_points(FunctionTable(lat, pts, vals))
             table = as_dict(f)
             check_differences(f, table, operator.add, steps, lambda p: p)
             for n in range(4):
@@ -519,6 +534,94 @@ def test_equation_sweeps_match_oracles_on_windows(lat):
                                 lambda p: p)
 
 
+# -- the box contract -------------------------------------------------------
+#
+# Every table holds a box in index order, and every operator returns one:
+# its ``idx`` is its box, and its values are those of a point-dict oracle.
+
+BOX_DOMAINS = [Group([6]), Group([2, 3]), Group([4, 6]), Group([3, 3, 2]),
+               *LATTICES, make_lattice([2], 0, 9)]
+
+
+def draw_box(data, dom) -> np.ndarray:
+    """The whole group; on a window the whole window, or the multiples of a
+    step 1, 2 or 3 (a sub-window, every other or every third point) from a
+    ``lo <= 0`` to a ``hi >= 0``."""
+    if isinstance(dom, Group):
+        return dom.every
+    r = dom.radius
+    s = data.draw(st.sampled_from([0, 1, 2, 3]), label="step (0: whole)")
+    if not s:
+        return dom.every
+    lo = data.draw(st.integers(-(r // s), 0), label="lo")
+    hi = data.draw(st.integers(0, r // s), label="hi")
+    return s * np.arange(lo, hi + 1)
+
+
+def check_box(t, want: dict, rtol: float = 0.0) -> None:
+    """``t`` holds its box in index order and the values of ``want`` at its
+    points: exactly, or within ``rtol`` of their magnitude."""
+    assert t.box[0] > 0
+    check_points(t)
+    key = coords if isinstance(t.domain, Group) else (lambda p: p)
+    got = as_dict(t, key)
+    assert set(got) == set(want)
+    for p, v in want.items():
+        assert abs(got[p] - v) <= rtol * abs(v), p
+
+
+@settings(max_examples=60, deadline=None)
+@given(dom=st.sampled_from(BOX_DOMAINS), data=st.data())
+def test_every_operator_returns_a_box_in_index_order(dom, data):
+    """Tables built from points in a random order, and what ``ratio``,
+    ``times``, ``pullback``, ``diff``, ``ratio_diff`` and ``map_values``
+    return, hold their box in index order and the oracle's values; a
+    partial group table, an irregular window support and a repeated point
+    are refused at construction."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1),
+                                          label="seed"))
+    group = isinstance(dom, Group)
+    key = coords if group else (lambda p: p)
+    add = group_add(dom.orders) if group else operator.add
+    a, b = draw_box(data, dom), draw_box(data, dom)
+    f = shuffled(dom, a, random_values(rng, len(a)), rng)
+    g = shuffled(dom, b, random_values(rng, len(b)), rng)
+    F, G = as_dict(f, key), as_dict(g, key)
+    check_box(f, F)
+    check_box(f.map_values(np.conj), {p: v.conjugate() for p, v in F.items()})
+    common = [p for p in F if p in G]  # both boxes hold 0
+    check_box(f.times(g), {p: F[p] * G[p] for p in common}, 2 * EPS)
+    check_box(f.ratio(g), {p: F[p] / G[p] for p in common}, 4 * EPS)
+    if group:
+        betas = [(e, endo_coeff(dom.orders, e.matrix))
+                 for e in _suite_endos(dom, list(dom.orders))]
+    else:
+        betas = [(c, lambda v, c=c: c * v) for c in PULLBACK_COEFFS]
+    for beta, apply in betas:
+        want = {v: F[apply(v)] for v in map(key, dom.points) if apply(v) in F}
+        check_box(f.pullback(beta), want)
+    h = data.draw(st.sampled_from(dom.points), label="step")
+    want = diff_oracle(add, F, key(h))
+    if want:
+        check_box(diff(f, h), want)
+        check_box(ratio_diff(f, h),
+                  diff_oracle(add, F, key(h), operator.truediv), 4 * EPS)
+    else:
+        for op in (diff, ratio_diff):
+            with pytest.raises(WindowMarginError):
+                op(f, h)
+    # Not a box: a point dropped from inside a box of four or more, or from
+    # a group; and a repeated point.
+    if group or len(a) >= 4:
+        inner = (0, len(a) - 1) if group else (1, len(a) - 2)
+        refused(dom, np.delete(a, data.draw(st.integers(*inner),
+                                            label="dropped")))
+    again = data.draw(st.integers(0, len(a) - 1), label="repeated")
+    with pytest.raises(DomainError):
+        FunctionTable(dom, dom.points_at(np.append(a, a[again])),
+                      np.ones(len(a) + 1))
+
+
 def test_disjoint_window_supports_raise_margin_errors():
     lat = LATTICES[0]
     pts = lat.points
@@ -545,13 +648,14 @@ PLAN_DOMAINS = [Group([6]), Group([2, 3]), Group([12]), Group([4, 6]),
                 Group([3, 3, 2]), *LATTICES, make_lattice([2], 0, 9)]
 
 
-def plan_supports(dom, rng):
-    """Full, sub-window (a range of indices), every other and irregular."""
+def plan_supports(dom):
+    """The whole group; on a window also a sub-window, every other point
+    and a sub-window that misses 0."""
     every = dom.every
-    keep = rng.random(len(every)) < 0.6
-    keep[len(every) // 2] = True
+    if isinstance(dom, Group):
+        return {"full": every}
     return {"full": every, "sub-window": every[2:-1],
-            "every other": every[::2], "irregular": every[keep]}
+            "every other": every[every % 2 == 0], "positive": every[every > 1]}
 
 
 def plan_values(dom, rng):
@@ -687,42 +791,34 @@ def test_generator_checks_match_all_pairs_on_windows(lat, data):
 @pytest.mark.parametrize("dom", [Group([4, 6]), Group([9, 8]), *LATTICES],
                          ids=repr)
 def test_generator_checks_refuse_other_supports(dom):
-    """Irregular supports, partial group tables and odd window points: the
-    generator checks raise DomainError, and the all-pairs sweeps still give
-    what the per-pair oracles give."""
+    """Partial group tables and irregular window supports are refused at
+    construction.  On window progressions that miss 0 the generator checks
+    raise DomainError, and the all-pairs sweeps still give what the
+    per-pair oracles give."""
     rng = np.random.default_rng([41, len(dom.every)])
-    group = isinstance(dom, Group)
-    add = group_add(dom.orders) if group else operator.add
-    key = coords if group else (lambda p: p)
+    for idx in irregular(dom, rng):
+        refused(dom, idx)
+    if isinstance(dom, Group):
+        return
     every = dom.every
-    supports = []
-    for _ in range(5):
-        keep = rng.random(len(every)) < 0.5
-        keep[[0, -1]] = True
-        supports.append(every[keep])
-    if not group:
-        # Odd points, and progressions of multiples of the step that miss 0.
-        supports += [every[every % 2 == 1], every[every > 0],
-                     every[(every < 0) & (every % 3 == 0)]]
-    for idx in supports:
-        f = FunctionTable._at(dom, idx, random_values(rng, len(idx)))
-        if generator_support(f):
-            continue
+    for idx in (every[every > 0], every[(every < 0) & (every % 3 == 0)],
+                every[every >= 2][::2]):
+        f = shuffled(dom, idx, random_values(rng, len(idx)), rng)
+        assert not generator_support(f)
         for check in (character_defect, is_character,
                       lambda f: is_polynomial(f, 0),
-                      lambda f: least_degree(f, 2)):
+                      lambda f: least_degree(f, 2), bernstein_check):
             with pytest.raises(DomainError):
                 check(f)
-        table = as_dict(f, key)
-        want = character_defect_oracle(None, table, add)
+        table = as_dict(f)
+        want = character_defect_oracle(None, table, operator.add)
         got = outcome(character_defect_sweep, f)
         if want is None:
             assert got is WindowMarginError
         else:
             assert abs(got - want) <= ulp_tol(f.values)
-        steps = ([x.coords for x in dom.elements()[1:]] if group
-                 else window_steps_oracle(table, 2))
-        want = is_polynomial_oracle(add, table, 1, TOL, steps)
+        steps = window_steps_oracle(table, 2)
+        want = is_polynomial_oracle(operator.add, table, 1, TOL, steps)
         assert outcome(is_polynomial_sweep, f, 1) == (
             WindowMarginError if want is None or not steps else want)
 
@@ -776,10 +872,9 @@ def test_planned_sweeps_match_per_call_code(dom):
         betas = _suite_endos(dom, list(dom.orders))[-3:]
     else:
         betas = WINDOW_COEFFS[1]
-    supports = plan_supports(dom, rng)
+    supports = plan_supports(dom)
     for label, vals in plan_values(dom, rng):
-        tables = {name: FunctionTable(dom, dom.points_at(idx),
-                                      vals[idx - dom.every[0]])
+        tables = {name: shuffled(dom, idx, vals[idx - dom.every[0]], rng)
                   for name, idx in supports.items()}
         for name, f in tables.items():
             case = f"{label} on the {name} support"
@@ -795,8 +890,9 @@ def test_planned_sweeps_match_per_call_code(dom):
             want = outcome(character_defect_sweep, f)
             assert not isinstance(want, type), case
             check_character(f, want)
-        fs = [tables[name] for name in ("full", "irregular", "every other")]
-        for rhs in (None, tables["full"], tables["every other"]):
+        fs = [tables.get(name, tables["full"])
+              for name in ("full", "positive", "every other")]
+        for rhs in (None, tables["full"], fs[2]):
             for defect in (_sum_defect, _product_defect):
                 assert (outcome(_sweep_max, fs, betas, rhs, defect)
                         == outcome(sweep_max_percall, fs, betas, rhs,
@@ -806,29 +902,29 @@ def test_planned_sweeps_match_per_call_code(dom):
 def test_plan_cache_keys_by_value():
     rng = np.random.default_rng(37)
     vals = np.exp(2j * np.pi * rng.random(6))
-    # The same index bytes on two domains whose generators differ.
+    # The same box on two domains whose generators differ.
     a, b = (FunctionTable(g, g.elements(), vals)
             for g in (Group([6]), Group([2, 3])))
-    assert a.idx.tobytes() == b.idx.tobytes()
-    assert _plan(_generator_plan, a.domain, [a.idx], None) is not _plan(
-        _generator_plan, b.domain, [b.idx], None)
+    assert a.box == b.box
+    assert _generator_plan(a.domain, a.box, None) is not _generator_plan(
+        b.domain, b.box, None)
     for f in (a, b):
         check_character(f, character_defect_sweep(f))
     # Two windows of equal radius and different base.
     wa, wb = (FunctionTable.constant(make_lattice([base], 0, 5))
               for base in (2, 3))
-    assert _plan(_generator_plan, wa.domain, [wa.idx], None) is not _plan(
-        _generator_plan, wb.domain, [wb.idx], None)
-    # Tables sharing a support: one sweep plan, and each its own result.
+    assert _generator_plan(wa.domain, wa.box, None) is not _generator_plan(
+        wb.domain, wb.box, None)
+    # Tables sharing a box: one sweep plan, and each its own result.
     pts = make_lattice([2, 3], 1, 12).points[::2]
     f, g = (FunctionTable(make_lattice([2, 3], 1, 12), pts,
                           np.exp(2j * np.pi * rng.random(len(pts))))
             for _ in range(2))
-    _cached_plan.cache_clear()
+    _sweep_plan.cache_clear()
     for t in (f, g, f):
         assert (_sweep_max([t, t], [1, 2], None, _sum_defect)
                 == sweep_max_percall([t, t], [1, 2], None, _sum_defect))
-    info = _cached_plan.cache_info()
+    info = _sweep_plan.cache_info()
     assert (info.misses, info.hits) == (1, 2)
 
 
@@ -844,10 +940,9 @@ def test_cached_plan_arrays_refuse_writes():
     lat = LATTICES[0]
     f = FunctionTable(lat, lat.points[1:], np.ones(len(lat.points) - 1))
     rhs = FunctionTable.constant(lat)
-    plans = [_plan(_sweep_plan, lat, [f.idx, f.idx, rhs.idx], 1,
-                   Fraction(3, 2)),
-             _plan(_generator_plan, lat, [f.idx], None),
-             _plan(_generator_plan, lat, [f.idx], 2)]
+    plans = [_sweep_plan(lat, (f.box, f.box), rhs.box, 1, Fraction(3, 2)),
+             _generator_plan(lat, f.box, None),
+             _generator_plan(lat, f.box, 2)]
     for plan in plans:
         arrays = list(plan_arrays(plan))
         assert arrays
@@ -861,13 +956,16 @@ def test_cached_plan_arrays_refuse_writes():
 def test_repeated_campaign_builds_no_plan(tmp_path):
     argv = ["verify-gaussian", "--radius", "60", "--trials", "1",
             "--out", str(tmp_path / "report.json")]
-    _cached_plan.cache_clear()
+    caches = (_sweep_plan, _generator_plan)
+    for cache in caches:
+        cache.cache_clear()
     assert main(argv) == 0
-    first = _cached_plan.cache_info()
+    first = [cache.cache_info() for cache in caches]
     assert main(argv) == 0
-    second = _cached_plan.cache_info()
-    assert first.misses > 0 and second.misses == first.misses
-    assert second.hits > first.hits
+    for cache, before in zip(caches, first):
+        after = cache.cache_info()
+        assert before.misses > 0 and after.misses == before.misses
+        assert after.hits > before.hits
 
 
 # -- pullbacks and point lookups ------------------------------------------------
@@ -878,10 +976,9 @@ PULLBACK_COEFFS = [1, 2, Fraction(1, 2), Fraction(3, 2), Fraction(-3, 2),
 
 
 def check_pullback(f, beta, want, key):
-    g = f.pullback(beta)
+    g = check_points(f.pullback(beta))
     assert [key(p) for p in g.points] == list(want), beta
     assert g.values.tolist() == list(want.values()), beta
-    assert g.idx.tolist() == f.domain.indices(g.points).tolist(), beta
 
 
 @pytest.mark.parametrize("lat", LATTICES, ids=repr)
@@ -903,15 +1000,11 @@ def test_pullback_matches_pointwise_lookup_on_groups(orders):
     g = Group(orders)
     rng = np.random.default_rng([13, *orders])
     elements = [x.coords for x in g.elements()]
-    keep = rng.random(g.size) < 0.6
-    for support in (np.ones(g.size, dtype=bool), keep):
-        pts = tuple(x for x, k in zip(g.elements(), support) if k)
-        f = FunctionTable(g, pts, random_values(rng, len(pts)))
-        table = as_dict(f, coords)
-        for e in _suite_endos(g, list(orders)):
-            apply = endo_coeff(orders, e.matrix)
-            want = {x: table[apply(x)] for x in elements if apply(x) in table}
-            check_pullback(f, e, want, coords)
+    f = shuffled(g, g.every, random_values(rng, g.size), rng)
+    table = as_dict(f, coords)
+    for e in _suite_endos(g, list(orders)):
+        apply = endo_coeff(orders, e.matrix)
+        check_pullback(f, e, {x: table[apply(x)] for x in elements}, coords)
 
 
 def check_lookups(f, table, keys):
@@ -947,10 +1040,8 @@ def test_window_lookups_match_point_dict():
 def test_group_lookups_match_point_dict():
     g = Group([4, 6])
     rng = np.random.default_rng(19)
-    keep = rng.random(g.size) < 0.6
-    pts = tuple(x for x, k in zip(g.elements(), keep) if k)
-    f = FunctionTable(g, pts, random_values(rng, len(pts)))
-    table = dict(zip(pts, f.values.tolist()))
+    f = shuffled(g, g.every, random_values(rng, g.size), rng)
+    table = dict(zip(g.elements(), f.values.tolist()))
     foreign = [Element((4, 0)), Element((0, -1)), Element((1,)),
                Element((0, 0, 0)), Fraction(0), 0, "x", None, (0, 0)]
     check_lookups(f, table, [*g.elements(), *foreign])
@@ -1022,10 +1113,9 @@ def fit_cases(lat, rng):
         yield f.map_values(lambda v: v * (1 + 1e-8 * rng.normal(size=len(v))))
         even = slice(lat.radius % 2, None, 2)  # every other point, with 0
         yield FunctionTable(lat, pts[even], f.values[even])
-    keep = rng.random(len(pts)) < 0.7
-    keep[:7] = True
-    sub = tuple(p for p, k in zip(pts, keep) if k)
-    yield FunctionTable(lat, sub, random_values(rng, len(sub)))
+    # Random values on a sub-window through 0, and on one that misses 0.
+    for sub in (pts[3:], pts[lat.radius + 1:]):
+        yield FunctionTable(lat, sub, random_values(rng, len(sub)))
 
 
 @pytest.mark.parametrize("lat", [g for g in GAUSS_LATTICES if g.radius >= 3],
@@ -1833,49 +1923,37 @@ def batch_rows(g: Group, rng):
 
 @pytest.mark.parametrize("orders", BATCH_GROUPS, ids=group_id)
 def test_batched_checks_match_per_table_oracles(orders):
-    """The one-table checks on each row of ``batch_rows``, over the whole
-    group, a permutation of it and part of it, give the oracles' verdicts."""
+    """The one-table checks on each row of ``batch_rows``, built from the
+    group's points in a random order, give the oracles' verdicts."""
     g = Group(orders)
     rng = np.random.default_rng([71, *orders])
-    rows = batch_rows(g, rng)
-    keep = rng.random(g.size) < 0.6
-    keep[0] = True
-    for idx in (g.every, rng.permutation(g.size), g.every[keep]):
-        for label, row in rows:
-            f = FunctionTable._at(g, idx, row[idx])
-            table = as_dict(f, coords)
-            bound = ulp_tol(np.where(np.isfinite(f.values), f.values, 0))
-            case = f"{label}, {len(idx)} of {g.size} points"
-            want = locate_character_oracle(orders, table, TOL)
-            assert locate_character(f, TOL) == (
-                None if want is None else g.element(want)), case
-            if len(idx) < g.size:
-                with pytest.raises(DomainError):
-                    bernstein_check(f, TOL)
-                continue
-            verdict, margin = bernstein_oracle(orders, table, TOL)
-            if not margin <= bound:
-                assert bernstein_check(f, TOL) == verdict, case
-            defect = character_defect_oracle(orders, table)
-            if not abs(defect - TOL) <= bound:
-                assert is_character(f, TOL) == (defect <= TOL
-                                                and want is not None), case
+    for label, row in batch_rows(g, rng):
+        f = shuffled(g, g.every, row, rng)
+        table = as_dict(f, coords)
+        bound = ulp_tol(np.where(np.isfinite(f.values), f.values, 0))
+        want = locate_character_oracle(orders, table, TOL)
+        assert locate_character(f, TOL) == (
+            None if want is None else g.element(want)), label
+        verdict, margin = bernstein_oracle(orders, table, TOL)
+        if not margin <= bound:
+            assert bernstein_check(f, TOL) == verdict, label
+        defect = character_defect_oracle(orders, table)
+        if not abs(defect - TOL) <= bound:
+            assert is_character(f, TOL) == (defect <= TOL
+                                            and want is not None), label
 
 
 @pytest.mark.parametrize("orders", BATCH_GROUPS + [(5, 13)], ids=group_id)
 def test_generator_location_matches_exhaustive_search(orders):
     """Characters with each value moved by up to about a half to twice the
     tolerance, at tolerances around ``sin(pi/L)/2``, below which at most one
-    character passes, and a character turned at a unit vector: on whole,
-    permuted and partial tables ``locate_character`` returns what the dense
-    oracle returns, and a permuted whole table is located as its
-    index-ordered copy is."""
+    character passes, and a character turned at a unit vector: on tables
+    built from the points in a random order ``locate_character`` returns
+    what the dense oracle returns."""
     g = Group(orders)
     rng = np.random.default_rng([73, *orders])
     P = np.concatenate(list(g.character_rows()))
     edge = np.sin(np.pi / g.exponent) / 2
-    keep = rng.random(g.size) < 0.5
-    keep[0] = True
     # A character turned at the first unit vector by just over half a step
     # of its phase: within 2 sin(pi/L) of it where n_1 = L, but its phase
     # there rounds to the next character.
@@ -1888,17 +1966,11 @@ def test_generator_location_matches_exhaustive_search(orders):
         noise = scale * rng.random((6, g.size)) ** 0.25
         V = np.vstack([P[rng.integers(g.size, size=6)] + noise * np.exp(
             2j * np.pi * rng.random((6, g.size))), turned])
-        perm = rng.permutation(g.size)
         for row in V:
-            whole = locate_character(FunctionTable._at(g, g.every, row), tol)
-            for idx in (g.every, perm, g.every[keep]):
-                f = FunctionTable._at(g, idx, row[idx])
-                want = locate_character_oracle(orders, as_dict(f, coords),
-                                               tol)
-                got = locate_character(f, tol)
-                assert got == (None if want is None else g.element(want)), tol
-                if len(idx) == g.size:
-                    assert got == whole, tol
+            f = shuffled(g, g.every, row, rng)
+            want = locate_character_oracle(orders, as_dict(f, coords), tol)
+            assert locate_character(f, tol) == (
+                None if want is None else g.element(want)), tol
 
 
 def per_row_checks(g: Group, tol: float) -> tuple[bool, bool]:
@@ -1998,7 +2070,8 @@ def test_bernstein_check_rejects_non_finite_values(dom):
                          ids=repr)
 def test_bernstein_check_on_window_progressions_matches_oracle(lat):
     """On the window progressions ``[-R/3, R]``, every other point and a
-    sub-window, each in a random order, a character passes, and the same
+    sub-window, each built from its points in a random order, a character
+    passes, and the same
     with one Hermitian pair turned by 1e-6, or with one NaN, fails, as
     ``bernstein_oracle`` says: the padded offsets of each support line up
     with its points."""
@@ -2015,8 +2088,7 @@ def test_bernstein_check_on_window_progressions_matches_oracle(lat):
         nan[R + int(rng.choice(idx))] = np.nan
         for label, vals in (("character", char), ("turned", turned),
                             ("NaN", nan)):
-            perm = rng.permutation(idx)
-            f = FunctionTable._at(lat, perm, vals[perm + R])
+            f = shuffled(lat, idx, vals[idx + R], rng)
             want, _ = bernstein_oracle(None, as_dict(f), TOL)
             assert want == (label == "character"), (name, label)
             assert bernstein_check(f, TOL) == want, (name, label)
@@ -2053,7 +2125,7 @@ def test_a_nan_reaches_the_equation_sweeps(radius):
     both, as it reaches the per-call sweep."""
     lat = make_lattice([2, 3, 5], 2, radius)
     ones = FunctionTable.constant(lat)
-    blocks = _plan(_sweep_plan, lat, [lat.every, lat.every, None], 1, 2)
+    blocks = _sweep_plan(lat, (ones.box, ones.box), None, 1, 2)
     assert (len(blocks) > 1) == (radius == 400)
     for at in (0, -1):
         vals = np.ones(len(lat.every), dtype=complex)
@@ -2093,8 +2165,8 @@ def test_bernstein_check_of_the_square_table_holds_no_pair_plan():
 
 @pytest.mark.parametrize("dom", [Group([6, 6]), *LATTICES], ids=repr)
 def test_bernstein_check_does_no_index_arithmetic(dom, monkeypatch):
-    """The check reads its pairs as views of the table: it locates no
-    index and adds or negates none."""
+    """The check reads its pairs as views of the table: it finds no
+    position in the box and adds or negates no index."""
     def refuse(*args):
         raise AssertionError("index arithmetic in the Bernstein check")
 
@@ -2102,7 +2174,7 @@ def test_bernstein_check_does_no_index_arithmetic(dom, monkeypatch):
         f = bernstein_square_table(dom)
     else:
         f = character_gaussian_values(dom, Fraction(7, 30), 0.0)
-    monkeypatch.setattr(funceq, "_locator", refuse)
+    monkeypatch.setattr(funceq, "_box_positions", refuse)
     for name in ("add_idx", "neg_idx"):
         monkeypatch.setattr(type(dom), name, refuse)
     assert bernstein_check(f, TOL)
