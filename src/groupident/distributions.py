@@ -34,7 +34,7 @@ import numpy as np
 
 from .endomorphisms import Endo
 from .errors import DomainError, GenerationError
-from .funceq import FunctionTable
+from .funceq import FunctionTable, summed_variables
 from .groups import VALUE_BLOCK, Element, Group, row_blocks
 
 MASS_TOL = 1e-12
@@ -50,6 +50,11 @@ MASS_TOL = 1e-12
 # more with a fresh mmap.  With new temporaries per block, ``verify-shift
 # --group 30x50 --form II --trials 1`` took 145 ms instead of 93 ms.
 JOINT_BLOCK = 1 << 15
+
+# Box-tile values (``factor_tables``, ``2^rank n`` per entry, factor and side)
+# that ``joint_residuals`` holds at once, 16 MiB: held all at once, the tiles
+# of a 20-trial campaign on a group of rank 10 peaked at 1,978 MB.
+TILE_BUDGET = 1 << 20
 
 # CPUs the process may run on: the stripe count of a grid of at least two
 # blocks (``sweep_rows``).
@@ -385,18 +390,21 @@ class LinearFormSpec:
         return tuple(zip(self.coeffs1, self.coeffs2))
 
     @classmethod
-    def form_I(cls, bs: Sequence[Endo]) -> "LinearFormSpec":
-        """``L_1`` sums every variable; ``L_2`` uses the given coefficients."""
+    def of(cls, summed: Sequence[bool], bs: Sequence[Endo]) -> "LinearFormSpec":
+        """``L_1`` sums the variables ``summed`` flags; ``L_2`` has ``bs``."""
         g = bs[0].group
-        return cls(g, tuple(Endo.identity(g) for _ in bs), tuple(bs))
+        one, zero = Endo.identity(g), Endo.zero(g)
+        return cls(g, tuple(one if s else zero for s in summed), tuple(bs))
+
+    @classmethod
+    def form_I(cls, bs: Sequence[Endo]) -> "LinearFormSpec":
+        """``of`` form I's flags: ``L_1`` sums every variable."""
+        return cls.of(summed_variables("I", len(bs)), bs)
 
     @classmethod
     def form_II(cls, bs: Sequence[Endo]) -> "LinearFormSpec":
-        """``L_1`` omits the last variable; ``L_2`` uses the given coefficients."""
-        g = bs[0].group
-        ones = [Endo.identity(g) for _ in bs]
-        ones[-1] = Endo.zero(g)
-        return cls(g, tuple(ones), tuple(bs))
+        """``of`` form II's flags: ``L_1`` omits the last variable."""
+        return cls.of(summed_variables("II", len(bs)), bs)
 
 
 # Factor plans held at once.  A plan is a few index vectors of the group's
@@ -657,8 +665,9 @@ def joint_residuals(spec: LinearFormSpec, lhs: np.ndarray,
     the ``(k, arity, n)`` stacks ``lhs`` and ``rhs``.
 
     One sweep over the ``k n`` rows of the stacked grids, one row block at
-    a time; both sides share each block's indices, and each row's largest
-    deviation goes to its entry.
+    a time, in runs of entries whose tiles fit ``TILE_BUDGET``; both sides
+    share each block's indices, and each row's largest deviation goes to
+    its entry.
 
     If every table is exactly conjugate-symmetric, only the ``(n + t) / 2``
     columns ``v`` with ``-v >= v`` are swept (``mirror_plan``), ``t`` the
@@ -676,18 +685,24 @@ def joint_residuals(spec: LinearFormSpec, lhs: np.ndarray,
         raise DomainError(f"need two {shape} stacks, got {lhs.shape} and "
                           f"{rhs.shape}")
     plan, cols = mirror_plan(g, factor_plan(spec.pairs), [lhs, rhs])
-    L, R = (factor_tables(g, plan, c.swapaxes(0, 1)) for c in (lhs, rhs))
-    worst = np.empty(len(lhs) * g.size)
+    tiles = 2 * sum(U is not None and V is not None for U, V in plan)
+    run = max(1, TILE_BUDGET // max(1, tiles * (g.size << g.rank)))
+    worst = np.empty((len(lhs), g.size))
 
     def body(rows, reads, bufs):
         x, y, tmp, mod = bufs
         diff = joint_block(L, reads, x, tmp)
         diff -= joint_block(R, reads, y, tmp)
-        np.maximum.reduce(np.abs(diff, out=mod), axis=1, out=worst[rows])
+        np.maximum.reduce(np.abs(diff, out=mod), axis=1, out=out[rows])
 
-    sweep_rows(stack_plan(plan, g, len(lhs)), g.size, cols,
-               [np.complex128] * 3 + [np.float64], body, entries=len(lhs))
-    return worst.reshape(shape[0], g.size).max(axis=1)
+    for e in range(0, len(lhs), run):
+        L, R = (factor_tables(g, plan, c[e:e + run].swapaxes(0, 1))
+                for c in (lhs, rhs))
+        out, k = worst[e:e + run].reshape(-1), min(run, len(lhs) - e)
+        sweep_rows(stack_plan(plan, g, k), g.size, cols,
+                   [np.complex128] * 3 + [np.float64], body, entries=k)
+        del L, R  # this run's tiles go before the next run's are built
+    return worst.max(axis=1)
 
 
 def joint_residual(spec: LinearFormSpec, mus: Sequence[Distribution],

@@ -44,6 +44,12 @@ from .groups import VALUE_BLOCK, Element, Group, character_search, row_blocks
 # ``indices`` (points to indices) and ``points_at`` (indices to points).
 
 
+# Plans kept per kind, and coefficient differences (``_coeff_diff``): 32 of
+# each hold a gaussian-window run, whose campaigns use one sweep plan, per fold
+# count a character and a polynomial plan, and at most six differences.
+PLAN_CACHE_SIZE = 32
+
+
 def _coeff_ratio(beta) -> Fraction | None:
     if isinstance(beta, (int, Fraction)):
         return Fraction(beta)
@@ -74,9 +80,10 @@ def summed_variables(form: str, n: int) -> tuple[bool, ...]:
     return (True,) * (n - left_out) + (False,) * left_out
 
 
+@lru_cache(maxsize=PLAN_CACHE_SIZE, typed=True)
 def _coeff_diff(beta, minus):
-    """The coefficient ``beta - minus``: a Fraction when both are rational,
-    else an endomorphism difference."""
+    """``beta - minus``: a Fraction when both are rational, else an
+    endomorphism difference, built with its index map once per pair."""
     r, s = _coeff_ratio(beta), _coeff_ratio(minus)
     return beta - minus if r is None or s is None else r - s
 
@@ -85,9 +92,7 @@ def _trivial_kernel(beta) -> bool:
     """Whether ``beta`` has trivial kernel on the dual; for a rational
     multiplier, whether it is nonzero."""
     r = _coeff_ratio(beta)
-    if r is None:
-        return bool(np.count_nonzero(beta.index_map == 0) == 1)
-    return r != 0
+    return len(beta.kernel_idx()) == 1 if r is None else r != 0
 
 
 def kernel_conditions(summed: Sequence[bool],
@@ -247,10 +252,11 @@ class FunctionTable:
         return self.map_values(lambda v: np.log(np.abs(v)))
 
     def phase_part(self) -> "FunctionTable":
-        """Unit-modulus table ``f/|f|``."""
+        """Unit-modulus table ``f/|f|``; NaN where ``f`` is infinite."""
         if np.any(self.values == 0):
             raise VanishingFactorError("phase part of a vanishing table")
-        return self.map_values(lambda v: v / np.abs(v))
+        with np.errstate(invalid="ignore"):
+            return self.map_values(lambda v: v / np.abs(v))
 
     def _common(self, other: "FunctionTable") -> tuple[np.ndarray, np.ndarray]:
         """Positions of the common support in ``self`` and in ``other``."""
@@ -309,12 +315,6 @@ class FunctionTable:
 # read-only.  Positions are int64: a gather with int32 positions converts
 # them on every call, and costs twice as long.
 
-# Plans kept per kind.  A verify-gaussian campaign uses one sweep plan and,
-# per fold count, a character plan and a polynomial plan; the Bernstein
-# counterexample one character plan.  32 of each hold a gaussian-window run.
-PLAN_CACHE_SIZE = 32
-
-
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -352,7 +352,8 @@ def _ratio_step(f: FunctionTable, k) -> FunctionTable:
     den = f.values[has]
     if np.any(den == 0):
         raise VanishingFactorError("ratio difference of a vanishing table")
-    return f._at(f.domain, f.idx[has], f.values[q] / den)
+    with np.errstate(invalid="ignore"):  # inf / inf is NaN, as in ``ratio``
+        return f._at(f.domain, f.idx[has], f.values[q] / den)
 
 
 # -- generator certificates ---------------------------------------------------
@@ -750,21 +751,25 @@ def eliminate(eq: ProductEquation, index: int, k) -> ProductEquation:
     """
     if not 0 <= index < eq.arity:
         raise DomainError(f"factor index {index} out of range")
+    return _eliminate(eq, index, int(eq.domain.indices([k])[0]))
+
+
+def _eliminate(eq: ProductEquation, index: int, k: int) -> ProductEquation:
+    """``eliminate`` by the domain index ``k``."""
     dom = eq.domain
-    if k == dom.zero:
+    if k == 0:
         return eq
-    k = dom.indices([k])
     _, beta0 = eq.factors[index]
     new_factors = []
     for j, (f, b) in enumerate(eq.factors):
         if j == index:
             continue
         # The step (b - beta0) k, which may be on the grid when b k is not.
-        step, ok = _coeff_idx(_coeff_diff(b, beta0), k)
+        step, ok = _coeff_idx(_coeff_diff(b, beta0), np.array([k]))
         if not ok[0]:
             raise DomainError(f"a point is off the 1/{dom.denominator} grid")
         new_factors.append((_ratio_step(f, step[0]), b))
-    new_rhs = _ratio_step(eq.rhs, k[0]) if eq.rhs is not None else None
+    new_rhs = _ratio_step(eq.rhs, k) if eq.rhs is not None else None
     if not new_factors:
         # Everything moved to the right-hand side; keep the equation shape by
         # carrying the residual as a single constant-coefficient factor.
@@ -785,13 +790,13 @@ class CharacterVerdict:
     cascade_defect: float
 
 
-def _default_cascade_steps(eq: ProductEquation, limit: int = 12) -> list:
-    dom = eq.domain
-    if isinstance(dom, Group):
-        return list(dom.points_at(dom.every[1:limit + 1]))  # all but the zero
-    # Small steps leave margin for the repeated restrictions of the cascade.
-    pts = sorted((p for p in dom.points if p != 0), key=abs)
-    return pts[: 2 * (eq.arity - 1)][:limit]
+def _default_cascade_steps(eq: ProductEquation, limit: int = 12) -> np.ndarray:
+    every = eq.domain.every
+    if isinstance(eq.domain, Group):
+        return every[1:limit + 1]  # all but the zero
+    # The shortest steps (after 0) leave margin for the cascade's restrictions.
+    steps = every[np.argsort(np.abs(every), kind="stable")]
+    return steps[1:min(2 * eq.arity - 1, limit + 1)]
 
 
 def extract_character(eq: ProductEquation, *,
@@ -802,11 +807,15 @@ def extract_character(eq: ProductEquation, *,
     checking that the reduced equation keeps residual 1 on every evaluable
     pair for each substitution step; the surviving ratio table is then tested
     for multiplicativity and, on a finite group, matched against an explicit
-    character.  Raises PreconditionError when some pair of coefficients has
-    a difference with nontrivial kernel, exactly when the conclusion may fail.
+    character.  The cascade samples its steps: on a group the first 12
+    nonzero elements in index order, on a window the ``2(arity-1)`` shortest
+    nonzero steps, negative before positive, at most 12; ``cascade_defect``
+    is the worst residual over those steps.  Raises PreconditionError when some
+    pair of coefficients has a difference with nontrivial kernel, exactly
+    when the conclusion may fail.
     """
     require_kernel_conditions((True,) * eq.arity, [b for _, b in eq.factors])
-    ks = _default_cascade_steps(eq)
+    ks = _default_cascade_steps(eq).tolist()
     if not ks:
         raise WindowMarginError("no usable substitution steps")
     verdicts = []
@@ -817,7 +826,7 @@ def extract_character(eq: ProductEquation, *,
             # Lowest index first: each factor below the survivor is at
             # position 0 when it goes, each factor above it at position 1.
             for pos in [0] * survivor + [1] * (eq.arity - 1 - survivor):
-                reduced = eliminate(reduced, pos, k)
+                reduced = _eliminate(reduced, pos, k)
             cascade_worst = max(cascade_worst, reduced.residual_defect())
         f = eq.factors[survivor][0]
         defect = character_defect(f)

@@ -224,8 +224,9 @@ class Group:
 
     def box_tile(self, values: np.ndarray) -> np.ndarray:
         """``values`` tiled over the doubled box on its last axis, so that
-        ``box_tile(f)[box_idx(i) + box_idx(j)] == f[add_idx(i, j)]``."""
-        return values[..., self._box_source]
+        ``box_tile(f)[box_idx(i) + box_idx(j)] == f[add_idx(i, j)]``.
+        The tile is C-contiguous, so reshaping it copies nothing."""
+        return values.take(self._box_source, axis=-1)
 
     @cached_property
     def _box_source(self) -> np.ndarray:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +23,7 @@ from .distributions import (Distribution, FactorPlan, LinearFormSpec,
                             sweep_rows)
 from .endomorphisms import Endo
 from .errors import ConstructionError, DomainError, PreconditionError
-from .funceq import kernel_conditions, summed_variables
+from .funceq import _coeff_diff, kernel_conditions, summed_variables
 from .groups import Element, Group, character_search
 from .reporting import FLOORS, Measured, Phases
 
@@ -73,22 +72,6 @@ def recover_shift(mu: Distribution, nu: Distribution,
     return None if x < 0 else g.element_at(x)
 
 
-@lru_cache(maxsize=16)
-def _first_form_coeffs(g: Group, summed: tuple[bool, ...]) -> tuple[Endo, ...]:
-    """The coefficients of ``L_1``: the identity on each variable it sums,
-    zero on the others; built once per group, so that their adjoints and
-    index maps are too."""
-    return tuple(Endo.identity(g) if s else Endo.zero(g) for s in summed)
-
-
-@lru_cache(maxsize=16)
-def _kernel_conditions(summed: tuple[bool, ...], bs: tuple[Endo, ...]
-                       ) -> tuple[tuple[str, bool], ...]:
-    """The items of ``kernel_conditions``, computed once per coefficient
-    tuple, as a tuple, so that no caller can change the cached value."""
-    return tuple(kernel_conditions(summed, bs).items())
-
-
 def law_stack(dists: Sequence[Distribution]) -> tuple[np.ndarray, np.ndarray]:
     """``dists`` as one entry of a stack: ``(masses, chars)``, each a
     ``(1, len(dists), n)`` array."""
@@ -115,14 +98,13 @@ def _verify(summed: tuple[bool, ...], bs: Sequence[Endo], lhs, rhs,
     if len(bs) != n or M.shape[1:2] != (n,) or M.shape != N.shape:
         raise DomainError(f"takes {n} coefficients and {n}+{n} distributions")
     phases = Phases() if phases is None else phases
-    pre = _kernel_conditions(summed, tuple(bs))
-    g = bs[0].group
-    spec = LinearFormSpec(g, _first_form_coeffs(g, summed), tuple(bs))
+    pre, g = kernel_conditions(summed, bs), bs[0].group
+    spec = LinearFormSpec.of(summed, bs)
     with phases.timed("joint_residual_s"):
         residuals = joint_residuals(spec, C, D)
     nonvanishing = np.minimum(np.abs(C).min(axis=(1, 2)),
                               np.abs(D).min(axis=(1, 2))) > NONVANISHING_GUARD
-    hold = all(v for _, v in pre) & nonvanishing
+    hold = all(pre.values()) & nonvanishing
     search = np.flatnonzero(hold & ~(residuals >= tol))
     with phases.timed("shift_recovery_s"):
         xs = np.zeros((len(search), n), dtype=np.int64)
@@ -143,7 +125,7 @@ def _verify(summed: tuple[bool, ...], bs: Sequence[Endo], lhs, rhs,
                    else VERDICT_SHIFT if shifted else VERDICT_UNIQUE)
         # uniqueness leaves no shift freedom, so no shifts are reported
         reports.append(IdentifiabilityReport(
-            {**dict(pre), "nonvanishing": bool(nonvanishing[i])},
+            {**pre, "nonvanishing": bool(nonvanishing[i])},
             Measured(residual, FLOORS["joint_residual"](g)),
             None if j is None or not shifted else g.points_at(xs[j]),
             None if j is None else tuple(
@@ -185,8 +167,7 @@ def _verify_one(summed, bs, mus, nus, tol, *, shifted):
     n = len(summed)
     if not len(bs) == len(mus) == len(nus) == n:
         raise DomainError(f"takes {n} coefficients and {n}+{n} distributions")
-    g = bs[0].group
-    if any(d.group != g for d in (*mus, *nus)):
+    if any(d.group != bs[0].group for d in (*mus, *nus)):
         raise DomainError("distributions live on a different group")
     return _verify(summed, bs, law_stack(mus), law_stack(nus), tol,
                    shifted=shifted)[0]
@@ -199,12 +180,6 @@ def kotlarski_coeffs(group: Group) -> tuple[Endo, Endo, Endo]:
     the classical two-noisy-measurements design.
     """
     return (Endo.zero(group), Endo.identity(group), Endo.identity(group))
-
-
-@lru_cache(maxsize=16)
-def _difference(a: Endo, b: Endo) -> Endo:
-    """``a - b``, built once per pair, so that its index map is too."""
-    return a - b
 
 
 def _preimage(e: Endo, target: Element) -> Element:
@@ -228,12 +203,12 @@ def consistent_shifts(bs: Sequence[Endo], form: str, x1: Element):
     """
     g = bs[0].group
     if summed_variables(form, 3)[2]:
-        rhs = g.neg(_difference(bs[0], bs[2]).apply(x1))
-        x2 = _preimage(_difference(bs[1], bs[2]), rhs)
+        rhs = g.neg(_coeff_diff(bs[0], bs[2]).apply(x1))
+        x2 = _preimage(_coeff_diff(bs[1], bs[2]), rhs)
         x3 = g.neg(g.add(x1, x2))
     else:
         x2 = g.neg(x1)
-        rhs = g.neg(_difference(bs[0], bs[1]).apply(x1))
+        rhs = g.neg(_coeff_diff(bs[0], bs[1]).apply(x1))
         x3 = _preimage(bs[2], rhs)
     return x1, x2, x3
 
@@ -266,7 +241,7 @@ def poisson_counterexample(bs: Sequence[Endo], a: float,
     if a <= 0:
         raise ConstructionError("rate a must be positive (a=0 degenerates)")
     g = bs[0].group
-    kernel = (bs[0] - bs[1]).kernel()
+    kernel = _coeff_diff(bs[0], bs[1]).kernel()
     if len(kernel) < 2:
         raise ConstructionError("ker(b1-b2) is trivial; no counterexample here")
     if len(bs) == 3 and mu_rest is None:
@@ -287,10 +262,8 @@ def _poisson_plan(bs: Sequence[Endo], pairs) -> FactorPlan:
     nonzero element of ``ker(b1-b2)``, at ``u`` and of ``x~ = b1 x0`` at
     ``v``; their sum, below twice the exponent, indexes ``_phase_table``.
     """
-    g = bs[0].group
-    x0 = next(x for x in (bs[0] - bs[1]).kernel() if x != g.zero)
-    phases = tuple(g.phase_idx(g.index(x), g.every)
-                   for x in (x0, bs[0].apply(x0)))
+    g, x0 = bs[0].group, _coeff_diff(bs[0], bs[1]).kernel_idx()[1]
+    phases = tuple(g.phase_idx(x, g.every) for x in (x0, bs[0].index_map[x0]))
     return (phases, *factor_plan(tuple(pairs)))
 
 

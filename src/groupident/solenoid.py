@@ -288,10 +288,11 @@ def fit_gaussian_ratio(f: FunctionTable, tol: float = FIT_TOL) -> GaussianFitRes
     mods = np.abs(f.values)
     ys = f.idx / D
     logs = np.log(mods)
-    num = math.fsum(-ys ** 2 * logs)
-    den = math.fsum(ys ** 4)
-    sigma = num / den if den > 0 else 0.0
-    devs = np.abs(mods - np.exp(-sigma * ys ** 2))
+    with np.errstate(invalid="ignore"):  # an infinite value gives NaN
+        num = math.fsum(-ys ** 2 * logs)
+        den = math.fsum(ys ** 4)
+        sigma = num / den if den > 0 else 0.0
+        devs = np.abs(mods - np.exp(-sigma * ys ** 2))
     # The bound is relative where the modulus exceeds 1: an exact ratio
     # with modulus near 5e8 carries rounding of about 1e-7.
     modulus_ok = bool(np.all(devs <= tol * np.maximum(1.0, mods)))

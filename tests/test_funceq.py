@@ -16,8 +16,8 @@ from groupident import (verify_form_I, verify_form_II,
                         verify_pair_uniqueness)
 from groupident.errors import (DomainError, PreconditionError,
                                VanishingFactorError, WindowMarginError)
-from groupident.funceq import (FunctionTable, kernel_conditions,
-                               summed_variables)
+from groupident.funceq import (FunctionTable, _default_cascade_steps,
+                               kernel_conditions, summed_variables)
 from groupident.identify import VERDICT_PRECONDITIONS
 from groupident.solenoid import make_lattice
 
@@ -174,6 +174,22 @@ def test_eliminate_cascade_residual():
     assert once.residual_defect() < 1e-10
     twice = eliminate(once, 0, k2)
     assert twice.residual_defect() < 1e-10
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3, 8])
+def test_cascade_steps_are_the_documented_sample(arity):
+    """``extract_character`` samples, as domain indices, the ``2(arity-1)``
+    shortest nonzero window steps, negative first, at most 12; on a group
+    the first 12 nonzero elements in index order."""
+    lat = make_lattice([2, 3], 1, 20)
+    eq = ProductEquation(((FunctionTable.constant(lat), 1),) * arity)
+    want = sorted((p for p in lat.points if p != 0), key=abs)
+    assert (list(lat.points_at(_default_cascade_steps(eq)))
+            == want[:min(2 * (arity - 1), 12)])
+    g = Group([4, 6])
+    eq = ProductEquation(((FunctionTable.constant(g), Endo.zero(g)),) * arity)
+    assert (list(g.points_at(_default_cascade_steps(eq)))
+            == list(g.elements())[1:13])
 
 
 def test_eliminate_identity_step():

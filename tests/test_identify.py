@@ -11,10 +11,10 @@ from groupident import (Distribution, Endo, Group, LinearFormSpec,
                         verify_pair_uniqueness)
 from groupident import consistent_shifts
 from groupident.errors import ConstructionError
-from groupident.funceq import FunctionTable, ProductEquation, extract_character
+from groupident.funceq import (FunctionTable, ProductEquation, _coeff_diff,
+                               extract_character)
 from groupident.identify import (VERDICT_MISMATCH, VERDICT_PRECONDITIONS,
-                                 VERDICT_SHIFT, VERDICT_UNIQUE,
-                                 _kernel_conditions)
+                                 VERDICT_SHIFT, VERDICT_UNIQUE)
 
 
 def scalar_endos(g, cs):
@@ -222,14 +222,16 @@ def test_report_serialization():
 
 
 def test_kernel_conditions_are_computed_once_per_coefficient_tuple():
+    """Each coefficient difference is built once, keyed by value, and no
+    report shares its preconditions with a later one."""
     g = Group([7])
     mus = [Distribution.random(g, [3, j], 0.2) for j in range(3)]
-    _kernel_conditions.cache_clear()
+    _coeff_diff.cache_clear()
     first = verify_form_I(scalar_endos(g, (0, 1, 2)), mus, mus)
     first.preconditions["ker(b1-b2)=0"] = False
     second = verify_form_I(scalar_endos(g, (0, 1, 2)), mus, mus)
-    info = _kernel_conditions.cache_info()
-    assert (info.hits, info.misses) == (1, 1)
+    info = _coeff_diff.cache_info()
+    assert (info.hits, info.misses) == (3, 3)
     assert second.preconditions == {"ker(b1-b2)=0": True,
                                     "ker(b1-b3)=0": True,
                                     "ker(b2-b3)=0": True,

@@ -1147,22 +1147,30 @@ def test_fit_gaussian_ratio_matches_oracle(lat):
             assert fit.ok == ok
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_fit_gaussian_ratio_nan_defect_verdict():
-    # An infinite value gives a NaN phase defect, which is_character accepts.
+    """An infinite value, or two adjacent ones, give a NaN phase defect,
+    which is_character accepts.  The phase part and the ratio difference
+    read NaN there, and numpy warns of nothing (the suite raises
+    RuntimeWarning)."""
     lat = LATTICES[1]
-    f = character_gaussian_values(lat, Fraction(1, 3), 0.1)
-    vals = f.values.copy()
-    vals[2] = np.inf
-    f = FunctionTable(lat, f.points, vals)
-    fit = fit_gaussian_ratio(f)
-    assert np.isnan(fit.phase_defect)
-    assert fit.phase_is_character == is_character(f.phase_part(),
-                                                  tol=max(FIT_TOL, 1e-9))
-    sigma, residual, modulus_ok, _ = gaussian_fit_oracle(as_dict(f), FIT_TOL)
-    assert fit.ok == (modulus_ok and fit.phase_is_character)
-    assert (repr(fit.sigma), repr(fit.modulus_residual)) \
-        == (repr(sigma), repr(residual))
+    base = character_gaussian_values(lat, Fraction(1, 3), 0.1)
+    for infs in ([2], [2, 3]):
+        vals = base.values.copy()
+        vals[infs] = np.inf
+        f = FunctionTable(lat, base.points, vals)
+        assert np.isnan(f.phase_part().values[infs]).all()
+        step = lat.points[lat.radius + 1]
+        both = [i for i in infs if i + 1 in infs]  # inf / inf
+        assert np.isnan(ratio_diff(f, step).values[both]).all()
+        fit = fit_gaussian_ratio(f)
+        assert np.isnan(fit.phase_defect)
+        assert fit.phase_is_character == is_character(
+            f.phase_part(), tol=max(FIT_TOL, 1e-9))
+        sigma, residual, modulus_ok, _ = gaussian_fit_oracle(as_dict(f),
+                                                             FIT_TOL)
+        assert fit.ok == (modulus_ok and fit.phase_is_character)
+        assert (repr(fit.sigma), repr(fit.modulus_residual)) \
+            == (repr(sigma), repr(residual))
 
 
 # -- joint laws and shift recovery against the dense tables --------------------

@@ -233,7 +233,6 @@ def test_verify_form_I_rejects_non_quadratic_modulus():
     assert any("factor 1" in f for f in report.failures) or report.failures
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nan_equation_defect_is_a_mismatch(monkeypatch):
     # A NaN product-equation defect is not within the tolerance.  No
     # table that passes the ratio tests gives one, so the sweep returns it.

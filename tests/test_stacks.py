@@ -3,11 +3,13 @@ run as batches of one and against the dense oracles: the stacked draw,
 the joint residuals, the shift search and the verdicts of a campaign's
 entries."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from groupident import Endo, distributions, identify
-from groupident.cli import (find_shift_coeffs, parse_group,
+from groupident.cli import (find_shift_coeffs, main, parse_group,
                             run_shift_adversarial, run_shift_trial)
 from groupident.distributions import (LinearFormSpec, char_arrays,
                                       joint_residuals, random_masses,
@@ -54,8 +56,7 @@ def test_stacked_verifier_matches_batches_of_one_and_dense_oracles(case):
     stacked = identify.verify_shifts(form, bs, (M, C), (N, char_arrays(g, N)))
     verify = getattr(identify, f"verify_form_{form}")
     summed = summed_variables(form, 3)
-    spec = LinearFormSpec(g, identify._first_form_coeffs(g, summed),
-                          tuple(bs))
+    spec = LinearFormSpec.of(summed, bs)
     floor = FLOORS["joint_residual"](g)
     for i, (entry, got) in enumerate(zip(entries, stacked)):
         ms = mus[3 * i:3 * i + 3]
@@ -191,3 +192,43 @@ def test_stacked_sweeps_build_small_blocks(group, k, monkeypatch):
         for e in range(k):
             assert joint_residuals(spec, left[e:e + 1],
                                    rhs[e:e + 1])[0] == got[e]
+
+
+@pytest.mark.parametrize("group, k", [("7x9", 7), ("1021", 3)])
+def test_runs_of_entries_match_one_run(group, k, monkeypatch):
+    """A stack swept in runs of entries (``TILE_BUDGET``), of one entry, of
+    two, or of all of them, gives each entry's residual bit for bit."""
+    g = parse_group(group)
+    bs = [Endo.scalar(g, c) for c in find_shift_coeffs(g, "I")]
+    spec = LinearFormSpec.form_I(bs)
+    _, chars, _ = random_masses(g, [[17, i] for i in range(6 * k)], 0.2)
+    lhs, rhs = chars.reshape(2, k, 3, g.size)
+    whole = joint_residuals(spec, lhs, rhs)
+    entry = 4 * (g.size << g.rank)  # two box factors (b1 = 0), two sides
+    sides, real = [], distributions.factor_tables
+    monkeypatch.setattr(distributions, "factor_tables",
+                        lambda *a: sides.append(0) or real(*a))
+    for budget, runs in ((entry - 1, k), (2 * entry, (k + 1) // 2),
+                         (k * entry, 1)):
+        monkeypatch.setattr(distributions, "TILE_BUDGET", budget)
+        sides.clear()
+        assert joint_residuals(spec, lhs, rhs).tolist() == whole.tolist()
+        assert len(sides) == 2 * runs
+
+
+def test_campaign_memory_does_not_grow_with_its_trials(tmp_path):
+    """On a group of rank 8 a box factor's tile takes ``2^8 n`` values per
+    entry, so a campaign's stack is swept in runs of entries: the traced
+    peak of 40 trials stays within 1.25 times that of 8."""
+    def peak(trials: int) -> int:
+        argv = ["verify-shift", "--group", "2x2x2x2x2x2x2x2", "--form", "II",
+                "--trials", str(trials), "--out", str(tmp_path / "r.json")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # builds the cached plans and group tables
+    assert peak(40) <= 1.25 * peak(8)

@@ -129,6 +129,10 @@ ARGVS = [
     # Equation sweeps of 521k (form II) and 641k (form I) pairs, in three
     # and six row blocks.
     *(_gauss(form, 800) for form in ("I", "II")),
+    # Stacks swept in runs of entries (``TILE_BUDGET``): runs of 8 and 4
+    # entries on a group of rank 8, and of 87 and 13 on Z30xZ50.
+    _shift("2x2x2x2x2x2x2x2", "II", "6"),
+    _shift("30x50", "II", "50"),
 ]
 
 
