@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -28,8 +27,7 @@ from .errors import GroupIdentError, WindowMarginError
 from .funceq import (bernstein_check, bernstein_square_table,
                      character_table_checks, is_character, kernel_conditions,
                      summed_variables)
-from .groups import Element, Group
-from .identify import consistent_shifts
+from .groups import Group
 from .reporting import FLOORS, Measured, Phases, make_report, write_report
 from . import fixtures as fixture_io
 
@@ -118,9 +116,9 @@ def _attempts(count: int, roundtrip, adversarial) -> list:
 
 
 def _trials_body(entries: list, fields: dict) -> dict:
-    """Body of the entries of ``_attempts``, a roundtrip and an adversarial
-    entry per trial.  A GroupIdentError in place of an entry is recorded
-    as ``error``, with ``ok`` false, and the campaign goes on."""
+    """Body of a campaign's entries, a roundtrip and an adversarial entry
+    per trial.  A GroupIdentError in place of an entry is recorded as
+    ``error``, with ``ok`` false, and the campaign goes on."""
     trials = [{"trial": i // 2, "kind": KINDS[i % 2],
                **({"error": str(e), "ok": False}
                   if isinstance(e, GroupIdentError) else e)}
@@ -134,80 +132,68 @@ def _trials_body(entries: list, fields: dict) -> dict:
 # -- shift campaign ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShiftEntry:
-    """One entry of a shift campaign: the seeds of its laws ``mu_j``, the
-    shifts that carry them to ``nu_j``, the verdict it expects and, for a
-    roundtrip, the shifts the verifier must recover."""
-
-    seeds: tuple
-    shifts: tuple[Element, ...]
-    expected: str
-    recovers: tuple[Element, ...] | None = None
-
-
-def run_shift_trial(group: Group, bs, form: str, seed, trial: int,
-                    expect_negative: bool, rng) -> ShiftEntry:
-    """The roundtrip of ``trial``: ``nu_j`` is ``mu_j`` shifted by shifts
-    that leave both forms invariant, drawn from ``rng`` (the generator of
-    ``[seed, trial, 7]`` in a campaign), or ``mu_j`` itself when the
+def run_shift_trial(group: Group, bs, form: str, seed,
+                    expect_negative: bool, rngs) -> tuple:
+    """The roundtrips of trials ``t < len(rngs)`` as index rows,
+    ``(seeds, shifts, errors, expected)`` (``verify_shift_entries``):
+    ``mu_j`` is drawn from ``[seed, t, j]`` and shifted by row ``t`` of
+    ``identify.consistent_shift_rows`` of one draw from ``rngs[t]`` (the
+    generator of ``[seed, t, 7]`` in a campaign), or not at all when the
     campaign expects the hypotheses to fail."""
-    seeds = tuple([seed, trial, j] for j in range(3))
+    k = len(rngs)
+    seeds = [[[seed, t, j] for j in range(3)] for t in range(k)]
     if expect_negative:
-        return ShiftEntry(seeds, (group.zero,) * 3,
-                          identify.VERDICT_PRECONDITIONS)
-    x1 = group.element_at(int(rng.integers(0, group.size)))
-    shifts = consistent_shifts(bs, form, x1)
-    return ShiftEntry(seeds, shifts, identify.VERDICT_SHIFT, shifts)
+        return (seeds, np.zeros((k, 3), np.int64), [None] * k,
+                identify.VERDICT_PRECONDITIONS)
+    x1 = [rng.integers(0, group.size) for rng in rngs]
+    return (seeds, *identify.consistent_shift_rows(bs, form, x1),
+            identify.VERDICT_SHIFT)
 
 
-def run_shift_adversarial(group: Group, bs, form: str, seed, trial: int,
-                          expect_negative: bool, rng) -> ShiftEntry:
-    """The adversarial entry of ``trial``: only ``nu_1`` is shifted, by a
-    nonzero element drawn from ``rng`` (the generator of ``[seed, trial,
+def run_shift_adversarial(group: Group, bs, form: str, seed,
+                          expect_negative: bool, rngs) -> tuple:
+    """The adversarial entries of trials ``t < len(rngs)`` as index rows,
+    as ``run_shift_trial`` gives them: only ``nu_1`` is shifted, by a
+    nonzero element drawn from ``rngs[t]`` (the generator of ``[seed, t,
     17]`` in a campaign), which changes the joint law."""
-    x = group.element_at(1 + int(rng.integers(0, group.size - 1)))
-    return ShiftEntry(tuple([seed, trial, 10 + j] for j in range(3)),
-                      (x, group.zero, group.zero),
-                      identify.VERDICT_PRECONDITIONS if expect_negative
-                      else identify.VERDICT_MISMATCH)
+    k = len(rngs)
+    shifts = np.zeros((k, 3), np.int64)
+    shifts[:, 0] = [1 + rng.integers(0, group.size - 1) for rng in rngs]
+    return ([[[seed, t, 10 + j] for j in range(3)] for t in range(k)],
+            shifts, [None] * k, identify.VERDICT_PRECONDITIONS
+            if expect_negative else identify.VERDICT_MISMATCH)
 
 
-def verify_shift_entries(group: Group, bs, form: str, entries: list,
-                         tol: float, phases: Phases) -> list:
-    """The body entry of each ShiftEntry of ``entries``, in order, through
-    one stacked draw of every law and one ``identify.verify_shifts``.  An
-    entry whose draw failed becomes its GenerationError, and any other
-    item of ``entries`` passes through."""
-    todo = [e for e in entries if isinstance(e, ShiftEntry)]
-    n = group.size
+def verify_shift_entries(group: Group, bs, form: str, kinds, tol: float,
+                         phases: Phases) -> list:
+    """The body entries of a campaign, trial by trial and one of each of
+    ``kinds`` in a trial, through one stacked draw of every law and one
+    ``identify.verify_shifts``.  Each kind gives every trial's row
+    (``run_shift_trial``): the seeds of the laws ``mu_j``, the shifts to
+    ``nu_j``, which an entry expecting shifts must recover, the recipe's
+    error or None, and the expected verdict.  An entry whose recipe or
+    draw failed becomes its GroupIdentError."""
+    seeds, shifts, errors, expected = zip(*kinds)
+    # entry len(kinds) t + i is row t of kinds[i]
+    seeds, errors = ([x for row in zip(*f) for x in row]
+                     for f in (seeds, errors))
+    expected = list(expected) * len(shifts[0])
+    shifts = np.stack(shifts, axis=1).reshape(-1, 3)
     with phases.timed("draw_s"):
-        masses, chars, errors = random_masses(
-            group, [s for e in todo for s in e.seeds], 0.2)
-        errors = [next(filter(None, errors[3 * i:3 * i + 3]), None)
-                  for i in range(len(todo))]
-        drawn = [i for i, err in enumerate(errors) if err is None]
-        M = masses.reshape(-1, 3, n)[drawn]
-        C = chars.reshape(-1, 3, n)[drawn]
-        x = group.indices([s for i in drawn
-                           for s in todo[i].shifts]).reshape(-1, 3)
-        N = checked_masses(group, shifted_masses(group, M, x))
+        masses, chars, draw = random_masses(
+            group, [s for entry in seeds for s in entry], 0.2)
+        out = [next(filter(None, draw[3 * i:3 * i + 3]), None)
+               if e is None else e for i, e in enumerate(errors)]
+        ok = [i for i, e in enumerate(out) if e is None]
+        M, C = (a.reshape(-1, 3, group.size)[ok] for a in (masses, chars))
+        del masses, chars
+        N = checked_masses(group, shifted_masses(group, M, shifts[ok]))
         D = char_arrays(group, N)
-    errors = iter(errors)
-    reports = iter(identify.verify_shifts(form, bs, (M, C), (N, D), tol=tol,
-                                          phases=phases))
-    out = []
-    for e in entries:
-        if isinstance(e, ShiftEntry):
-            error = next(errors)
-            if error is not None:
-                e = error
-            else:
-                r = next(reports)
-                ok = r.verdict == e.expected and (e.recovers is None
-                                                  or r.shifts == e.recovers)
-                e = {**r.to_json_dict(), "expected": e.expected, "ok": ok}
-        out.append(e)
+    for i, r in zip(ok, identify.verify_shifts(form, bs, (M, C), (N, D),
+                                               tol=tol, phases=phases)):
+        recovered = r.shifts is None or r.shifts == group.points_at(shifts[i])
+        out[i] = {**r.to_json_dict(), "expected": expected[i],
+                  "ok": r.verdict == expected[i] and recovered}
     return out
 
 
@@ -234,17 +220,13 @@ def cmd_verify_shift(args) -> int:
         return 2
     start = time.perf_counter()
     phases = Phases()
-    setup = (group, bs, args.form, args.seed)
+    setup = (group, bs, args.form, args.seed, args.expect_negative)
     rngs = generators([[args.seed, t, j] for t in range(args.trials)
                        for j in (7, 17)])
-    entries = _attempts(
-        args.trials,
-        lambda t: run_shift_trial(*setup, t, args.expect_negative,
-                                  rngs[2 * t]),
-        lambda t: run_shift_adversarial(*setup, t, args.expect_negative,
-                                        rngs[2 * t + 1]))
+    kinds = (run_shift_trial(*setup, rngs[0::2]),
+             run_shift_adversarial(*setup, rngs[1::2]))
     body = _trials_body(
-        verify_shift_entries(group, bs, args.form, entries, args.tol, phases),
+        verify_shift_entries(group, bs, args.form, kinds, args.tol, phases),
         {"form": args.form, "group": list(group.orders), "coeffs": cs,
          "preconditions_hold": all(kernel_conditions(
              summed_variables(args.form, 3), bs).values()),
@@ -394,7 +376,8 @@ def _counterexample_kernel(args, group, cs, phases) -> tuple[dict, dict]:
     bs = _scalar_endos(group, cs)
     mus, nus = identify.kernel_counterexample(bs)
     non_shift = identify.recover_shift(mus[2], nus[2]) is None
-    report = identify.verify_form_II(bs, mus, nus)
+    with phases.timed("verifier_s"):
+        report = identify.verify_form_II(bs, mus, nus)
     residual = report.joint_residual
     tol = _counterexample_tol(args, FLOORS["joint_residual"](group))
     ok = (residual < tol and non_shift

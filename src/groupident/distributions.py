@@ -485,11 +485,13 @@ def mirror_plan(group: Group, plan: FactorPlan, chars: Sequence[np.ndarray],
                 phase: np.ndarray | None = None) -> tuple[FactorPlan, int]:
     """``plan`` with its reads at ``v`` cut to the mirror half, and its
     size, if each of ``chars`` and ``phase``, read at ``k mod L``, is
-    exactly conjugate-symmetric (a NaN is not); else ``plan`` and ``n``."""
-    tables = [(c, group.neg_index) for c in chars]
+    exactly conjugate-symmetric (a NaN is not), compared in row blocks;
+    else ``plan`` and ``n``."""
+    tables = [(c.reshape(-1, group.size), group.neg_index) for c in chars]
     if phase is not None:
-        tables.append((phase, -np.arange(len(phase)) % group.exponent))
-    if not all(np.array_equal(t[..., neg], t.conj()) for t, neg in tables):
+        tables.append((phase[None], -np.arange(len(phase)) % group.exponent))
+    if not all(np.array_equal(t[s][:, neg], t[s].conj()) for t, neg in tables
+               for s in row_blocks(len(t), len(neg))):
         return plan, group.size
     half = group.mirror[0]
     return tuple((U, V if V is None else V[half]) for U, V in plan), len(half)

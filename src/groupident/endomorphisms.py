@@ -88,6 +88,14 @@ class Endo:
             total = total * n + img[:, i] % n
         return total
 
+    @cached_property
+    def inverse_map(self) -> np.ndarray:
+        """``inverse_map[j]`` is the index of the one ``x`` with
+        ``index_map[x] = j``, or -1 where ``j`` has none or several."""
+        m, out = self.index_map, np.full(self.group.size, -1)
+        out[m] = self.group.every
+        return np.where(np.bincount(m, minlength=len(m)) == 1, out, -1)
+
     # -- algebra ---------------------------------------------------------------
 
     def __sub__(self, other: "Endo") -> "Endo":

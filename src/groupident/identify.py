@@ -182,35 +182,40 @@ def kotlarski_coeffs(group: Group) -> tuple[Endo, Endo, Endo]:
     return (Endo.zero(group), Endo.identity(group), Endo.identity(group))
 
 
-def _preimage(e: Endo, target: Element) -> Element:
-    """Unique preimage under a bijective endomorphism; PreconditionError
-    where ``target`` has none or several."""
-    hits = np.flatnonzero(e.index_map == e.group.index(target))
-    if len(hits) != 1:
-        raise PreconditionError(f"{target!r} has {len(hits)} preimages under "
-                                f"a coefficient that must be bijective")
-    return e.group.element_at(int(hits[0]))
+def consistent_shift_rows(bs: Sequence[Endo], form: str,
+                          x1) -> tuple[np.ndarray, list]:
+    """Shifts ``(x1, x2, x3)`` with ``sum a_j x_j = 0 = sum b_j x_j``, one
+    row of a ``(k, 3)`` index array per index of ``x1``, and each row's
+    PreconditionError or None.  Form I takes ``x2`` as the preimage of
+    ``-(b1-b3) x1`` under ``b2-b3`` and ``x3 = -(x1+x2)``, form II
+    ``x2 = -x1`` and ``x3`` as the preimage of ``-(b1-b2) x1`` under ``b3``.
+    That coefficient must be bijective, which is exactly the verification
+    precondition; where a row's target has none or several preimages, its
+    ``x2`` and ``x3`` read -1."""
+    g, x1 = bs[0].group, np.asarray(x1, dtype=np.int64)
+    form_I = summed_variables(form, 3)[2]
+    e, d = ((_coeff_diff(bs[1], bs[2]), _coeff_diff(bs[0], bs[2])) if form_I
+            else (bs[2], _coeff_diff(bs[0], bs[1])))
+    target = g.neg_idx(d.index_map[x1])
+    y = e.inverse_map[target]
+    rows = np.stack([x1, y, g.neg_idx(g.add_idx(x1, y))] if form_I
+                    else [x1, g.neg_idx(x1), y], axis=1)
+    rows[y < 0, 1:] = -1
+    counts = np.bincount(e.index_map, minlength=g.size)
+    return rows, [None if t < 0 else PreconditionError(
+        f"{g.element_at(t)!r} has {counts[t]} preimages under a "
+        f"coefficient that must be bijective")
+        for t in np.where(y < 0, target, -1).tolist()]
 
 
-def consistent_shifts(bs: Sequence[Endo], form: str, x1: Element):
-    """Shifts ``(x1, x2, x3)`` that leave both linear forms invariant.
-
-    Solves ``sum a_j x_j = 0`` and ``sum b_j x_j = 0`` for the last two
-    shifts given the first; requires the relevant coefficient differences to
-    be bijective, which is exactly the verification precondition.  Round-trip
-    constructions shift the components by these elements so the joint laws
-    agree exactly.
-    """
+def consistent_shifts(bs: Sequence[Endo], form: str,
+                      x1: Element) -> tuple[Element, ...]:
+    """``consistent_shift_rows`` of the one shift ``x1``, as elements."""
     g = bs[0].group
-    if summed_variables(form, 3)[2]:
-        rhs = g.neg(_coeff_diff(bs[0], bs[2]).apply(x1))
-        x2 = _preimage(_coeff_diff(bs[1], bs[2]), rhs)
-        x3 = g.neg(g.add(x1, x2))
-    else:
-        x2 = g.neg(x1)
-        rhs = g.neg(_coeff_diff(bs[0], bs[1]).apply(x1))
-        x3 = _preimage(bs[2], rhs)
-    return x1, x2, x3
+    rows, (error,) = consistent_shift_rows(bs, form, [g.index(x1)])
+    if error is not None:
+        raise error
+    return g.points_at(rows[0])
 
 
 def verify_pair_uniqueness(b1: Endo, b2: Endo, mus: Sequence[Distribution],

@@ -13,7 +13,7 @@ import numpy as np
 from groupident import Distribution, Endo, Group
 from groupident.distributions import LinearFormSpec
 from groupident.errors import (CapacityError, DomainError, GenerationError,
-                               WindowMarginError)
+                               PreconditionError, WindowMarginError)
 from groupident.funceq import _coeff_idx, kernel_conditions, summed_variables
 from groupident.groups import row_blocks
 
@@ -88,6 +88,29 @@ def _phase(orders, x, y):
 def _apply(orders, matrix, x):
     return tuple(sum(m * c for m, c in zip(row, x)) % n
                  for row, n in zip(matrix, orders))
+
+
+def consistent_shifts_percall(bs, form, x1):
+    """The shift recipe of one first shift ``x1`` on coordinate tuples, as
+    the package ran it before its index form: each preimage by a scan of
+    every element, PreconditionError where it is not unique."""
+    o, m = bs[0].group.orders, [b.matrix for b in bs]
+
+    def diff(i, j):
+        return [[a - b for a, b in zip(r, s)] for r, s in zip(m[i], m[j])]
+
+    def preimage(matrix, target):
+        hits = [x for x in group_elements(o) if _apply(o, matrix, x) == target]
+        if len(hits) != 1:
+            raise PreconditionError(
+                f"({','.join(map(str, target))}) has {len(hits)} preimages "
+                f"under a coefficient that must be bijective")
+        return hits[0]
+
+    if summed_variables(form, 3)[2]:
+        x2 = preimage(diff(1, 2), _neg(o, _apply(o, diff(0, 2), x1)))
+        return x1, x2, _neg(o, _add(o, x1, x2))
+    return x1, _neg(o, x1), preimage(m[2], _neg(o, _apply(o, diff(0, 1), x1)))
 
 
 def character_defect_oracle(orders, table, add=None):

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from groupident import cli, funceq
+from groupident import Endo, cli, funceq, identify
 from groupident.cli import (build_parser, find_shift_coeffs, main,
                             parse_group_family)
 from groupident.groups import TABLE_SIZE_LIMIT, Group
@@ -106,6 +107,29 @@ def test_verify_shift_unmet_kernel_condition_is_recorded(tmp_path):
     assert all(t["verdict"] == "preconditions-violated"
                for t in body["trials"] if t["kind"] == "adversarial")
     jsonschema.validate(report, load_schema())
+
+
+def test_verify_shift_roundtrip_must_recover_its_shifts(tmp_path,
+                                                       monkeypatch):
+    # A roundtrip passes only if the verifier recovers the very shifts its
+    # recipe applied: with every recovered shift read as zero, exactly the
+    # roundtrips whose shifts are not all zero fail.
+    argv = ("verify-shift", "--group", "7", "--trials", "6")
+    _, clean = run_cli(tmp_path, *argv)
+    real, zero = identify.verify_shifts, Group([7]).zero
+
+    def zeroed(*args, **kwargs):
+        return [r if r.shifts is None else
+                dataclasses.replace(r, shifts=(zero,) * 3)
+                for r in real(*args, **kwargs)]
+
+    monkeypatch.setattr(identify, "verify_shifts", zeroed)
+    code, report = run_cli(tmp_path, *argv)
+    assert code == 1
+    moved = [t["kind"] == "roundtrip" and t["shifts"] != [[0]] * 3
+             for t in clean["body"]["trials"]]
+    assert any(moved)
+    assert [not t["ok"] for t in report["body"]["trials"]] == moved
 
 
 def test_verify_shift_bad_group_exits_2(capsys):
@@ -403,6 +427,15 @@ def test_counterexample_cannot_construct_exits_2(capsys):
     assert "cannot construct" in capsys.readouterr().err
 
 
+def test_kernel_mass_reports_its_verifier_seconds(tmp_path):
+    code, report = run_cli(tmp_path, "counterexample", "--kind", "kernel-mass")
+    assert code == 0
+    timings = report["timings"]
+    assert set(timings) == {"seconds", "verifier_s"}
+    assert 0 <= timings["verifier_s"] <= timings["seconds"]
+    jsonschema.validate(report, load_schema())
+
+
 def test_invariants_suite(tmp_path):
     code, report = run_cli(tmp_path, "invariants", "--groups", "2..6,2x4")
     assert code == 0
@@ -430,6 +463,23 @@ def test_invariants_above_dense_table_gate(tmp_path, monkeypatch):
     assert code == 0
     assert report["body"]["results"] == [
         {"group": [41, 41], "characters_checked": 1681, "violations": []}]
+
+
+@pytest.mark.parametrize("argv", [("--group", "7"), ("--group", "5x5"),
+                                  ("--group", "4x3", "--form", "II"),
+                                  ("--group", "7x9", "--form", "II")])
+def test_verify_shift_runs_on_index_rows(tmp_path, monkeypatch, argv):
+    # The shift recipes, the draw and the verdicts of a campaign run on
+    # index arrays: no element arithmetic and no Endo.apply.
+    def refuse(*args):
+        raise AssertionError("an element operation ran")
+
+    for name in ("add", "neg", "_check"):
+        monkeypatch.setattr(Group, name, refuse)
+    monkeypatch.setattr(Endo, "apply", refuse)
+    code, report = run_cli(tmp_path, "verify-shift", *argv, "--trials", "5")
+    assert code == 0
+    assert report["body"]["counts"] == {"total": 10, "failed": 0}
 
 
 def test_invariants_empty_family_exits_2(capsys):

@@ -10,11 +10,13 @@ from groupident import (Distribution, Endo, Group, LinearFormSpec,
                         recover_shift, verify_form_I, verify_form_II,
                         verify_pair_uniqueness)
 from groupident import consistent_shifts
-from groupident.errors import ConstructionError
+from groupident.errors import ConstructionError, PreconditionError
 from groupident.funceq import (FunctionTable, ProductEquation, _coeff_diff,
-                               extract_character)
+                               extract_character, summed_variables)
 from groupident.identify import (VERDICT_MISMATCH, VERDICT_PRECONDITIONS,
-                                 VERDICT_SHIFT, VERDICT_UNIQUE)
+                                 VERDICT_SHIFT, VERDICT_UNIQUE,
+                                 consistent_shift_rows)
+from oracles import consistent_shifts_percall
 
 
 def scalar_endos(g, cs):
@@ -50,6 +52,56 @@ def test_form_I_roundtrip_on_z7():
         assert report.verdict == VERDICT_SHIFT
         assert report.shifts == shifts
         assert max(report.reconstruction_tv) < 1e-8
+
+
+# Each form solves through b2 - b3 (I) or b3 (II); of these coefficient
+# triples, each is bijective on some of the groups and not on others.
+RECIPE_COEFFS = [(0, 1, 2), (1, 3, 2), (0, 1, 1)]
+
+
+@pytest.mark.parametrize("form", ["I", "II"])
+@pytest.mark.parametrize("orders", [(7,), (4, 3), (5, 5)])
+def test_shift_rows_equal_the_element_recipe_on_every_element(orders, form):
+    """The rows of every element at once, the element wrapper and the
+    per-element recipe by scans agree, shifts and error strings alike."""
+    g = Group(orders)
+    for cs in RECIPE_COEFFS:
+        bs = scalar_endos(g, cs)
+        rows, errors = consistent_shift_rows(bs, form, g.every)
+        assert rows.shape == (g.size, 3) and len(errors) == g.size
+        for x, row, error in zip(g.points, rows, errors):
+            if error is None:
+                shifts = g.points_at(row)
+                assert consistent_shifts(bs, form, x) == shifts
+                assert consistent_shifts_percall(bs, form, x.coords) == tuple(
+                    y.coords for y in shifts)
+                continue
+            assert isinstance(error, PreconditionError)
+            assert row.tolist() == [g.index(x), -1, -1]
+            for recipe, point in ((consistent_shifts, x),
+                                  (consistent_shifts_percall, x.coords)):
+                with pytest.raises(PreconditionError) as raised:
+                    recipe(bs, form, point)
+                assert str(raised.value) == str(error)
+
+
+@pytest.mark.parametrize("form", ["I", "II"])
+@pytest.mark.parametrize("orders", [(7,), (4, 3), (5, 5)])
+def test_shift_rows_leave_both_forms_at_zero(orders, form):
+    g = Group(orders)
+    solved = 0
+    for cs in RECIPE_COEFFS:
+        bs = scalar_endos(g, cs)
+        rows, errors = consistent_shift_rows(bs, form, g.every)
+        rows = rows[[e is None for e in errors]]
+        solved += len(rows)
+        spec = LinearFormSpec.of(summed_variables(form, 3), bs)
+        for coeffs in (spec.coeffs1, spec.coeffs2):
+            total = np.zeros(len(rows), dtype=np.int64)
+            for c, x in zip(coeffs, rows.T):
+                total = g.add_idx(total, c.index_map[x])
+            assert not total.any(), cs
+    assert solved >= g.size
 
 
 def test_form_I_identical_inputs_gives_zero_shifts():

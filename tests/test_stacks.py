@@ -16,7 +16,7 @@ from groupident.distributions import (LinearFormSpec, char_arrays,
                                       shifted_masses)
 from groupident.errors import GenerationError
 from groupident.funceq import summed_variables
-from groupident.groups import VALUE_BLOCK
+from groupident.groups import VALUE_BLOCK, row_blocks
 from groupident.reporting import FLOORS
 from oracles import (char_array_dense, joint_residual_dense, random_dense,
                      recover_shift_dense)
@@ -42,35 +42,39 @@ def test_stacked_verifier_matches_batches_of_one_and_dense_oracles(case):
     negative = coeffs is not None
     bs = [Endo.scalar(g, c) for c in coeffs or find_shift_coeffs(g, form)]
     recipes = ((run_shift_trial, 7), (run_shift_adversarial, 17))
-    entries = [run(g, bs, form, 5, t, negative,
-                   np.random.default_rng([5, t, j]))
-               for t in range(trials) for run, j in recipes]
-    seeds = [s for e in entries for s in e.seeds]
+    kinds = [run(g, bs, form, 5, negative,
+                 [np.random.default_rng([5, t, j]) for t in range(trials)])
+             for run, j in recipes]
+    # (seeds, shift row, recipe error, expected verdict)
+    entries = [(seeds[t], shifts[t], errors[t], expected)
+               for t in range(trials)
+               for seeds, shifts, errors, expected in kinds]
+    assert all(e[2] is None for e in entries)
+    seeds = [s for e in entries for s in e[0]]
     masses, chars, errors = random_masses(g, seeds, 0.2)
     assert errors == [None] * len(seeds)
     mus = [random_dense(g, s, 0.2) for s in seeds]
     assert np.array_equal(masses, [d.masses for d in mus])
     M, C = (a.reshape(-1, 3, g.size) for a in (masses, chars))
-    N = shifted_masses(g, M, [[g.index(x) for x in e.shifts]
-                              for e in entries])
+    N = shifted_masses(g, M, [e[1] for e in entries])
     stacked = identify.verify_shifts(form, bs, (M, C), (N, char_arrays(g, N)))
     verify = getattr(identify, f"verify_form_{form}")
     summed = summed_variables(form, 3)
     spec = LinearFormSpec.of(summed, bs)
     floor = FLOORS["joint_residual"](g)
-    for i, (entry, got) in enumerate(zip(entries, stacked)):
+    for i, ((_, row, _, expected), got) in enumerate(zip(entries, stacked)):
+        shifts = g.points_at(row)
         ms = mus[3 * i:3 * i + 3]
-        ns = [m if x == g.zero else m.shift(x)
-              for m, x in zip(ms, entry.shifts)]
+        ns = [m if x == g.zero else m.shift(x) for m, x in zip(ms, shifts)]
         one = verify(bs, ms, ns)
-        assert got.verdict == one.verdict == entry.expected, i
+        assert got.verdict == one.verdict == expected, i
         assert got.preconditions == one.preconditions, i
         assert got.shifts == one.shifts, i
         assert abs(got.joint_residual - one.joint_residual) <= floor, i
         assert (abs(got.joint_residual - joint_residual_dense(spec, ms, ns))
                 <= floor), i
         if got.verdict == identify.VERDICT_SHIFT:
-            assert got.shifts == entry.recovers == tuple(
+            assert got.shifts == shifts == tuple(
                 recover_shift_dense(m, n) for m, n in zip(ms, ns)), i
             assert np.allclose(got.reconstruction_tv, one.reconstruction_tv,
                                rtol=0, atol=FLOORS["reconstruction_tv"](g))
@@ -192,6 +196,23 @@ def test_stacked_sweeps_build_small_blocks(group, k, monkeypatch):
         for e in range(k):
             assert joint_residuals(spec, left[e:e + 1],
                                    rhs[e:e + 1])[0] == got[e]
+
+
+def test_mirror_plan_checks_every_row_block():
+    """A stack of several row blocks halves the sweep only if each block
+    is conjugate-symmetric: one entry changed in the last block, or a
+    NaN there, makes it read every column."""
+    g = parse_group("1021")
+    bs = [Endo.scalar(g, c) for c in find_shift_coeffs(g, "I")]
+    plan = distributions.factor_plan(LinearFormSpec.form_I(bs).pairs)
+    _, chars, _ = random_masses(g, [[19, i] for i in range(300)], 0.2)
+    stack = chars.reshape(100, 3, g.size)
+    assert len(row_blocks(300, g.size)) > 1
+    assert distributions.mirror_plan(g, plan, [stack])[1] == (g.size + 1) // 2
+    for bad in (stack[-1, -1, 1] + 1e-3, np.nan):
+        broken = stack.copy()
+        broken[-1, -1, 1] = bad
+        assert distributions.mirror_plan(g, plan, [stack, broken])[1] == g.size
 
 
 @pytest.mark.parametrize("group, k", [("7x9", 7), ("1021", 3)])

@@ -133,6 +133,10 @@ ARGVS = [
     # entries on a group of rank 8, and of 87 and 13 on Z30xZ50.
     _shift("2x2x2x2x2x2x2x2", "II", "6"),
     _shift("30x50", "II", "50"),
+    # Coefficients that are not bijective: each roundtrip records the error
+    # of its shift recipe, "(x) has k preimages ...".
+    ["verify-shift", "--group", "6", "--coeffs", "0,3,3", "--form", "I",
+     "--trials", "4", "--seed", "3"],
 ]
 
 
