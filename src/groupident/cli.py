@@ -98,23 +98,6 @@ def _finish(command: str, config: dict, body: dict, start: float,
 KINDS = ("roundtrip", "adversarial")
 
 
-def _attempts(count: int, roundtrip, adversarial) -> list:
-    """``run(t)`` of each trial ``t < count`` and each run of ``KINDS``, in
-    that order, or the GroupIdentError it raised.  A WindowMarginError
-    ends the campaign: the window's margin is fixed by the configuration,
-    so every trial hits it."""
-    out = []
-    for t in range(count):
-        for run in (roundtrip, adversarial):
-            try:
-                out.append(run(t))
-            except WindowMarginError:
-                raise
-            except GroupIdentError as exc:
-                out.append(exc)
-    return out
-
-
 def _trials_body(entries: list, fields: dict) -> dict:
     """Body of a campaign's entries, a roundtrip and an adversarial entry
     per trial.  A GroupIdentError in place of an entry is recorded as
@@ -243,12 +226,8 @@ def cmd_verify_shift(args) -> int:
 # -- gaussian campaign -----------------------------------------------------------------
 
 
-def run_gaussian_trial(lattice, bs, form: str, seed, trial: int,
-                       tol: float) -> dict:
-    muhats, nuhats, sigmas, _ = solenoid.synth_gaussian_instance(
-        lattice, bs, [seed, trial], form)
-    report = getattr(solenoid, "verify_gaussian_form_" + form)(
-        bs, muhats, nuhats, tol=tol)
+def run_gaussian_trial(report, sigmas, tol: float) -> dict:
+    """The body entry of a roundtrip, whose fits must recover ``sigmas``."""
     # The difference of two nearby floats is exact.
     sigma_err = Measured(max(abs(fit.sigma - s)
                              for fit, s in zip(report.fits, sigmas)),
@@ -258,16 +237,36 @@ def run_gaussian_trial(lattice, bs, form: str, seed, trial: int,
             "expected": solenoid.VERDICT_GAUSSIAN, "ok": ok}
 
 
-def run_gaussian_adversarial(lattice, bs, form: str, seed, trial: int,
-                             tol: float) -> dict:
-    muhats, nuhats, _, _ = solenoid.synth_gaussian_instance(
-        lattice, bs, [seed, trial, 1], form)
-    quartic = np.exp(-0.4 * (nuhats[0].idx / lattice.denominator) ** 4)
-    nuhats[0] = nuhats[0].map_values(lambda v: v * quartic)
-    report = getattr(solenoid, "verify_gaussian_form_" + form)(
-        bs, muhats, nuhats, tol=tol)
+def run_gaussian_adversarial(report) -> dict:
+    """The body entry of an adversarial trial: ``nu_1`` carries an extra
+    ``exp(-0.4 y^4)``, so the verdict must not be Gaussian."""
     return {**report.to_json_dict(), "expected": "negative-verdict",
             "ok": report.verdict != solenoid.VERDICT_GAUSSIAN}
+
+
+def verify_gaussian_entries(lattice, bs, form: str, seed, trials: range,
+                            tol: float, phases: Phases) -> list:
+    """The body entries of ``trials``, a roundtrip (generator ``[seed, t]``)
+    then an adversarial entry (``[seed, t, 1]``) per trial, from one
+    ``solenoid.synth_gaussian_stack`` and one ``verify_gaussian_form_*`` of
+    them all.  An entry that raised becomes its GroupIdentError."""
+    with phases.timed("synth_s"):
+        try:
+            muhats, nuhats, sigmas, _ = solenoid.synth_gaussian_stack(
+                lattice, bs, generators([[seed, t, *kind] for t in trials
+                                         for kind in ((), (1,))]), form)
+        except GroupIdentError as exc:  # from the coefficients and form
+            return [exc] * (2 * len(trials))
+        quartic = np.exp(-0.4 * (lattice.every / lattice.denominator) ** 4)
+        nu = nuhats[0].values.copy()
+        nu[1::2] *= quartic
+        nuhats[0] = nuhats[0].map_values(lambda _: nu)
+    return [r if isinstance(r, GroupIdentError)
+            else run_gaussian_adversarial(r) if i % 2
+            else run_gaussian_trial(r, sigmas, tol)
+            for i, r in enumerate(getattr(
+                solenoid, "verify_gaussian_form_" + form)(
+                    bs, muhats, nuhats, tol=tol, phases=phases))]
 
 
 def cmd_verify_gaussian(args) -> int:
@@ -282,21 +281,24 @@ def cmd_verify_gaussian(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     start = time.perf_counter()
-    setup = (lattice, cs, args.form, args.seed)
+    phases = Phases()
+    # Trials per run, two entries each: see solenoid.RUN_VALUES.
+    step = max(1, solenoid.RUN_VALUES // (8 * len(lattice.every)))
     try:
-        body = _trials_body(
-            _attempts(args.trials,
-                      lambda t: run_gaussian_trial(*setup, t, args.tol),
-                      lambda t: run_gaussian_adversarial(*setup, t, args.tol)),
-            {"form": args.form, "base": base, "depth": args.depth,
-             "radius": args.radius, "coeffs": [str(c) for c in cs]})
+        entries = [e for t in range(0, args.trials, step)
+                   for e in verify_gaussian_entries(
+                       lattice, cs, args.form, args.seed,
+                       range(t, min(t + step, args.trials)), args.tol, phases)]
     except WindowMarginError as exc:
         print(f"margin error: {exc}", file=sys.stderr)
         return 2
+    body = _trials_body(entries, {
+        "form": args.form, "base": base, "depth": args.depth,
+        "radius": args.radius, "coeffs": [str(c) for c in cs]})
     config = {"base": args.base, "depth": args.depth, "radius": args.radius,
               "coeffs": args.coeffs, "form": args.form, "trials": args.trials,
               "seed": args.seed, "tol": args.tol}
-    return _finish("verify-gaussian", config, body, start, args.out)
+    return _finish("verify-gaussian", config, body, start, args.out, phases)
 
 
 # -- counterexamples -------------------------------------------------------------------

@@ -128,6 +128,11 @@ def require_kernel_conditions(summed: Sequence[bool],
 # -- function tables -----------------------------------------------------------
 
 
+def _per_row(f, a: np.ndarray):
+    """A check's result per row of ``f``; a scalar for a table."""
+    return a if f.values.ndim > 1 else a[0].item()
+
+
 def _box_idx(box: tuple[int, int, int]) -> np.ndarray:
     """The indices ``j s``, ``lo <= j <= hi``, of ``box = (s, lo, hi)``."""
     s, lo, hi = box
@@ -149,7 +154,10 @@ class FunctionTable:
 
     A table is its domain, the int64 domain indices ``idx`` of its support
     in index order (on a window the grid indices ``m = y*D``) and the
-    aligned complex ``values``; every operator computes on ``idx``.  The
+    aligned complex ``values`` (float64 for a real table); every operator
+    computes on ``idx``.  A stack of tables on one box holds ``(k, len(idx))``
+    values, a row per table: operators act along the last axis, and each
+    check gives a result per row, where a table gives a scalar.  The
     support is a box, ``idx = {j s : lo <= j <= hi}`` for ``box = (s, lo,
     hi)``: the whole group, or a progression of a window.  Every operator
     returns a box: a window ``diff`` restriction, a pullback by ``p/q`` and
@@ -180,7 +188,9 @@ class FunctionTable:
     @classmethod
     def _at(cls, domain, idx: np.ndarray, values) -> "FunctionTable":
         """The table with ``values`` at the box ``idx``, in index order."""
-        vals = np.asarray(values, dtype=np.complex128)
+        vals = np.asarray(values)
+        if vals.dtype != np.float64:
+            vals = np.asarray(vals, dtype=np.complex128)
         idx.setflags(write=False)
         vals.setflags(write=False)
         t = cls.__new__(cls)
@@ -235,7 +245,8 @@ class FunctionTable:
         i = self._position(p)
         if i < 0:
             raise DomainError(f"{p!r} is not in the table domain")
-        return complex(self.values[i])
+        v = self.values[..., i]
+        return v if v.ndim else complex(v)
 
     def __len__(self) -> int:
         return len(self.idx)
@@ -267,12 +278,13 @@ class FunctionTable:
     def ratio(self, other: "FunctionTable") -> "FunctionTable":
         """Pointwise ``self/other`` on the common support."""
         has, q = self._common(other)
-        den = other.values[q]
+        den = other.values[..., q]
         if np.any(den == 0):
             raise VanishingFactorError("division by a vanishing table")
         # inf / inf is NaN, which every verdict on the ratio fails.
         with np.errstate(invalid="ignore"):
-            return self._at(self.domain, self.idx[has], self.values[has] / den)
+            return self._at(self.domain, self.idx[has],
+                            self.values[..., has] / den)
 
     def pullback(self, beta) -> "FunctionTable":
         """The table ``v -> f(beta v)`` where ``beta v`` is in the table."""
@@ -280,13 +292,13 @@ class FunctionTable:
         img, ok = _coeff_idx(beta, every)
         q = np.where(ok, _box_positions(self.box, img), -1)
         rows = np.flatnonzero(q >= 0)
-        return self._at(self.domain, every[rows], self.values[q[rows]])
+        return self._at(self.domain, every[rows], self.values[..., q[rows]])
 
     def times(self, other: "FunctionTable") -> "FunctionTable":
         """Pointwise ``self*other`` on the common support."""
         has, q = self._common(other)
         return self._at(self.domain, self.idx[has],
-                        self.values[has] * other.values[q])
+                        self.values[..., has] * other.values[..., q])
 
     # -- structural checks -------------------------------------------------------
 
@@ -296,11 +308,18 @@ class FunctionTable:
     def hermitian_defect(self) -> float:
         """Max of ``|f(-y) - conj(f(y))|`` over points whose negation is present."""
         neg = _box_positions(self.box, self.domain.neg_idx(self.idx))
-        has, v = neg >= 0, self.values
-        return float(np.max(np.abs(v[neg[has]] - np.conj(v[has])), initial=0.0))
+        has, v = neg >= 0, np.atleast_2d(self.values)
+        return _per_row(self, np.max(np.abs(v[:, neg[has]] - np.conj(v[:, has])),
+                                     axis=1, initial=0.0))
 
     def nonvanishing(self, tol: float = 0.0) -> bool:
-        return bool(np.min(np.abs(self.values)) > tol)
+        return _per_row(self, np.min(np.abs(np.atleast_2d(self.values)),
+                                     axis=1) > tol)
+
+    def rows(self, which) -> "FunctionTable":
+        """The stack of rows ``which`` of a stack; a table is one row."""
+        return self._at(self.domain, self.idx,
+                        np.atleast_2d(self.values)[which])
 
 
 # -- plans ---------------------------------------------------------------------
@@ -439,27 +458,37 @@ def is_polynomial(f: FunctionTable, n: int, tol: float = 1e-9) -> bool:
     at the longest step read here, and one wrong value shows at step ``s``
     at least as much as at any other; a table may still pass here and fail
     a step not read.  The first step, which a higher degree fails, goes first.
-    A NaN difference is not at most ``tol``, so it fails.
+    A NaN difference is not at most ``tol``, so it fails.  On a stack, the
+    verdict of each row; a row that fails a block skips the next.
     """
     if n < 0:
         raise DomainError("polynomial degree bound must be >= 0")
-    v = f.values
+    v = np.atleast_2d(f.values)
+    ok = np.ones(len(v), dtype=bool)
     for q, at, live in _generator_plan(f.domain, f.box, n + 1)[1]:
-        d = v[q] - v
+        r = np.flatnonzero(ok)
+        w = v if len(r) == len(v) else v[r]
+        d = w[:, q] - w[:, None, :]
         for _ in range(n):
-            d = d.take(at) - d
-        if (~(np.abs(d) <= tol) & live).any():
-            return False
-    return True
+            d = d.reshape(len(w), -1)[:, at] - d
+        ok[r] = ~(~(np.abs(d) <= tol) & live).any(axis=(1, 2))
+        if not ok.any():
+            break
+    return _per_row(f, ok)
 
 
-def least_degree(f: FunctionTable, max_degree: int,
+def least_degree(f: FunctionTable, max_degree,
                  tol: float = 1e-9) -> int | None:
-    """Smallest ``d <= max_degree`` with ``is_polynomial(f, d)``, else None."""
-    for d in range(max_degree + 1):
-        if is_polynomial(f, d, tol):
-            return d
-    return None
+    """Smallest ``d <= max_degree`` with ``is_polynomial(f, d)``, else None;
+    on a stack, -1 for None, with ``max_degree`` for all rows or per row."""
+    top = np.broadcast_to(max_degree, np.atleast_2d(f.values).shape[:1])
+    out = np.full(len(top), -1)
+    for d in range(int(np.max(top, initial=-1)) + 1):
+        open_ = np.flatnonzero((out < 0) & (d <= top))
+        if not len(open_):
+            break
+        out[open_[is_polynomial(f.rows(open_), d, tol)]] = d
+    return out if f.values.ndim > 1 else (None if out[0] < 0 else int(out[0]))
 
 
 # -- character and Bernstein tests ----------------------------------------------
@@ -473,13 +502,14 @@ def character_defect(f: FunctionTable) -> float:
     about ``w d``, ``w`` the number of shifts that sum to ``y``: a word
     length on a group, about ``log2(|y| / s)`` on a window."""
     z, blocks = _generator_plan(f.domain, f.box, None)
-    v = f.values
-    out = np.abs(v[z] - 1.0)
+    v = np.atleast_2d(f.values)
+    out = np.abs(v[:, z] - 1.0)
     for q, _, has in blocks:
         # Entry (e, x) holds f(x + e) - f(x) f(e); f(e) is at 0 + e.
-        d = v[q] - v * v[q[:, z], None]
-        out = np.maximum(out, np.max(np.abs(d), where=has, initial=0.0))
-    return float(out)
+        d = v[:, q] - v[:, None, :] * v[:, q[:, z], None]
+        out = np.maximum(out, np.max(np.abs(d), axis=(1, 2), where=has,
+                                     initial=0.0))
+    return _per_row(f, out)
 
 
 def is_character(f: FunctionTable, tol: float = 1e-9) -> bool:
@@ -694,30 +724,38 @@ def _sweep_plan(dom, boxes: tuple, rhs: tuple | None, *betas) -> tuple:
     return tuple(blocks)
 
 
-def _sweep_max(tables, betas, rhs, defect) -> float:
-    """Max of ``defect`` over the pairs ``(u, v)`` that keep every argument inside.
+def _sweep_max(tables, betas, rhs, defect):
+    """Max of ``defect`` over the pairs ``(u, v)`` that keep every argument
+    inside.
 
     ``u`` runs over the support of ``tables[0]``, ``v`` over the domain
-    points where ``rhs`` is defined.  For each row block of ``v``, ``defect``
-    is called with ``vals``, which yields ``tables[j]`` at ``u + betas[j] v``
-    for each ``j`` in turn, with ``rhs`` at ``v`` (None without a right-hand
-    side) and with the number of pairs; all are flat over the block's pairs.
-    The pairs and their positions depend on the boxes and coefficients
-    only; that plan is cached, and a call only gathers values along it.  A
-    NaN in any block reaches the maximum.
+    points where ``rhs`` is defined.  For each row block of ``v``, and in
+    runs of rows of about ``VALUE_BLOCK`` values (one row at least),
+    ``defect`` is called with ``vals``, which yields ``tables[j]`` at
+    ``u + betas[j] v`` for each ``j`` in turn, with ``rhs`` at ``v`` (None
+    without a right-hand side) and with the shape ``(rows, pairs)`` of
+    each.  The pairs and their positions depend on the boxes and
+    coefficients only; that plan is cached, and a call only gathers values
+    along it.  A NaN in any block reaches the maximum of its row.
     """
+    vals = [np.atleast_2d(t.values) for t in tables]
+    rv = None if rhs is None else np.atleast_2d(rhs.values)
     worst = None
     for pos, at, counts in _sweep_plan(
             tables[0].domain, tuple(t.box for t in tables),
             None if rhs is None else rhs.box, *betas):
-        vals = (f.values[p] for f, p in zip(tables, pos))
-        r = None if rhs is None else np.repeat(rhs.values[at], counts)
-        block = np.max(defect(vals, r, len(pos[0])))
+        block = np.empty(len(vals[0]))
+        for s in row_blocks(len(block), len(pos[0]), VALUE_BLOCK):
+            r = None if rv is None else np.repeat(
+                np.take(rv[s], at, axis=1), counts, axis=1)
+            block[s] = np.max(defect((np.take(v[s], p, axis=1)
+                                      for v, p in zip(vals, pos)), r,
+                                     (len(block[s]), len(pos[0]))), axis=1)
         worst = block if worst is None else np.maximum(worst, block)
     if worst is None:
         raise WindowMarginError(
             "no (u, v) pair keeps every argument inside its table")
-    return float(worst)
+    return _per_row(tables[0], worst)
 
 
 def _product_defect(vals, r, pairs) -> np.ndarray:
@@ -734,7 +772,7 @@ def _product_defect(vals, r, pairs) -> np.ndarray:
 
 def _sum_defect(vals, r, pairs) -> np.ndarray:
     """``|psi_1 + ... + psi_n - rhs|`` per pair; ``rhs`` is 0 when absent."""
-    total = np.zeros(pairs, dtype=np.complex128)
+    total = np.zeros(pairs)
     for v in vals:
         total = total + v
     return np.abs(total - (0.0 if r is None else r))
@@ -860,15 +898,20 @@ def shifted_sum_degrees(psis: Sequence[FunctionTable],
     each ``psi_j`` must be a polynomial of degree at most ``n-1``; when the
     right-hand side vanishes identically the bound improves to ``n-2``.  The
     report carries the observed equation residual and the least degree found
-    for each function.
+    for each function; on stacks, each row's report.
     """
     n = len(psis)
     if n < 2 or len(betas) != n:
         raise DomainError("need n >= 2 summands with matching coefficients")
     require_kernel_conditions((True,) * n, betas)
-    worst = _sweep_max(psis, betas, rhs, _sum_defect)
-    rhs_zero = rhs is None or bool(np.max(np.abs(rhs.values)) <= tol)
-    bound = n - 2 if rhs_zero else n - 1
-    degrees = tuple(least_degree(psi, bound, tol) for psi in psis)
-    within = worst <= tol and all(d is not None for d in degrees)
-    return DegreeReport(float(worst), degrees, bound, rhs_zero, bool(within))
+    worst = np.atleast_1d(_sweep_max(psis, betas, rhs, _sum_defect))
+    rhs_zero = (np.ones(len(worst), dtype=bool) if rhs is None else
+                np.max(np.abs(np.atleast_2d(rhs.values)), axis=1) <= tol)
+    bound = np.where(rhs_zero, n - 2, n - 1)
+    degrees = np.stack([least_degree(psi.rows(slice(None)), bound, tol)
+                        for psi in psis], axis=1)
+    out = [DegreeReport(w, tuple(None if d < 0 else d for d in ds), b, z,
+                        w <= tol and min(ds) >= 0)
+           for w, ds, b, z in zip(worst.tolist(), degrees.tolist(),
+                                  bound.tolist(), rhs_zero.tolist())]
+    return out if psis[0].values.ndim > 1 else out[0]

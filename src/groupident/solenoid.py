@@ -15,22 +15,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (CapacityError, DomainError, InvalidEndomorphismError,
-                     PreconditionError, VanishingFactorError,
-                     WindowMarginError)
-from .funceq import (DegreeReport, FunctionTable, ProductEquation,
-                     character_defect, least_degree,
-                     require_kernel_conditions, shifted_sum_degrees,
-                     summed_variables)
-from .reporting import FLOORS, Measured, evidence_float
+from .errors import (CapacityError, DomainError, GroupIdentError,
+                     InvalidEndomorphismError, PreconditionError,
+                     VanishingFactorError, WindowMarginError)
+from .funceq import (PLAN_CACHE_SIZE, DegreeReport, FunctionTable,
+                     ProductEquation, _box_idx, character_defect,
+                     least_degree, require_kernel_conditions,
+                     shifted_sum_degrees, summed_variables)
+from .reporting import FLOORS, Measured, Phases, evidence_float
 
 FIT_TOL = 1e-8
 EQUATION_TOL = 1e-8
+
+# Values of each (k, 4, n) table stack of a campaign's run of entries, so
+# that a campaign's memory grows with its window and not with its trials:
+# a run holds 6 trials (12 entries) at radius 160, where n = 321.
+RUN_VALUES = 1 << 14
 
 
 # -- the lattice window ------------------------------------------------------------
@@ -160,25 +165,33 @@ class SolenoidCharModel:
         return self.phases[-1]
 
 
-def character_gaussian_values(lattice: RationalLattice, phase: Fraction,
-                              sigma: float) -> FunctionTable:
+def character_gaussian_values(lattice: RationalLattice, phase,
+                              sigma) -> FunctionTable:
     """Table ``y -> exp(2 pi i m phase) * exp(-sigma y^2)`` for ``y = m/D``.
 
     The sign of ``sigma`` is free here; this is the building block for ratio
     tables, where a negative rate means the Gaussian sits on the other side.
+    For an array of phases and rates, broadcast together, the stack with a
+    row per phase, or CapacityError if any row's Gaussian overflows.
     """
-    a, b = Fraction(phase).as_integer_ratio()
-    D, r = lattice.denominator, lattice.radius
+    a, b = (np.array(x, dtype=object)[:, None] for x in zip(*(
+        Fraction(p).as_integer_ratio() for p in np.ravel(phase))))
+    D, r, m = lattice.denominator, lattice.radius, lattice.every
     # Exact turns (m a mod b)/b: |m (a mod b)| < r b, so int64 holds the
-    # products while r b < 2^63; beyond that they are Python integers.
-    m = lattice.every.astype(np.int64 if r * b < 2 ** 63 else object)
-    turns = (m * (a % b) % b / b).astype(float)
+    # products of the rows with r b < 2^63; the rest take Python integers.
+    a, small = a % b, (r * b < 2 ** 63)[:, 0].astype(bool)
+    turns = np.empty((len(a), len(m)))
+    for rows, dtype in ((small, np.int64), (~small, object)):
+        if rows.any():
+            m_, a_, b_ = (x.astype(dtype) for x in (m, a[rows], b[rows]))
+            turns[rows] = (m_ * a_ % b_ / b_).astype(float)
+    turns = turns.reshape(np.shape(phase) + m.shape)
     with np.errstate(over="ignore"):
-        gauss = np.exp(-sigma * (m / D).astype(float) ** 2)
+        gauss = np.exp(-np.asarray(sigma, dtype=float)[..., None]
+                       * (m / D) ** 2)
     if np.isinf(gauss).any():
         raise CapacityError("exp(-sigma y^2) exceeds the float range")
-    return FunctionTable._at(lattice, lattice.every,
-                             np.exp(2j * np.pi * turns) * gauss)
+    return FunctionTable._at(lattice, m, np.exp(2j * np.pi * turns) * gauss)
 
 
 def gaussian_table(lattice: RationalLattice,
@@ -270,7 +283,19 @@ class GaussianFitResult:
         return dict(vars(self))
 
 
-def fit_gaussian_ratio(f: FunctionTable, tol: float = FIT_TOL) -> GaussianFitResult:
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _fit_window(box: tuple, D: int) -> tuple:
+    """The points ``y`` of a window box (read-only), ``fsum(y^4)``, and the
+    floors' exact ``max y^2 sum y^2 / sum y^4`` and ``max y^2``."""
+    idx = _box_idx(box)
+    ys = idx / D
+    ys.setflags(write=False)
+    m2 = [m * m for m in idx.tolist()]  # exact, so the floors are too
+    return (ys, math.fsum(ys ** 4),
+            max(m2) * sum(m2) / sum(m * m for m in m2), max(m2) / D ** 2)
+
+
+def fit_gaussian_ratio(f: FunctionTable, tol: float = FIT_TOL):
     """Factor a ratio table as character times ``exp(-sigma y^2)``.
 
     ``sigma`` is the least-squares slope of ``log|f|`` against ``-y^2``
@@ -278,37 +303,37 @@ def fit_gaussian_ratio(f: FunctionTable, tol: float = FIT_TOL) -> GaussianFitRes
     first); the verdict fails when the modulus deviates from the fitted
     Gaussian by more than ``tol`` times ``max(1, |f|)`` anywhere on the
     window, or when the phase part is not multiplicative.  The reported
-    ``modulus_residual`` is the absolute deviation.
+    ``modulus_residual`` is the absolute deviation.  On a stack, the list
+    of each row's result.
     """
     if len(f) < 7:
         raise WindowMarginError("gaussian fit needs at least 3 points per side")
-    if not f.nonvanishing(0.0):
+    if not np.all(f.nonvanishing(0.0)):
         raise VanishingFactorError("gaussian fit needs a nonvanishing table")
-    D = f.domain.denominator
-    mods = np.abs(f.values)
-    ys = f.idx / D
+    ys, den, spread, y2 = _fit_window(f.box, f.domain.denominator)
+    mods = np.abs(np.atleast_2d(f.values))
     logs = np.log(mods)
     with np.errstate(invalid="ignore"):  # an infinite value gives NaN
-        num = math.fsum(-ys ** 2 * logs)
-        den = math.fsum(ys ** 4)
-        sigma = num / den if den > 0 else 0.0
-        devs = np.abs(mods - np.exp(-sigma * ys ** 2))
+        sigma = np.array([math.fsum(r) / den if den > 0 else 0.0
+                          for r in (-ys ** 2 * logs).tolist()])
+        devs = np.abs(mods - np.exp(-sigma[:, None] * ys ** 2))
     # The bound is relative where the modulus exceeds 1: an exact ratio
     # with modulus near 5e8 carries rounding of about 1e-7.
-    modulus_ok = bool(np.all(devs <= tol * np.maximum(1.0, mods)))
-    defect = character_defect(f.phase_part())
+    modulus_ok = np.all(devs <= tol * np.maximum(1.0, mods), axis=1)
+    defect = np.atleast_1d(character_defect(f.phase_part()))
     # On a window, is_character is this test of the same defect.
-    phase_ok = not defect > max(tol, 1e-9)
-    ok = modulus_ok and phase_ok
-    psi, scale = float(np.max(np.abs(logs))), max(1.0, float(np.max(mods)))
-    m2 = [m * m for m in f.idx.tolist()]  # exact, so the floors are too
-    spread, y2 = max(m2) * sum(m2) / sum(m * m for m in m2), max(m2) / D ** 2
-    # fmax: a NaN deviation, from an infinite value, hides no finite one.
-    return GaussianFitResult(
-        Measured(sigma, FLOORS["sigma"](psi, spread, y2), signed=True),
-        Measured(np.fmax.reduce(devs),
-                 FLOORS["modulus_residual"](scale, psi, spread)),
-        bool(phase_ok), Measured(defect, FLOORS["phase_defect"]), bool(ok))
+    phase_ok = ~(defect > max(tol, 1e-9))
+    # fmax: a NaN deviation, from an infinite value, hides no finite one;
+    # and max(1, |f|) reads 1 where |f| is NaN.
+    out = [GaussianFitResult(
+        Measured(sig, FLOORS["sigma"](psi, spread, y2), signed=True),
+        Measured(dev, FLOORS["modulus_residual"](scale, psi, spread)),
+        p_ok, Measured(d, FLOORS["phase_defect"]), ok)
+        for sig, dev, psi, scale, d, p_ok, ok in zip(*(a.tolist() for a in (
+            sigma, np.fmax.reduce(devs, axis=1), np.max(np.abs(logs), axis=1),
+            np.fmax(1.0, np.max(mods, axis=1)), defect, phase_ok,
+            modulus_ok & phase_ok)))]
+    return out if f.values.ndim > 1 else out[0]
 
 
 # -- the four-variable verifiers ------------------------------------------------------------
@@ -350,105 +375,149 @@ class GaussianIdentReport:
         }
 
 
-def _ratio_tables(muhats, nuhats) -> list[FunctionTable]:
-    if len(muhats) != len(nuhats):
-        raise DomainError("need equally many tables on both sides")
-    for t in (*muhats, *nuhats):
-        if not t.nonvanishing(0.0):
-            raise PreconditionError("all tables must be nonvanishing")
-    fs = [nu.ratio(mu) for mu, nu in zip(muhats, nuhats)]
-    for j, f in enumerate(fs):
-        # Ratios of characteristic functions are normalized and Hermitian;
-        # symmetry is checked relative to the modulus where it exceeds 1.
-        # An infinite ratio caps to NaN, which is not within 1e-6.
-        with np.errstate(invalid="ignore"):
-            capped = f.map_values(lambda v: v / np.maximum(1.0, np.abs(v)))
-        if not (abs(f.value_at_zero() - 1.0) <= 1e-6
-                and capped.hermitian_defect() <= 1e-6):
-            raise PreconditionError(
-                f"ratio table {j + 1} is not a characteristic-function ratio")
-    return fs
+def _verify_gaussian(form: str, bs, muhats, nuhats, tol: float,
+                     phases: Phases | None):
+    """The report of each entry of the stacks ``muhats`` and ``nuhats``
+    (factor ``j`` of every entry on one box), or the first GroupIdentError
+    the entry alone raises; on tables, the report.  Each step runs once on
+    the open entries: the ratio tables, where an entry may fail and leave,
+    their product equation on the window, each log-modulus degree through
+    the shifted-sum equation, and a factoring of each ratio as character
+    times Gaussian, timed in ``phases``.  Another error raised on the stack
+    goes to each open entry verified alone; a WindowMarginError propagates.
+    Form I also checks the power sums of the fitted rates; in form II the
+    fourth ratio moves to the right-hand side and its log-modulus must be
+    quadratic on its own."""
+    phases = Phases() if phases is None else phases
+    stack = muhats[0].values.ndim > 1
+    inputs = muhats, nuhats = [[t.rows(slice(None)) for t in ts]
+                               for ts in (muhats, nuhats)]
+    out = [None] * len(muhats[0].values)
+    rows = np.arange(len(out))
+
+    def fail(error, bad, *stacks) -> list:
+        """Close the open entries where any of ``bad`` with ``error``."""
+        nonlocal rows
+        bad = np.any(bad, axis=0)
+        for i in rows[bad]:
+            out[i] = error
+        rows = rows[~bad]
+        return [[t.rows(~bad) for t in stack] if bad.any() else stack
+                for stack in stacks]
+
+    try:
+        if len(bs) != 4:
+            raise PreconditionError(f"form {form} takes four coefficients")
+        summed, vals = summed_variables(form, 4), [_coeff_value(b) for b in bs]
+        require_kernel_conditions(summed, vals)
+        with phases.timed("ratio_tables_s"):
+            if len(muhats) != len(nuhats):
+                raise DomainError("need equally many tables on both sides")
+            muhats, nuhats = fail(
+                PreconditionError("all tables must be nonvanishing"),
+                [~t.nonvanishing(0.0) for t in (*muhats, *nuhats)], muhats,
+                nuhats)
+            fs = [nu.ratio(mu) for mu, nu in zip(muhats, nuhats) if len(rows)]
+            for j in range(len(fs)):
+                # Ratios of characteristic functions are normalized and
+                # Hermitian, relative to the modulus where it exceeds 1; an
+                # infinite ratio caps to NaN, which is not within 1e-6.
+                with np.errstate(invalid="ignore"):
+                    capped = fs[j].map_values(
+                        lambda v: v / np.maximum(1.0, np.abs(v)))
+                fs, = fail(PreconditionError(
+                    f"ratio table {j + 1} is not a characteristic-function "
+                    "ratio"), [~(np.abs(fs[j].value_at_zero() - 1.0) <= 1e-6),
+                               ~(capped.hermitian_defect() <= 1e-6)], fs)
+            if not len(rows):
+                return _entries(stack, out)
+            lattice, m, rhs = fs[0].domain, sum(summed), None
+            if m < 4:
+                # Right-hand side 1/f4(b4 v), where b4 v stays in the table.
+                rhs = fs[3].pullback(vals[3]).map_values(lambda v: 1.0 / v)
+                if not len(rhs):
+                    raise WindowMarginError(
+                        "fourth coefficient maps the window outside")
+        with phases.timed("product_equation_s"):
+            psis = [f.log_modulus() for f in fs]
+            psi = [max(r) for r in zip(*(
+                np.max(np.abs(p.values), axis=1).tolist() for p in psis))]
+            eq = ProductEquation(tuple(zip(fs[:m], vals[:m])),
+                                 rhs).residual_defect().tolist()
+        with phases.timed("sum_equation_s"):
+            neg_psi4 = extra = None
+            if rhs is not None:
+                neg_psi4 = psis[3].pullback(vals[3]).map_values(np.negative)
+                extra = least_degree(psis[3], 2, tol=max(tol, 1e-9)).tolist()
+            degs = shifted_sum_degrees(psis[:m], vals[:m], neg_psi4,
+                                       tol=max(tol, 1e-9))
+        with phases.timed("gaussian_fit_s"):
+            fits = list(zip(*(fit_gaussian_ratio(f) for f in fs)))
+    except WindowMarginError:
+        raise
+    except GroupIdentError as exc:
+        # An error of the whole stack: each open entry's own outcome.
+        for i in rows:
+            out[i] = exc if len(rows) == 1 else _verify_gaussian(
+                form, bs, *([t.rows([i]) for t in ts] for ts in inputs), tol,
+                None)[0]
+        return _entries(stack, out)
+    for i, row in enumerate(rows):
+        eq_defect = Measured(eq[i], FLOORS["equation_defect"](psi[i]))
+        deg = replace(degs[i], equation_defect=Measured(
+            degs[i].equation_defect, FLOORS["sum_equation_defect"](psi[i])))
+        extra_degree = None if extra is None or extra[i] < 0 else extra[i]
+        sums = None
+        if rhs is None:
+            sums = tuple(Measured(abs(math.fsum(
+                fit.sigma * float(b) ** k for fit, b in zip(fits[i], vals))),
+                FLOORS["sigma_sum"](k, fits[i], vals)) for k in range(3))
+        failures = []
+        if not eq_defect <= tol:
+            shown = evidence_float(eq_defect, eq_defect.floor)
+            failures.append(f"product equation defect {shown:.2e}")
+        for j, fit in enumerate(fits[i]):
+            if not fit.ok:
+                failures.append(f"factor {j + 1} is not character*gaussian")
+        if not deg.within_bound:
+            failures.append("log-modulus degree bound violated")
+        if rhs is not None and extra_degree is None:
+            failures.append("fourth log-modulus is not quadratic on the window")
+        if sums is not None and any(s > 1e-8 for s in sums):
+            failures.append("fitted rates violate the power-sum constraints")
+        verdict = (VERDICT_MISMATCH if not eq_defect <= tol else
+                   VERDICT_NOT_GAUSSIAN if failures else VERDICT_GAUSSIAN)
+        out[row] = GaussianIdentReport(form, tuple(vals), repr(lattice),
+                                       eq_defect, deg, extra_degree, fits[i],
+                                       sums, tuple(failures), verdict)
+    return _entries(stack, out)
 
 
-def _verify_gaussian(form: str, bs, muhats: Sequence[FunctionTable],
-                     nuhats: Sequence[FunctionTable],
-                     tol: float) -> GaussianIdentReport:
-    """Check the product equation of the ratio tables on the window, bound
-    each log-modulus degree through the shifted-sum equation and factor each
-    ratio as character times Gaussian.  Form I also checks the power sums of
-    the fitted rates; in form II the fourth ratio moves to the right-hand
-    side and its log-modulus must be quadratic on its own."""
-    if len(bs) != 4:
-        raise PreconditionError(f"form {form} takes four coefficients")
-    summed = summed_variables(form, 4)
-    vals = [_coeff_value(b) for b in bs]
-    require_kernel_conditions(summed, vals)
-    fs = _ratio_tables(muhats, nuhats)
-    lattice, m = fs[0].domain, sum(summed)
-    rhs = None
-    if m < 4:
-        # Right-hand side 1/f4(b4 v), defined where b4 v stays in the table.
-        rhs = fs[3].pullback(vals[3]).map_values(lambda v: 1.0 / v)
-        if not len(rhs):
-            raise WindowMarginError("fourth coefficient maps the window outside")
-    psis = [f.log_modulus() for f in fs]
-    psi = max(float(np.max(np.abs(p.values))) for p in psis)
-    eq_defect = Measured(ProductEquation(tuple(zip(fs[:m], vals[:m])),
-                                         rhs).residual_defect(),
-                         FLOORS["equation_defect"](psi))
-    neg_psi4 = extra_degree = sums = None
-    if rhs is not None:
-        neg_psi4 = psis[3].pullback(vals[3]).map_values(np.negative)
-        extra_degree = least_degree(psis[3], 2, tol=max(tol, 1e-9))
-    deg = shifted_sum_degrees(psis[:m], vals[:m], neg_psi4,
-                              tol=max(tol, 1e-9))
-    deg = replace(deg, equation_defect=Measured(
-        deg.equation_defect, FLOORS["sum_equation_defect"](psi)))
-    fits = tuple(fit_gaussian_ratio(f) for f in fs)
-    if rhs is None:
-        sums = tuple(Measured(abs(math.fsum(fit.sigma * float(b) ** k
-                                            for fit, b in zip(fits, vals))),
-                              FLOORS["sigma_sum"](k, fits, vals))
-                     for k in range(3))
-    failures = []
-    if not eq_defect <= tol:
-        shown = evidence_float(eq_defect, eq_defect.floor)
-        failures.append(f"product equation defect {shown:.2e}")
-    for j, fit in enumerate(fits):
-        if not fit.ok:
-            failures.append(f"factor {j + 1} is not character*gaussian")
-    if not deg.within_bound:
-        failures.append("log-modulus degree bound violated")
-    if rhs is not None and extra_degree is None:
-        failures.append("fourth log-modulus is not quadratic on the window")
-    if sums is not None and any(s > 1e-8 for s in sums):
-        failures.append("fitted rates violate the power-sum constraints")
-    if not eq_defect <= tol:
-        verdict = VERDICT_MISMATCH
-    elif failures:
-        verdict = VERDICT_NOT_GAUSSIAN
-    else:
-        verdict = VERDICT_GAUSSIAN
-    return GaussianIdentReport(form, tuple(vals), repr(lattice), eq_defect,
-                               deg, extra_degree, fits, sums,
-                               tuple(failures), verdict)
+def _entries(stack: bool, out: list):
+    """``out`` for a stack; for a table its one outcome, raised if an error."""
+    if not stack and isinstance(out[0], GroupIdentError):
+        raise out[0]
+    return out if stack else out[0]
 
 
 def verify_gaussian_form_I(bs, muhats: Sequence[FunctionTable],
                            nuhats: Sequence[FunctionTable], *,
-                           tol: float = EQUATION_TOL) -> GaussianIdentReport:
+                           tol: float = EQUATION_TOL,
+                           phases: Phases | None = None):
     """Four variables, ``L_1 = xi_1+...+xi_4``: components are pinned down up
     to a Gaussian convolution when all pairwise coefficient differences are
-    nonzero."""
-    return _verify_gaussian("I", bs, muhats, nuhats, tol)
+    nonzero.  On stacks, each entry's outcome (``_verify_gaussian``)."""
+    return _verify_gaussian("I", bs, muhats, nuhats, tol, phases)
 
 
 def verify_gaussian_form_II(bs, muhats: Sequence[FunctionTable],
                             nuhats: Sequence[FunctionTable], *,
-                            tol: float = EQUATION_TOL) -> GaussianIdentReport:
+                            tol: float = EQUATION_TOL,
+                            phases: Phases | None = None):
     """Four variables, ``L_1 = xi_1+xi_2+xi_3``: the fourth ratio enters the
-    equation composed with its coefficient alone, which must be injective."""
-    return _verify_gaussian("II", bs, muhats, nuhats, tol)
+    equation composed with its coefficient alone, which must be injective.
+    On stacks, each entry's outcome (``_verify_gaussian``)."""
+    return _verify_gaussian("II", bs, muhats, nuhats, tol, phases)
 
 
 # -- synthetic instances for campaigns and round-trip tests -----------------------------
@@ -486,24 +555,30 @@ def form_sigmas(bs: Sequence[Fraction], scale: float,
     return tuple(sigmas)
 
 
+def synth_gaussian_stack(lattice: RationalLattice, bs, rngs, form: str = "I"):
+    """``(muhats, nuhats, sigmas, phases)``, an exactly valid ratio system
+    per generator of ``rngs``, which draws ``r_1``, ``r_2`` and each muhat's
+    phase: ``muhats[j]`` stacks factor ``j``, a row per generator.  Ratio
+    rates are 0.1 times the nullspace generator; muhats have rate 0.25."""
+    vals = [_coeff_value(b) for b in bs]
+    D = lattice.denominator
+    draws = [[Fraction(int(rng.integers(0, D)), D) for _ in range(6)]
+             for rng in rngs]
+    summed = summed_variables(form, 4)
+    phases = [phase_solution(summed, vals, *d[:2]) for d in draws]
+    sigmas = form_sigmas(vals, 0.1, form)
+    mus = character_gaussian_values(lattice, [d[2:] for d in draws], 0.25)
+    nus = mus.times(character_gaussian_values(lattice, phases, sigmas))
+    muhats, nuhats = ([t.map_values(lambda v: np.ascontiguousarray(v[:, j]))
+                       for j in range(4)] for t in (mus, nus))
+    return muhats, nuhats, sigmas, phases
+
+
 def synth_gaussian_instance(lattice: RationalLattice, bs, seed,
                             form: str = "I"):
-    """Seeded (muhats, nuhats, sigmas, phases) with an exactly valid ratio system.
-
-    Ratio rates are 0.1 times the nullspace generator; every muhat has rate 0.25.
-    """
-    vals = [_coeff_value(b) for b in bs]
-    rng = np.random.default_rng(seed)
-    D = lattice.denominator
-    r1 = Fraction(int(rng.integers(0, D)), D)
-    r2 = Fraction(int(rng.integers(0, D)), D)
-    phases = phase_solution(summed_variables(form, 4), vals, r1, r2)
-    sigmas = form_sigmas(vals, 0.1, form)
-    muhats, nuhats = [], []
-    for j in range(4):
-        t = Fraction(int(rng.integers(0, D)), D)
-        mu = character_gaussian_values(lattice, t, 0.25)
-        ratio = character_gaussian_values(lattice, phases[j], sigmas[j])
-        muhats.append(mu)
-        nuhats.append(mu.times(ratio))
-    return muhats, nuhats, sigmas, phases
+    """Seeded (muhats, nuhats, sigmas, phases) with an exactly valid ratio
+    system: ``synth_gaussian_stack`` with the generator of ``seed``."""
+    muhats, nuhats, sigmas, phases = synth_gaussian_stack(
+        lattice, bs, [np.random.default_rng(seed)], form)
+    return ([t.rows(0) for t in muhats], [t.rows(0) for t in nuhats],
+            sigmas, phases[0])

@@ -289,6 +289,20 @@ def test_verify_shift_reports_phase_timings(tmp_path, argv):
     jsonschema.validate(report, load_schema())
 
 
+@pytest.mark.parametrize("form", ["I", "II"])
+def test_verify_gaussian_reports_phase_timings(tmp_path, form):
+    code, report = run_cli(tmp_path, "verify-gaussian", "--form", form,
+                           "--radius", "40", "--trials", "2")
+    assert code == 0
+    timings = report["timings"]
+    phases = {"synth_s", "ratio_tables_s", "product_equation_s",
+              "sum_equation_s", "gaussian_fit_s"}
+    assert set(timings) == {"seconds"} | phases
+    assert all(isinstance(v, float) and v >= 0 for v in timings.values())
+    assert sum(timings[k] for k in phases) <= timings["seconds"]
+    jsonschema.validate(report, load_schema())
+
+
 def test_invariants_report_phase_timings(tmp_path):
     code, report = run_cli(tmp_path, "invariants", "--groups", "2..4,6x6")
     assert code == 0

@@ -235,11 +235,12 @@ def test_verify_form_I_rejects_non_quadratic_modulus():
 
 def test_nan_equation_defect_is_a_mismatch(monkeypatch):
     # A NaN product-equation defect is not within the tolerance.  No
-    # table that passes the ratio tests gives one, so the sweep returns it.
+    # table that passes the ratio tests gives one, so the sweep returns it,
+    # one per row of the verifier's stack of one.
     lat = make_lattice([2, 3, 5], 2, 60)
     mus, nus, _, _ = synth_gaussian_instance(lat, [1, 2, 3, 4], 5, "I")
     monkeypatch.setattr(ProductEquation, "residual_defect",
-                        lambda self: math.nan)
+                        lambda self: np.array([math.nan]))
     report = verify_gaussian_form_I([1, 2, 3, 4], mus, nus)
     assert math.isnan(report.equation_defect)
     assert report.verdict == VERDICT_MISMATCH

@@ -3,21 +3,29 @@ run as batches of one and against the dense oracles: the stacked draw,
 the joint residuals, the shift search and the verdicts of a campaign's
 entries."""
 
+import json
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from groupident import Endo, distributions, identify
+from groupident import Endo, distributions, identify, solenoid
 from groupident.cli import (find_shift_coeffs, main, parse_group,
-                            run_shift_adversarial, run_shift_trial)
+                            run_gaussian_adversarial, run_gaussian_trial,
+                            run_shift_adversarial, run_shift_trial,
+                            verify_gaussian_entries)
 from groupident.distributions import (LinearFormSpec, char_arrays,
-                                      joint_residuals, random_masses,
-                                      shifted_masses)
-from groupident.errors import GenerationError
+                                      generators, joint_residuals,
+                                      random_masses, shifted_masses)
+from groupident.errors import (GenerationError, GroupIdentError,
+                               WindowMarginError)
 from groupident.funceq import summed_variables
 from groupident.groups import VALUE_BLOCK, row_blocks
-from groupident.reporting import FLOORS
+from groupident.reporting import FLOORS, Phases
+from groupident.solenoid import (make_lattice, synth_gaussian_instance,
+                                 synth_gaussian_stack, verify_gaussian_form_I)
 from oracles import (char_array_dense, joint_residual_dense, random_dense,
                      recover_shift_dense)
 
@@ -252,4 +260,129 @@ def test_campaign_memory_does_not_grow_with_its_trials(tmp_path):
             tracemalloc.stop()
 
     peak(1)  # builds the cached plans and group tables
+    assert peak(40) <= 1.25 * peak(8)
+
+
+# -- verify-gaussian campaigns as one stack -------------------------------
+
+# (base, depth, coefficients): the coefficient sets of compare_bodies.
+GAUSS_COEFFS = [("2,3,5", 2, "1,2,3,4"), ("2,3", 1, "1/2,1,3/2,2"),
+                ("2,3", 1, "1,2,3,1/2"), ("2,3", 1, "1,2,4,3/2")]
+
+
+def gaussian_entry_alone(lattice, cs, form, seed, t, kind, tol):
+    """One campaign entry through the single-table API: its synthesis,
+    ``verify_gaussian_form_*`` on it alone and its body entry, or the
+    GroupIdentError one of them raises."""
+    try:
+        mus, nus, sigmas, _ = synth_gaussian_instance(
+            lattice, cs, [seed, t, 1][:2 + kind], form)
+        if kind:
+            nus[0] = nus[0].map_values(lambda v: v * np.exp(
+                -0.4 * (lattice.every / lattice.denominator) ** 4))
+        report = getattr(solenoid, f"verify_gaussian_form_{form}")(
+            cs, mus, nus, tol=tol)
+    except WindowMarginError:
+        raise
+    except GroupIdentError as exc:
+        return exc
+    return (run_gaussian_adversarial(report) if kind
+            else run_gaussian_trial(report, sigmas, tol))
+
+
+def full_precision(entry) -> str:
+    """An entry with every float at full precision, or its error."""
+    if isinstance(entry, GroupIdentError):
+        return f"{type(entry).__name__}: {entry}"
+    return json.dumps(entry, sort_keys=True)
+
+
+@settings(max_examples=30, deadline=None)
+@given(radius=st.integers(7, 200), form=st.sampled_from(["I", "II"]),
+       coeffs=st.sampled_from(GAUSS_COEFFS), seed=st.integers(0, 2 ** 40),
+       trials=st.integers(1, 3))
+def test_stacked_gaussian_campaign_matches_entries_alone(radius, form, coeffs,
+                                                         seed, trials):
+    """Every entry of a stacked campaign equals the single-table API on
+    that entry alone, field for field at full precision, errors included;
+    a margin error ends both."""
+    base, depth, text = coeffs
+    lattice = make_lattice([int(a) for a in base.split(",")], depth, radius)
+    cs = [Fraction(c) for c in text.split(",")]
+    try:
+        alone = [gaussian_entry_alone(lattice, cs, form, seed, t, kind, 1e-8)
+                 for t in range(trials) for kind in (0, 1)]
+    except WindowMarginError:
+        with pytest.raises(WindowMarginError):
+            verify_gaussian_entries(lattice, cs, form, seed, range(trials),
+                                    1e-8, Phases())
+        return
+    got = verify_gaussian_entries(lattice, cs, form, seed, range(trials),
+                                  1e-8, Phases())
+    assert [full_precision(e) for e in got] == [
+        full_precision(e) for e in alone]
+
+
+def test_one_bad_entry_fails_alone_with_its_first_error():
+    """In one stack of eight entries, five are spoiled: a vanishing muhat,
+    a vanishing muhat with a non-Hermitian ratio besides, an infinite first
+    ratio with a non-Hermitian third ratio besides, a non-Hermitian third
+    ratio, and a ratio that underflows to 0 at a symmetric pair of points,
+    whose VanishingFactorError the stack raises for all.  Each gets the
+    first error it raises alone; the others keep their clean reports."""
+    lattice = make_lattice([2, 3, 5], 2, 60)
+    cs = [Fraction(c) for c in (1, 2, 3, 4)]
+    rngs = generators([[17, t] for t in range(8)])
+    mus, nus, _, _ = synth_gaussian_stack(lattice, cs, rngs, "I")
+    clean = verify_gaussian_form_I(cs, mus, nus)
+    M = [t.values.copy() for t in mus]
+    N = [t.values.copy() for t in nus]
+    y = lattice.radius + 7  # the point 7/D, and -7/D at radius - 7
+    M[2][1, 5] = 0
+    M[0][3, 9] = 0
+    N[1][3, y] *= np.exp(1e-3j)
+    N[0][4, 20] = np.inf
+    N[2][4, y] *= np.exp(1e-3j)
+    N[2][5, y] *= np.exp(1e-3j)
+    M[1][6, [y, 2 * lattice.radius - y]] = 2.0
+    N[1][6, [y, 2 * lattice.radius - y]] = 5e-324
+    spoiled = [[t.map_values(lambda _, v=v: v) for t, v in zip(ts, vs)]
+               for ts, vs in ((mus, M), (nus, N))]
+    got = verify_gaussian_form_I(cs, *spoiled)
+    want = {1: "all tables must be nonvanishing",
+            3: "all tables must be nonvanishing",
+            4: "ratio table 1 is not a characteristic-function ratio",
+            5: "ratio table 3 is not a characteristic-function ratio",
+            6: "log-modulus of a vanishing table"}
+    for i, entry in enumerate(got):
+        alone = [[t.rows([i]) for t in ts] for ts in spoiled]
+        if i in want:
+            assert isinstance(entry, GroupIdentError), i
+            assert str(entry) == want[i], i
+            with pytest.raises(GroupIdentError, match=want[i]):
+                verify_gaussian_form_I(cs, *([t.rows(0) for t in ts]
+                                             for ts in alone))
+        else:
+            one, = verify_gaussian_form_I(cs, *alone)
+            assert entry.verdict == solenoid.VERDICT_GAUSSIAN, i
+            assert (full_precision(entry.to_json_dict())
+                    == full_precision(clean[i].to_json_dict())
+                    == full_precision(one.to_json_dict())), i
+
+
+def test_gaussian_campaign_memory_does_not_grow_with_its_trials(tmp_path):
+    """A campaign runs in runs of entries (``solenoid.RUN_VALUES``): the
+    traced peak of 40 trials at radius 160 stays within 1.25 times that of
+    8."""
+    def peak(trials: int) -> int:
+        argv = ["verify-gaussian", "--radius", "160", "--trials", str(trials),
+                "--out", str(tmp_path / "r.json")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # builds the cached plans
     assert peak(40) <= 1.25 * peak(8)

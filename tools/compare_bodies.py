@@ -137,6 +137,13 @@ ARGVS = [
     # of its shift recipe, "(x) has k preimages ...".
     ["verify-shift", "--group", "6", "--coeffs", "0,3,3", "--form", "I",
      "--trials", "4", "--seed", "3"],
+    # A Gaussian campaign is verified as one stack: stacks of 24 entries,
+    # stacks whose every entry records its error, and a mixed stack whose
+    # roundtrips pass and whose adversarial entries fail.
+    *(["verify-gaussian", "--form", form, "--radius", "60", "--trials", "12",
+       "--seed", "5"] for form in ("I", "II")),
+    *(_gauss(form, 1600) for form in ("I", "II")),
+    _gauss("II", 200),
 ]
 
 
