@@ -266,8 +266,15 @@ class FunctionTable:
         """Unit-modulus table ``f/|f|``; NaN where ``f`` is infinite."""
         if np.any(self.values == 0):
             raise VanishingFactorError("phase part of a vanishing table")
+        v = self.values
+        # Complex division by |f| takes 1/|f|, which overflows where |f| is
+        # subnormal; those values are first scaled by 2**54, exactly.
+        tiny = np.abs(v) < np.finfo(float).tiny
+        if tiny.any():
+            v = v.copy()
+            v[tiny] *= 2.0 ** 54
         with np.errstate(invalid="ignore"):
-            return self.map_values(lambda v: v / np.abs(v))
+            return self._at(self.domain, self.idx, v / np.abs(v))
 
     def _common(self, other: "FunctionTable") -> tuple[np.ndarray, np.ndarray]:
         """Positions of the common support in ``self`` and in ``other``."""

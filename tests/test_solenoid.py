@@ -307,6 +307,16 @@ def test_phase_parts_pass_bernstein():
         assert bernstein_check(phase, tol=1e-8)
 
 
+def test_phase_part_of_subnormal_values_is_unit():
+    # complex division by a subnormal modulus would overflow to inf
+    lat = make_lattice([2, 3, 5], 2, 30)
+    small = np.array([5.5e-309, -5e-324j, 3e-310 + 4e-310j])
+    f = FunctionTable.constant(lat).map_values(lambda v: np.r_[small, v[3:]])
+    phase = f.phase_part().values
+    assert np.allclose(phase[:3], [1, -1j, 0.6 + 0.8j], rtol=0, atol=1e-12)
+    assert np.all(phase[3:] == 1)
+
+
 def test_rational_coefficient_path():
     # a non-integer coefficient restricts the usable v grid but still verifies
     lat = make_lattice([2, 3, 5, 2], 2, 60)
