@@ -173,6 +173,38 @@ def adjoint_pair_oracle(orders, a, b):
                for x in elements for y in elements)
 
 
+def index_map_oracle(orders, matrix):
+    """Position of ``A x`` in ``group_elements`` at the position of each
+    ``x``."""
+    elements = group_elements(orders)
+    where = {x: i for i, x in enumerate(elements)}
+    return [where[_apply(orders, matrix, x)] for x in elements]
+
+
+def suite_matrices_percall(orders, seed):
+    """The invariant suite's random matrices as it drew them one entry at a
+    time: entry ``(i, j)`` a multiple of ``n_i / gcd(n_i, n_j)``."""
+    rng = np.random.default_rng([seed, math.prod(orders)])
+    out = []
+    for _ in range(3):
+        out.append(tuple(
+            tuple(int(rng.integers(0, math.gcd(n, m))) * (n // math.gcd(n, m))
+                  for m in orders) for n in orders))
+    return out
+
+
+def kernel_oracle(orders, matrix):
+    """The ``x`` with ``A x = 0``, in lexicographic order."""
+    zero = (0,) * len(orders)
+    return [x for x in group_elements(orders)
+            if _apply(orders, matrix, x) == zero]
+
+
+def image_oracle(orders, matrix):
+    """The points ``A x``, each once, in lexicographic order."""
+    return sorted({_apply(orders, matrix, x) for x in group_elements(orders)})
+
+
 def is_subgroup_oracle(orders, subset):
     members = set(subset)
     return ((0,) * len(orders) in members

@@ -11,10 +11,11 @@ import pytest
 
 from groupident import Endo, cli, funceq, identify
 from groupident.cli import (build_parser, find_shift_coeffs, main,
-                            parse_group_family)
+                            parse_group_family, run_invariant_suite)
 from groupident.groups import TABLE_SIZE_LIMIT, Group
 from groupident.fixtures import read_distribution, read_table
 from groupident.reporting import FLOORS, body_bytes, load_schema
+from oracles import suite_matrices_percall
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 TOOL = SRC.parent / "tools" / "compare_bodies.py"
@@ -506,6 +507,43 @@ def test_invariants_injected_fault_exits_1(tmp_path):
                            "--inject-fault", "adjoint")
     assert code == 1
     assert any("adjoint identity" in v for v in report["body"]["violations"])
+
+
+@pytest.mark.parametrize("orders", [(5,), (6,), (2, 2, 2, 2), (8, 4, 2)],
+                         ids=lambda o: "x".join(map(str, o)))
+def test_injected_fault_breaks_each_identity_that_reads_the_adjoint(orders):
+    # Every adjoint of the stack has its [0][0] entry moved, so each of the
+    # four identities that read it fails; the size product reads no adjoint.
+    g = Group(orders)
+    assert run_invariant_suite(g, 0, "adjoint")["violations"] == [
+        f"{name} on {g!r}" for name in (
+            "adjoint identity", "dense-image equivalence", "double adjoint",
+            "image/annihilator identity")]
+
+
+@pytest.mark.parametrize("orders", [(12,), (1, 5), (6, 6), (2, 3, 5),
+                                    (8, 4, 2), (2, 2, 2, 2), (100, 100)],
+                         ids=lambda o: "x".join(map(str, o)))
+def test_suite_draws_its_matrices_entry_by_entry(orders):
+    g = Group(orders)
+    for seed in (0, 1, 24, 2 ** 64 + 5):
+        got = [e.matrix for e in cli._suite_endos(g, seed)]
+        assert got[-3:] == suite_matrices_percall(orders, seed)
+
+
+def test_invariant_suite_checks_the_index_maps_it_reads(monkeypatch):
+    # The identity's map sends 1 to 2: no homomorphism, a kernel of one
+    # element and an image of four on Z5.
+    index_maps = cli.index_maps
+
+    def moved(group, A):
+        maps = index_maps(group, A)
+        maps[0, 1] = maps[0, 2]
+        return maps
+
+    monkeypatch.setattr(cli, "index_maps", moved)
+    assert run_invariant_suite(Group([5]), 0)["violations"] == [
+        "adjoint identity on Z5", "kernel-image size product on Z5"]
 
 
 DETERMINISM_ARGVS = {

@@ -1,8 +1,19 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from groupident import Endo, Group, annihilator
+from groupident import Endo, Group, annihilator, is_subgroup
+from groupident.endomorphisms import (adjoint_pairs, adjoints,
+                                      annihilator_idx, annihilator_masks,
+                                      image_masks, index_maps, is_adjoint_pair,
+                                      kernel_masks, subgroup_generators)
 from groupident.errors import DomainError, InvalidEndomorphismError
+from oracles import (adjoint_pair_oracle, annihilator_oracle, image_oracle,
+                     index_map_oracle, is_adjoint_pair_sweep,
+                     is_subgroup_oracle, kernel_oracle)
 
 
 def test_make_endo_constraint_examples():
@@ -165,3 +176,129 @@ def test_kernel_image_size_product():
         g = Group(orders)
         for e in _sample_endos(g):
             assert len(e.kernel()) * len(e.image()) == g.size
+
+
+def test_adjoint_pair_of_different_groups_is_a_domain_error():
+    z6 = Endo.identity(Group([6]))
+    for other in (Group([2, 3]), Group([4])):
+        with pytest.raises(DomainError):
+            is_adjoint_pair(z6, Endo.identity(other))
+        with pytest.raises(DomainError):
+            is_adjoint_pair(Endo.identity(other), z6)
+
+
+@pytest.mark.parametrize("idx", [[7], [6], [-1], [0, -1], [0.0], [0, 1.5],
+                                 [[0]], [True], [None]],
+                         ids=repr)
+def test_annihilator_indices_outside_the_group_are_a_domain_error(idx):
+    with pytest.raises(DomainError, match="integers in"):
+        annihilator_idx(Group([6]), np.asarray(idx))
+
+
+def test_annihilator_of_no_indices_is_not_a_subgroup():
+    for idx in ([], np.array([], dtype=np.int64)):
+        with pytest.raises(DomainError, match="must be a subgroup"):
+            annihilator_idx(Group([6]), idx)
+    assert annihilator_idx(Group([6]), [0, 3]).tolist() == [0, 2, 4]
+
+
+# -- the stacked checks, row by row, against the per-element oracles --------
+
+# Groups of rank 1-3, factors of order 1 included, of at most 24 elements.
+ORDERS = st.lists(st.integers(1, 6), min_size=1, max_size=3).filter(
+    lambda o: math.prod(o) <= 24)
+
+
+@st.composite
+def matrix_stacks(draw, orders, count):
+    """``count`` well-defined matrices: entry ``(i, j)`` is a multiple of
+    ``n_i / gcd(n_i, n_j)`` below ``n_i``."""
+    k = len(orders)
+    return np.array([[[draw(st.integers(0, math.gcd(n, m) - 1))
+                       * (n // math.gcd(n, m)) for m in orders]
+                      for n in orders] for _ in range(count)],
+                    dtype=np.int64).reshape(count, k, k)
+
+
+def points(g, mask):
+    return [x.coords for x in g.points_at(np.flatnonzero(mask))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_stacked_adjoint_checks_match_the_oracles(data):
+    """The adjoints of random matrices and random well-defined "adjoints",
+    whose pair and double-adjoint identities fail where they are wrong,
+    and index maps moved at one point, which are not homomorphisms."""
+    orders = tuple(data.draw(ORDERS))
+    g = Group(orders)
+    A = data.draw(matrix_stacks(orders, 3))
+    wrong = data.draw(matrix_stacks(orders, 3))
+    adj = adjoints(g, A)
+    stack = np.concatenate([A, adj, wrong])
+    maps = index_maps(g, stack)
+    for m, M in zip(maps, stack):
+        assert m.tolist() == index_map_oracle(orders, M.tolist())
+    for b, rows in ((adj, maps[3:6]), (wrong, maps[6:])):
+        want = [adjoint_pair_oracle(orders, a.tolist(), c.tolist())
+                for a, c in zip(A, b)]
+        assert adjoint_pairs(g, maps[:3], rows).tolist() == want
+        assert adjoint_pairs(g, rows, maps[:3]).tolist() == want
+        # The adjoint is unique and an involution.
+        assert (adjoints(g, b) == A).all(axis=(1, 2)).tolist() == want
+    assert adjoint_pairs(g, maps[:3], maps[3:6]).all()
+    x = data.draw(st.integers(0, g.size - 1))
+    moved = maps[3:6].copy()
+    moved[:, x] = (moved[:, x] + 1) % g.size
+    want = [is_adjoint_pair_sweep(SimpleNamespace(group=g, index_map=a),
+                                  SimpleNamespace(group=g, index_map=b))
+            for a, b in zip(maps[:3], moved)]
+    assert adjoint_pairs(g, maps[:3], moved).tolist() == want
+    assert adjoint_pairs(g, moved, maps[:3]).tolist() == want
+    assert g.size == 1 or not any(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_stacked_kernels_images_and_annihilators_match_the_oracles(data):
+    orders = tuple(data.draw(ORDERS))
+    g = Group(orders)
+    stack = data.draw(matrix_stacks(orders, 4))
+    maps = index_maps(g, stack)
+    kernels, images = kernel_masks(maps), image_masks(maps)
+    annihilators = annihilator_masks(g, kernels)
+    for M, kernel, image, ann in zip(stack.tolist(), kernels, images,
+                                     annihilators):
+        want = kernel_oracle(orders, M)
+        assert points(g, kernel) == want
+        assert points(g, image) == image_oracle(orders, M)
+        assert points(g, ann) == annihilator_oracle(orders, want)
+    # The images are subgroups too, and their annihilators are the kernels
+    # of the adjoints.
+    assert (annihilator_masks(g, images)
+            == kernel_masks(index_maps(g, adjoints(g, stack)))).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_stacked_subgroup_check_matches_the_oracle(data):
+    """Random masks, with and without 0, the empty set, kernels (subgroups)
+    and the union of a kernel with one point outside it."""
+    orders = tuple(data.draw(ORDERS))
+    g = Group(orders)
+    bits = st.lists(st.booleans(), min_size=g.size, max_size=g.size)
+    masks = [data.draw(bits) for _ in range(4)] + [[False] * g.size]
+    kernel = kernel_masks(index_maps(g, data.draw(matrix_stacks(orders, 1))))
+    grown = kernel.copy()
+    grown[0, data.draw(st.integers(0, g.size - 1))] = True
+    member = np.concatenate([np.array(masks, dtype=bool).reshape(-1, g.size),
+                             kernel, grown])
+    got = subgroup_generators(g, member)[1]
+    want = [is_subgroup_oracle(orders, points(g, row)) for row in member]
+    assert got.tolist() == want
+    assert want[-2]
+    for row, ok in zip(member, want):
+        assert is_subgroup(g, g.points_at(np.flatnonzero(row))) == ok
+        if not ok:
+            with pytest.raises(DomainError, match="must be a subgroup"):
+                annihilator_idx(g, np.flatnonzero(row))

@@ -141,6 +141,38 @@ def test_form_II_kotlarski_roundtrip():
         assert report.shifts == shifts
 
 
+# Form-II coefficients on Z3xZ3 that meet the kernel conditions, with
+# adjoints that differ from themselves.  In the first triple b3 = b1 - b2,
+# which the adjoint keeps, so the forms read with b and with adj(b) have the
+# same consistent shifts and no verdict tells them apart; in the second,
+# b3 != b1 - b2, so a joint law that reads b for adj(b) fails its
+# roundtrips.
+ADJOINT_COEFFS = [([[1, 0], [0, 1]], [[0, 1], [2, 1]], [[1, 2], [1, 0]]),
+                  ([[1, 0], [0, 1]], [[0, 1], [2, 1]], [[1, 1], [2, 0]])]
+
+
+@pytest.mark.parametrize("matrices", ADJOINT_COEFFS, ids=["b3=b1-b2", "other"])
+def test_form_II_on_coefficients_whose_adjoints_differ_from_themselves(
+        matrices):
+    g = Group([3, 3])
+    bs = [Endo(g, m) for m in matrices]
+    assert [b.adjoint() == b for b in bs] == [True, False, False]
+    for seed in range(10):
+        mus = [Distribution.random(g, [seed, 30 + j], 0.2) for j in range(3)]
+        rng = np.random.default_rng([seed, 52])
+        x1 = g.element_at(int(rng.integers(1, g.size)))
+        shifts = consistent_shifts(bs, "II", x1)
+        nus = [m.shift(x) for m, x in zip(mus, shifts)]
+        report = verify_form_II(bs, mus, nus)
+        assert report.verdict == VERDICT_SHIFT
+        assert report.shifts == shifts
+        # One law replaced by another: the joint laws differ.
+        other = Distribution.random(g, [seed, 40], 0.2)
+        report = verify_form_II(bs, mus, [*nus[:2], other])
+        assert report.verdict == VERDICT_MISMATCH
+        assert report.joint_residual > 1e-3
+
+
 def test_form_II_kernel_counterexample():
     g = Group([6])
     bs = scalar_endos(g, (1, 2, 2))  # ker(b3) = {0, 3}

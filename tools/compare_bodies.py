@@ -144,6 +144,10 @@ ARGVS = [
        "--seed", "5"] for form in ("I", "II")),
     *(_gauss(form, 1600) for form in ("I", "II")),
     _gauss("II", 200),
+    # The invariant suite on groups of rank 3 and 4, and the injected fault,
+    # the one path whose violations are not empty, on the same groups.
+    ["invariants", "--groups", "2x2x2x2,8x4x2,3x9x27"],
+    ["invariants", "--groups", "2x2x2x2,8x4x2", "--inject-fault", "adjoint"],
 ]
 
 
