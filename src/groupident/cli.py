@@ -441,25 +441,26 @@ def _counterexample_bernstein(args, group, cs, phases) -> tuple[dict, dict]:
 # -- invariant suite ---------------------------------------------------------------------
 
 
-def _suite_endos(group: Group, seed) -> list[Endo]:
-    endos = [Endo.identity(group), Endo.zero(group), Endo.scalar(group, 2)]
-    if group.exponent > 2:
-        endos.append(Endo.scalar(group, group.exponent - 1))
-    # Three random ones: entry (i, j) is a multiple of n_i / gcd(n_i, n_j)
-    # below n_i, drawn entry by entry in row-major order.
+def _suite_endos(group: Group, seed) -> np.ndarray:
+    """The suite's ``(E, k, k)`` int64 matrices, entries reduced mod the
+    order of their row: the scalars 1, 0, 2 and, for an exponent ``L``
+    above 2, ``L - 1``, then three random ones."""
     ns = np.array(group.orders)
+    cs = [1, 0, 2] + [group.exponent - 1] * (group.exponent > 2)
+    scalars = np.array(cs)[:, None, None] * np.eye(group.rank, dtype=np.int64)
+    # Entry (i, j) of a random one is a multiple of n_i / gcd(n_i, n_j)
+    # below n_i, drawn entry by entry in row-major order.
     gcd = np.gcd(ns[:, None], ns)
     rng = np.random.default_rng([seed, group.size])
     draws = rng.integers(0, gcd, size=(3, group.rank, group.rank))
-    return endos + [Endo(group, m)
-                    for m in (draws * (ns[:, None] // gcd)).tolist()]
+    return np.concatenate([scalars, draws * (ns[:, None] // gcd)]) % ns[:, None]
 
 
 def run_invariant_suite(group: Group, seed, inject_fault: str | None = None,
                         phases: Phases | None = None) -> dict:
     phases = Phases() if phases is None else phases
     with phases.timed("endomorphisms_s"):
-        A = np.array([e.matrix for e in _suite_endos(group, seed)])
+        A = _suite_endos(group, seed)
         adj, E = adjoints(group, A), len(A)
         if inject_fault == "adjoint":
             adj[:, 0, 0] = (adj[:, 0, 0] + 1) % group.orders[0]

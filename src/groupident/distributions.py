@@ -105,8 +105,8 @@ class Distribution:
         characteristic function, so there is no series-truncation error; tiny
         negative round-off is clamped and the vector renormalized.
         """
-        if lam < 0:
-            raise DomainError("poisson rate must be nonnegative")
+        if not 0 <= lam < np.inf:
+            raise DomainError("poisson rate must be finite and nonnegative")
         row = group.roots[group.phase_idx(group.index(x0),
                                           np.arange(group.size))]
         hat = np.exp(lam * (row - 1.0))

@@ -55,14 +55,11 @@ class Endo:
 
     @classmethod
     def identity(cls, group: Group) -> "Endo":
-        k = group.rank
-        return cls(group, [[1 if i == j else 0 for j in range(k)]
-                           for i in range(k)])
+        return cls.scalar(group, 1)
 
     @classmethod
     def zero(cls, group: Group) -> "Endo":
-        k = group.rank
-        return cls(group, [[0] * k for _ in range(k)])
+        return cls.scalar(group, 0)
 
     @classmethod
     def scalar(cls, group: Group, c: int) -> "Endo":
@@ -75,11 +72,7 @@ class Endo:
 
     def apply(self, x: Element) -> Element:
         g = self.group
-        g._check(x)
-        coords = tuple(
-            sum(self.matrix[i][j] * x.coords[j] for j in range(g.rank)) % n_i
-            for i, n_i in enumerate(g.orders))
-        return Element(coords)
+        return g.element_at(self.index_map[g.index(x)])
 
     @cached_property
     def index_map(self) -> np.ndarray:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -767,9 +767,7 @@ def _sweep_max(tables, betas, rhs, defect):
 
 def _product_defect(vals, r, pairs) -> np.ndarray:
     """``|f_1 * ... * f_n / rhs - 1|`` per pair."""
-    prod = np.ones(pairs, dtype=np.complex128)
-    for v in vals:
-        prod = prod * v
+    prod = reduce(np.multiply, vals)
     if r is not None:
         if np.any(r == 0):
             raise VanishingFactorError("equation right-hand side vanishes")

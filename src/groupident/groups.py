@@ -95,13 +95,10 @@ class Group:
                 raise DomainError(f"{x!r} is not an element of {self!r}")
 
     def add(self, x: Element, y: Element) -> Element:
-        self._check(x, y)
-        return Element(tuple((a + b) % n for a, b, n
-                             in zip(x.coords, y.coords, self.orders)))
+        return self.element_at(self.add_idx(self.index(x), self.index(y)))
 
     def neg(self, x: Element) -> Element:
-        self._check(x)
-        return Element(tuple((-a) % n for a, n in zip(x.coords, self.orders)))
+        return self.element_at(self.neg_idx(self.index(x)))
 
     def sub(self, x: Element, y: Element) -> Element:
         return self.add(x, self.neg(y))

@@ -245,6 +245,8 @@ def poisson_counterexample(bs: Sequence[Endo], a: float,
         raise ConstructionError("construction needs 2 or 3 coefficients")
     if a <= 0:
         raise ConstructionError("rate a must be positive (a=0 degenerates)")
+    if not 4 * a < np.log(np.finfo(float).max):
+        raise ConstructionError(f"rate a={a}: exp(4a) must be finite")
     g = bs[0].group
     kernel = _coeff_diff(bs[0], bs[1]).kernel()
     if len(kernel) < 2:

@@ -383,15 +383,15 @@ def _verify_gaussian(form: str, bs, muhats, nuhats, tol: float,
     the open entries: the ratio tables, where an entry may fail and leave,
     their product equation on the window, each log-modulus degree through
     the shifted-sum equation, and a factoring of each ratio as character
-    times Gaussian, timed in ``phases``.  Another error raised on the stack
-    goes to each open entry verified alone; a WindowMarginError propagates.
-    Form I also checks the power sums of the fitted rates; in form II the
-    fourth ratio moves to the right-hand side and its log-modulus must be
-    quadratic on its own."""
+    times Gaussian, timed in ``phases``.  An error raised on the stack
+    depends on the coefficients and boxes alone: it is each open entry's,
+    and a WindowMarginError propagates.  Form I also checks the power sums
+    of the fitted rates; in form II the fourth ratio moves to the right-hand
+    side and its log-modulus must be quadratic on its own."""
     phases = Phases() if phases is None else phases
     stack = muhats[0].values.ndim > 1
-    inputs = muhats, nuhats = [[t.rows(slice(None)) for t in ts]
-                               for ts in (muhats, nuhats)]
+    muhats, nuhats = [[t.rows(slice(None)) for t in ts]
+                      for ts in (muhats, nuhats)]
     out = [None] * len(muhats[0].values)
     rows = np.arange(len(out))
 
@@ -417,7 +417,7 @@ def _verify_gaussian(form: str, bs, muhats, nuhats, tol: float,
                 PreconditionError("all tables must be nonvanishing"),
                 [~t.nonvanishing(0.0) for t in (*muhats, *nuhats)], muhats,
                 nuhats)
-            fs = [nu.ratio(mu) for mu, nu in zip(muhats, nuhats) if len(rows)]
+            fs = [nu.ratio(mu) for mu, nu in zip(muhats, nuhats)]
             for j in range(len(fs)):
                 # Ratios of characteristic functions are normalized and
                 # Hermitian, relative to the modulus where it exceeds 1; an
@@ -429,15 +429,26 @@ def _verify_gaussian(form: str, bs, muhats, nuhats, tol: float,
                     f"ratio table {j + 1} is not a characteristic-function "
                     "ratio"), [~(np.abs(fs[j].value_at_zero() - 1.0) <= 1e-6),
                                ~(capped.hermitian_defect() <= 1e-6)], fs)
-            if not len(rows):
-                return _entries(stack, out)
+            fs, = fail(VanishingFactorError("log-modulus of a vanishing table"),
+                       [np.any(f.values == 0, axis=1) for f in fs], fs)
+            # A NaN that no check above reads: a box not symmetric about 0.
+            fs, = fail(VanishingFactorError(
+                "gaussian fit needs a nonvanishing table"),
+                [~f.nonvanishing(0.0) for f in fs], fs)
             lattice, m, rhs = fs[0].domain, sum(summed), None
             if m < 4:
-                # Right-hand side 1/f4(b4 v), where b4 v stays in the table.
-                rhs = fs[3].pullback(vals[3]).map_values(lambda v: 1.0 / v)
+                # Right-hand side 1/f4(b4 v), where b4 v stays in the table:
+                # 0 where |f4| overflows (the entry leaves), NaN at inf.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    rhs = fs[3].pullback(vals[3]).map_values(lambda v: 1.0 / v)
                 if not len(rhs):
                     raise WindowMarginError(
                         "fourth coefficient maps the window outside")
+                fs, (rhs,) = fail(
+                    VanishingFactorError("equation right-hand side vanishes"),
+                    [np.any(rhs.values == 0, axis=1)], fs, [rhs])
+            if not len(rows):
+                return _entries(stack, out)
         with phases.timed("product_equation_s"):
             psis = [f.log_modulus() for f in fs]
             psi = [max(r) for r in zip(*(
@@ -456,11 +467,8 @@ def _verify_gaussian(form: str, bs, muhats, nuhats, tol: float,
     except WindowMarginError:
         raise
     except GroupIdentError as exc:
-        # An error of the whole stack: each open entry's own outcome.
         for i in rows:
-            out[i] = exc if len(rows) == 1 else _verify_gaussian(
-                form, bs, *([t.rows([i]) for t in ts] for ts in inputs), tol,
-                None)[0]
+            out[i] = exc
         return _entries(stack, out)
     for i, row in enumerate(rows):
         eq_defect = Measured(eq[i], FLOORS["equation_defect"](psi[i]))

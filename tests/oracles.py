@@ -11,11 +11,13 @@ from itertools import product
 import numpy as np
 
 from groupident import Distribution, Endo, Group
+from groupident.cli import _suite_endos
 from groupident.distributions import LinearFormSpec
 from groupident.errors import (CapacityError, DomainError, GenerationError,
-                               PreconditionError, WindowMarginError)
+                               PreconditionError, VanishingFactorError,
+                               WindowMarginError)
 from groupident.funceq import _coeff_idx, kernel_conditions, summed_variables
-from groupident.groups import row_blocks
+from groupident.groups import Element, row_blocks
 
 
 def rational_rref_nullspace(rows):
@@ -70,6 +72,32 @@ def _neg(orders, x):
     if orders is None:
         return -x
     return tuple((-a) % n for a, n in zip(x, orders))
+
+
+def _element_check(g, *xs):
+    for x in xs:
+        if not (isinstance(x, Element) and len(x.coords) == g.rank
+                and all(0 <= c < n for c, n in zip(x.coords, g.orders))):
+            raise DomainError(f"{x!r} is not an element of {g!r}")
+
+
+def element_add_oracle(g, x, y):
+    """``x + y`` in ``g`` by coordinate tuples; DomainError on a foreign
+    element, as ``Group.add``."""
+    _element_check(g, x, y)
+    return Element(_add(g.orders, x.coords, y.coords))
+
+
+def element_neg_oracle(g, x):
+    """``-x`` in ``g`` by coordinate tuples, as ``Group.neg``."""
+    _element_check(g, x)
+    return Element(_neg(g.orders, x.coords))
+
+
+def endo_apply_oracle(e, x):
+    """``A x`` by the matrix of ``e``, as ``Endo.apply``."""
+    _element_check(e.group, x)
+    return Element(_apply(e.group.orders, e.matrix, x.coords))
 
 
 def _sup(values, empty=None):
@@ -193,6 +221,12 @@ def suite_matrices_percall(orders, seed):
     return out
 
 
+def suite_endos(group, seed):
+    """The invariant suite's endomorphisms, as ``Endo`` objects built from
+    the matrix stack it draws."""
+    return [Endo(group, m) for m in _suite_endos(group, seed).tolist()]
+
+
 def kernel_oracle(orders, matrix):
     """The ``x`` with ``A x = 0``, in lexicographic order."""
     zero = (0,) * len(orders)
@@ -278,6 +312,20 @@ def _residual(vals, r):
     if r is not None:
         prod /= r  # ZeroDivisionError when the right-hand side vanishes
     return abs(prod - 1.0)
+
+
+def product_defect_from_ones(vals, r, pairs):
+    """``funceq._product_defect`` with the product started from ones, one
+    complex multiply more per pair; on a non-finite value it can differ by
+    the NaN imaginary part of ``1 * v``."""
+    prod = np.ones(pairs, dtype=np.complex128)
+    for v in vals:
+        prod = prod * v
+    if r is not None:
+        if np.any(r == 0):
+            raise VanishingFactorError("equation right-hand side vanishes")
+        prod = prod / r
+    return np.abs(prod - 1.0)
 
 
 def residual_defect_oracle(add, tables, coeffs, rhs, vs):

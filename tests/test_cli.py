@@ -15,7 +15,7 @@ from groupident.cli import (build_parser, find_shift_coeffs, main,
 from groupident.groups import TABLE_SIZE_LIMIT, Group
 from groupident.fixtures import read_distribution, read_table
 from groupident.reporting import FLOORS, body_bytes, load_schema
-from oracles import suite_matrices_percall
+from oracles import suite_endos, suite_matrices_percall
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 TOOL = SRC.parent / "tools" / "compare_bodies.py"
@@ -442,6 +442,19 @@ def test_counterexample_cannot_construct_exits_2(capsys):
     assert "cannot construct" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rate", ["nan", "inf", "200"])
+def test_poisson_rate_beyond_the_float_range_cannot_construct(tmp_path, capsys,
+                                                              rate):
+    # exp(4 rate) overflows above rate 177.4; nan and inf are no rates
+    out = tmp_path / "report.json"
+    assert main(["counterexample", "--kind", "poisson-pair", "--rate", rate,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot construct: ") and "must be finite" in err
+    assert not out.exists()
+
+
 def test_kernel_mass_reports_its_verifier_seconds(tmp_path):
     code, report = run_cli(tmp_path, "counterexample", "--kind", "kernel-mass")
     assert code == 0
@@ -527,7 +540,7 @@ def test_injected_fault_breaks_each_identity_that_reads_the_adjoint(orders):
 def test_suite_draws_its_matrices_entry_by_entry(orders):
     g = Group(orders)
     for seed in (0, 1, 24, 2 ** 64 + 5):
-        got = [e.matrix for e in cli._suite_endos(g, seed)]
+        got = [e.matrix for e in suite_endos(g, seed)]
         assert got[-3:] == suite_matrices_percall(orders, seed)
 
 

@@ -112,6 +112,14 @@ def test_poisson_examples():
             assert abs(hat[g.index(y)] - np.exp(-2 * lam)) < 1e-12
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam", [-0.5, np.nan, np.inf])
+def test_poisson_rate_must_be_finite_and_nonnegative(lam):
+    g = Group([6])
+    with pytest.raises(DomainError, match="finite and nonnegative"):
+        Distribution.poisson(g, lam, g.element([3]))
+
+
 def test_poisson_closed_form_char():
     g = Group([5])
     x0 = g.element([2])

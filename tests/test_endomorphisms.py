@@ -11,9 +11,11 @@ from groupident.endomorphisms import (adjoint_pairs, adjoints,
                                       image_masks, index_maps, is_adjoint_pair,
                                       kernel_masks, subgroup_generators)
 from groupident.errors import DomainError, InvalidEndomorphismError
-from oracles import (adjoint_pair_oracle, annihilator_oracle, image_oracle,
-                     index_map_oracle, is_adjoint_pair_sweep,
-                     is_subgroup_oracle, kernel_oracle)
+from groupident.groups import Element
+from oracles import (adjoint_pair_oracle, annihilator_oracle,
+                     element_add_oracle, element_neg_oracle,
+                     endo_apply_oracle, image_oracle, index_map_oracle,
+                     is_adjoint_pair_sweep, is_subgroup_oracle, kernel_oracle)
 
 
 def test_make_endo_constraint_examples():
@@ -302,3 +304,34 @@ def test_stacked_subgroup_check_matches_the_oracle(data):
         if not ok:
             with pytest.raises(DomainError, match="must be a subgroup"):
                 annihilator_idx(g, np.flatnonzero(row))
+
+
+def outcome(fn, *args):
+    """``fn(*args)`` with the coordinates' types, or its DomainError text."""
+    try:
+        x = fn(*args)
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+    return x, [type(c) for c in x.coords]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_element_operations_match_the_oracles(data):
+    """``Group.add``, ``Group.neg`` and ``Endo.apply`` on every element,
+    and on foreign elements (a coordinate out of range, one too many, a
+    bare tuple), against the coordinate-tuple arithmetic of the oracles,
+    DomainError texts included."""
+    orders = tuple(data.draw(ORDERS))
+    g = Group(orders)
+    e = Endo(g, data.draw(matrix_stacks(orders, 1))[0].tolist())
+    x = g.element_at(data.draw(st.integers(0, g.size - 1)))
+    foreign = [Element(tuple(c + n for c, n in zip(x.coords, orders))),
+               Element(tuple(-1 - c for c in x.coords)),
+               Element(x.coords + (0,)), x.coords]
+    for y in [*g.elements(), *foreign]:
+        for z, w in ((x, y), (y, x)):
+            assert (outcome(g.add, z, w)
+                    == outcome(element_add_oracle, g, z, w))
+        assert outcome(g.neg, y) == outcome(element_neg_oracle, g, y)
+        assert outcome(e.apply, y) == outcome(endo_apply_oracle, e, y)

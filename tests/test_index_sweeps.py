@@ -86,7 +86,7 @@ from groupident import (Distribution, Endo, Group, LinearFormSpec,
                         poisson_counterexample, recover_shift,
                         shifted_sum_degrees, verify_form_I,
                         verify_form_II)
-from groupident.cli import _suite_endos, find_shift_coeffs, main
+from groupident.cli import find_shift_coeffs, main
 from groupident.distributions import factor_plan, joint_residual
 from groupident.endomorphisms import is_adjoint_pair
 from groupident.errors import (CapacityError, DomainError,
@@ -121,7 +121,7 @@ from oracles import (adjoint_pair_oracle, annihilator_oracle,
                      poisson_closed_form_dense, poisson_deviations_dense,
                      poisson_dense, random_dense, recover_shift_dense,
                      residual_defect_oracle, sum_defect_oracle,
-                     sweep_max_percall, window_steps_oracle)
+                     suite_endos, sweep_max_percall, window_steps_oracle)
 
 GROUPS = [(n,) for n in range(2, 13)] + [(2, 4), (3, 3, 2), (4, 6), (6, 6)]
 TOL = 1e-9
@@ -235,7 +235,7 @@ def broken_index_maps(e: Endo, rng):
 def test_adjoint_and_annihilator_identities_match_oracles(orders):
     g = Group(orders)
     rng = np.random.default_rng([len(orders), *orders])
-    for e in _suite_endos(g, list(orders)):
+    for e in suite_endos(g, list(orders)):
         adj = e.adjoint()
         assert is_adjoint_pair(e, adj)
         for b in broken_adjoints(adj):
@@ -288,7 +288,7 @@ def test_adjoint_generator_check_matches_sweep_at_scale(orders):
     index maps."""
     g = Group(orders)
     rng = np.random.default_rng([3, *orders])
-    for e in _suite_endos(g, list(orders)):
+    for e in suite_endos(g, list(orders)):
         adj = e.adjoint()
         cases = [(e, adj), (adj, e), *((e, b) for b in broken_adjoints(adj)),
                  *((e, b) for b in broken_index_maps(adj, rng))]
@@ -436,7 +436,7 @@ def test_equation_sweeps_match_oracles_on_groups(orders):
     g = Group(orders)
     rng = np.random.default_rng([11, *orders])
     elements, add = g.elements(), group_add(orders)
-    endos = _suite_endos(g, list(orders))
+    endos = suite_endos(g, list(orders))
     for trial in range(6):
         picks = rng.choice(len(endos), size=3, replace=False)
         betas = [endos[i] for i in picks]
@@ -594,7 +594,7 @@ def test_every_operator_returns_a_box_in_index_order(dom, data):
     check_box(f.ratio(g), {p: F[p] / G[p] for p in common}, 4 * EPS)
     if group:
         betas = [(e, endo_coeff(dom.orders, e.matrix))
-                 for e in _suite_endos(dom, list(dom.orders))]
+                 for e in suite_endos(dom, list(dom.orders))]
     else:
         betas = [(c, lambda v, c=c: c * v) for c in PULLBACK_COEFFS]
     for beta, apply in betas:
@@ -869,7 +869,7 @@ def test_generator_checks_on_a_wide_window_build_no_quadratic_plan():
 def test_planned_sweeps_match_per_call_code(dom):
     rng = np.random.default_rng([31, len(dom.every)])
     if isinstance(dom, Group):
-        betas = _suite_endos(dom, list(dom.orders))[-3:]
+        betas = suite_endos(dom, list(dom.orders))[-3:]
     else:
         betas = WINDOW_COEFFS[1]
     supports = plan_supports(dom)
@@ -1002,7 +1002,7 @@ def test_pullback_matches_pointwise_lookup_on_groups(orders):
     elements = [x.coords for x in g.elements()]
     f = shuffled(g, g.every, random_values(rng, g.size), rng)
     table = as_dict(f, coords)
-    for e in _suite_endos(g, list(orders)):
+    for e in suite_endos(g, list(orders)):
         apply = endo_coeff(orders, e.matrix)
         check_pullback(f, e, {x: table[apply(x)] for x in elements}, coords)
 
@@ -1210,7 +1210,7 @@ def plan_specs(g: Group, endos):
 @pytest.mark.parametrize("orders", JOINT_GROUPS, ids=group_id)
 def test_joint_sweeps_match_dense_tables(orders):
     g = Group(orders)
-    endos = _suite_endos(g, list(orders))
+    endos = suite_endos(g, list(orders))
     mus = [Distribution.random(g, [41, g.size, j], 0.2) for j in range(4)]
     nus = [Distribution.random(g, [43, g.size, j], 0.2) for j in range(4)]
     coeff_sets = [endos[-3:]] if g.size > 100 else [endos[-3:], endos[:3]]
@@ -1388,7 +1388,7 @@ def test_broken_symmetry_sweeps_the_whole_grid(orders, monkeypatch):
     half, whole = g.size * len(g.mirror[0]), g.size ** 2
     mus = [Distribution.random(g, [41, g.size, j], 0.2) for j in range(4)]
     nus = [Distribution.random(g, [43, g.size, j], 0.2) for j in range(4)]
-    for spec in plan_specs(g, _suite_endos(g, list(orders))):
+    for spec in plan_specs(g, suite_endos(g, list(orders))):
         k = spec.arity
         got, n = swept(joint_residual, spec, mus[:k], nus[:k])
         assert (got, n) == (joint_residual_dense(spec, mus[:k], nus[:k]),
@@ -1504,7 +1504,7 @@ def test_find_shift_coeffs_closed_form_matches_search(orders, form):
 @pytest.mark.parametrize("orders", GROUPS, ids=group_id)
 def test_kernel_conditions_match_kernel_lists(orders):
     g = Group(orders)
-    endos = _suite_endos(g, list(orders))
+    endos = suite_endos(g, list(orders))
     for e in endos:
         for f in endos:
             assert (kernel_conditions((True, True), (e, f))["ker(b1-b2)=0"]
@@ -1719,7 +1719,7 @@ def split_cases(g: Group):
     form and deviations, and each with a NaN or an infinity in a column, a
     box and a row factor of form II's ``(0, 1, 1)`` (``kotlarski_coeffs``)
     and in a box factor and the third factor of the Poisson pair."""
-    endos = _suite_endos(g, list(g.orders))
+    endos = suite_endos(g, list(g.orders))
     mus = [Distribution.random(g, [41, g.size, j], 0.2) for j in range(4)]
     nus = [Distribution.random(g, [43, g.size, j], 0.2) for j in range(4)]
     specs = [LinearFormSpec.form_I(endos[-3:]),

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from groupident import Endo, distributions, identify, solenoid
+from groupident import Endo, distributions, funceq, identify, solenoid
 from groupident.cli import (find_shift_coeffs, main, parse_group,
                             run_gaussian_adversarial, run_gaussian_trial,
                             run_shift_adversarial, run_shift_trial,
@@ -21,12 +21,13 @@ from groupident.distributions import (LinearFormSpec, char_arrays,
                                       random_masses, shifted_masses)
 from groupident.errors import (GenerationError, GroupIdentError,
                                WindowMarginError)
-from groupident.funceq import summed_variables
+from groupident.funceq import FunctionTable, summed_variables
 from groupident.groups import VALUE_BLOCK, row_blocks
 from groupident.reporting import FLOORS, Phases
 from groupident.solenoid import (make_lattice, synth_gaussian_instance,
                                  synth_gaussian_stack, verify_gaussian_form_I)
-from oracles import (char_array_dense, joint_residual_dense, random_dense,
+from oracles import (char_array_dense, joint_residual_dense,
+                     product_defect_from_ones, random_dense,
                      recover_shift_dense)
 
 # (group, form, coefficients or None for find_shift_coeffs, trials); the
@@ -368,6 +369,142 @@ def test_one_bad_entry_fails_alone_with_its_first_error():
             assert (full_precision(entry.to_json_dict())
                     == full_precision(clean[i].to_json_dict())
                     == full_precision(one.to_json_dict())), i
+
+
+def gaussian_stack_on(lattice, cs, form, seed, entries, lo, hi):
+    """Writable value stacks ``(M, N)`` of a valid Gaussian stack of
+    ``entries`` entries, factor ``j`` in ``M[j]`` and ``N[j]``, cut to the
+    window box ``lo <= m <= hi``, and the box's grid indices."""
+    mus, nus, _, _ = synth_gaussian_stack(
+        lattice, cs, generators([[seed, t] for t in range(entries)]), form)
+    keep = (lattice.every >= lo) & (lattice.every <= hi)
+    return ([t.values[:, keep].copy() for t in mus],
+            [t.values[:, keep].copy() for t in nus], lattice.every[keep])
+
+
+def stacked_and_alone(form, cs, lattice, idx, M, N):
+    """Each entry's outcome from one verifier call on the stack, and from
+    the verifier on that entry's tables alone, at full precision."""
+    verify = getattr(solenoid, f"verify_gaussian_form_{form}")
+
+    def shown(entry):
+        return full_precision(entry if isinstance(entry, GroupIdentError)
+                              else entry.to_json_dict())
+
+    def tables(values):
+        return [FunctionTable._at(lattice, idx.copy(), v) for v in values]
+
+    stacked = [shown(e) for e in verify(cs, tables(M), tables(N))]
+    alone = []
+    for i in range(len(M[0])):
+        try:
+            alone.append(shown(verify(cs, tables([v[i] for v in M]),
+                                      tables([v[i] for v in N]))))
+        except GroupIdentError as exc:
+            alone.append(shown(exc))
+    return stacked, alone
+
+
+@pytest.mark.parametrize("case", ["kernel condition", "box misses 0"])
+@pytest.mark.parametrize("form", ["I", "II"])
+def test_an_error_of_the_whole_stack_is_each_open_entry_error(monkeypatch,
+                                                              form, case):
+    """An error that depends on the coefficients or boxes alone is recorded
+    on every open entry, from one pass of the verifier: coefficients that
+    fail a kernel condition, and a window box that misses 0, where entry 1,
+    with a vanishing muhat, has already left."""
+    lattice = make_lattice([2, 3, 5], 2, 60)
+    cs = [Fraction(c) for c in (1, 2, 3, 4)]
+    lo = 5 if case == "box misses 0" else -lattice.radius
+    M, N, idx = gaussian_stack_on(lattice, cs, form, 19, 4, lo, 60)
+    if case == "kernel condition":
+        cs, want = [Fraction(c) for c in (1, 1, 2, 3)], 4 * [
+            "PreconditionError: kernel condition ker(b1-b2)=0 fails"]
+    else:
+        M[2][1, 3] = 0
+        want = ["DomainError: Fraction(0, 1) is not in the table domain",
+                "PreconditionError: all tables must be nonvanishing"] + 2 * [
+            "DomainError: Fraction(0, 1) is not in the table domain"]
+    calls = []
+    verify = solenoid._verify_gaussian
+    monkeypatch.setattr(solenoid, "_verify_gaussian",
+                        lambda *args: calls.append(1) or verify(*args))
+    stacked, alone = stacked_and_alone(form, cs, lattice, idx, M, N)
+    assert stacked == alone == want
+    assert len(calls) == 1 + len(alone)  # the stack, then each entry alone
+
+
+@pytest.mark.parametrize("form,j", [("I", 0), ("I", 3), ("II", 1), ("II", 3)])
+def test_a_zero_in_a_ratio_closes_that_entry_alone(form, j):
+    """A subnormal nu over a mu above 1 at the pair ``y, -y = +-8/D``
+    makes ratio ``j + 1`` of entry 2 vanish there; its value at 0 stays 1,
+    and its capped Hermitian defect 0.  That entry alone reads the
+    log-modulus error (in form II, before ``1/f4`` is taken at ``8/D``,
+    where ``b4 = 4`` maps ``2/D``); the others keep the reports they have
+    alone, and verify."""
+    lattice = make_lattice([2, 3, 5], 2, 60)
+    cs = [Fraction(c) for c in (1, 2, 3, 4)]
+    R = lattice.radius
+    M, N, idx = gaussian_stack_on(lattice, cs, form, 23, 4, -R, R)
+    M[j][2, [R - 8, R + 8]] = 2.0
+    N[j][2, [R - 8, R + 8]] = 5e-324
+    stacked, alone = stacked_and_alone(form, cs, lattice, idx, M, N)
+    assert stacked == alone
+    assert stacked[2] == "VanishingFactorError: log-modulus of a vanishing table"
+    assert all(json.loads(e)["verdict"] == solenoid.VERDICT_GAUSSIAN
+               for i, e in enumerate(stacked) if i != 2)
+
+
+@pytest.mark.parametrize("form", ["I", "II"])
+def test_entries_on_a_box_not_symmetric_about_0_leave_alone(form):
+    """On the box ``-20 <= m <= 40`` the Hermitian check reads no point
+    above 20/D.  There, in form II, entry 1's fourth ratio is
+    ``1.7e308 (1 + i)``, whose reciprocal is 0, so the right-hand side
+    vanishes at 10/D; and entry 3's first ratio is inf/inf, NaN, which the
+    Gaussian fit refuses.  Each entry reads what it reads alone, and no warning is
+    raised."""
+    lattice = make_lattice([2, 3, 5], 2, 60)
+    cs = [Fraction(c) for c in (1, 2, 3, 4)]
+    M, N, idx = gaussian_stack_on(lattice, cs, form, 29, 5, -20, 40)
+    if form == "II":
+        M[3][1, -1], N[3][1, -1] = 1.0, 1.7e308 * (1 + 1j)
+    M[0][3, -1] = N[0][3, -1] = np.inf
+    stacked, alone = stacked_and_alone(form, cs, lattice, idx, M, N)
+    assert stacked == alone
+    assert stacked[3] == ("VanishingFactorError: gaussian fit needs a "
+                          "nonvanishing table")
+    clean = [0, 2, 4]
+    if form == "II":
+        assert stacked[1] == ("VanishingFactorError: equation right-hand "
+                              "side vanishes")
+    else:
+        clean.append(1)
+    assert all(json.loads(stacked[i])["verdict"] == solenoid.VERDICT_GAUSSIAN
+               for i in clean)
+
+
+@pytest.mark.parametrize("lo,hi", [(-60, 60), (-20, 40)])
+@pytest.mark.parametrize("form", ["I", "II"])
+def test_non_finite_tables_keep_their_reports_with_the_product_from_ones(
+        monkeypatch, form, lo, hi):
+    """The product equation's defect starts from the first factor;
+    started from 1, as ``product_defect_from_ones`` does, every verdict
+    and ``equation_defect`` is the same on tables that hold inf or NaN, in
+    mu or nu, at a point and at its negation, on a whole window and on a
+    box not symmetric about 0."""
+    lattice = make_lattice([2, 3], 1, 60)
+    cs = [Fraction(c) for c in ("1/2", 1, "3/2", 2)]
+    values = [np.inf, -np.inf, complex(np.inf, np.inf), complex(np.inf, -1),
+              np.nan, complex(1e200, 1e200)]
+    M, N, idx = gaussian_stack_on(lattice, cs, form, 31,
+                                  1 + 2 * len(values), lo, hi)
+    for k, v in enumerate(values):
+        M[k % 4][1 + 2 * k, -1] = v
+        N[(k + 1) % 4][2 + 2 * k, [-1, -1 - hi + lo]] = v
+    stacked, alone = stacked_and_alone(form, cs, lattice, idx, M, N)
+    assert stacked == alone
+    monkeypatch.setattr(funceq, "_product_defect", product_defect_from_ones)
+    assert stacked_and_alone(form, cs, lattice, idx, M, N) == (stacked, alone)
 
 
 def test_gaussian_campaign_memory_does_not_grow_with_its_trials(tmp_path):

@@ -148,6 +148,9 @@ ARGVS = [
     # the one path whose violations are not empty, on the same groups.
     ["invariants", "--groups", "2x2x2x2,8x4x2,3x9x27"],
     ["invariants", "--groups", "2x2x2x2,8x4x2", "--inject-fault", "adjoint"],
+    # The suite's scalar L-1 and its random draws on 29 groups, at a seed
+    # other than 0.
+    ["invariants", "--groups", "2..30", "--seed", "11"],
 ]
 
 
